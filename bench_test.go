@@ -314,7 +314,7 @@ func regionalScenario(b *testing.B, env *experiments.Env) sim.Scenario {
 
 // stepInputs holds every interval's inputs precomputed — instants,
 // delayed decision prices, billing prices, demand — so the regional
-// drive benchmarks time engine stepping alone, not series lookups.
+// drive benchmark times engine stepping alone, not series lookups.
 type stepInputs struct {
 	at             []time.Time
 	decision, bill [][]float64
@@ -361,12 +361,9 @@ func regionalInputs(b *testing.B, env *experiments.Env) *stepInputs {
 	return in
 }
 
-// driveInputs steps an engine (single or parallel) through every
-// precomputed interval and closes the books.
-func driveInputs(b *testing.B, eng interface {
-	Step(at time.Time, prices sim.StepPrices, demand []float64) error
-	Finalize() (*sim.Result, error)
-}, in *stepInputs) {
+// driveInputs steps an engine through every precomputed interval and
+// closes the books.
+func driveInputs(b *testing.B, eng *sim.Engine, in *stepInputs) {
 	b.Helper()
 	for s := range in.at {
 		if err := eng.Step(in.at[s], sim.StepPrices{Decision: in.decision[s], Bill: in.bill[s]}, in.demand[s]); err != nil {
@@ -378,8 +375,9 @@ func driveInputs(b *testing.B, eng interface {
 	}
 }
 
-// BenchmarkRegional39MonthJoint drives the 3-region world on one engine —
-// the baseline the parallel-shard speedup is measured against.
+// BenchmarkRegional39MonthJoint drives the 3-region world on one engine,
+// the stepping rate of a world that a sharded deployment would split
+// across three powerrouted processes behind powerroute-coord.
 func BenchmarkRegional39MonthJoint(b *testing.B) {
 	env := benchEnv(b)
 	in := regionalInputs(b, env)
@@ -390,28 +388,6 @@ func BenchmarkRegional39MonthJoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		driveInputs(b, eng, in)
-	}
-	b.ReportMetric(float64(len(in.at))*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-}
-
-// BenchmarkRegional39MonthParallel drives the same world as 3 in-process
-// parallel shard engines (sim.ParallelEngine); the steps/s ratio against
-// the Joint benchmark is the parallel-shard speedup on this box.
-func BenchmarkRegional39MonthParallel(b *testing.B) {
-	env := benchEnv(b)
-	in := regionalInputs(b, env)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc := regionalScenario(b, env)
-		p, err := sim.PartitionByRouting(sc.Policy.(routing.Sharder), sc.Fleet)
-		if err != nil {
-			b.Fatal(err)
-		}
-		par, err := sim.NewParallelEngine(sc, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		driveInputs(b, par, in)
 	}
 	b.ReportMetric(float64(len(in.at))*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
 }

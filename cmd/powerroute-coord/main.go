@@ -10,7 +10,10 @@
 //   - fans POST /v1/prices out to every shard verbatim (shards ignore
 //     hubs they host no cluster on),
 //   - splits POST /v1/demand (JSON or binary batch) by state ownership
-//     and posts each shard its own columns concurrently,
+//     and posts each shard its own columns concurrently, forwarding each
+//     deferrable batch job to the shard that owns its home cluster (a
+//     jobs=1 row's WireJob.Cluster is a joint-fleet index, the order of
+//     the coordinator's /v1/world, rewritten to the shard's own index),
 //   - periodically pulls GET /v1/checkpoint from every shard, merges the
 //     parts with sim.MergeCheckpoints, restores the merged state into a
 //     joint-world engine, and serves fleet-wide GET /v1/status and
@@ -25,10 +28,6 @@
 // 95/5 gate bit from the full demand row and posts the lease window to
 // every shard's POST /v1/leases, so the sharded fleet's burst ledgers —
 // and its books — match an unsplit powerrouted byte for byte.
-//
-// With -spill the demand splitter reroutes a saturated region's overflow
-// to the cheapest reachable sibling region with open capacity, metered at
-// the clusters that serve it (deliberately not byte-comparable).
 //
 // Usage:
 //
@@ -82,8 +81,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	delay := fs.Duration("reaction-delay", sim.DefaultReactionDelay, "lag between a price taking effect and the router seeing it")
 	batchSpec := fs.String("batch-spec", "", "deferrable batch class, matching every shard's -batch-spec (empty = no batch class)")
 	burstHubs := fs.String("burst-hubs", "", "coordinate the burst-exact clique world, matching every shard's -burst-hubs; the coordinator then brokers burst-token leases to the shards")
-	spill := fs.Bool("spill", false, "reroute a saturated region's demand overflow to the cheapest reachable sibling region (breaks byte-parity with an unsplit daemon)")
-	spillRadius := fs.Float64("spill-radius-km", 0, "bound on which sibling regions overflow may reach (0 = any sibling)")
 	mergeEvery := fs.Duration("merge-every", 10*time.Second, "how often to pull and merge shard checkpoints (0 = on demand only)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -186,12 +183,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		sc.Batch = cfg
 	}
 
-	co, err := coord.New(ctx, coord.Config{
-		Scenario:      sc,
-		ShardURLs:     urls,
-		Spill:         *spill,
-		SpillRadiusKm: *spillRadius,
-	})
+	co, err := coord.New(ctx, coord.Config{Scenario: sc, ShardURLs: urls})
 	if err != nil {
 		fmt.Fprintln(stderr, "powerroute-coord:", err)
 		return 1

@@ -13,7 +13,7 @@
 //	            [-price-threshold D] [-reaction-delay DUR]
 //	            [-batch-spec w=W,pct=Q[,guard=0|1][,migrate=0|1]]
 //	            [-state-dir DIR] [-checkpoint-every DUR] [-restore]
-//	            [-shard-count N -shard-index I | -parallel-shards N]
+//	            [-shard-count N -shard-index I]
 //	            [-burst-hubs PAIR,PAIR,...]
 //
 // -burst-hubs replaces the derived world with the burst-exact clique
@@ -22,8 +22,7 @@
 // genuinely fires, and sharded runs stay bit-identical to the joint
 // engine. A whole-world daemon self-resolves the gate; a -shard-count
 // daemon instead replays burst-token lease windows posted to its
-// POST /v1/leases by the broker feeding it (powerroute-coord, or
-// tracegen -replay -shards -burst-hubs).
+// POST /v1/leases by the coordinator feeding it (powerroute-coord).
 //
 // -batch-spec turns on the deferrable traffic class: each cluster gets a
 // batch serving capacity of W watts per server and a price gate at the
@@ -31,13 +30,6 @@
 // guard and cross-region migration togglable. Jobs then arrive over POST
 // /v1/demand (JSON "jobs" or the jobs=1 binary batch form) and are
 // served, deferred, migrated, or shed by the engine's scheduler.
-//
-// With -parallel-shards the daemon still serves the whole world, but runs
-// its routing-closed market regions as concurrent in-process engines (one
-// goroutine per region; see sim.ParallelEngine) — the single-machine
-// counterpart of the -shard-count/-shard-index multi-process split. The
-// HTTP surface is unchanged except PUT /v1/checkpoint, which requires a
-// single engine and answers 409.
 //
 // Feed it with cmd/tracegen's replay mode:
 //
@@ -105,7 +97,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	restore := fs.Bool("restore", false, "resume from -state-dir's checkpoint instead of starting fresh")
 	shardCount := fs.Int("shard-count", 1, "serve one shard of the world split into this many market regions (1 = the whole world)")
 	shardIndex := fs.Int("shard-index", 0, "which shard to serve when -shard-count > 1 (0-based)")
-	parallelShards := fs.Int("parallel-shards", 0, "run the world's routing-closed market regions as in-process parallel engines (0 = one engine; otherwise must equal the region count at -threshold-km)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -119,22 +110,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 	if *ckptEvery < 0 {
 		fmt.Fprintln(stderr, "powerrouted: negative -checkpoint-every")
-		return 2
-	}
-	if *parallelShards < 0 {
-		fmt.Fprintln(stderr, "powerrouted: negative -parallel-shards")
-		return 2
-	}
-	if *parallelShards > 0 && *shardCount > 1 {
-		fmt.Fprintln(stderr, "powerrouted: -parallel-shards runs every region in this process; it cannot be combined with -shard-count")
-		return 2
-	}
-	if *parallelShards > 0 && *restore {
-		fmt.Fprintln(stderr, "powerrouted: -restore requires a single engine (a joint checkpoint cannot be split back into shards); drop -parallel-shards to restore")
-		return 2
-	}
-	if *batchSpec != "" && *parallelShards > 0 {
-		fmt.Fprintln(stderr, "powerrouted: -batch-spec needs the single-engine job ingest path; it cannot be combined with -parallel-shards (use -shard-count for a sharded batch world)")
 		return 2
 	}
 	if *burstHubs != "" && *batchSpec != "" {
@@ -250,10 +225,9 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			*shardIndex, *shardCount, codes, len(sc.Fleet.States))
 	}
 
-	// Burst gate wiring: a whole-world engine (single, parallel, or
-	// restored) resolves the fleet-wide gate itself; a shard daemon cannot
-	// see the fleet's demand, so it replays gate bits a broker (the
-	// coordinator or tracegen's sharded replay) posts to /v1/leases.
+	// Burst gate wiring: a whole-world engine (fresh or restored) resolves
+	// the fleet-wide gate itself; a shard daemon cannot see the fleet's
+	// demand, so it replays gate bits the coordinator posts to /v1/leases.
 	var leases *sim.LeaseStore
 	if *burstHubs != "" {
 		if *shardCount > 1 {
@@ -272,49 +246,24 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 		ckptPath = filepath.Join(*stateDir, "checkpoint.ckpt")
 	}
-	var eng server.Engine
-	switch {
-	case *restore:
+	var eng *sim.Engine
+	if *restore {
 		cp, err := sim.ReadCheckpointFile(ckptPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "powerrouted: reading checkpoint %s: %v\n", ckptPath, err)
 			return 1
 		}
-		restored, err := sim.Restore(sc, cp)
-		if err != nil {
+		if eng, err = sim.Restore(sc, cp); err != nil {
 			fmt.Fprintln(stderr, "powerrouted:", err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "powerrouted: restored %s at step %d (next interval %v)\n",
-			ckptPath, cp.StepsRun, restored.Next())
-		eng = restored
-	case *parallelShards > 0:
-		// In-process parallel shards: one engine per routing-closed market
-		// region, stepped concurrently, serving the joint world's books.
-		partition, err := sim.PartitionByRouting(sc.Policy.(routing.Sharder), sc.Fleet)
-		if err != nil {
+			ckptPath, cp.StepsRun, eng.Next())
+	} else {
+		if eng, err = sim.NewEngine(sc); err != nil {
 			fmt.Fprintln(stderr, "powerrouted:", err)
 			return 1
 		}
-		if got := partition.Shards(); got != *parallelShards {
-			fmt.Fprintf(stderr, "powerrouted: the world splits into %d market regions at -threshold-km %g, not %d (the paper's 1500 km reach spans one region; try 1000 for 2 or 600 for 3)\n",
-				got, *thresholdKm, *parallelShards)
-			return 2
-		}
-		peng, err := sim.NewParallelEngine(sc, partition)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerrouted:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "powerrouted: running %d market regions as in-process parallel shards\n", peng.Shards())
-		eng = peng
-	default:
-		single, err := sim.NewEngine(sc)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerrouted:", err)
-			return 1
-		}
-		eng = single
 	}
 	srv, err := server.New(server.Config{Engine: eng, Leases: leases})
 	if err != nil {

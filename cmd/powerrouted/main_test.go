@@ -338,95 +338,3 @@ func TestShardBadInvocations(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelShardServing: -parallel-shards serves the *whole* world —
-// the /v1/world surface is the joint one, unlike -shard-count's regional
-// slice — while running its market regions concurrently, routes demand,
-// and prints the joint shutdown summary.
-func TestParallelShardServing(t *testing.T) {
-	base, out, errOut, cancel, done := startDaemon(t, "-threshold-km", "600", "-parallel-shards", "3")
-	defer cancel()
-
-	if !strings.Contains(out.String(), "running 3 market regions as in-process parallel shards") {
-		t.Errorf("missing parallel banner in %q", out.String())
-	}
-	var world struct {
-		Start    time.Time `json:"start"`
-		States   []string  `json:"states"`
-		Clusters []struct {
-			Hub string `json:"hub"`
-		} `json:"clusters"`
-	}
-	resp, err := http.Get(base + "/v1/world")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&world)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(world.States) != 51 {
-		t.Fatalf("parallel daemon serves %d states, want the whole world's 51", len(world.States))
-	}
-
-	prices := map[string]float64{}
-	for _, cl := range world.Clusters {
-		prices[cl.Hub] = 42
-	}
-	post := func(path string, v any) {
-		t.Helper()
-		body, _ := json.Marshal(v)
-		resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: %d: %s", path, resp.StatusCode, msg)
-		}
-	}
-	post("/v1/prices", map[string]any{"at": world.Start, "prices": prices})
-	rates := make([]float64, len(world.States))
-	for i := range rates {
-		rates[i] = 1000
-	}
-	post("/v1/demand", map[string]any{"rates": rates})
-
-	cancel()
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("exit %d; stderr %q", code, errOut.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("parallel daemon did not shut down")
-	}
-	if !strings.Contains(out.String(), "routed 1 intervals") {
-		t.Errorf("missing shutdown summary, got %q", out.String())
-	}
-}
-
-// TestParallelBadInvocations: -parallel-shards must match the world's
-// region count and cannot be combined with the multi-process split or
-// with -restore (a joint checkpoint cannot be split back into shards).
-func TestParallelBadInvocations(t *testing.T) {
-	cases := [][]string{
-		{"-months", "1", "-days", "7", "-parallel-shards", "-1"},
-		{"-months", "1", "-days", "7", "-parallel-shards", "2", "-shard-count", "2"},
-		{"-months", "1", "-days", "7", "-parallel-shards", "2", "-restore", "-state-dir", "x"},
-		// The paper's 1500 km reach spans one region; the error must name
-		// the achievable count.
-		{"-months", "1", "-days", "7", "-parallel-shards", "3"},
-	}
-	for _, argv := range cases {
-		var out, errOut syncBuf
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		code := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, argv...), &out, &errOut)
-		cancel()
-		if code != 2 {
-			t.Errorf("%v: exit %d, want 2 (stderr %q)", argv, code, errOut.String())
-		}
-	}
-}

@@ -8,7 +8,9 @@
 // regenerates the same world (match the daemon's -seed/-months/-days) and
 // streams the full price history plus the hourly long-run demand through
 // the daemon's ingest endpoints, one routing decision per hour, at a
-// configurable speedup.
+// configurable speedup. A sharded fleet is replayed through its
+// powerroute-coord coordinator, which splits every batch across the
+// shards and brokers their burst-token leases.
 //
 // Usage:
 //
@@ -16,23 +18,19 @@
 //	tracegen [-seed N] [-months M] [-days D] -replay URL
 //	         [-speedup X] [-batch N] [-loop N] [-kill-after N] [-resume]
 //	         [-batch-spec every=N,kwh=E,slack=S,floor=F]
-//	         [-burst-hubs SPEC -threshold-km KM] [-shards URL,URL]
+//	         [-burst-hubs SPEC -threshold-km KM]
 //
 // -burst-hubs switches the replay to the burst-exact clique world (see
 // core.BurstWorld) — start the daemons with the same -burst-hubs and
-// -threshold-km. In sharded mode the replay then doubles as the
-// burst-token lease broker: it computes the fleet-wide 95/5 burst gate
-// bit for every step from the full demand row and posts the lease window
-// to each shard (POST /v1/leases) before the demand that consumes it, so
-// a sharded replay's books match the unsplit daemon's byte for byte even
-// while soft-cap bursts fire.
+// -threshold-km.
 //
 // -batch-spec folds a deterministic deferrable-job load into the demand
 // replay (against a daemon started with its own -batch-spec): every N
 // steps each cluster receives one job of E kWh, due S steps later, with a
 // partial-execution floor of F. Jobs are keyed to absolute step numbers,
 // so a -resume replay regenerates exactly the jobs the interrupted run
-// would have posted.
+// would have posted. Through a coordinator, each job's cluster index is
+// a joint-fleet index; the coordinator forwards the job to its shard.
 //
 // With -speedup 0 (the default) the replay free-runs as fast as the daemon
 // routes, reporting sustained decision throughput; -speedup 3600 replays
@@ -52,7 +50,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"powerroute/internal/market"
 	"powerroute/internal/timeseries"
@@ -71,9 +68,8 @@ func main() {
 	loops := flag.Int("loop", 1, "replay the price horizon this many times")
 	killAfter := flag.Int("kill-after", 0, "stop the replay after this many routed steps (0 = full horizon; crash-drill mode)")
 	resume := flag.Bool("resume", false, "resume from the daemon's next expected step (after powerrouted -restore)")
-	shards := flag.String("shards", "", "comma-separated powerrouted shard URLs: ingest goes to the shards directly and concurrently, -replay names the coordinator (status only)")
 	batchSpec := flag.String("batch-spec", "", "deferrable-job load riding the demand replay: every=<steps>,kwh=<energy>,slack=<deadline steps>,floor=<min fraction> (empty = no jobs)")
-	burstHubs := flag.String("burst-hubs", "", "replay the burst-exact clique world instead of the derived one (match the daemons' -burst-hubs); with -shards the replay also brokers burst-token leases")
+	burstHubs := flag.String("burst-hubs", "", "replay the burst-exact clique world instead of the derived one (match the daemons' -burst-hubs)")
 	burstThreshold := flag.Float64("threshold-km", 1500, "routing distance threshold the daemons run with (burst-hubs mode only; the burst world's soft caps depend on it)")
 	flag.Parse()
 	if *replayURL != "" {
@@ -96,12 +92,6 @@ func main() {
 				os.Exit(2)
 			}
 			opt.Jobs = spec
-		}
-		for _, u := range strings.Split(*shards, ",") {
-			u = strings.TrimRight(strings.TrimSpace(u), "/")
-			if u != "" {
-				opt.Shards = append(opt.Shards, u)
-			}
 		}
 		if err := replay(os.Stdout, *replayURL, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)

@@ -3,14 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"powerroute/internal/core"
@@ -41,21 +39,11 @@ type replayOptions struct {
 	// via PUT /v1/checkpoint), whose price feed starts empty.
 	Resume bool
 
-	// Shards, when non-empty, bypasses the replay target for ingest and
-	// drives these powerrouted shard instances directly and concurrently:
-	// each price chunk goes to every shard verbatim (shards ignore foreign
-	// hubs), each demand chunk is split by state ownership discovered from
-	// the shards' /v1/world. The -replay URL is then the coordinator,
-	// queried only for the merged fleet-wide status.
-	Shards []string
-
 	// BurstHubs switches the replay from the paper's derived world to the
 	// burst-exact clique world (core.BurstWorld) the daemons were started
 	// with via the matching -burst-hubs flag: comonotone demand rows
-	// instead of the long-run trace. In sharded mode the replay is also
-	// the lease broker — it computes the fleet-wide burst gate bit for
-	// every step from the full demand row and posts the lease window to
-	// each shard before the demand chunk that consumes it.
+	// instead of the long-run trace. A sharded fleet's lease windows are
+	// the coordinator's business; the replay only posts demand.
 	BurstHubs string
 	// ThresholdKm is the routing proximity threshold the daemons run with;
 	// the burst world's geometry (and so its soft caps) depends on it.
@@ -65,8 +53,10 @@ type replayOptions struct {
 	// demand replay (the -batch-spec flag): at every absolute step that is
 	// a multiple of Every, each cluster the target serves receives one job
 	// of KWh energy due Slack steps later with partial-execution floor
-	// Floor. Keying to absolute steps makes the load a pure function of
-	// the step number, so kill/resume drills regenerate it bit-identically.
+	// Floor. Jobs name clusters by their index in the target's /v1/world,
+	// which for a coordinator is the joint fleet's order. Keying to
+	// absolute steps makes the load a pure function of the step number,
+	// so kill/resume drills regenerate it bit-identically.
 	Jobs *jobSpec
 }
 
@@ -126,7 +116,8 @@ func parseJobSpec(spec string) (*jobSpec, error) {
 }
 
 // replay regenerates the synthetic world and streams it through a running
-// powerrouted daemon: the hourly hub price history via POST /v1/prices and
+// powerrouted daemon, or a powerroute-coord coordinator fronting a
+// sharded fleet: the hourly hub price history via POST /v1/prices and
 // the long-run hour-of-week demand via POST /v1/demand, in binary batches
 // of opt.Batch steps, opt.Loops passes over the price horizon. Each price
 // chunk is posted before the demand chunk that references it, so the
@@ -156,10 +147,7 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	var demand sim.DemandSource = tr.LongRun()
 
 	// Burst mode: regenerate the burst-exact world the daemons serve (same
-	// seed, same flags → bit-identical fleet, caps, and demand) and, when
-	// sharded, precompute the broker state for lease posts.
-	var leaseRoom float64
-	brokering := false
+	// seed, same flags → bit-identical fleet, caps, and demand).
 	if opt.BurstHubs != "" {
 		if opt.Jobs != nil {
 			return fmt.Errorf("replay: -burst-hubs and -batch-spec are not supported together")
@@ -177,10 +165,6 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 			return fmt.Errorf("replay: %w", err)
 		}
 		demand = bw.Demand
-		if leaseRoom, err = sim.BurstRoomTotal(bw.Fleet, bw.SoftCaps); err != nil {
-			return fmt.Errorf("replay: %w", err)
-		}
-		brokering = len(opt.Shards) > 0
 	}
 
 	hubs := mkt.Hubs()
@@ -201,90 +185,30 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	total := horizon * opt.Loops
 
 	client := &http.Client{Timeout: 5 * time.Minute}
+	// A coordinator serves /v1/status from its last merged snapshot;
+	// refresh=1 makes it re-pull the shards first. A daemon ignores it.
+	statusURL := baseURL + "/v1/status?refresh=1"
 
-	// Ingest targets: the replay URL itself, or — sharded mode — every
-	// powerrouted shard directly, each receiving only its own states'
-	// demand columns. Shards ingest concurrently; within one shard the
-	// price chunk always lands before the demand chunk that references it.
-	type ingestTarget struct {
-		url      string
-		cols     []int // demand columns (nil = the full state vector)
-		clusters int   // engine-local cluster count (jobs mode only)
-	}
-	targets := []ingestTarget{{url: baseURL}}
-	if len(opt.Shards) > 0 {
-		if opt.Resume || opt.KillAfter > 0 {
-			return fmt.Errorf("replay: -resume/-kill-after are not supported with -shards (drive shards individually instead)")
-		}
-		// When the replay target is a coordinator, its shard list must
-		// cover the same partition as the -shards flag — a count mismatch
-		// means the merged status would silently describe a different
-		// fleet split than the one being driven.
-		if world, err := getWorld(client, baseURL); err == nil && len(world.Shards) > 0 && len(world.Shards) != len(opt.Shards) {
-			return fmt.Errorf("replay: -shards lists %d URLs but the coordinator at %s partitions the world into %d shards (%s)",
-				len(opt.Shards), baseURL, len(world.Shards), strings.Join(world.Shards, ", "))
-		}
-		stateIdx := make(map[string]int, ns)
-		for i, sd := range tr.States {
-			stateIdx[sd.State.Code] = i
-		}
-		owner := make([]int, ns)
-		for i := range owner {
-			owner[i] = -1
-		}
-		targets = targets[:0]
-		for si, url := range opt.Shards {
-			world, err := getWorld(client, url)
-			if err != nil {
-				return fmt.Errorf("replay: shard %s: %w", url, err)
-			}
-			if got := time.Duration(world.StepSeconds * float64(time.Second)); got != step {
-				return fmt.Errorf("replay: shard %s steps %v, replay generates %v", url, got, step)
-			}
-			cols := make([]int, 0, len(world.States))
-			for _, code := range world.States {
-				s, ok := stateIdx[code]
-				if !ok {
-					return fmt.Errorf("replay: shard %s serves unknown state %q", url, code)
-				}
-				if owner[s] != -1 {
-					return fmt.Errorf("replay: state %q claimed by two shards", code)
-				}
-				owner[s] = si
-				cols = append(cols, s)
-			}
-			targets = append(targets, ingestTarget{url: url, cols: cols})
-		}
-		for s, o := range owner {
-			if o == -1 {
-				return fmt.Errorf("replay: no shard serves state %q", tr.States[s].State.Code)
-			}
-		}
-	}
-
-	// Jobs ride demand rows addressed by engine-local cluster index, so
-	// each target's job blocks are generated against its own cluster list
-	// (a shard's world names only the clusters it serves).
+	// Jobs ride demand rows addressed by the target's cluster index, so
+	// the job load is generated against its cluster count.
+	clusters := 0
 	if opt.Jobs != nil {
-		for ti := range targets {
-			world, err := getWorld(client, targets[ti].url)
-			if err != nil {
-				return fmt.Errorf("replay: %s: %w", targets[ti].url, err)
-			}
-			if len(world.Clusters) == 0 {
-				return fmt.Errorf("replay: %s reports no clusters; cannot address jobs", targets[ti].url)
-			}
-			targets[ti].clusters = len(world.Clusters)
+		world, err := getWorld(client, baseURL)
+		if err != nil {
+			return fmt.Errorf("replay: %s: %w", baseURL, err)
 		}
+		if len(world.Clusters) == 0 {
+			return fmt.Errorf("replay: %s reports no clusters; cannot address jobs", baseURL)
+		}
+		clusters = len(world.Clusters)
 	}
 
 	// postChunk streams rows [off, off+n) of the (cyclic) price horizon
-	// and, when withDemand is set, the matching demand rows — to every
-	// target concurrently.
+	// and, when withDemand is set, the matching demand rows. The price
+	// chunk always lands before the demand chunk that references it.
 	priceRow := make([]float64, len(hubIDs))
 	rowBuf := make([]byte, 0, 8*max(len(hubIDs), ns))
 	demandRow := make([]float64, ns)
-	subRow := make([]float64, ns)
 	var jobRow []server.WireJob
 	var jobBuf []byte
 	postChunk := func(off, n int, withDemand bool) error {
@@ -300,114 +224,53 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 			}
 			pb.Write(server.AppendRow(rowBuf[:0], priceRow))
 		}
-		prices := pb.Bytes()
-
-		demands := make([][]byte, len(targets))
-		var gates []bool
-		if brokering && withDemand {
-			gates = make([]bool, n)
+		if err := post(client, baseURL+"/v1/prices", server.ContentTypePricesBatch, &pb); err != nil {
+			return fmt.Errorf("replay: price chunk at %v: %w", chunkStart, err)
 		}
-		if withDemand {
-			bufs := make([]*bytes.Buffer, len(targets))
-			for ti, tg := range targets {
-				cols := ns
-				if tg.cols != nil {
-					cols = len(tg.cols)
-				}
-				bufs[ti] = &bytes.Buffer{}
-				var herr error
-				if opt.Jobs != nil {
-					herr = server.WriteJobsBatchHeader(bufs[ti], chunkStart, step, n, cols)
-				} else {
-					herr = server.WriteBatchHeader(bufs[ti], "demand", chunkStart, step, n, cols, nil)
-				}
-				if herr != nil {
-					return herr
-				}
-			}
-			for i := 0; i < n; i++ {
-				demandRow = demand.Rates(chunkStart.Add(time.Duration(i)*step), demandRow)
-				if gates != nil {
-					gates[i] = sim.BurstGateOpen(sim.SumDemand(demandRow), leaseRoom)
-				}
-				for ti, tg := range targets {
-					if opt.Jobs != nil {
-						// The job load is a pure function of the absolute
-						// step number, so resumed replays regenerate it.
-						jobRow = jobRow[:0]
-						if (off+i)%opt.Jobs.Every == 0 {
-							for c := 0; c < tg.clusters; c++ {
-								jobRow = append(jobRow, server.WireJob{
-									Cluster:       uint32(c),
-									DeadlineSteps: uint32(opt.Jobs.Slack),
-									EnergyKWh:     opt.Jobs.KWh,
-									MinFraction:   opt.Jobs.Floor,
-								})
-							}
-						}
-						jobBuf = server.AppendJobs(jobBuf[:0], jobRow)
-						bufs[ti].Write(jobBuf)
-					}
-					row := demandRow
-					if tg.cols != nil {
-						row = subRow[:len(tg.cols)]
-						for k, s := range tg.cols {
-							row[k] = demandRow[s]
-						}
-					}
-					bufs[ti].Write(server.AppendRow(rowBuf[:0], row))
-				}
-			}
-			for ti, b := range bufs {
-				demands[ti] = b.Bytes()
-			}
+		if !withDemand {
+			return nil
 		}
 
-		// The lease window every shard must hold before its demand chunk
-		// arrives: the fleet-wide burst gate bit per step, computed from
-		// the full demand row no single shard sees.
-		var leaseBody []byte
-		if gates != nil {
-			body, err := json.Marshal(struct {
-				From  int    `json:"from"`
-				Gates []bool `json:"gates"`
-			}{From: off, Gates: gates})
-			if err != nil {
-				return err
+		var db bytes.Buffer
+		var err error
+		if opt.Jobs != nil {
+			err = server.WriteJobsBatchHeader(&db, chunkStart, step, n, ns)
+		} else {
+			err = server.WriteBatchHeader(&db, "demand", chunkStart, step, n, ns, nil)
+		}
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			demandRow = demand.Rates(chunkStart.Add(time.Duration(i)*step), demandRow)
+			if opt.Jobs != nil {
+				// The job load is a pure function of the absolute step
+				// number, so resumed replays regenerate it.
+				jobRow = jobRow[:0]
+				if (off+i)%opt.Jobs.Every == 0 {
+					for c := 0; c < clusters; c++ {
+						jobRow = append(jobRow, server.WireJob{
+							Cluster:       uint32(c),
+							DeadlineSteps: uint32(opt.Jobs.Slack),
+							EnergyKWh:     opt.Jobs.KWh,
+							MinFraction:   opt.Jobs.Floor,
+						})
+					}
+				}
+				jobBuf = server.AppendJobs(jobBuf[:0], jobRow)
+				db.Write(jobBuf)
 			}
-			leaseBody = body
+			db.Write(server.AppendRow(rowBuf[:0], demandRow))
 		}
-
-		errs := make([]error, len(targets))
-		var wg sync.WaitGroup
-		for ti, tg := range targets {
-			wg.Add(1)
-			go func(ti int, tg ingestTarget) {
-				defer wg.Done()
-				if err := post(client, tg.url+"/v1/prices", server.ContentTypePricesBatch, bytes.NewReader(prices)); err != nil {
-					errs[ti] = fmt.Errorf("replay: price chunk at %v to %s: %w", chunkStart, tg.url, err)
-					return
-				}
-				if leaseBody != nil {
-					if err := post(client, tg.url+"/v1/leases", "application/json", bytes.NewReader(leaseBody)); err != nil {
-						errs[ti] = fmt.Errorf("replay: lease window at step %d to %s: %w", off, tg.url, err)
-						return
-					}
-				}
-				if withDemand {
-					if err := post(client, tg.url+"/v1/demand", server.ContentTypeDemandBatch, bytes.NewReader(demands[ti])); err != nil {
-						errs[ti] = fmt.Errorf("replay: demand chunk at %v to %s: %w", chunkStart, tg.url, err)
-					}
-				}
-			}(ti, tg)
+		if err := post(client, baseURL+"/v1/demand", server.ContentTypeDemandBatch, &db); err != nil {
+			return fmt.Errorf("replay: demand chunk at %v: %w", chunkStart, err)
 		}
-		wg.Wait()
-		return errors.Join(errs...)
+		return nil
 	}
 
 	startOff := 0
 	if opt.Resume {
-		status, err := getStatus(client, baseURL)
+		status, err := getStatus(client, statusURL)
 		if err != nil {
 			return err
 		}
@@ -459,14 +322,7 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	}
 	elapsed := time.Since(t0)
 
-	statusURL := baseURL + "/v1/status"
-	if len(opt.Shards) > 0 {
-		// The coordinator's status is a merged view of the shards' durable
-		// checkpoints; force a fresh pull so the summary reflects the steps
-		// just routed.
-		statusURL += "?refresh=1"
-	}
-	status, err := getStatusFrom(client, statusURL)
+	status, err := getStatus(client, statusURL)
 	if err != nil {
 		return err
 	}
@@ -500,11 +356,7 @@ type daemonStatus struct {
 	TotalEnergyMWh float64 `json:"total_energy_mwh"`
 }
 
-func getStatus(client *http.Client, baseURL string) (*daemonStatus, error) {
-	return getStatusFrom(client, baseURL+"/v1/status")
-}
-
-func getStatusFrom(client *http.Client, url string) (*daemonStatus, error) {
+func getStatus(client *http.Client, url string) (*daemonStatus, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
@@ -522,12 +374,10 @@ func getStatusFrom(client *http.Client, url string) (*daemonStatus, error) {
 
 // daemonWorld is the slice of /v1/world the replay needs: the step
 // geometry, the reaction delay whose lookback the resume path must
-// re-cover, and — for sharded ingest — the states the daemon serves.
+// re-cover, and the clusters the job load addresses.
 type daemonWorld struct {
-	StepSeconds          float64  `json:"step_seconds"`
-	ReactionDelaySeconds float64  `json:"reaction_delay_seconds"`
-	States               []string `json:"states"`
-	Shards               []string `json:"shards"`
+	StepSeconds          float64 `json:"step_seconds"`
+	ReactionDelaySeconds float64 `json:"reaction_delay_seconds"`
 	Clusters             []struct {
 		Code string `json:"code"`
 	} `json:"clusters"`

@@ -5,12 +5,17 @@
 // Ingest fans out. A price post is forwarded verbatim to every shard —
 // each shard ignores hubs it hosts no cluster on — and a demand post
 // (JSON or binary batch) is split by state ownership, each shard
-// receiving exactly its own states' columns. Reads fan in: the
-// coordinator pulls every shard's durable checkpoint, merges them with
-// sim.MergeCheckpoints under the parent world hash, restores the merged
-// state into a joint-world engine, and serves the fleet-wide /v1/status
-// and /metrics from that snapshot — the same payloads a single
-// powerrouted serving the whole world would produce, bit for bit.
+// receiving exactly its own states' columns. Deferrable batch jobs
+// riding a demand post go to the shard that owns their home cluster;
+// every job is admitted (sim.CheckJob) before any shard is posted to, so
+// a bad job can never leave the shards at different step cursors.
+//
+// Reads fan in: the coordinator pulls every shard's durable checkpoint,
+// merges them with sim.MergeCheckpoints under the parent world hash,
+// restores the merged state into a joint-world engine, and serves the
+// fleet-wide /v1/status and /metrics from that snapshot — the same
+// payloads a single powerrouted serving the whole world would produce,
+// bit for bit.
 //
 // When the joint world runs a coordinated 95/5 burst gate (a soft-capped
 // scenario with a BurstGate), the coordinator is also the burst-token
@@ -19,15 +24,8 @@
 // can make — and posts the lease window to every shard's POST /v1/leases,
 // so the shards' burst ledgers replay exactly the joint engine's.
 //
-// Cross-shard spill (Config.Spill) is the opposite trade: when a region's
-// demand exceeds its serving capacity, the coordinator's demand splitter
-// reroutes the overflow to the cheapest reachable sibling region with
-// open capacity before splitting the row, metered at the clusters that
-// actually serve it. Spill changes assignments, so a spilling coordinator
-// is deliberately not byte-comparable with a joint engine run.
-//
 //	POST /v1/prices      forward a price vector or batch to every shard
-//	POST /v1/demand      split demand by state ownership and fan out
+//	POST /v1/demand      split demand (and jobs) by ownership and fan out
 //	GET  /v1/status      fleet-wide status from the last merged snapshot (?refresh=1 re-pulls)
 //	GET  /v1/checkpoint  pull, merge, and stream the joint-world checkpoint
 //	GET  /v1/world       the joint world description
@@ -43,15 +41,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"powerroute/internal/cluster"
-	"powerroute/internal/geo"
 	"powerroute/internal/routing"
+	"powerroute/internal/sched"
 	"powerroute/internal/server"
 	"powerroute/internal/sim"
 )
@@ -71,23 +67,13 @@ type Config struct {
 	ShardURLs []string
 	// Client overrides the HTTP client used to reach shards.
 	Client *http.Client
-
-	// Spill enables cross-shard demand spill: a region whose demand row
-	// exceeds its serving capacity has the overflow rerouted to the
-	// cheapest reachable sibling region with open capacity before the
-	// row is split, so it is metered at the clusters that serve it.
-	// Opt-in because spilled assignments diverge from a joint engine's.
-	Spill bool
-	// SpillRadiusKm bounds which sibling regions overflow may reach
-	// (minimum pairwise cluster distance). 0 means any sibling.
-	SpillRadiusKm float64
 }
 
-// shardInfo is one shard's discovered ownership.
+// shardInfo is one shard's discovered state ownership (its clusters are
+// recorded per cluster in Coordinator.clusterShard).
 type shardInfo struct {
-	url      string
-	clusters []int // fleet cluster indices, ascending
-	states   []int // fleet state indices, ascending
+	url    string
+	states []int // fleet state indices, ascending
 }
 
 // Coordinator fans ingest out to shards and merges their state back into
@@ -99,22 +85,21 @@ type Coordinator struct {
 	client    *http.Client
 	shards    []shardInfo
 
+	// Job routing, read-only after New: clusterIdx resolves a JSON job's
+	// cluster code to its joint index; clusterShard and clusterLocal map
+	// a joint cluster index to its owning shard and to its index in that
+	// shard's engine, the cluster's position in the shard's ascending
+	// cluster list.
+	clusterIdx   map[string]int
+	clusterShard []int
+	clusterLocal []int
+
 	// Burst-token broker state, armed when the joint world runs a
 	// coordinated burst gate: room is the fleet's soft-capped total (a
 	// run constant summed in fleet cluster order, exactly like the joint
 	// engine's), the input to every fleet-wide gate decision.
 	broker bool
 	room   float64
-
-	// Cross-shard spill state (Config.Spill): per-region serving
-	// capacity, the reachability mask, and the latest decision price per
-	// hub (tracked from the price feed to rank candidate receivers).
-	spill    bool
-	shardCap []float64
-	spillOK  [][]bool
-	spillMu  sync.Mutex
-	hubPrice map[string]float64 // guarded_by: spillMu
-	spilled  float64            // guarded_by: spillMu
 
 	// Cached merged snapshot, refreshed periodically (Run) or on demand.
 	mu   sync.Mutex
@@ -154,7 +139,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		fleet:     cfg.Scenario.Fleet,
 		worldHash: hash,
 		client:    client,
-		spill:     cfg.Spill,
 		requests:  make(map[string]uint64),
 	}
 	if cfg.Scenario.BurstGate != nil {
@@ -168,48 +152,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if err := co.discover(ctx, cfg.ShardURLs); err != nil {
 		return nil, err
 	}
-	if co.spill {
-		co.initSpill(cfg.SpillRadiusKm)
-	}
 	return co, nil
-}
-
-// initSpill precomputes each region's serving capacity and which
-// siblings its overflow may reach (minimum pairwise cluster distance
-// within radiusKm; 0 = any sibling).
-//
-//lint:held spillMu construction-time init, before the Coordinator is shared
-func (co *Coordinator) initSpill(radiusKm float64) {
-	n := len(co.shards)
-	co.shardCap = make([]float64, n)
-	for i, sh := range co.shards {
-		for _, c := range sh.clusters {
-			co.shardCap[i] += float64(co.fleet.Clusters[c].Capacity)
-		}
-	}
-	co.spillOK = make([][]bool, n)
-	co.hubPrice = make(map[string]float64)
-	for i := range co.spillOK {
-		co.spillOK[i] = make([]bool, n)
-		for j := range co.spillOK[i] {
-			if i == j {
-				continue
-			}
-			if radiusKm <= 0 {
-				co.spillOK[i][j] = true
-				continue
-			}
-			best := math.Inf(1)
-			for _, a := range co.shards[i].clusters {
-				for _, b := range co.shards[j].clusters {
-					if d := geo.Distance(co.fleet.Clusters[a].Location, co.fleet.Clusters[b].Location).Km(); d < best {
-						best = d
-					}
-				}
-			}
-			co.spillOK[i][j] = best <= radiusKm
-		}
-	}
 }
 
 // shardWorld is the slice of a shard's /v1/world the coordinator needs.
@@ -224,15 +167,16 @@ type shardWorld struct {
 }
 
 func (co *Coordinator) discover(ctx context.Context, urls []string) error {
-	clusterIdx := make(map[string]int, len(co.fleet.Clusters))
+	co.clusterIdx = make(map[string]int, len(co.fleet.Clusters))
 	for c, cl := range co.fleet.Clusters {
-		clusterIdx[cl.Code] = c
+		co.clusterIdx[cl.Code] = c
 	}
 	stateIdx := make(map[string]int, len(co.fleet.States))
 	for s, st := range co.fleet.States {
 		stateIdx[st.Code] = s
 	}
 	clusterOwner := make([]int, len(co.fleet.Clusters))
+	co.clusterLocal = make([]int, len(co.fleet.Clusters))
 	stateOwner := make([]int, len(co.fleet.States))
 	for i := range clusterOwner {
 		clusterOwner[i] = -1
@@ -272,8 +216,8 @@ func (co *Coordinator) discover(ctx context.Context, urls []string) error {
 			return fmt.Errorf("coord: the joint world runs a coordinated burst gate but shard %s accepts no burst-token leases (start it with matching -burst-hubs and -shard-count flags)", url)
 		}
 		info := shardInfo{url: url}
-		for _, cl := range world.Clusters {
-			c, ok := clusterIdx[cl.Code]
+		for local, cl := range world.Clusters {
+			c, ok := co.clusterIdx[cl.Code]
 			if !ok {
 				return fmt.Errorf("coord: shard %s serves unknown cluster %q", url, cl.Code)
 			}
@@ -281,7 +225,7 @@ func (co *Coordinator) discover(ctx context.Context, urls []string) error {
 				return fmt.Errorf("coord: cluster %q claimed by shards %s and %s", cl.Code, urls[prev], url)
 			}
 			clusterOwner[c] = i
-			info.clusters = append(info.clusters, c)
+			co.clusterLocal[c] = local
 		}
 		for _, code := range world.States {
 			s, ok := stateIdx[code]
@@ -306,6 +250,7 @@ func (co *Coordinator) discover(ctx context.Context, urls []string) error {
 			return fmt.Errorf("coord: no shard serves state %q", co.fleet.States[s].Code)
 		}
 	}
+	co.clusterShard = clusterOwner
 	return nil
 }
 
@@ -431,9 +376,6 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading price post: %v", err)
 		return
 	}
-	if co.spill {
-		co.trackPrices(r.Header.Get("Content-Type"), body)
-	}
 	bodies := make([][]byte, len(co.shards))
 	for i := range bodies {
 		bodies[i] = body
@@ -450,10 +392,7 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 // before the demand that consumes the window — a shard engine refuses to
 // route a soft-capped step it holds no lease bit for.
 func (co *Coordinator) postLeases(ctx context.Context, from int, gates []bool) error {
-	body, err := json.Marshal(struct {
-		From  int    `json:"from"`
-		Gates []bool `json:"gates"`
-	}{From: from, Gates: gates})
+	body, err := json.Marshal(server.LeasePost{From: from, Gates: gates})
 	if err != nil {
 		return err
 	}
@@ -477,10 +416,14 @@ func (co *Coordinator) leaseStep(at time.Time) (int, error) {
 	return int(off / co.sc.Step), nil
 }
 
-// demandPost mirrors the shard daemon's JSON demand body.
-type demandPost struct {
-	At    time.Time `json:"at"`
-	Rates []float64 `json:"rates"`
+// checkJob admits one job before fan-out with the engine's own rule
+// (sim.CheckJob). Deadlines are still relative to the posted row, so
+// the cursor is 0; the shard converts them to absolute steps itself.
+func (co *Coordinator) checkJob(j sched.Job) error {
+	if co.sc.Batch == nil {
+		return errors.New("is posted to a world with no batch class")
+	}
+	return sim.CheckJob(j, len(co.fleet.Clusters), 0)
 }
 
 func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
@@ -488,7 +431,7 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 		co.handleDemandBatch(w, r)
 		return
 	}
-	var post demandPost
+	var post server.DemandPost
 	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding demand post: %v", err)
 		return
@@ -496,6 +439,22 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 	if len(post.Rates) != len(co.fleet.States) {
 		httpError(w, http.StatusBadRequest, "%d rates for %d states", len(post.Rates), len(co.fleet.States))
 		return
+	}
+	// Jobs name their home cluster by code, which every shard resolves
+	// itself; the coordinator only picks the owning shard.
+	jobs := make([][]server.JobPost, len(co.shards))
+	for i, jp := range post.Jobs {
+		c, ok := co.clusterIdx[jp.Cluster]
+		if !ok {
+			httpError(w, http.StatusBadRequest, "job %d names unknown cluster %q", i, jp.Cluster)
+			return
+		}
+		if err := co.checkJob(jp.Job(c, 0)); err != nil {
+			httpError(w, http.StatusBadRequest, "job %d %v", i, err)
+			return
+		}
+		sh := co.clusterShard[c]
+		jobs[sh] = append(jobs[sh], jp)
 	}
 	if co.broker {
 		step, err := co.leaseStep(post.At)
@@ -509,12 +468,9 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if co.spill {
-		co.spillRow(post.Rates)
-	}
 	bodies := make([][]byte, len(co.shards))
 	for i, sh := range co.shards {
-		sub := demandPost{At: post.At, Rates: make([]float64, len(sh.states))}
+		sub := server.DemandPost{At: post.At, Rates: make([]float64, len(sh.states)), Jobs: jobs[i]}
 		for j, s := range sh.states {
 			sub.Rates[j] = post.Rates[s]
 		}
@@ -534,7 +490,9 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 
 // handleDemandBatch splits a binary demand batch by state ownership: each
 // shard receives a batch with the same horizon but only its own states'
-// columns, posted concurrently.
+// columns, posted concurrently. In a jobs=1 batch every shard row also
+// carries a job block, empty when none of the row's jobs is homed on that
+// shard, with each job's joint cluster index rewritten to the shard's.
 func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReaderSize(r.Body, 1<<16)
 	h, err := server.ParseBatchHeader(br)
@@ -569,7 +527,13 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 	subRows := make([][]float64, len(co.shards))
 	for i, sh := range co.shards {
 		bufs[i] = &bytes.Buffer{}
-		if err := server.WriteBatchHeader(bufs[i], "demand", h.Start, h.Step, h.Rows, len(sh.states), nil); err != nil {
+		var err error
+		if h.Jobs {
+			err = server.WriteJobsBatchHeader(bufs[i], h.Start, h.Step, h.Rows, len(sh.states))
+		} else {
+			err = server.WriteBatchHeader(bufs[i], "demand", h.Start, h.Step, h.Rows, len(sh.states), nil)
+		}
+		if err != nil {
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
@@ -578,7 +542,28 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 	row := make([]float64, ns)
 	rowBytes := make([]byte, 8*ns)
 	scratch := make([]byte, 0, 8*ns)
+	var jobs []server.WireJob
+	var jobBytes []byte
+	shardJobs := make([][]server.WireJob, len(co.shards))
 	for i := 0; i < h.Rows; i++ {
+		if h.Jobs {
+			if jobs, jobBytes, err = server.ReadJobBlock(br, jobs, jobBytes); err != nil {
+				httpError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
+				return
+			}
+			for j := range shardJobs {
+				shardJobs[j] = shardJobs[j][:0]
+			}
+			for k, wj := range jobs {
+				if err := co.checkJob(wj.Job(0)); err != nil {
+					httpError(w, http.StatusBadRequest, "demand row %d: job %d %v", i, k, err)
+					return
+				}
+				c := int(wj.Cluster)
+				wj.Cluster = uint32(co.clusterLocal[c])
+				shardJobs[co.clusterShard[c]] = append(shardJobs[co.clusterShard[c]], wj)
+			}
+		}
 		if _, err := io.ReadFull(br, rowBytes); err != nil {
 			httpError(w, http.StatusBadRequest, "demand row %d: batch body truncated: %v", i, err)
 			return
@@ -590,10 +575,11 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 		if gates != nil {
 			gates[i] = sim.BurstGateOpen(sim.SumDemand(row), co.room)
 		}
-		if co.spill {
-			co.spillRow(row)
-		}
 		for j, sh := range co.shards {
+			if h.Jobs {
+				jobBytes = server.AppendJobs(jobBytes[:0], shardJobs[j])
+				bufs[j].Write(jobBytes)
+			}
 			sub := subRows[j]
 			for k, s := range sh.states {
 				sub[k] = row[s]
@@ -616,157 +602,6 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	writeJSON(w, map[string]any{"routed": h.Rows, "shards": len(co.shards)})
-}
-
-// --- cross-shard spill ------------------------------------------------------
-
-// spillRow reroutes overflow between regions in place: any region whose
-// share of the row exceeds its serving capacity sheds the excess to the
-// cheapest reachable sibling with open capacity (then the next cheapest,
-// and so on). The fleet-wide total is preserved — only the split moves —
-// and the receiving regions meter the spilled demand on their own
-// clusters. Returns the rerouted volume in hits/s.
-func (co *Coordinator) spillRow(row []float64) float64 {
-	totals := make([]float64, len(co.shards))
-	for i, sh := range co.shards {
-		for _, s := range sh.states {
-			totals[i] += row[s]
-		}
-	}
-	prices := co.regionPrices()
-	order := make([]int, len(co.shards))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return prices[order[a]] < prices[order[b]] })
-
-	var moved float64
-	for i := range co.shards {
-		over := totals[i] - co.shardCap[i]
-		if over <= 0 {
-			continue
-		}
-		var out float64
-		for _, j := range order {
-			if j == i || !co.spillOK[i][j] {
-				continue
-			}
-			open := co.shardCap[j] - totals[j]
-			if open <= 0 {
-				continue
-			}
-			take := math.Min(over-out, open)
-			if take <= 0 {
-				break
-			}
-			addProportional(row, co.shards[j].states, take)
-			totals[j] += take
-			out += take
-		}
-		if out > 0 {
-			// Shed the rerouted volume from the sender uniformly across
-			// its states, keeping its internal mix intact.
-			scale := (totals[i] - out) / totals[i]
-			for _, s := range co.shards[i].states {
-				row[s] *= scale
-			}
-			totals[i] -= out
-			moved += out
-		}
-	}
-	if moved > 0 {
-		co.spillMu.Lock()
-		co.spilled += moved
-		co.spillMu.Unlock()
-	}
-	return moved
-}
-
-// addProportional distributes amount over the given state columns in
-// proportion to their current values (evenly when all are zero), so the
-// receiving region's internal mix is preserved.
-func addProportional(row []float64, states []int, amount float64) {
-	var sum float64
-	for _, s := range states {
-		sum += row[s]
-	}
-	if sum <= 0 {
-		per := amount / float64(len(states))
-		for _, s := range states {
-			row[s] += per
-		}
-		return
-	}
-	for _, s := range states {
-		row[s] += amount * row[s] / sum
-	}
-}
-
-// regionPrices ranks regions by the mean of their clusters' latest hub
-// prices; a region with no price seen yet ranks last (+Inf), so overflow
-// never lands on a region whose cost is unknown while a priced one is
-// open.
-func (co *Coordinator) regionPrices() []float64 {
-	co.spillMu.Lock()
-	defer co.spillMu.Unlock()
-	prices := make([]float64, len(co.shards))
-	for i, sh := range co.shards {
-		var sum float64
-		n := 0
-		for _, c := range sh.clusters {
-			if v, ok := co.hubPrice[co.fleet.Clusters[c].HubID]; ok {
-				sum += v
-				n++
-			}
-		}
-		if n == 0 {
-			prices[i] = math.Inf(1)
-		} else {
-			prices[i] = sum / float64(n)
-		}
-	}
-	return prices
-}
-
-// trackPrices keeps the latest per-hub price from a forwarded price post
-// (the last row of a batch, or the vector of a JSON post) for spill
-// ranking. Malformed posts are ignored here — the shards reject them.
-func (co *Coordinator) trackPrices(contentType string, body []byte) {
-	latest := make(map[string]float64)
-	switch contentType {
-	case server.ContentTypePricesBatch:
-		br := bufio.NewReader(bytes.NewReader(body))
-		h, err := server.ParseBatchHeader(br)
-		if err != nil || h.Kind != "prices" || h.Rows == 0 || len(h.Hubs) != h.Cols {
-			return
-		}
-		rowBytes := make([]byte, 8*h.Cols)
-		row := make([]float64, h.Cols)
-		for i := 0; i < h.Rows; i++ {
-			if _, err := io.ReadFull(br, rowBytes); err != nil {
-				return
-			}
-		}
-		if err := server.DecodeRow(rowBytes, row); err != nil {
-			return
-		}
-		for j, hub := range h.Hubs {
-			latest[hub] = row[j]
-		}
-	default:
-		var post struct {
-			Prices map[string]float64 `json:"prices"`
-		}
-		if err := json.Unmarshal(body, &post); err != nil {
-			return
-		}
-		latest = post.Prices
-	}
-	co.spillMu.Lock()
-	for hub, v := range latest {
-		co.hubPrice[hub] = v
-	}
-	co.spillMu.Unlock()
 }
 
 // pullMerge fetches every shard's checkpoint and merges them into the
@@ -922,16 +757,10 @@ func (co *Coordinator) handleWorld(w http.ResponseWriter, r *http.Request) {
 		Capacity float64 `json:"capacity_hits_per_s"`
 		Shard    string  `json:"shard"`
 	}
-	owner := make(map[int]string)
-	for _, sh := range co.shards {
-		for _, c := range sh.clusters {
-			owner[c] = sh.url
-		}
-	}
 	clusters := make([]clusterInfo, len(co.fleet.Clusters))
 	for c, cl := range co.fleet.Clusters {
 		clusters[c] = clusterInfo{Code: cl.Code, Hub: cl.HubID, Servers: cl.Servers,
-			Capacity: float64(cl.Capacity), Shard: owner[c]}
+			Capacity: float64(cl.Capacity), Shard: co.shards[co.clusterShard[c]].url}
 	}
 	states := make([]string, len(co.fleet.States))
 	for i, st := range co.fleet.States {
@@ -945,7 +774,6 @@ func (co *Coordinator) handleWorld(w http.ResponseWriter, r *http.Request) {
 		"world_hash":             co.worldHash,
 		"shards":                 co.Shards(),
 		"lease_broker":           co.broker,
-		"spill":                  co.spill,
 		"clusters":               clusters,
 		"states":                 states,
 	})
@@ -965,12 +793,5 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	co.reqMu.Unlock()
 	w.Header().Set("Content-Type", server.MetricsContentType)
-	text := server.MetricsText(co.fleet, snap, 0, requests)
-	if co.spill {
-		co.spillMu.Lock()
-		spilled := co.spilled
-		co.spillMu.Unlock()
-		text += fmt.Sprintf("# HELP powerroute_coord_spilled_hits_total Demand rerouted across regions by the spill splitter.\n# TYPE powerroute_coord_spilled_hits_total counter\npowerroute_coord_spilled_hits_total %g\n", spilled)
-	}
-	_, _ = w.Write([]byte(text))
+	_, _ = w.Write([]byte(server.MetricsText(co.fleet, snap, 0, requests)))
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"powerroute/internal/batchspec"
 	"powerroute/internal/core"
 	"powerroute/internal/energy"
 	"powerroute/internal/routing"
@@ -118,6 +120,23 @@ func get(t *testing.T, url string, wantCode int) []byte {
 // baseURL as binary batches, exactly as the replay load generator does.
 func feedWorld(t *testing.T, sys *core.System, sc sim.Scenario, baseURL string, hours int) {
 	t.Helper()
+	feedPrices(t, sys, sc, baseURL, hours)
+	ns := len(sc.Fleet.States)
+	var db bytes.Buffer
+	if err := server.WriteBatchHeader(&db, "demand", sc.Start, sc.Step, hours, ns, nil); err != nil {
+		t.Fatal(err)
+	}
+	var demand []float64
+	for i := 0; i < hours; i++ {
+		demand = sc.Demand.Rates(sc.Start.Add(time.Duration(i)*sc.Step), demand)
+		db.Write(server.AppendRow(nil, demand))
+	}
+	postBody(t, baseURL+"/v1/demand", server.ContentTypeDemandBatch, db.Bytes(), http.StatusOK)
+}
+
+// feedPrices posts `hours` of generated hub prices as one binary batch.
+func feedPrices(t *testing.T, sys *core.System, sc sim.Scenario, baseURL string, hours int) {
+	t.Helper()
 	hubs := sys.Market.Hubs()
 	hubIDs := make([]string, len(hubs))
 	for i, h := range hubs {
@@ -144,18 +163,6 @@ func feedWorld(t *testing.T, sys *core.System, sc sim.Scenario, baseURL string, 
 		pb.Write(server.AppendRow(nil, row))
 	}
 	postBody(t, baseURL+"/v1/prices", server.ContentTypePricesBatch, pb.Bytes(), http.StatusOK)
-
-	ns := len(sc.Fleet.States)
-	var db bytes.Buffer
-	if err := server.WriteBatchHeader(&db, "demand", sc.Start, sc.Step, hours, ns, nil); err != nil {
-		t.Fatal(err)
-	}
-	var demand []float64
-	for i := 0; i < hours; i++ {
-		demand = sc.Demand.Rates(sc.Start.Add(time.Duration(i)*sc.Step), demand)
-		db.Write(server.AppendRow(nil, demand))
-	}
-	postBody(t, baseURL+"/v1/demand", server.ContentTypeDemandBatch, db.Bytes(), http.StatusOK)
 }
 
 // TestCoordinatorMatchesSingleInstance feeds the same price and demand
@@ -226,12 +233,17 @@ func TestCoordinatorMatchesSingleInstance(t *testing.T) {
 	}
 
 	// JSON single-step demand also fans out (after one more price post the
-	// shards can cover the next hour).
+	// shards can cover the next hour). A job riding it is refused first:
+	// this world has no batch class, and no shard may route the row.
 	at := sc.Start.Add(time.Duration(hours) * sc.Step)
 	var demand []float64
 	demand = sc.Demand.Rates(at, demand)
-	post := map[string]any{"at": at, "rates": demand}
-	body, _ := json.Marshal(post)
+	job := server.JobPost{Cluster: sc.Fleet.Clusters[0].Code, DeadlineSteps: 4, EnergyKWh: 10}
+	body, _ := json.Marshal(server.DemandPost{At: at, Rates: demand, Jobs: []server.JobPost{job}})
+	if out := postBody(t, coordTS.URL+"/v1/demand", "application/json", body, http.StatusBadRequest); !strings.Contains(string(out), "no batch class") {
+		t.Fatalf("job for a batch-free world: %s", out)
+	}
+	body, _ = json.Marshal(server.DemandPost{At: at, Rates: demand})
 	postBody(t, coordTS.URL+"/v1/demand", "application/json", body, http.StatusOK)
 }
 
@@ -454,61 +466,171 @@ func TestCoordinatorDegradedReads(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSpill: a demand row that saturates one region has its
-// overflow rerouted to the open sibling — totals preserved, sender capped
-// at capacity — and a tight spill radius keeps the overflow at home.
-func TestCoordinatorSpill(t *testing.T) {
-	_, sc := testWorld(t)
+// jobsBatch encodes demand rows [from, from+n) as a jobs=1 batch. Every
+// fourth absolute step each cluster of the joint fleet receives one job,
+// addressed by its joint index, the load tracegen -batch-spec replays.
+func jobsBatch(t *testing.T, sc sim.Scenario, from, n int) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	start := sc.Start.Add(time.Duration(from) * sc.Step)
+	if err := server.WriteJobsBatchHeader(&b, start, sc.Step, n, len(sc.Fleet.States)); err != nil {
+		t.Fatal(err)
+	}
+	var demand []float64
+	var jobs []server.WireJob
+	for i := from; i < from+n; i++ {
+		jobs = jobs[:0]
+		if i%4 == 0 {
+			for c := range sc.Fleet.Clusters {
+				jobs = append(jobs, server.WireJob{Cluster: uint32(c), DeadlineSteps: 12, EnergyKWh: 500, MinFraction: 0.5})
+			}
+		}
+		demand = sc.Demand.Rates(sc.Start.Add(time.Duration(i)*sc.Step), demand)
+		b.Write(server.AppendJobs(nil, jobs))
+		b.Write(server.AppendRow(nil, demand))
+	}
+	return b.Bytes()
+}
+
+// TestCoordinatorForwardsJobs: deferrable jobs posted through the
+// coordinator, as jobs=1 batch rows and as JSON, reach the shards that own
+// their home clusters, so the merged status equals an unsplit daemon's
+// byte for byte with work still queued. Jobs the engine would refuse are
+// rejected with 400 before any shard is posted to, leaving every shard at
+// the same step cursor.
+func TestCoordinatorForwardsJobs(t *testing.T) {
+	sys, sc := testWorld(t)
+	batch, err := batchspec.Parse("w=20,pct=0.3", sys.Fleet, sys.Market)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Batch = batch
+	const batchHours, hours = 5 * 24, 6 * 24
+
+	singleEng, err := sim.NewEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleSrv, err := server.New(server.Config{Engine: singleEng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(singleSrv.Handler())
+	defer single.Close()
 	urls := newShards(t, sc)
-	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Spill: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(urls) != 2 {
+		t.Fatalf("expected 2 shards, got %d", len(urls))
 	}
+	_, coordTS := newCoordinator(t, sc, urls)
+	targets := []string{single.URL, coordTS.URL}
 
-	makeRow := func() ([]float64, float64) {
-		row := make([]float64, len(sc.Fleet.States))
-		want := 1.5 * co.shardCap[0]
-		per := want / float64(len(co.shards[0].states))
-		for _, s := range co.shards[0].states {
-			row[s] = per
+	for _, url := range targets {
+		feedPrices(t, sys, sc, url, hours+1)
+		postBody(t, url+"/v1/demand", server.ContentTypeDemandBatch, jobsBatch(t, sc, 0, batchHours), http.StatusOK)
+	}
+	// The rest of the horizon as JSON posts, jobs named by cluster code.
+	jsonStep := func(step int, jobs []server.JobPost) []byte {
+		at := sc.Start.Add(time.Duration(step) * sc.Step)
+		body, err := json.Marshal(server.DemandPost{At: at, Rates: sc.Demand.Rates(at, nil), Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return row, want
+		return body
 	}
-	sum := func(row []float64, states []int) float64 {
-		var v float64
-		for _, s := range states {
-			v += row[s]
+	for step := batchHours; step < hours; step++ {
+		var jobs []server.JobPost
+		if step%3 == 0 {
+			for _, cl := range sc.Fleet.Clusters {
+				jobs = append(jobs, server.JobPost{Cluster: cl.Code, DeadlineSteps: 30, EnergyKWh: 300, MinFraction: 0.25})
+			}
 		}
-		return v
+		body := jsonStep(step, jobs)
+		for _, url := range targets {
+			postBody(t, url+"/v1/demand", "application/json", body, http.StatusOK)
+		}
 	}
 
-	row, total := makeRow()
-	moved := co.spillRow(row)
-	// The rerouted volume is the sender's overflow, clipped to the
-	// receiver's open capacity.
-	if want := math.Min(0.5*co.shardCap[0], co.shardCap[1]); math.Abs(moved-want) > 1e-6*want {
-		t.Fatalf("moved %g, want %g", moved, want)
+	// Rejected before fan-out: a bad job in the second row of a batch, or
+	// in a JSON post, must leave every shard where it was.
+	nc := uint32(len(sc.Fleet.Clusters))
+	good := server.WireJob{Cluster: 0, DeadlineSteps: 4, EnergyKWh: 10, MinFraction: 0.5}
+	badWire := map[string]server.WireJob{
+		"cluster out of range":  {Cluster: nc, DeadlineSteps: 4, EnergyKWh: 10},
+		"zero deadline":         {Cluster: 0, DeadlineSteps: 0, EnergyKWh: 10},
+		"NaN energy":            {Cluster: 0, DeadlineSteps: 4, EnergyKWh: math.NaN()},
+		"infinite energy":       {Cluster: 0, DeadlineSteps: 4, EnergyKWh: math.Inf(1)},
+		"zero energy":           {Cluster: 0, DeadlineSteps: 4, EnergyKWh: 0},
+		"negative min fraction": {Cluster: 0, DeadlineSteps: 4, EnergyKWh: 10, MinFraction: -0.1},
 	}
-	if got, want := sum(row, co.shards[0].states), total-moved; math.Abs(got-want) > 1e-6*want {
-		t.Fatalf("sender kept %g, want %g", got, want)
+	twoRows := func(second []byte) []byte {
+		var b bytes.Buffer
+		start := sc.Start.Add(time.Duration(hours) * sc.Step)
+		if err := server.WriteJobsBatchHeader(&b, start, sc.Step, 2, len(sc.Fleet.States)); err != nil {
+			t.Fatal(err)
+		}
+		rates := sc.Demand.Rates(start, nil)
+		b.Write(server.AppendJobs(nil, []server.WireJob{good}))
+		b.Write(server.AppendRow(nil, rates))
+		b.Write(second)
+		b.Write(server.AppendRow(nil, rates))
+		return b.Bytes()
 	}
-	if got := sum(row, co.shards[1].states); math.Abs(got-moved) > 1e-6*moved {
-		t.Fatalf("receiver got %g, want the moved %g", got, moved)
+	for name, wj := range badWire {
+		out := postBody(t, coordTS.URL+"/v1/demand", server.ContentTypeDemandBatch,
+			twoRows(server.AppendJobs(nil, []server.WireJob{good, wj})), http.StatusBadRequest)
+		if !strings.Contains(string(out), "demand row 1: job 1") {
+			t.Errorf("%s: error does not name row 1, job 1: %s", name, out)
+		}
 	}
-	fleetSum := sum(row, co.shards[0].states) + sum(row, co.shards[1].states)
-	if math.Abs(fleetSum-total) > 1e-6*total {
-		t.Fatalf("spill changed the fleet total: %g vs %g", fleetSum, total)
+	overCap := binary.LittleEndian.AppendUint32(nil, 1<<16+1)
+	if out := postBody(t, coordTS.URL+"/v1/demand", server.ContentTypeDemandBatch, twoRows(overCap), http.StatusBadRequest); !strings.Contains(string(out), "per-row cap") {
+		t.Errorf("over-cap job block: %s", out)
+	}
+	badJSON := map[string]server.JobPost{
+		"unknown cluster":         {Cluster: "nope", DeadlineSteps: 4, EnergyKWh: 10},
+		"zero deadline":           {Cluster: sc.Fleet.Clusters[0].Code, DeadlineSteps: 0, EnergyKWh: 10},
+		"negative energy":         {Cluster: sc.Fleet.Clusters[0].Code, DeadlineSteps: 4, EnergyKWh: -1},
+		"min fraction above one":  {Cluster: sc.Fleet.Clusters[0].Code, DeadlineSteps: 4, EnergyKWh: 10, MinFraction: 1.5},
+		"non-positive deadline":   {Cluster: sc.Fleet.Clusters[0].Code, DeadlineSteps: -3, EnergyKWh: 10},
+		"min fraction below zero": {Cluster: sc.Fleet.Clusters[0].Code, DeadlineSteps: 4, EnergyKWh: 10, MinFraction: -1},
+	}
+	goodJSON := server.JobPost{Cluster: sc.Fleet.Clusters[0].Code, DeadlineSteps: 4, EnergyKWh: 10}
+	for name, jp := range badJSON {
+		out := postBody(t, coordTS.URL+"/v1/demand", "application/json", jsonStep(hours, []server.JobPost{goodJSON, jp}), http.StatusBadRequest)
+		if !strings.Contains(string(out), "job 1") {
+			t.Errorf("%s: error does not name job 1: %s", name, out)
+		}
+	}
+	for _, url := range urls {
+		var status struct {
+			Steps int `json:"steps"`
+		}
+		if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.Steps != hours {
+			t.Fatalf("shard %s at step %d after rejected posts, want %d", url, status.Steps, hours)
+		}
 	}
 
-	// The regions sit ~4000 km apart; a 100 km radius makes the sibling
-	// unreachable, so the overflow stays (and overloads) at home.
-	near, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Spill: true, SpillRadiusKm: 100})
-	if err != nil {
-		t.Fatal(err)
+	normalize := func(raw []byte) ([]byte, map[string]any) {
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "price_feed_entries")
+		out, _ := json.Marshal(m)
+		return out, m
 	}
-	row, _ = makeRow()
-	if moved := near.spillRow(row); moved != 0 {
-		t.Fatalf("100 km spill radius still moved %g across ~4000 km", moved)
+	wantJSON, want := normalize(get(t, single.URL+"/v1/status", http.StatusOK))
+	gotJSON, _ := normalize(get(t, coordTS.URL+"/v1/status?refresh=1", http.StatusOK))
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("coordinator status with jobs differs from the unsplit daemon:\ncoord  %s\nsingle %s", gotJSON, wantJSON)
+	}
+	for _, key := range []string{"batch_queued_kwh", "batch_served_kwh"} {
+		if v, _ := want[key].(float64); !(v > 0) {
+			t.Fatalf("%s = %v: the job load left no trace, so the diff tested nothing", key, want[key])
+		}
 	}
 }
 

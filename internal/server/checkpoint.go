@@ -46,11 +46,6 @@ func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 // checkpoint's step cursor. The ingested price feed is cleared — it
 // belonged to the replaced run — so feeders must re-post prices from
 // (next − reaction delay) before routing resumes.
-//
-// Restore requires a single engine: a joint checkpoint cannot be split
-// back into per-region engines, so a daemon running parallel shards
-// answers 409 (its GET side still works — merged checkpoints restore
-// into single-engine daemons).
 func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	cp, err := sim.DecodeCheckpoint(http.MaxBytesReader(w, r.Body, maxCheckpointBody))
 	if err != nil {
@@ -59,12 +54,7 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	single, ok := s.eng.(*sim.Engine)
-	if !ok {
-		httpError(w, http.StatusConflict, "server: checkpoint restore is not supported while serving parallel shards; restart without -parallel-shards to restore")
-		return
-	}
-	eng, err := sim.Restore(single.Scenario(), cp)
+	eng, err := sim.Restore(s.eng.Scenario(), cp)
 	if err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return

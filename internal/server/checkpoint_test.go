@@ -20,7 +20,7 @@ func routeIntervals(t *testing.T, ts *httptest.Server, sys *core.System, n int) 
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	demand := flatDemand(len(sys.Fleet.States), 1500)
 	for i := 0; i < n; i++ {
-		postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: demand}, http.StatusOK)
+		postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: demand}, http.StatusOK)
 	}
 }
 

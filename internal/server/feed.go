@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"powerroute/internal/sched"
 )
 
 // The daemon's price store lives in shardfeed.go: per-hub feedShards plus
@@ -261,6 +263,50 @@ func AppendJobs(b []byte, jobs []WireJob) []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(j.MinFraction))
 	}
 	return b
+}
+
+// Job converts the wire job into the scheduler's form for a row routed
+// at step base. Like JobPost.Job it leaves admission to sim.CheckJob,
+// which rejects an out-of-range cluster or a zero DeadlineSteps.
+func (j WireJob) Job(base int) sched.Job {
+	return sched.Job{
+		Cluster:     int(j.Cluster),
+		Arrival:     base,
+		Deadline:    base + int(j.DeadlineSteps),
+		EnergyKWh:   j.EnergyKWh,
+		MinFraction: j.MinFraction,
+	}
+}
+
+// ReadJobBlock reads one jobs=1 row's job block (a uint32 count, then
+// that many WireJob records) and decodes the jobs into dst[:0]. buf is
+// byte scratch, grown when a block outgrows it. Both come back for reuse.
+// The daemon's demand path and the shard coordinator's splitter share
+// it, so the block layout and the per-row cap are declared once.
+func ReadJobBlock(r io.Reader, dst []WireJob, buf []byte) ([]WireJob, []byte, error) {
+	dst = dst[:0]
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, wireJobBytes)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return dst, buf, fmt.Errorf("server: batch body truncated: %v", err)
+	}
+	count := int(binary.LittleEndian.Uint32(buf[:4]))
+	if count > maxJobsPerRow {
+		return dst, buf, fmt.Errorf("%d jobs exceed the per-row cap", count)
+	}
+	n := count * wireJobBytes
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	b := buf[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return dst, buf, fmt.Errorf("server: batch body truncated: %v", err)
+	}
+	for i := 0; i < count; i++ {
+		dst = append(dst, decodeWireJob(b[i*wireJobBytes:]))
+	}
+	return dst, buf, nil
 }
 
 // decodeWireJob decodes one fixed-size job record.

@@ -125,7 +125,7 @@ func TestConcurrentPricesDemandStatus(t *testing.T) {
 	demand := flatDemand(ns, 1500)
 	for i := 0; i < steps; i++ {
 		at := start.Add(time.Duration(i) * time.Hour)
-		postJSON(t, ts.URL+"/v1/demand", demandPost{At: at, Rates: demand}, http.StatusOK)
+		postJSON(t, ts.URL+"/v1/demand", DemandPost{At: at, Rates: demand}, http.StatusOK)
 	}
 	close(stop)
 	wg.Wait()

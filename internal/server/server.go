@@ -27,7 +27,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,35 +39,11 @@ import (
 	"powerroute/internal/sim"
 )
 
-// Engine is the incremental simulation surface the server drives: one
-// routing decision per Step, cheap snapshots for status endpoints, and a
-// durable checkpoint for the operator API. *sim.Engine is the
-// single-engine implementation; *sim.ParallelEngine runs the world's
-// routing-closed regions concurrently behind the same contract. Only
-// checkpoint *restore* is implementation-specific (see
-// handleCheckpointPut): a joint checkpoint cannot be split back into
-// shard engines, so PUT /v1/checkpoint requires a single engine.
-type Engine interface {
-	Fleet() *cluster.Fleet
-	StepSize() time.Duration
-	ReactionDelay() time.Duration
-	Start() time.Time
-	Next() time.Time
-	StepsRun() int
-	Step(at time.Time, prices sim.StepPrices, demand []float64) error
-	Snapshot() *sim.Snapshot
-	SnapshotInto(dst *sim.Snapshot) *sim.Snapshot
-	Assignments(dst [][]float64) [][]float64
-	WorldHash() string
-	Checkpoint() (*sim.Checkpoint, error)
-	Finalize() (*sim.Result, error)
-}
-
 // Config assembles a Server.
 type Config struct {
 	// Engine is the incremental simulation engine to serve. The server
 	// owns it after New; all further access must go through handlers.
-	Engine Engine
+	Engine *sim.Engine
 
 	// Leases, when non-nil, is the burst-token lease window the engine
 	// reads its fleet gate bits from: the daemon accepts POST /v1/leases
@@ -84,7 +59,7 @@ type Config struct {
 // annotations are enforced by powerroute-vet's lockcheck analyzer.
 type Server struct {
 	mu    sync.Mutex
-	eng   Engine        // guarded_by: mu
+	eng   *sim.Engine   // guarded_by: mu
 	snap  *sim.Snapshot // guarded_by: mu — reusable snapshot scratch; handlers extract what they render before unlocking
 	fleet *cluster.Fleet
 	step  time.Duration
@@ -95,9 +70,10 @@ type Server struct {
 	leases      *sim.LeaseStore // locks itself; nil unless this daemon brokers burst-token leases
 
 	// scratch buffers for the demand path.
-	rowBuf  []float64   // guarded_by: mu
-	byteBuf []byte      // guarded_by: mu
-	jobBuf  []sched.Job // guarded_by: mu — decoded deferrable jobs for one row
+	rowBuf   []float64   // guarded_by: mu
+	byteBuf  []byte      // guarded_by: mu
+	wireJobs []WireJob   // guarded_by: mu — one binary row's job block
+	jobBuf   []sched.Job // guarded_by: mu — decoded deferrable jobs for one row
 
 	// clusterIdx maps cluster codes to engine-local indices for the JSON
 	// job ingest path (read-only after New).
@@ -272,11 +248,11 @@ func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
 
 // --- burst-token leases ----------------------------------------------------
 
-// leasePost is the JSON body of POST /v1/leases: a contiguous window of
+// LeasePost is the JSON body of POST /v1/leases: a contiguous window of
 // fleet burst-gate bits, one per interval, starting at absolute step
 // From. The coordinator derives each bit from the full fleet demand row
 // and posts the window before the demand chunk that consumes it.
-type leasePost struct {
+type LeasePost struct {
 	From  int    `json:"from"`
 	Gates []bool `json:"gates"`
 }
@@ -286,7 +262,7 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "server: this daemon brokers no burst-token leases")
 		return
 	}
-	var post leasePost
+	var post LeasePost
 	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding lease post: %v", err)
 		return
@@ -316,19 +292,19 @@ func (s *Server) pruneLeases() {
 
 // --- demand ingestion / routing --------------------------------------------
 
-// demandPost is the JSON body of POST /v1/demand: one interval's per-state
+// DemandPost is the JSON body of POST /v1/demand: one interval's per-state
 // demand (fleet state order; GET /v1/world lists the codes). A zero At
 // defaults to the engine's next expected interval. Jobs optionally
 // attaches deferrable batch jobs arriving with the interval; they queue
 // before the interval routes, so a job may start executing immediately.
-type demandPost struct {
+type DemandPost struct {
 	At    time.Time `json:"at"`
 	Rates []float64 `json:"rates"`
-	Jobs  []jobPost `json:"jobs,omitempty"`
+	Jobs  []JobPost `json:"jobs,omitempty"`
 }
 
-// jobPost is one deferrable batch job in a JSON demand post.
-type jobPost struct {
+// JobPost is one deferrable batch job in a JSON demand post.
+type JobPost struct {
 	// Cluster is the home cluster's code (GET /v1/world lists them).
 	Cluster string `json:"cluster"`
 	// DeadlineSteps is the deadline as intervals after this one; 1 means
@@ -338,22 +314,24 @@ type jobPost struct {
 	MinFraction   float64 `json:"min_fraction"`
 }
 
-// jobQueuer is the optional engine capability behind job ingest. The
-// single-world sim.Engine implements it; the in-process parallel-shard
-// engine does not (jobs would need cross-shard ownership routing), so
-// job posts against it fail with a clear 400.
-type jobQueuer interface {
-	QueueJobs([]sched.Job) error
+// Job converts the posted job, homed at cluster index c, into the
+// scheduler's form for an interval routed at step base. Admission
+// (sim.CheckJob) is the engine's, so a non-positive DeadlineSteps is
+// rejected there as a deadline at or behind the cursor.
+func (j JobPost) Job(c, base int) sched.Job {
+	return sched.Job{
+		Cluster:     c,
+		Arrival:     base,
+		Deadline:    base + j.DeadlineSteps,
+		EnergyKWh:   j.EnergyKWh,
+		MinFraction: j.MinFraction,
+	}
 }
 
 // queueJobs converts and enqueues one row's jobs under the engine lock.
 //
 //lint:held mu callers lock s.mu for the posting interval
-func (s *Server) queueJobs(jobs []jobPost) error {
-	jq, ok := s.eng.(jobQueuer)
-	if !ok {
-		return fmt.Errorf("server: this engine cannot accept batch jobs")
-	}
+func (s *Server) queueJobs(jobs []JobPost) error {
 	s.jobBuf = s.jobBuf[:0]
 	base := s.eng.StepsRun()
 	for i, j := range jobs {
@@ -361,18 +339,9 @@ func (s *Server) queueJobs(jobs []jobPost) error {
 		if !ok {
 			return fmt.Errorf("server: job %d names unknown cluster %q", i, j.Cluster)
 		}
-		if j.DeadlineSteps <= 0 {
-			return fmt.Errorf("server: job %d has non-positive deadline %d steps", i, j.DeadlineSteps)
-		}
-		s.jobBuf = append(s.jobBuf, sched.Job{
-			Cluster:     c,
-			Arrival:     base,
-			Deadline:    base + j.DeadlineSteps,
-			EnergyKWh:   j.EnergyKWh,
-			MinFraction: j.MinFraction,
-		})
+		s.jobBuf = append(s.jobBuf, j.Job(c, base))
 	}
-	return jq.QueueJobs(s.jobBuf)
+	return s.eng.QueueJobs(s.jobBuf)
 }
 
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
@@ -380,7 +349,7 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 		s.handleDemandBatch(w, r)
 		return
 	}
-	var post demandPost
+	var post DemandPost
 	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding demand post: %v", err)
 		return
@@ -394,7 +363,7 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 // routeJSON routes one JSON-posted interval under the engine lock and
 // writes the response. It returns the oldest future lookup instant so the
 // caller can prune the feed after the lock is released.
-func (s *Server) routeJSON(w http.ResponseWriter, post demandPost) (oldest time.Time, ok bool) {
+func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	at := post.At.UTC()
@@ -476,10 +445,6 @@ func (s *Server) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, isQueuer := s.eng.(jobQueuer); !isQueuer {
-		httpError(w, http.StatusBadRequest, "server: this engine cannot accept batch jobs")
-		return time.Time{}, false
-	}
 	if h.Cols != len(s.fleet.States) {
 		httpError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
 		return time.Time{}, false
@@ -496,48 +461,19 @@ func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *Batc
 	if cap(s.byteBuf) < rowBytes {
 		s.byteBuf = make([]byte, rowBytes)
 	}
-	var head [4]byte
-	nc := len(s.fleet.Clusters)
 	for routed := 0; routed < h.Rows; routed++ {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
+		var err error
+		if s.wireJobs, s.byteBuf, err = ReadJobBlock(br, s.wireJobs, s.byteBuf); err != nil {
+			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
 			return time.Time{}, false
 		}
-		count := int(binary.LittleEndian.Uint32(head[:]))
-		if count > maxJobsPerRow {
-			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %d jobs exceed the per-row cap", routed, count)
-			return time.Time{}, false
-		}
-		s.jobBuf = s.jobBuf[:0]
-		if count > 0 {
-			if cap(s.byteBuf) < count*wireJobBytes {
-				s.byteBuf = make([]byte, count*wireJobBytes)
-			}
-			jb := s.byteBuf[:count*wireJobBytes]
-			if _, err := io.ReadFull(br, jb); err != nil {
-				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
-				return time.Time{}, false
-			}
+		if len(s.wireJobs) > 0 {
+			s.jobBuf = s.jobBuf[:0]
 			base := s.eng.StepsRun()
-			for i := 0; i < count; i++ {
-				wj := decodeWireJob(jb[i*wireJobBytes:])
-				if int(wj.Cluster) >= nc {
-					s.batchError(w, http.StatusBadRequest, routed, "demand row %d: job %d targets cluster %d of %d", routed, i, wj.Cluster, nc)
-					return time.Time{}, false
-				}
-				if wj.DeadlineSteps == 0 {
-					s.batchError(w, http.StatusBadRequest, routed, "demand row %d: job %d has zero deadline steps", routed, i)
-					return time.Time{}, false
-				}
-				s.jobBuf = append(s.jobBuf, sched.Job{
-					Cluster:     int(wj.Cluster),
-					Arrival:     base,
-					Deadline:    base + int(wj.DeadlineSteps),
-					EnergyKWh:   wj.EnergyKWh,
-					MinFraction: wj.MinFraction,
-				})
+			for _, wj := range s.wireJobs {
+				s.jobBuf = append(s.jobBuf, wj.Job(base))
 			}
-			if err := s.eng.(jobQueuer).QueueJobs(s.jobBuf); err != nil {
+			if err := s.eng.QueueJobs(s.jobBuf); err != nil {
 				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
 				return time.Time{}, false
 			}

@@ -157,8 +157,8 @@ func TestGoldenResponses(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start.Add(time.Hour), Prices: hubPrices(sys, 60)}, http.StatusOK)
 
 	demand := flatDemand(len(sys.Fleet.States), 2000)
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: demand}, http.StatusOK)
-	routedBody := postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: demand}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: demand}, http.StatusOK)
+	routedBody := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: demand}, http.StatusOK)
 
 	checkGolden(t, "demand.golden.json", routedBody)
 	checkGolden(t, "world.golden.json", get(t, ts.URL+"/v1/world", http.StatusOK))
@@ -206,7 +206,7 @@ func TestMetrics(t *testing.T) {
 	_, ts, sys := testServer(t)
 	start := sys.Market.Start
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 40)}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(len(sys.Fleet.States), 1000)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(len(sys.Fleet.States), 1000)}, http.StatusOK)
 
 	body := string(get(t, ts.URL+"/metrics", http.StatusOK))
 	for _, want := range []string{
@@ -231,7 +231,7 @@ func TestIngestErrors(t *testing.T) {
 	ns := len(sys.Fleet.States)
 
 	// Demand with an empty feed.
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 1)}, http.StatusConflict)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 1)}, http.StatusConflict)
 	// Price post without a timestamp, without prices, and partial coverage.
 	postJSON(t, ts.URL+"/v1/prices", pricePost{Prices: hubPrices(sys, 30)}, http.StatusBadRequest)
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start}, http.StatusBadRequest)
@@ -244,9 +244,9 @@ func TestIngestErrors(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start.Add(-time.Hour), Prices: hubPrices(sys, 30)}, http.StatusConflict)
 
 	// Mis-sized demand vector.
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns-1, 1)}, http.StatusBadRequest)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns-1, 1)}, http.StatusBadRequest)
 	// Demand at the wrong interval.
-	postJSON(t, ts.URL+"/v1/demand", demandPost{At: start.Add(5 * time.Hour), Rates: flatDemand(ns, 1)}, http.StatusConflict)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{At: start.Add(5 * time.Hour), Rates: flatDemand(ns, 1)}, http.StatusConflict)
 
 	// Malformed JSON.
 	resp, err := http.Post(ts.URL+"/v1/demand", "application/json", strings.NewReader("{"))
@@ -423,7 +423,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		at := start.Add(time.Duration(i) * time.Hour)
 		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: hubPrices(sys, 30+float64(i))}, http.StatusOK)
-		postJSON(t, ts.URL+"/v1/demand", demandPost{At: at, Rates: demand}, http.StatusOK)
+		postJSON(t, ts.URL+"/v1/demand", DemandPost{At: at, Rates: demand}, http.StatusOK)
 	}
 	close(stop)
 	wg.Wait()
@@ -447,7 +447,7 @@ func TestFinalizeStopsIngest(t *testing.T) {
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 35)}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 800)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 800)}, http.StatusOK)
 
 	res, err := srv.Finalize()
 	if err != nil {
@@ -456,7 +456,7 @@ func TestFinalizeStopsIngest(t *testing.T) {
 	if res.Steps != 1 || res.TotalCost <= 0 {
 		t.Fatalf("finalized %+v", res)
 	}
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 800)}, http.StatusBadRequest)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 800)}, http.StatusBadRequest)
 	get(t, ts.URL+"/v1/status", http.StatusOK)
 }
 
@@ -477,7 +477,7 @@ func TestDemandPruningKeepsRouting(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		at := start.Add(time.Duration(i) * time.Hour)
 		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: hubPrices(sys, 30+float64(i))}, http.StatusOK)
-		postJSON(t, ts.URL+"/v1/demand", demandPost{At: at, Rates: flatDemand(ns, 1200)}, http.StatusOK)
+		postJSON(t, ts.URL+"/v1/demand", DemandPost{At: at, Rates: flatDemand(ns, 1200)}, http.StatusOK)
 	}
 	held := srv.feed.entries()
 	// Next lookup horizon is Next-delay = start+(steps-1)h; only the
@@ -567,26 +567,26 @@ func TestLeaseBrokeredDaemon(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 
 	// No lease window posted yet: the engine refuses to guess the bit.
-	body := postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 900)}, http.StatusBadRequest)
+	body := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusBadRequest)
 	if !strings.Contains(string(body), "no burst-token lease") {
 		t.Fatalf("demand before leases: %s", body)
 	}
 
 	// A two-step window covers exactly two intervals; a post that leaves a
 	// gap after it is an ordering conflict.
-	postJSON(t, ts.URL+"/v1/leases", leasePost{From: 0, Gates: []bool{false, false}}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/leases", leasePost{From: 5, Gates: []bool{false}}, http.StatusConflict)
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
-	body = postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 900)}, http.StatusBadRequest)
+	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 0, Gates: []bool{false, false}}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 5, Gates: []bool{false}}, http.StatusConflict)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
+	body = postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusBadRequest)
 	if !strings.Contains(string(body), "no burst-token lease") {
 		t.Fatalf("demand beyond the window: %s", body)
 	}
 
 	// The consumed window was pruned as the rows routed; the next post
 	// re-bases at the engine's cursor.
-	postJSON(t, ts.URL+"/v1/leases", leasePost{From: 2, Gates: []bool{false}}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/demand", demandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 2, Gates: []bool{false}}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
 
 	var status struct {
 		Steps       int `json:"steps"`
@@ -622,7 +622,7 @@ func TestLeaseBrokeredDaemon(t *testing.T) {
 // bursts refuses lease windows instead of silently dropping them.
 func TestLeasePostRejectedWithoutBroker(t *testing.T) {
 	_, ts, _ := testServer(t)
-	body := postJSON(t, ts.URL+"/v1/leases", leasePost{From: 0, Gates: []bool{true}}, http.StatusBadRequest)
+	body := postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 0, Gates: []bool{true}}, http.StatusBadRequest)
 	if !strings.Contains(string(body), "brokers no burst-token leases") {
 		t.Fatalf("lease post on a broker-less daemon: %s", body)
 	}

@@ -56,7 +56,9 @@ type Engine struct {
 	prices []*timeseries.Series // resolved per-cluster RT series
 
 	constraints []*billing.Constraint
-	// Coordinated burst gating (Scenario.BurstGate); nil otherwise.
+	// gate decides when soft-capped burst room unlocks: the scenario's
+	// BurstGate, or SelfGate when it configures none. leases books every
+	// token per cluster, and is nil unless the scenario set a BurstGate.
 	gate   BurstGate // ckpt:immutable scenario configuration, rebuilt by NewEngine
 	leases []*billing.LeaseLedger
 	// leaseGranted marks the clusters granted a burst token this step, so
@@ -170,9 +172,11 @@ func NewEngine(sc Scenario) (*Engine, error) {
 			e.constraints[c] = con
 		}
 	}
-	// Coordinated burst gating: the gate decision is externalized and
-	// every token is booked per cluster. validate() guarantees SoftCaps
-	// (hence constraints) whenever a gate is configured.
+	// Burst gating: SelfGate unless the scenario externalizes the
+	// decision, in which case every token is also booked per cluster.
+	// validate() guarantees SoftCaps (hence constraints) whenever a gate
+	// is configured.
+	e.gate = SelfGate{}
 	if sc.BurstGate != nil {
 		e.gate = sc.BurstGate
 		e.leases = make([]*billing.LeaseLedger, nc)
@@ -411,16 +415,14 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 			ctx.BurstRoom[c] = 0
 			totalRoom += cap95
 		}
-		open := BurstGateOpen(totalDemand, totalRoom)
-		if e.gate != nil {
+		if e.leases != nil {
 			for c := range e.leaseGranted {
 				e.leaseGranted[c] = false
 			}
-			var err error
-			open, err = e.gate.GateOpen(e.stepsRun, totalDemand, totalRoom)
-			if err != nil {
-				return fmt.Errorf("sim: burst gate at %v: %w", at, err)
-			}
+		}
+		open, err := e.gate.GateOpen(e.stepsRun, totalDemand, totalRoom)
+		if err != nil {
+			return fmt.Errorf("sim: burst gate at %v: %w", at, err)
 		}
 		if open {
 			for c := range sc.Fleet.Clusters {
@@ -595,17 +597,8 @@ func (e *Engine) QueueJobs(jobs []sched.Job) error {
 		return errors.New("sim: scenario configures no batch class")
 	}
 	for i, j := range jobs {
-		if j.Cluster < 0 || j.Cluster >= e.nc {
-			return fmt.Errorf("sim: batch job %d targets cluster %d of %d", i, j.Cluster, e.nc)
-		}
-		if j.Deadline <= e.stepsRun {
-			return fmt.Errorf("sim: batch job %d has deadline %d at or behind step cursor %d", i, j.Deadline, e.stepsRun)
-		}
-		if math.IsNaN(j.EnergyKWh) || math.IsInf(j.EnergyKWh, 0) || j.EnergyKWh <= 0 {
-			return fmt.Errorf("sim: batch job %d has energy %v kWh", i, j.EnergyKWh)
-		}
-		if math.IsNaN(j.MinFraction) || j.MinFraction < 0 || j.MinFraction > 1 {
-			return fmt.Errorf("sim: batch job %d has min fraction %v", i, j.MinFraction)
+		if err := CheckJob(j, e.nc, e.stepsRun); err != nil {
+			return fmt.Errorf("sim: batch job %d %w", i, err)
 		}
 	}
 	for _, j := range jobs {
@@ -614,6 +607,28 @@ func (e *Engine) QueueJobs(jobs []sched.Job) error {
 			TotalKWh:    j.EnergyKWh,
 			MinFraction: j.MinFraction,
 		})
+	}
+	return nil
+}
+
+// CheckJob is the admission rule for one externally arriving batch job
+// in a fleet of nc clusters whose next step is cursor: a home cluster in
+// range, a deadline beyond the cursor (at least one interval to run in),
+// a finite positive energy, and a partial-execution floor in [0, 1].
+// QueueJobs applies it to every job before enqueuing any. The shard
+// coordinator applies it before fan-out, so a job no shard would accept
+// is refused before any shard commits its row. The error reads as a
+// predicate ("targets cluster 9 of 5") for the caller to prefix.
+func CheckJob(j sched.Job, nc, cursor int) error {
+	switch {
+	case j.Cluster < 0 || j.Cluster >= nc:
+		return fmt.Errorf("targets cluster %d of %d", j.Cluster, nc)
+	case j.Deadline <= cursor:
+		return fmt.Errorf("has deadline %d at or behind step cursor %d", j.Deadline, cursor)
+	case math.IsNaN(j.EnergyKWh) || math.IsInf(j.EnergyKWh, 0) || j.EnergyKWh <= 0:
+		return fmt.Errorf("has energy %v kWh", j.EnergyKWh)
+	case math.IsNaN(j.MinFraction) || j.MinFraction < 0 || j.MinFraction > 1:
+		return fmt.Errorf("has min fraction %v", j.MinFraction)
 	}
 	return nil
 }

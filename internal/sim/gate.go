@@ -10,12 +10,12 @@
 // interface externalizes the decision so a broker that sees the full
 // demand row can hand every shard the joint engine's exact gate bit.
 //
-// Bit-exactness contract: every party — the engine's local path,
-// SelfGate, the coordinator's broker, tracegen's direct-ingest path —
-// MUST derive the bit with the same float operations in the same order:
-// SumDemand over the full row in parent-fleet state order, BurstRoomTotal
-// over min(softcap, capacity) in parent-fleet cluster order, compared by
-// BurstGateOpen. These three helpers are that single definition.
+// Bit-exactness contract: both parties — the engine's SelfGate and the
+// coordinator's broker — MUST derive the bit with the same float
+// operations in the same order: SumDemand over the full row in
+// parent-fleet state order, BurstRoomTotal over min(softcap, capacity)
+// in parent-fleet cluster order, compared by BurstGateOpen. These three
+// helpers are that single definition.
 package sim
 
 import (
@@ -85,12 +85,13 @@ func FractionalCaps(fleet *cluster.Fleet, pct float64) ([]float64, error) {
 	return caps, nil
 }
 
-// SelfGate is the coordinated gate for an engine that sees the whole
-// world: it answers with the engine's own demand-vs-room comparison —
-// the same bits as the uncoordinated local path — while switching the
-// engine into lease accounting. A joint engine under SelfGate is
-// byte-comparable (status, checkpoints, burst_leases sections) with a
-// merged fleet of lease-fed shards.
+// SelfGate is the gate of an engine that sees the whole world: it
+// answers with the engine's own demand-vs-room comparison. NewEngine
+// installs it whenever the scenario configures no BurstGate. Configured
+// explicitly as Scenario.BurstGate, it also switches the engine into
+// lease accounting: a joint engine under SelfGate is byte-comparable
+// (status, checkpoints, burst_leases sections) with a merged fleet of
+// lease-fed shards.
 type SelfGate struct{}
 
 // GateOpen implements BurstGate from the caller's own sums.
@@ -99,10 +100,10 @@ func (SelfGate) GateOpen(step int, localDemand, localRoom float64) (bool, error)
 }
 
 // LeaseStore replays externally brokered gate bits to a shard engine.
-// A coordinator (or tracegen's direct-ingest path) computes the joint
-// gate bit for each step from the full demand row and posts it here —
-// over HTTP via POST /v1/leases — before the step's demand arrives; the
-// engine then consults the store inside Step. A step with no posted
+// The coordinator computes the joint gate bit for each step from the
+// full demand row and posts it here — over HTTP via POST /v1/leases —
+// before the step's demand arrives; the engine then consults the store
+// inside Step. A step with no posted
 // lease fails loudly: guessing would silently fork the shard's books
 // from the joint run.
 type LeaseStore struct {
@@ -173,21 +174,4 @@ func (ls *LeaseStore) Prune(below int) {
 		ls.gates = append(ls.gates[:0], ls.gates[drop:]...)
 		ls.base = below
 	}
-}
-
-// stepGate is the in-process broker behind ParallelEngine: the parent
-// computes the joint gate bit once per step (before fan-out) and every
-// shard worker reads it under the step command's happens-before edge.
-type stepGate struct {
-	step int
-	open bool
-}
-
-// GateOpen implements BurstGate for shard workers sharing the parent's
-// per-step bit.
-func (g *stepGate) GateOpen(step int, localDemand, localRoom float64) (bool, error) {
-	if step != g.step {
-		return false, fmt.Errorf("sim: parallel burst broker holds step %d, engine asked for %d", g.step, step)
-	}
-	return g.open, nil
 }

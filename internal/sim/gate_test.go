@@ -139,19 +139,6 @@ func TestLeaseStoreProtocol(t *testing.T) {
 	}
 }
 
-// TestStepGateMismatch: the in-process broker serves exactly the step the
-// parent resolved; a shard asking for any other step is a lock-step bug.
-func TestStepGateMismatch(t *testing.T) {
-	g := &stepGate{step: 3, open: true}
-	open, err := g.GateOpen(3, 0, 0)
-	if err != nil || !open {
-		t.Fatalf("matching step = (%v, %v)", open, err)
-	}
-	if _, err := g.GateOpen(4, 0, 0); err == nil {
-		t.Fatal("step mismatch served")
-	}
-}
-
 // TestScenarioRejectsGateWithoutSoftCaps: a burst gate is meaningless
 // without soft caps to gate — configuration error, not a silent no-op.
 func TestScenarioRejectsGateWithoutSoftCaps(t *testing.T) {

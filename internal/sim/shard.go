@@ -133,15 +133,14 @@ func (sc Scenario) WorldHash() (string, error) {
 // The engine's one fleet-wide coupling — the 95/5 burst gate's
 // demand-vs-room comparison — no longer limits the split: a shard run
 // whose BurstGate replays the joint gate bits (a LeaseStore fed by the
-// coordinator's burst-token broker, or ParallelEngine's in-process
-// broker) reproduces the joint soft-capped run exactly even while
-// bursts fire, because burst *budgets* are per-cluster and therefore
-// shard-local. Set each sub-scenario's BurstGate after Shard returns;
-// Shard itself leaves the field as inherited. One caveat remains: when
-// a whole region saturates, the optimizer's outward spill walks beyond
-// the shard's clusters in the joint run but cannot in the shard run —
-// saturation shows up as overload in both, but the placements then
-// differ (the coordinator's -spill rerouting mitigates, approximately).
+// coordinator's burst-token broker) reproduces the joint soft-capped run
+// exactly even while bursts fire, because burst *budgets* are
+// per-cluster and therefore shard-local. Set each sub-scenario's
+// BurstGate after Shard returns; Shard itself leaves the field as
+// inherited. One caveat remains: when a whole region saturates, the
+// optimizer's outward overflow walk reaches beyond the shard's clusters
+// in the joint run but cannot in the shard run — saturation shows up as
+// overload in both, but the placements then differ.
 func (sc Scenario) Shard(p ShardPartition) ([]Scenario, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
