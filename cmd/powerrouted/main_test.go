@@ -260,6 +260,10 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-restore"}, 2},
 		{[]string{"-checkpoint-every", "-1s", "-state-dir", "x"}, 2},
 		{[]string{"-state-dir", "/dev/null/nope", "-months", "1", "-days", "2"}, 1},
+		// flag parses NaN; the optimizer must refuse it rather than route
+		// every state's demand to cluster 0.
+		{[]string{"-threshold-km", "NaN", "-months", "1", "-days", "2"}, 1},
+		{[]string{"-price-threshold", "NaN", "-months", "1", "-days", "2"}, 1},
 	}
 	for _, tc := range cases {
 		var out, errOut syncBuf

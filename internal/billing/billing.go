@@ -55,9 +55,21 @@ func (m *Meter) Reserve(n int) {
 func (m *Meter) N() int { return len(m.samples) }
 
 // Percentile95 returns the billable rate: the 95th percentile of recorded
-// intervals. It returns an error when nothing has been recorded.
+// intervals. It returns an error when nothing has been recorded. The
+// record keeps its order.
 func (m *Meter) Percentile95() (float64, error) {
-	return stats.Quantile(m.samples, 0.95)
+	p95, _, err := m.Percentile95Buf(nil)
+	return p95, err
+}
+
+// Percentile95Buf is Percentile95 computed by selection in buf, which it
+// grows as needed and returns for reuse, so one buffer serves a whole
+// fleet's meters instead of one transient copy per meter. The value is
+// stats.Quantile's bit for bit.
+func (m *Meter) Percentile95Buf(buf []float64) (float64, []float64, error) {
+	buf = append(buf[:0], m.samples...)
+	p95, err := stats.SelectQuantile(buf, 0.95)
+	return p95, buf, err
 }
 
 // Samples returns a copy of the recorded per-interval rates, oldest first

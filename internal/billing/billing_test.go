@@ -2,11 +2,13 @@ package billing
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"powerroute/internal/stats"
 	"powerroute/internal/timeseries"
 )
 
@@ -27,6 +29,43 @@ func TestMeterPercentile95(t *testing.T) {
 	}
 	if m.Peak() != 100 {
 		t.Errorf("Peak = %v", m.Peak())
+	}
+}
+
+// The selection behind Percentile95 works on a copy: the meter's record
+// keeps its recorded order (checkpoints serialize it), and the bill equals
+// the sorted-copy quantile bit for bit, with or without a reused buffer.
+func TestMeterPercentile95KeepsRecordOrder(t *testing.T) {
+	var m Meter
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		m.Record(float64(rng.Intn(300)) * 1.5)
+	}
+	recorded := m.Samples()
+	want, err := stats.Quantile(recorded, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Percentile95()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, 7)
+	for i := 0; i < 2; i++ {
+		var p95 float64
+		p95, buf, err = m.Percentile95Buf(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(p95) != math.Float64bits(want) {
+			t.Errorf("Percentile95Buf pass %d = %v, want %v", i, p95, want)
+		}
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Percentile95 = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(m.Samples(), recorded) {
+		t.Error("Percentile95 reordered the meter's record")
 	}
 }
 

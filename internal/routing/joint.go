@@ -3,6 +3,7 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -37,8 +38,8 @@ type fleetLike interface {
 
 // NewJointOptimizer builds the weighted-objective policy.
 func NewJointOptimizer(f fleetLike, distanceWeight float64) (*JointOptimizer, error) {
-	if distanceWeight < 0 {
-		return nil, errors.New("routing: negative distance weight")
+	if distanceWeight < 0 || math.IsNaN(distanceWeight) {
+		return nil, fmt.Errorf("routing: distance weight %v $/MWh per km, want ≥ 0", distanceWeight)
 	}
 	j := &JointOptimizer{
 		fleet:          f,

@@ -19,8 +19,8 @@
 package routing
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"time"
@@ -230,34 +230,47 @@ type PriceOptimizer struct {
 	nearest        [][]int // per state, all clusters by distance (spill order)
 
 	// Decision prices only change hourly while 5-minute runs allocate 12
-	// times per hour, so preference orders are cached until the price
-	// vector changes. Policies are not goroutine-safe; the engine runs one
-	// policy per scenario.
+	// times per hour, so everything below is cached until the price
+	// vector changes. It is a pure cache: every value it holds after a
+	// refresh is a function of the current price vector alone, and the
+	// previous vector only decides which work a refresh may skip. That is
+	// what keeps a restored or sharded engine (whose optimizer starts
+	// cold) routing bit for bit like an uninterrupted one. Policies are
+	// not goroutine-safe; the engine runs one policy per scenario.
 	lastPrices []float64
-	orders     [][]int
+	orders     [][]int // per state: materialized preference order (slow sets and >64-cluster fleets)
 
-	// Shared-set rebuild state (fleets of ≤ 64 clusters): states with the
-	// same candidate set share one dead-band cutoff and one price-sorted
-	// tail, so a price change is resolved once per distinct set instead of
-	// once per state. The per-state work left is a bitmask filter over the
-	// candidate list plus a copy of the shared tail. All slices below are
-	// preallocated scratch reused across refreshes.
-	candMask   []uint64 // per state: candidate clusters as a bitmask
-	setOf      []int    // per state: index into the distinct-set tables
-	setMasks   []uint64 // per distinct candidate set: its bitmask
-	setMembers [][]int  // per distinct candidate set: its clusters in ascending index order
-	maxMaskC   int      // cluster count the bitmasks were built for
-	setCheap   []uint64 // scratch per set: clusters within the dead-band of the set minimum
-	setRest    [][]int  // scratch per set: clusters beyond the dead-band, by ascending price
-	setTied    []bool   // scratch per set: equal prices in the tail need per-state distance tie-breaks
-	firstPick  []int    // scratch per state: first candidate in the dead-band tier (-1 when the set is tied)
-	// setsValid reports that the set tables above reflect lastPrices, so
-	// Allocate can route straight off them (dead-band members in the
-	// state's own candidate order, then the shared tail) without ever
-	// materializing per-state preference orders. Tied sets are the
-	// exception: their states' orders are rebuilt per refresh and walked
-	// the classic way.
-	setsValid bool
+	// Rank-space tables (fleets of ≤ 64 clusters). The clusters are
+	// ranked once per price change by (price, index); states with the
+	// same candidate set share one dead-band tier and one ascending-price
+	// tail, both cut from the set's rank bitmask. Allocate routes straight
+	// off them: dead-band members in the state's own candidate order, then
+	// the tail in rank order, without materializing per-state preference
+	// orders.
+	byRank    []int     // clusters by ascending (price, index); the previous ranking seeds the next sort
+	rankBit   []uint64  // per cluster: 1 << its rank
+	bandRanks []uint64  // per rank r: the ranks priced within the dead-band of rank r's price
+	bandMask  []uint64  // per rank r: the clusters at those ranks
+	sets      []candSet // the distinct candidate sets
+	setOf     []int     // per state: its set's index in sets
+	// firstPick is each state's first candidate in its set's dead-band
+	// tier, or -1 when the state walks orders[s] (slow sets, and every
+	// state of a fleet over 64 clusters).
+	firstPick []int
+}
+
+// candSet is one distinct candidate set and its rank-space tables.
+type candSet struct {
+	mask    uint64 // its clusters
+	members []int  // its clusters in ascending index order
+	states  []int  // the states that share it
+	cheap   uint64 // members within the dead-band of the set minimum
+	tail    uint64 // members beyond the dead-band, as a rank bitmask (ascending bits = ascending price)
+	// slow marks a set whose states walk materialized per-state orders:
+	// equal prices in the tail need each state's own distance tie-breaks,
+	// and an empty dead-band (a NaN cutoff, −Inf + +Inf) has no first
+	// pick. Every set starts slow, so the first refresh walks them all.
+	slow bool
 }
 
 // NewPriceOptimizer builds the optimizer for a fleet. thresholdKm is the
@@ -266,11 +279,11 @@ type PriceOptimizer struct {
 // price routing, §6.1). priceThreshold is the differential dead-band in
 // $/MWh; pass DefaultPriceThreshold for the paper's $5.
 func NewPriceOptimizer(f *cluster.Fleet, thresholdKm, priceThreshold float64) (*PriceOptimizer, error) {
-	if thresholdKm < 0 {
-		return nil, errors.New("routing: negative distance threshold")
+	if thresholdKm < 0 || math.IsNaN(thresholdKm) {
+		return nil, fmt.Errorf("routing: distance threshold %v km, want ≥ 0", thresholdKm)
 	}
-	if priceThreshold < 0 {
-		return nil, errors.New("routing: negative price threshold")
+	if priceThreshold < 0 || math.IsNaN(priceThreshold) {
+		return nil, fmt.Errorf("routing: price threshold %v $/MWh, want ≥ 0", priceThreshold)
 	}
 	p := &PriceOptimizer{
 		fleet:          f,
@@ -283,8 +296,11 @@ func NewPriceOptimizer(f *cluster.Fleet, thresholdKm, priceThreshold float64) (*
 		p.candidates[s] = f.CandidatesWithin(s, thresholdKm)
 		p.nearest[s] = distanceOrder(f, s)
 	}
+	p.firstPick = make([]int, len(f.States))
+	for s := range p.firstPick {
+		p.firstPick[s] = -1
+	}
 	if nc := len(f.Clusters); nc <= 64 {
-		p.candMask = make([]uint64, len(f.States))
 		p.setOf = make([]int, len(f.States))
 		seen := make(map[uint64]int)
 		for s, cands := range p.candidates {
@@ -292,29 +308,26 @@ func NewPriceOptimizer(f *cluster.Fleet, thresholdKm, priceThreshold float64) (*
 			for _, c := range cands {
 				m |= 1 << uint(c)
 			}
-			p.candMask[s] = m
-			id, ok := seen[m]
+			g, ok := seen[m]
 			if !ok {
-				id = len(p.setMasks)
-				seen[m] = id
-				p.setMasks = append(p.setMasks, m)
+				g = len(p.sets)
+				seen[m] = g
+				set := candSet{mask: m, slow: true}
+				for mm := m; mm != 0; mm &= mm - 1 {
+					set.members = append(set.members, bits.TrailingZeros64(mm))
+				}
+				p.sets = append(p.sets, set)
 			}
-			p.setOf[s] = id
+			p.setOf[s] = g
+			p.sets[g].states = append(p.sets[g].states, s)
 		}
-		p.maxMaskC = nc
-		p.setCheap = make([]uint64, len(p.setMasks))
-		p.setMembers = make([][]int, len(p.setMasks))
-		for g, m := range p.setMasks {
-			for mm := m; mm != 0; mm &= mm - 1 {
-				p.setMembers[g] = append(p.setMembers[g], bits.TrailingZeros64(mm))
-			}
+		p.byRank = make([]int, nc)
+		for c := range p.byRank {
+			p.byRank[c] = c
 		}
-		p.setRest = make([][]int, len(p.setMasks))
-		for g := range p.setRest {
-			p.setRest[g] = make([]int, 0, nc)
-		}
-		p.setTied = make([]bool, len(p.setMasks))
-		p.firstPick = make([]int, len(f.States))
+		p.rankBit = make([]uint64, nc)
+		p.bandRanks = make([]uint64, nc)
+		p.bandMask = make([]uint64, nc)
 	}
 	return p, nil
 }
@@ -346,24 +359,25 @@ func (p *PriceOptimizer) Allocate(ctx *Context, assign [][]float64) error {
 	if err := validate(p.fleet, ctx, assign); err != nil {
 		return err
 	}
-	p.refreshOrders(ctx.DecisionPrices)
+	if err := p.refreshOrders(ctx.DecisionPrices); err != nil {
+		return err
+	}
 	for s, demand := range ctx.Demand {
 		if demand <= 0 {
 			continue
 		}
 		var left float64
-		if p.setsValid && !p.setTied[p.setOf[s]] {
+		if c := p.firstPick[s]; c < 0 {
+			left = fill(p.orders[s], demand, ctx, assign[s])
+		} else if ctx.Room[c] >= demand {
 			// Fast path: the state's first dead-band candidate has room
 			// for everything — the exact assignment the full walk makes.
-			if c := p.firstPick[s]; ctx.Room[c] >= demand {
-				assign[s][c] += demand
-				ctx.Room[c] -= demand
-				continue
-			}
-			g := p.setOf[s]
-			left = fillSet(p.candidates[s], p.setCheap[g], p.setRest[g], demand, ctx, assign[s])
+			assign[s][c] += demand
+			ctx.Room[c] -= demand
+			continue
 		} else {
-			left = fill(p.orders[s], demand, ctx, assign[s])
+			set := &p.sets[p.setOf[s]]
+			left = fillSet(p.candidates[s], set.cheap, set.tail, p.byRank, demand, ctx, assign[s])
 		}
 		if left > 0 {
 			// All in-range clusters are full: the distance constraint
@@ -379,20 +393,44 @@ func (p *PriceOptimizer) Allocate(ctx *Context, assign [][]float64) error {
 	return nil
 }
 
-// refreshOrders recomputes every state's preference order if the price
-// vector changed since the last call. The fast path ranks all clusters by
-// price once, resolves the dead-band cutoff and the beyond-band tail once
-// per distinct candidate set, and reduces each state to a bitmask filter
-// (the dead-band tier, in the state's own distance order) plus a copy of
-// its set's shared tail. It reproduces preferenceOrder exactly: the cutoff
-// is the same float expression, the dead-band filter is the same predicate
-// over the same candidate iteration, and a tail with no equal prices has a
-// unique ascending-price order — states whose tail does contain equal
-// prices (where the tie-break is the state's own distances) fall back to
-// the per-state sort.
-func (p *PriceOptimizer) refreshOrders(prices []float64) {
+// refreshOrders brings the routing tables up to date with prices; an
+// unchanged vector costs one comparison pass. A NaN price is an error:
+// it has no place in a price ranking, and every ingest path already
+// rejects non-finite prices.
+//
+// On fleets of ≤ 64 clusters it works in rank space, once per price
+// change rather than once per state:
+//
+//  1. Rank the clusters by (price, index), insertion-sorting the
+//     previous ranking: prices move little between steps, so it is
+//     nearly sorted, and the result is the one sorted order either way.
+//  2. Sweep the ranking once with two pointers: bandRanks[r] holds every
+//     rank priced at or below the price at rank r plus priceThreshold —
+//     the same cutoff expression and <= test preferenceOrder applies to
+//     a candidate set whose cheapest member has rank r.
+//  3. Per distinct candidate set, cut its rank bitmask at its lowest
+//     rank's band: the members inside are its dead-band tier (each state
+//     walks them in its own candidate order), the ones above its tail in
+//     ascending (price, index) order. That is preferenceOrder's tail
+//     unless two tail prices are equal, where the tie-break is each
+//     state's own distance. Only then — checked only when the ranking
+//     found equal prices at all — is the set marked slow and its states'
+//     orders built by preferenceOrder.
+//  4. Re-walk each state's first pick only in sets whose dead-band tier
+//     or slow mark changed; elsewhere it is still the first candidate in
+//     the same tier.
+//
+// Every table is thus a function of the current prices alone (see the
+// pure-cache rule on PriceOptimizer). Fleets of more than 64 clusters
+// build every state's order with preferenceOrder.
+func (p *PriceOptimizer) refreshOrders(prices []float64) error {
 	if p.orders != nil && equalPrices(p.lastPrices, prices) {
-		return
+		return nil
+	}
+	for c, pc := range prices {
+		if math.IsNaN(pc) {
+			return fmt.Errorf("routing: NaN decision price for cluster %s", p.fleet.Clusters[c].Code)
+		}
 	}
 	if p.orders == nil {
 		p.orders = make([][]int, len(p.candidates))
@@ -401,87 +439,91 @@ func (p *PriceOptimizer) refreshOrders(prices []float64) {
 		}
 		p.lastPrices = make([]float64, len(prices))
 	}
-	if p.candMask == nil || len(prices) > p.maxMaskC {
+	copy(p.lastPrices, prices)
+	if p.byRank == nil {
 		for s := range p.candidates {
 			p.orders[s] = p.preferenceOrder(s, prices, p.orders[s][:0])
 		}
-		p.setsValid = false
-		copy(p.lastPrices, prices)
-		return
+		return nil
 	}
-	anyTied := false
-	for g, members := range p.setMembers {
-		// Pass 1: the set's minimum price, scanning members in ascending
-		// index order — the same min preferenceOrder computes over cands.
-		pmin := prices[members[0]]
-		for _, c := range members[1:] {
-			if pc := prices[c]; pc < pmin {
-				pmin = pc
-			}
-		}
-		cutoff := pmin + p.priceThreshold
-		// Pass 2: split members into the dead-band tier (a bitmask) and
-		// the beyond-band tail, insertion-sorted by ascending price.
-		// Members arrive in ascending index order and the sort shifts only
-		// on a strict price win, so equal prices keep index order — the
-		// same stable tie order a full ranked walk produces.
-		var cheap uint64
-		rest := p.setRest[g][:0]
-		for _, c := range members {
-			pc := prices[c]
-			if pc <= cutoff {
-				cheap |= 1 << uint(c)
-				continue
-			}
-			j := len(rest) - 1
-			rest = append(rest, 0)
-			for j >= 0 && pc < prices[rest[j]] {
-				rest[j+1] = rest[j]
-				j--
-			}
-			rest[j+1] = c
-		}
-		tied := false
-		for i := 1; i < len(rest); i++ {
-			if prices[rest[i]] == prices[rest[i-1]] {
-				tied = true
-				anyTied = true
+
+	byRank := p.byRank
+	for i := 1; i < len(byRank); i++ {
+		c := byRank[i]
+		pc := prices[c]
+		j := i - 1
+		for ; j >= 0; j-- {
+			pj := prices[byRank[j]]
+			if pc > pj || (pc == pj && c > byRank[j]) {
 				break
 			}
+			byRank[j+1] = byRank[j]
 		}
-		p.setCheap[g] = cheap
-		p.setRest[g] = rest
-		p.setTied[g] = tied
+		byRank[j+1] = c
 	}
-	// Untied sets are routed straight off the tables by Allocate; all the
-	// per-state work left is finding each state's first dead-band
-	// candidate (its whole demand usually lands there, so Allocate can
-	// short-circuit the walk). Only states whose set needs per-state
-	// distance tie-breaks get a materialized order.
-	for s, cands := range p.candidates {
-		g := p.setOf[s]
-		if anyTied && p.setTied[g] {
-			p.orders[s] = p.preferenceOrder(s, prices, p.orders[s][:0])
-			p.firstPick[s] = -1
+	anyEqual := false
+	end, inRanks, inClusters := 0, uint64(0), uint64(0)
+	for r, c := range byRank {
+		pr := prices[c]
+		p.rankBit[c] = 1 << uint(r)
+		if r > 0 && pr == prices[byRank[r-1]] {
+			anyEqual = true
+		}
+		cutoff := pr + p.priceThreshold
+		for end < len(byRank) && prices[byRank[end]] <= cutoff {
+			inRanks |= 1 << uint(end)
+			inClusters |= 1 << uint(byRank[end])
+			end++
+		}
+		p.bandRanks[r], p.bandMask[r] = inRanks, inClusters
+	}
+
+	for g := range p.sets {
+		set := &p.sets[g]
+		var ranks uint64
+		for _, c := range set.members {
+			ranks |= p.rankBit[c]
+		}
+		lo := bits.TrailingZeros64(ranks)
+		cheap := set.mask & p.bandMask[lo]
+		set.tail = ranks &^ p.bandRanks[lo]
+		slow := cheap == 0
+		if anyEqual && !slow {
+			for m := set.tail; m&(m-1) != 0; m &= m - 1 {
+				next := m & (m - 1)
+				if prices[byRank[bits.TrailingZeros64(m)]] == prices[byRank[bits.TrailingZeros64(next)]] {
+					slow = true
+					break
+				}
+			}
+		}
+		if !slow && !set.slow && cheap == set.cheap {
 			continue
 		}
-		cheap := p.setCheap[g]
-		for _, c := range cands {
-			if cheap&(1<<uint(c)) != 0 {
-				p.firstPick[s] = c
-				break
+		set.cheap, set.slow = cheap, slow
+		for _, s := range set.states {
+			if slow {
+				p.orders[s] = p.preferenceOrder(s, prices, p.orders[s][:0])
+				p.firstPick[s] = -1
+				continue
+			}
+			for _, c := range p.candidates[s] {
+				if cheap&(1<<uint(c)) != 0 {
+					p.firstPick[s] = c
+					break
+				}
 			}
 		}
 	}
-	p.setsValid = true
-	copy(p.lastPrices, prices)
+	return nil
 }
 
 // fillSet is fill over the virtual order [members of cheap, in cands
-// order] ++ rest, without materializing it: the same two tiers (committed
-// room across the whole sequence, then burst room), the same walk, the
-// same arithmetic — bit-identical to fill on the concatenated slice.
-func fillSet(cands []int, cheap uint64, rest []int, demand float64, ctx *Context, row []float64) float64 {
+// order] ++ [byRank[r] for each bit r of tail, ascending], without
+// materializing it: the same two tiers (committed room across the whole
+// sequence, then burst room), the same walk, the same arithmetic —
+// bit-identical to fill on the concatenated slice.
+func fillSet(cands []int, cheap, tail uint64, byRank []int, demand float64, ctx *Context, row []float64) float64 {
 	remaining := demand
 	for _, c := range cands {
 		if cheap&(1<<uint(c)) == 0 {
@@ -500,10 +542,11 @@ func fillSet(cands []int, cheap uint64, rest []int, demand float64, ctx *Context
 			remaining -= take
 		}
 	}
-	for _, c := range rest {
+	for m := tail; m != 0; m &= m - 1 {
 		if remaining <= 0 {
 			return 0
 		}
+		c := byRank[bits.TrailingZeros64(m)]
 		take := ctx.Room[c]
 		if take > remaining {
 			take = remaining
@@ -531,10 +574,11 @@ func fillSet(cands []int, cheap uint64, rest []int, demand float64, ctx *Context
 			remaining -= take
 		}
 	}
-	for _, c := range rest {
+	for m := tail; m != 0; m &= m - 1 {
 		if remaining <= 0 {
 			return 0
 		}
+		c := byRank[bits.TrailingZeros64(m)]
 		take := ctx.BurstRoom[c]
 		if take > remaining {
 			take = remaining

@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -349,12 +350,73 @@ func TestOptimizerConstructorErrors(t *testing.T) {
 	if _, err := NewPriceOptimizer(f, 100, -5); err == nil {
 		t.Error("negative price threshold should fail")
 	}
+	// NaN passes a `< 0` check; a NaN dead-band would leave every set's
+	// dead-band tier empty and route by stale first picks.
+	if _, err := NewPriceOptimizer(f, math.NaN(), 5); err == nil {
+		t.Error("NaN distance threshold should fail")
+	}
+	if _, err := NewPriceOptimizer(f, 1500, math.NaN()); err == nil {
+		t.Error("NaN price threshold should fail")
+	}
+	if _, err := NewJointOptimizer(f, math.NaN()); err == nil {
+		t.Error("NaN distance weight should fail")
+	}
+	if _, err := NewJointOptimizer(f, -0.1); err == nil {
+		t.Error("negative distance weight should fail")
+	}
 	p, _ := NewPriceOptimizer(f, 1500, 5)
 	if p.ThresholdKm() != 1500 {
 		t.Error("ThresholdKm wrong")
 	}
 	if p.Name() == "" {
 		t.Error("empty name")
+	}
+}
+
+// TestOptimizerRejectsNaNPrice: a NaN decision price has no place in the
+// price ranking; Allocate reports it before touching the context.
+func TestOptimizerRejectsNaNPrice(t *testing.T) {
+	f := testFleet(t)
+	p, err := NewPriceOptimizer(f, 1500, DefaultPriceThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prices := flatPrices(len(f.Clusters), 50)
+	ctx := mkContext(f, 1000, prices)
+	if err := p.Allocate(ctx, mkAssign(f)); err != nil {
+		t.Fatal(err)
+	}
+	prices[3] = math.NaN()
+	ctx = mkContext(f, 1000, prices)
+	assign := mkAssign(f)
+	if err := p.Allocate(ctx, assign); err == nil {
+		t.Fatal("NaN decision price should fail")
+	}
+	for c, cl := range f.Clusters {
+		if ctx.Room[c] != float64(cl.Capacity) {
+			t.Fatalf("cluster %d: failed Allocate consumed room", c)
+		}
+	}
+	for s := range assign {
+		for c := range assign[s] {
+			if assign[s][c] != 0 {
+				t.Fatal("failed Allocate assigned demand")
+			}
+		}
+	}
+	// The optimizer still routes the next valid vector like a fresh one.
+	prices[3] = 20
+	got, want := mkContext(f, 1000, prices), mkContext(f, 1000, prices)
+	gotAssign, wantAssign := mkAssign(f), mkAssign(f)
+	if err := p.Allocate(got, gotAssign); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewPriceOptimizer(f, 1500, DefaultPriceThreshold)
+	if err := fresh.Allocate(want, wantAssign); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotAssign, wantAssign) {
+		t.Error("allocation after a rejected NaN vector differs from a fresh optimizer's")
 	}
 }
 

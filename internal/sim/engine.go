@@ -678,11 +678,13 @@ func (e *Engine) Finalize() (*Result, error) {
 		return nil, errors.New("sim: finalize before any step")
 	}
 	res := e.res
+	var buf []float64
 	for c := range e.meters {
-		p95, err := e.meters[c].Percentile95()
+		p95, grown, err := e.meters[c].Percentile95Buf(buf)
 		if err != nil {
 			return nil, err
 		}
+		buf = grown
 		res.BillableP95[c] = p95
 		res.MeanUtilization[c] /= float64(e.stepsRun)
 		if e.constraints != nil {

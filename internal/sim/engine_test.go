@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -338,12 +340,31 @@ func TestEngineLifecycle(t *testing.T) {
 		t.Fatal("snapshot lost the last interval's rates")
 	}
 
+	recorded := make([][]float64, len(eng.meters))
+	for c := range eng.meters {
+		recorded[c] = eng.meters[c].Samples()
+	}
 	res, err := eng.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Steps != 2*traffic.SamplesPerDay {
 		t.Fatalf("finalized Steps = %d", res.Steps)
+	}
+	// Finalize selects the billable percentiles in one scratch buffer:
+	// each bill equals the sorted-copy quantile bit for bit, and the
+	// meters keep their recorded order (checkpoints serialize it).
+	for c := range eng.meters {
+		if !slices.Equal(eng.meters[c].Samples(), recorded[c]) {
+			t.Fatalf("cluster %d: Finalize reordered the meter's record", c)
+		}
+		want, err := stats.Quantile(recorded[c], 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.BillableP95[c]) != math.Float64bits(want) {
+			t.Fatalf("cluster %d: billable p95 %v, sorted-copy quantile %v", c, res.BillableP95[c], want)
+		}
 	}
 	again, err := eng.Finalize()
 	if err != nil || again != res {

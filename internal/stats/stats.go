@@ -11,6 +11,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -164,20 +165,121 @@ func Quantile(xs []float64, q float64) (float64, error) {
 // quantileSorted computes the interpolated quantile of an already-sorted
 // non-empty slice.
 func quantileSorted(sorted []float64, q float64) float64 {
+	lo, hi, w := quantilePos(len(sorted), q)
+	if lo == hi {
+		return sorted[lo]
+	}
+	return sorted[lo]*(1-w) + sorted[hi]*w
+}
+
+// quantilePos clamps q to [0,1] and locates the q-th quantile of n sorted
+// samples: the order statistics lo and hi (equal, or hi = lo+1) that
+// bracket it and the weight w of sorted[hi].
+func quantilePos(n int, q float64) (lo, hi int, w float64) {
 	if q < 0 {
 		q = 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// SelectQuantile returns Quantile(xs, q) bit for bit, but by selection
+// instead of a full sort: it reorders xs in place only as far as needed
+// to find the one or two order statistics the interpolation reads, in
+// expected linear time. Pass a scratch copy to keep the original order.
+// NaNs order first, as in sort.Float64s; like there, signed zeros compare
+// equal, so which zero lands at a position is unspecified in both.
+func SelectQuantile(xs []float64, q float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
 	}
-	w := pos - float64(lo)
-	return sorted[lo]*(1-w) + sorted[hi]*w
+	nans := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
+		}
+	}
+	lo, hi, w := quantilePos(len(xs), q)
+	if lo >= nans {
+		selectKth(xs[nans:], lo-nans)
+	}
+	if lo == hi {
+		return xs[lo], nil
+	}
+	// The hi-th order statistic is the least of xs[hi:]: after the
+	// selection nothing there orders before xs[lo], and when lo is the
+	// last NaN, xs[hi:] holds every non-NaN value. A NaN at hi is itself
+	// the statistic.
+	next := xs[hi]
+	if hi >= nans {
+		for _, x := range xs[hi+1:] {
+			if x < next {
+				next = x
+			}
+		}
+	}
+	return xs[lo]*(1-w) + next*w, nil
+}
+
+// selectKth reorders the NaN-free xs so that xs[k] holds the k-th
+// smallest value, with nothing greater before it and nothing smaller
+// after it. It is Hoare's find with a median-of-three pivot; should the
+// partitions keep coming out lopsided it sorts what is left, which bounds
+// the worst case at O(n log n).
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ pivot ≤ xs[i..hi], and every slot between j and
+		// i holds the pivot itself.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
 }
 
 // Quantiles returns several quantiles of xs in one sort.

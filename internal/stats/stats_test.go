@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,83 @@ func TestQuantileOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSelectQuantileMatchesSort checks the selection path against
+// sort.Float64s + quantileSorted bit for bit over random samples of
+// every size up to 300: few distinct values (long runs of duplicates),
+// NaNs (which sort first), ±Inf, and the quantiles billing and the
+// figures read plus random ones. Zeros are all +0: signed zeros compare
+// equal, so neither path fixes which one lands at a position.
+func TestSelectQuantileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for n := 1; n <= 300; n++ {
+		for trial := 0; trial < 4; trial++ {
+			xs := make([]float64, n)
+			distinct := 1 + rng.Intn(2*n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(distinct)) - float64(distinct)/3
+				if trial > 1 && rng.Intn(12) == 0 {
+					xs[i] = special[rng.Intn(len(special))]
+				}
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, q := range []float64{0, 0.05, 0.5, 0.95, 1, rng.Float64()} {
+				scratch := append([]float64(nil), xs...)
+				got, err := SelectQuantile(scratch, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := quantileSorted(sorted, q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d q=%v: selected %v, sorted %v (sample %v)", n, q, got, want, xs)
+				}
+			}
+		}
+	}
+	if _, err := SelectQuantile(nil, 0.95); err != ErrEmpty {
+		t.Errorf("SelectQuantile(empty) error %v, want ErrEmpty", err)
+	}
+}
+
+// TestSelectKthAdversarial feeds selectKth the orders that defeat a
+// naive pivot — sorted, reversed, organ-pipe, all equal — at sizes where
+// the sort fallback may engage, and checks the selected statistic and the
+// partition around it.
+func TestSelectKthAdversarial(t *testing.T) {
+	const n = 5000
+	shapes := []struct {
+		name  string
+		value func(i int) float64
+	}{
+		{"sorted", func(i int) float64 { return float64(i) }},
+		{"reversed", func(i int) float64 { return float64(n - i) }},
+		{"organpipe", func(i int) float64 { return float64(min(i, n-i)) }},
+		{"equal", func(int) float64 { return 7 }},
+		{"sawtooth", func(i int) float64 { return float64(i % 17) }},
+	}
+	for _, shape := range shapes {
+		name := shape.name
+		for _, k := range []int{0, 1, n / 2, n * 95 / 100, n - 1} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = shape.value(i)
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			selectKth(xs, k)
+			if xs[k] != sorted[k] {
+				t.Fatalf("%s k=%d: selected %v, want %v", name, k, xs[k], sorted[k])
+			}
+			for i, x := range xs {
+				if (i < k && x > xs[k]) || (i > k && x < xs[k]) {
+					t.Fatalf("%s k=%d: xs[%d] = %v on the wrong side of %v", name, k, i, x, xs[k])
+				}
+			}
+		}
 	}
 }
 
