@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -57,6 +56,7 @@ import (
 	"powerroute/internal/energy"
 	"powerroute/internal/experiments"
 	"powerroute/internal/routing"
+	"powerroute/internal/server"
 	"powerroute/internal/sim"
 )
 
@@ -194,7 +194,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "powerroute-coord:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: co.Handler()}
+	httpSrv := server.NewHTTPServer(co.Handler())
 	fmt.Fprintf(stdout, "powerroute-coord: listening on %s, coordinating %d shards (policy %s, step %v)\n",
 		ln.Addr(), len(urls), sc.Policy.Name(), sc.Step)
 	for i, url := range urls {

@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -276,7 +275,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "powerrouted:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := server.NewHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "powerrouted: listening on %s (policy %s, step %v, %d clusters, %d states)\n",
 		ln.Addr(), sc.Policy.Name(), sc.Step, len(sc.Fleet.Clusters), len(sc.Fleet.States))
 

@@ -6,9 +6,10 @@
 // each shard ignores hubs it hosts no cluster on — and a demand post
 // (JSON or binary batch) is split by state ownership, each shard
 // receiving exactly its own states' columns. Deferrable batch jobs
-// riding a demand post go to the shard that owns their home cluster;
-// every job is admitted (sim.CheckJob) before any shard is posted to, so
-// a bad job can never leave the shards at different step cursors.
+// riding a demand post go to the shard that owns their home cluster.
+// Every full demand row (sim.CheckDemand) and every job (sim.CheckJob) is
+// admitted before any shard is posted to, so a bad row or job can never
+// leave the shards at different step cursors.
 //
 // Reads fan in: the coordinator pulls every shard's durable checkpoint,
 // merges them with sim.MergeCheckpoints under the parent world hash,
@@ -440,6 +441,10 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%d rates for %d states", len(post.Rates), len(co.fleet.States))
 		return
 	}
+	if err := sim.CheckDemand(post.Rates); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	// Jobs name their home cluster by code, which every shard resolves
 	// itself; the coordinator only picks the owning shard.
 	jobs := make([][]server.JobPost, len(co.shards))
@@ -569,6 +574,10 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			return
 		}
 		if err := server.DecodeRow(rowBytes, row); err != nil {
+			httpError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
+			return
+		}
+		if err := sim.CheckDemand(row); err != nil {
 			httpError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
 			return
 		}

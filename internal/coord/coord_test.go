@@ -10,7 +10,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -676,5 +678,89 @@ func TestCoordinatorDiscoveryRejectsBadTopologies(t *testing.T) {
 	urls600 := newShards(t, sc600)
 	if _, err := New(ctx, Config{Scenario: sc, ShardURLs: urls600}); err == nil {
 		t.Error("shards with a different policy accepted")
+	}
+}
+
+// countingTransport counts the coordinator's requests to its shards by
+// URL path.
+type countingTransport struct {
+	mu    sync.Mutex
+	paths map[string]int
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.paths[r.URL.Path]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+func (c *countingTransport) count(path string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.paths[path]
+}
+
+// TestCoordinatorRejectsBadDemand: a demand row with a negative rate is
+// refused with 400 before any lease window or demand reaches a shard, on
+// the JSON path and as the second row of a binary batch, so every shard
+// stays at the same step cursor. A good row then brokers and routes.
+func TestCoordinatorRejectsBadDemand(t *testing.T) {
+	sys, _, shardSc := burstWorld(t)
+	urls := newBurstShards(t, shardSc)
+	_, _, sc := burstWorld(t)
+	sc.BurstGate = sim.SelfGate{}
+	tr := &countingTransport{paths: map[string]int{}}
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+	feedPrices(t, sys, sc, ts.URL, 4)
+
+	rates := sc.Demand.Rates(sc.Start, nil)
+	bad := slices.Clone(rates)
+	bad[5] = -1
+	body, err := json.Marshal(server.DemandPost{At: sc.Start, Rates: bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusBadRequest); !strings.Contains(string(out), "state 5") {
+		t.Errorf("negative JSON rate: error does not name state 5: %s", out)
+	}
+	var b bytes.Buffer
+	if err := server.WriteBatchHeader(&b, "demand", sc.Start, sc.Step, 2, len(rates), nil); err != nil {
+		t.Fatal(err)
+	}
+	b.Write(server.AppendRow(nil, rates))
+	b.Write(server.AppendRow(nil, bad))
+	if out := postBody(t, ts.URL+"/v1/demand", server.ContentTypeDemandBatch, b.Bytes(), http.StatusBadRequest); !strings.Contains(string(out), "demand row 1") {
+		t.Errorf("negative batch rate: error does not name row 1: %s", out)
+	}
+	for _, path := range []string{"/v1/leases", "/v1/demand"} {
+		if n := tr.count(path); n != 0 {
+			t.Fatalf("rejected demand still sent %d requests to shard %s", n, path)
+		}
+	}
+	for _, url := range urls {
+		var status struct {
+			Steps int `json:"steps"`
+		}
+		if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.Steps != 0 {
+			t.Fatalf("shard %s at step %d after rejected posts, want 0", url, status.Steps)
+		}
+	}
+
+	body, err = json.Marshal(server.DemandPost{At: sc.Start, Rates: rates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusOK)
+	if tr.count("/v1/leases") != len(urls) || tr.count("/v1/demand") != len(urls) {
+		t.Fatalf("good row: %d lease and %d demand posts, want %d each", tr.count("/v1/leases"), tr.count("/v1/demand"), len(urls))
 	}
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,16 +13,17 @@ import (
 // distance), spills outward through the nearest clusters, and any
 // remainder overloads the nearest one. It keeps no state across calls.
 func referenceAllocate(p *PriceOptimizer, ctx *Context, assign [][]float64) {
+	ctx.Placed = ctx.Placed[:0]
 	for s, demand := range ctx.Demand {
 		if demand <= 0 {
 			continue
 		}
-		left := fill(p.preferenceOrder(s, ctx.DecisionPrices, nil), demand, ctx, assign[s])
+		left := fill(p.preferenceOrder(s, ctx.DecisionPrices, nil), demand, ctx, s, assign[s])
 		if left > 0 {
-			left = fill(p.nearest[s], left, ctx, assign[s])
+			left = fill(p.nearest[s], left, ctx, s, assign[s])
 		}
 		if left > 0 {
-			assign[s][p.nearest[s][0]] += left
+			place(ctx, assign[s], s, p.nearest[s][0], left)
 		}
 	}
 }
@@ -68,7 +70,8 @@ func nextPrices(rng *rand.Rand, prices []float64, threshold float64) {
 
 // TestSetTableMatchesReferenceWalk drives one PriceOptimizer through
 // thousands of successive price vectors and checks every allocation —
-// assignments, Room and BurstRoom, bit for bit — against the stateless
+// assignments, Room and BurstRoom, bit for bit, and the placement log
+// entry for entry — against the stateless
 // per-state reference walk on copies of the same context. The optimizer's
 // cached ranking, dead-band tables and first picks must never let a
 // decision drift from what the current price vector alone implies.
@@ -131,6 +134,9 @@ func TestSetTableMatchesReferenceWalk(t *testing.T) {
 							km, step, s, gotAssign[s], wantAssign[s], prices)
 					}
 				}
+			}
+			if !slices.Equal(got.Placed, want.Placed) {
+				t.Fatalf("%v km step %d: placed %v, reference %v (prices %v)", km, step, got.Placed, want.Placed, prices)
 			}
 		}
 	}

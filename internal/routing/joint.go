@@ -70,6 +70,7 @@ func (j *JointOptimizer) DistanceWeight() float64 { return j.distanceWeight }
 // Allocate implements Policy: states fill clusters in ascending score
 // order, falling back through the score ranking as clusters fill.
 func (j *JointOptimizer) Allocate(ctx *Context, assign [][]float64) error {
+	ctx.Placed = ctx.Placed[:0]
 	ns, nc := j.fleet.StateCount(), j.fleet.ClusterCount()
 	if len(ctx.Demand) != ns {
 		return fmt.Errorf("routing: %d demands for %d states", len(ctx.Demand), ns)
@@ -85,9 +86,9 @@ func (j *JointOptimizer) Allocate(ctx *Context, assign [][]float64) error {
 		if demand <= 0 {
 			continue
 		}
-		left := fill(j.orders[s], demand, ctx, assign[s])
+		left := fill(j.orders[s], demand, ctx, s, assign[s])
 		if left > 0 {
-			assign[s][j.nearest[s][0]] += left
+			place(ctx, assign[s], s, j.nearest[s][0], left)
 		}
 	}
 	return nil

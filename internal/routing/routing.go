@@ -48,6 +48,16 @@ type Context struct {
 	// physical capacity; zero when bursting is not allowed this interval.
 	// Mutated by Allocate.
 	BurstRoom []float64
+	// Placed is an output: Allocate resets it and lists every assign cell
+	// it wrote to (see Policy). Callers may preallocate it at
+	// states×clusters capacity, the most distinct cells one call writes,
+	// so it never grows.
+	Placed []Cell
+}
+
+// Cell names one state×cluster entry of an assignment matrix.
+type Cell struct {
+	State, Cluster int
 }
 
 // Policy maps demand onto clusters.
@@ -56,6 +66,14 @@ type Policy interface {
 	Name() string
 	// Allocate fills assign[state][cluster] (pre-zeroed, dimensions
 	// states×clusters) with hit rates, consuming Room/BurstRoom.
+	//
+	// It also resets ctx.Placed and lists in it each cell it leaves
+	// nonzero, exactly once, in ascending state order: a policy walks the
+	// states in ascending order and writes only the current state's row,
+	// logging a cell on its first write (the rows arrive zeroed). Every
+	// cluster's cells therefore appear in the order a dense
+	// state-by-state scan would visit them, so a caller summing per
+	// cluster over Placed gets the dense scan's sums bit for bit.
 	Allocate(ctx *Context, assign [][]float64) error
 }
 
@@ -94,10 +112,20 @@ func validate(f *cluster.Fleet, ctx *Context, assign [][]float64) error {
 	return nil
 }
 
-// fill assigns demand to clusters in the given preference order, consuming
-// preferred room first and burst room second. It returns the demand it
-// could not place.
-func fill(order []int, demand float64, ctx *Context, row []float64) float64 {
+// place adds v (> 0) to cell (s, c), whose row is row, logging the cell in
+// ctx.Placed on its first write. It is the only code that adds into an
+// assign row, which is what keeps Placed complete.
+func place(ctx *Context, row []float64, s, c int, v float64) {
+	if row[c] == 0 {
+		ctx.Placed = append(ctx.Placed, Cell{State: s, Cluster: c})
+	}
+	row[c] += v
+}
+
+// fill assigns state s's demand to clusters in the given preference order,
+// consuming preferred room first and burst room second. It returns the
+// demand it could not place.
+func fill(order []int, demand float64, ctx *Context, s int, row []float64) float64 {
 	remaining := demand
 	for _, c := range order {
 		if remaining <= 0 {
@@ -108,7 +136,7 @@ func fill(order []int, demand float64, ctx *Context, row []float64) float64 {
 			take = remaining
 		}
 		if take > 0 {
-			row[c] += take
+			place(ctx, row, s, c, take)
 			ctx.Room[c] -= take
 			remaining -= take
 		}
@@ -122,7 +150,7 @@ func fill(order []int, demand float64, ctx *Context, row []float64) float64 {
 			take = remaining
 		}
 		if take > 0 {
-			row[c] += take
+			place(ctx, row, s, c, take)
 			ctx.BurstRoom[c] -= take
 			remaining -= take
 		}
@@ -159,6 +187,7 @@ func (b *Baseline) Name() string { return "akamai-baseline" }
 
 // Allocate implements Policy.
 func (b *Baseline) Allocate(ctx *Context, assign [][]float64) error {
+	ctx.Placed = ctx.Placed[:0]
 	if err := validate(b.fleet, ctx, assign); err != nil {
 		return err
 	}
@@ -178,16 +207,16 @@ func (b *Baseline) Allocate(ctx *Context, assign [][]float64) error {
 				take = want
 			}
 			if take > 0 {
-				row[c] += take
+				place(ctx, row, s, c, take)
 				ctx.Room[c] -= take
 			}
 			spill += want - take
 		}
 		if spill > 0 {
-			if left := fill(b.nearest[s], spill, ctx, row); left > 0 {
+			if left := fill(b.nearest[s], spill, ctx, s, row); left > 0 {
 				// Fleet saturated: overload the nearest cluster; the engine
 				// clamps utilization and reports the excess.
-				row[b.nearest[s][0]] += left
+				place(ctx, row, s, b.nearest[s][0], left)
 			}
 		}
 	}
@@ -356,6 +385,7 @@ func (p *PriceOptimizer) ShardPolicy(sub *cluster.Fleet) (Policy, error) {
 // in-range cluster; differentials below the price threshold are ignored in
 // favor of proximity, and full clusters hand off to the next candidate.
 func (p *PriceOptimizer) Allocate(ctx *Context, assign [][]float64) error {
+	ctx.Placed = ctx.Placed[:0]
 	if err := validate(p.fleet, ctx, assign); err != nil {
 		return err
 	}
@@ -366,28 +396,29 @@ func (p *PriceOptimizer) Allocate(ctx *Context, assign [][]float64) error {
 		if demand <= 0 {
 			continue
 		}
+		row := assign[s]
 		var left float64
 		if c := p.firstPick[s]; c < 0 {
-			left = fill(p.orders[s], demand, ctx, assign[s])
+			left = fill(p.orders[s], demand, ctx, s, row)
 		} else if ctx.Room[c] >= demand {
 			// Fast path: the state's first dead-band candidate has room
 			// for everything — the exact assignment the full walk makes.
-			assign[s][c] += demand
+			place(ctx, row, s, c, demand)
 			ctx.Room[c] -= demand
 			continue
 		} else {
 			set := &p.sets[p.setOf[s]]
-			left = fillSet(p.candidates[s], set.cheap, set.tail, p.byRank, demand, ctx, assign[s])
+			left = fillSet(p.candidates[s], set.cheap, set.tail, p.byRank, demand, ctx, s, row)
 		}
 		if left > 0 {
 			// All in-range clusters are full: the distance constraint
 			// yields to feasibility and the excess walks outward to the
 			// nearest cluster with room ("the optimizer iteratively finds
 			// another good cluster", §6.1).
-			left = fill(p.nearest[s], left, ctx, assign[s])
+			left = fill(p.nearest[s], left, ctx, s, row)
 		}
 		if left > 0 {
-			assign[s][p.nearest[s][0]] += left // fleet saturated; engine reports overload
+			place(ctx, row, s, p.nearest[s][0], left) // fleet saturated; engine reports overload
 		}
 	}
 	return nil
@@ -523,7 +554,7 @@ func (p *PriceOptimizer) refreshOrders(prices []float64) error {
 // materializing it: the same two tiers (committed room across the whole
 // sequence, then burst room), the same walk, the same arithmetic —
 // bit-identical to fill on the concatenated slice.
-func fillSet(cands []int, cheap, tail uint64, byRank []int, demand float64, ctx *Context, row []float64) float64 {
+func fillSet(cands []int, cheap, tail uint64, byRank []int, demand float64, ctx *Context, s int, row []float64) float64 {
 	remaining := demand
 	for _, c := range cands {
 		if cheap&(1<<uint(c)) == 0 {
@@ -537,7 +568,7 @@ func fillSet(cands []int, cheap, tail uint64, byRank []int, demand float64, ctx 
 			take = remaining
 		}
 		if take > 0 {
-			row[c] += take
+			place(ctx, row, s, c, take)
 			ctx.Room[c] -= take
 			remaining -= take
 		}
@@ -552,7 +583,7 @@ func fillSet(cands []int, cheap, tail uint64, byRank []int, demand float64, ctx 
 			take = remaining
 		}
 		if take > 0 {
-			row[c] += take
+			place(ctx, row, s, c, take)
 			ctx.Room[c] -= take
 			remaining -= take
 		}
@@ -569,7 +600,7 @@ func fillSet(cands []int, cheap, tail uint64, byRank []int, demand float64, ctx 
 			take = remaining
 		}
 		if take > 0 {
-			row[c] += take
+			place(ctx, row, s, c, take)
 			ctx.BurstRoom[c] -= take
 			remaining -= take
 		}
@@ -584,7 +615,7 @@ func fillSet(cands []int, cheap, tail uint64, byRank []int, demand float64, ctx 
 			take = remaining
 		}
 		if take > 0 {
-			row[c] += take
+			place(ctx, row, s, c, take)
 			ctx.BurstRoom[c] -= take
 			remaining -= take
 		}
@@ -686,6 +717,7 @@ func (a *AllToOne) Name() string {
 
 // Allocate implements Policy.
 func (a *AllToOne) Allocate(ctx *Context, assign [][]float64) error {
+	ctx.Placed = ctx.Placed[:0]
 	if err := validate(a.fleet, ctx, assign); err != nil {
 		return err
 	}
@@ -694,8 +726,8 @@ func (a *AllToOne) Allocate(ctx *Context, assign [][]float64) error {
 		if demand <= 0 {
 			continue
 		}
-		if left := fill(order, demand, ctx, assign[s]); left > 0 {
-			assign[s][a.target] += left // static site saturated; engine reports overload
+		if left := fill(order, demand, ctx, s, assign[s]); left > 0 {
+			place(ctx, assign[s], s, a.target, left) // static site saturated; engine reports overload
 		}
 	}
 	return nil

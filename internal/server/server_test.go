@@ -681,3 +681,56 @@ func TestMidBatchErrorReportsResume(t *testing.T) {
 		t.Fatalf("resume batch: got %d", resp.StatusCode)
 	}
 }
+
+// TestNegativeDemandRejected: a negative rate is refused before it routes
+// (sim.CheckDemand inside Step), on the JSON path with 400, and in a
+// binary batch with 400 after committing exactly the rows before it.
+func TestNegativeDemandRejected(t *testing.T) {
+	_, ts, sys := testServer(t)
+	start := sys.Market.Start
+	ns := len(sys.Fleet.States)
+	steps := func() int {
+		var status struct {
+			Steps int `json:"steps"`
+		}
+		if err := json.Unmarshal(get(t, ts.URL+"/v1/status", http.StatusOK), &status); err != nil {
+			t.Fatal(err)
+		}
+		return status.Steps
+	}
+	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
+
+	bad := flatDemand(ns, 500)
+	bad[3] = -1000
+	if out := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: bad}, http.StatusBadRequest); !strings.Contains(string(out), "state 3") {
+		t.Fatalf("negative JSON demand: error does not name state 3: %s", out)
+	}
+	if got := steps(); got != 0 {
+		t.Fatalf("rejected JSON demand advanced the engine to step %d", got)
+	}
+
+	const k = 2
+	rows := [][]float64{flatDemand(ns, 400), flatDemand(ns, 500), bad, flatDemand(ns, 600)}
+	resp, err := http.Post(ts.URL+"/v1/demand", ContentTypeDemandBatch, demandBatch(start, time.Hour, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch with a negative row: got %d: %s", resp.StatusCode, body)
+	}
+	var failure struct {
+		Error  string `json:"error"`
+		Routed int    `json:"routed"`
+	}
+	if err := json.Unmarshal(body, &failure); err != nil {
+		t.Fatalf("error body is not JSON: %s", body)
+	}
+	if failure.Routed != k || !strings.Contains(failure.Error, "state 3") {
+		t.Fatalf("batch failure %+v, want routed %d and an error naming state 3", failure, k)
+	}
+	if got := steps(); got != k {
+		t.Fatalf("engine at step %d after the failed batch, want %d", got, k)
+	}
+}

@@ -290,6 +290,7 @@ func NewEngine(sc Scenario) (*Engine, error) {
 		DecisionPrices: make([]float64, nc),
 		Room:           make([]float64, nc),
 		BurstRoom:      make([]float64, nc),
+		Placed:         make([]routing.Cell, 0, ns*nc),
 	}
 	e.loads = make([]float64, nc)
 	e.gridWh = make([]units.Energy, nc)
@@ -365,15 +366,16 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 	if e.finalized {
 		return errors.New("sim: engine already finalized")
 	}
+	if len(demand) != e.ns {
+		return fmt.Errorf("sim: demand source returned %d states, want %d", len(demand), e.ns)
+	}
+	if err := CheckDemand(demand); err != nil {
+		return err
+	}
 	sc := &e.sc
 	ctx := e.ctx
 	res := e.res
 	ctx.At = at
-
-	// Demand.
-	if len(demand) != e.ns {
-		return fmt.Errorf("sim: demand source returned %d states, want %d", len(demand), e.ns)
-	}
 	copy(ctx.Demand, demand)
 
 	// Decision signal (delay already applied by the caller).
@@ -450,25 +452,22 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 		return err
 	}
 
-	// Meter.
+	// Meter the cells the policy placed (routing.Policy's Placed
+	// contract): each cluster's cells come in ascending state order, so
+	// every per-cluster sum gets the operands a dense scan of assign
+	// would feed it, in the same order.
 	for c := range e.loads {
 		e.loads[c] = 0
 	}
 	stepHours := e.stepHours
-	for s := range e.assign {
-		row := e.assign[s]
-		dist := sc.Fleet.DistanceKm[s]
-		bins := e.distBin[s]
-		for c, rate := range row {
-			if rate <= 0 {
-				continue
-			}
-			e.loads[c] += rate
-			if b := bins[c]; b >= 0 {
-				e.distHists[c].AddToBin(b, dist[c], rate*stepHours)
-			} else {
-				e.distHists[c].Add(dist[c], rate*stepHours)
-			}
+	for _, cell := range ctx.Placed {
+		s, c := cell.State, cell.Cluster
+		rate := e.assign[s][c]
+		e.loads[c] += rate
+		if b := e.distBin[s][c]; b >= 0 {
+			e.distHists[c].AddToBin(b, sc.Fleet.DistanceKm[s][c], rate*stepHours)
+		} else {
+			e.distHists[c].Add(sc.Fleet.DistanceKm[s][c], rate*stepHours)
 		}
 	}
 	for c := range sc.Fleet.Clusters {
@@ -607,6 +606,20 @@ func (e *Engine) QueueJobs(jobs []sched.Job) error {
 			TotalKWh:    j.EnergyKWh,
 			MinFraction: j.MinFraction,
 		})
+	}
+	return nil
+}
+
+// CheckDemand is the admission rule for one interval's per-state demand
+// vector (hits/s): every rate finite and ≥ 0. Step applies it before
+// touching any state. The shard coordinator applies it to every full row
+// before fan-out, so a row one shard would refuse reaches none.
+func CheckDemand(rates []float64) error {
+	for s, r := range rates {
+		// One test per bound: NaN fails both, −x the first, +Inf the second.
+		if !(r >= 0 && r <= math.MaxFloat64) {
+			return fmt.Errorf("sim: state %d demand %v hits/s, want finite and ≥ 0", s, r)
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -413,6 +414,56 @@ func TestEngineInputValidation(t *testing.T) {
 	// Finalize with zero steps has no percentiles to report.
 	if _, err := eng.Finalize(); err == nil {
 		t.Fatal("Finalize before any step must fail")
+	}
+}
+
+// TestStepRejectsBadDemand: a NaN, negative or infinite rate is refused
+// before it routes, and the books stay untouched. A NaN used to take all
+// remaining room of its candidates (no take > remaining test is true for
+// it), a negative rate routed as zero, and +Inf routed +Inf load.
+func TestStepRejectsBadDemand(t *testing.T) {
+	sc := shortScenario()
+	opt, err := routing.NewPriceOptimizer(sc.Fleet, 1500, routing.DefaultPriceThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Policy = opt
+	eng, err := NewEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prices := eng.PriceSeries()
+	bill := make([]float64, len(prices))
+	for c := range prices {
+		if bill[c], err = prices[c].At(eng.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	demand := sc.Demand.Rates(eng.Next(), nil)
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1)} {
+		rates := slices.Clone(demand)
+		rates[7] = bad
+		err := eng.Step(eng.Next(), StepPrices{Decision: bill, Bill: bill}, rates)
+		if err == nil || !strings.Contains(err.Error(), "state 7") {
+			t.Errorf("demand %v: got %v, want an error naming state 7", bad, err)
+		}
+		if err := CheckDemand(rates); err == nil {
+			t.Errorf("CheckDemand accepted demand %v", bad)
+		}
+	}
+	if eng.StepsRun() != 0 {
+		t.Fatalf("rejected steps advanced the engine: %d", eng.StepsRun())
+	}
+	for c, r := range eng.Snapshot().ClusterRate {
+		if r != 0 {
+			t.Fatalf("cluster %d: rejected demand metered %v hits/s", c, r)
+		}
+	}
+	if err := CheckDemand(demand); err != nil {
+		t.Fatalf("CheckDemand refused the scenario's own demand: %v", err)
+	}
+	if err := eng.Step(eng.Next(), StepPrices{Decision: bill, Bill: bill}, demand); err != nil {
+		t.Fatalf("good demand after rejections: %v", err)
 	}
 }
 
