@@ -433,8 +433,8 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post server.DemandPost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding demand post: %v", err)
+	if code, err := server.DecodeJSONBody(w, r, &post); err != nil {
+		httpError(w, code, "decoding demand post: %v", err)
 		return
 	}
 	if len(post.Rates) != len(co.fleet.States) {

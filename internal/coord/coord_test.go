@@ -701,10 +701,27 @@ func (c *countingTransport) count(path string) int {
 	return c.paths[path]
 }
 
+// padJSON marshals v, then pads it with spaces before its closing brace
+// to exactly n bytes, so a decoder has to read all n to finish the value.
+func padJSON(t *testing.T, v any, n int) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) > n {
+		t.Fatalf("%d-byte body does not fit in %d bytes", len(b), n)
+	}
+	out := append(b[:len(b)-1:len(b)-1], bytes.Repeat([]byte{' '}, n-len(b))...)
+	return append(out, '}')
+}
+
 // TestCoordinatorRejectsBadDemand: a demand row with a negative rate is
 // refused with 400 before any lease window or demand reaches a shard, on
-// the JSON path and as the second row of a binary batch, so every shard
-// stays at the same step cursor. A good row then brokers and routes.
+// the JSON path and as the second row of a binary batch, and a JSON body
+// one byte over server.MaxJSONBody with 413, so every shard stays at the
+// same step cursor. A good row, padded to exactly the bound, then
+// brokers and routes.
 func TestCoordinatorRejectsBadDemand(t *testing.T) {
 	sys, _, shardSc := burstWorld(t)
 	urls := newBurstShards(t, shardSc)
@@ -738,6 +755,8 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 	if out := postBody(t, ts.URL+"/v1/demand", server.ContentTypeDemandBatch, b.Bytes(), http.StatusBadRequest); !strings.Contains(string(out), "demand row 1") {
 		t.Errorf("negative batch rate: error does not name row 1: %s", out)
 	}
+	good := server.DemandPost{At: sc.Start, Rates: rates}
+	postBody(t, ts.URL+"/v1/demand", "application/json", padJSON(t, good, server.MaxJSONBody+1), http.StatusRequestEntityTooLarge)
 	for _, path := range []string{"/v1/leases", "/v1/demand"} {
 		if n := tr.count(path); n != 0 {
 			t.Fatalf("rejected demand still sent %d requests to shard %s", n, path)
@@ -755,11 +774,7 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 		}
 	}
 
-	body, err = json.Marshal(server.DemandPost{At: sc.Start, Rates: rates})
-	if err != nil {
-		t.Fatal(err)
-	}
-	postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusOK)
+	postBody(t, ts.URL+"/v1/demand", "application/json", padJSON(t, good, server.MaxJSONBody), http.StatusOK)
 	if tr.count("/v1/leases") != len(urls) || tr.count("/v1/demand") != len(urls) {
 		t.Fatalf("good row: %d lease and %d demand posts, want %d each", tr.count("/v1/leases"), tr.count("/v1/demand"), len(urls))
 	}

@@ -19,6 +19,7 @@ package energy
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"powerroute/internal/units"
 )
@@ -87,9 +88,8 @@ func (m Model) FixedPower(n int) units.Power {
 // servers at average utilization u (clamped to [0,1]).
 func (m Model) VariablePower(u float64, n int) units.Power {
 	u = clamp01(u)
-	r := m.exponent()
 	span := float64(m.PeakPower) - float64(m.IdlePower())
-	return units.Power(float64(n) * span * (2*u - pow(u, r)))
+	return units.Power(float64(n) * span * (2*u - newPow(m.exponent()).at(u)))
 }
 
 // ClusterPower returns P_cluster(u) for n servers: fixed plus variable plus
@@ -127,7 +127,7 @@ type Evaluator struct {
 	fixed    float64 // F(n)
 	varCoeff float64 // n · (P_peak − P_idle)
 	eps      float64 // n · ε
-	r        float64 // exponent with the default applied
+	pow      pow     // u^r, exponent with the default applied
 }
 
 // Evaluator precomputes the per-cluster constants of ClusterPower for n
@@ -138,14 +138,17 @@ func (m Model) Evaluator(n int) Evaluator {
 		fixed:    float64(m.FixedPower(n)),
 		varCoeff: float64(n) * span,
 		eps:      float64(n) * float64(m.Epsilon),
-		r:        m.exponent(),
+		pow:      newPow(m.exponent()),
 	}
 }
 
 // Power returns P_cluster(u), bit-identical to Model.ClusterPower.
 func (ev Evaluator) Power(u float64) units.Power {
 	u = clamp01(u)
-	return units.Power((ev.fixed + ev.varCoeff*(2*u-pow(u, ev.r))) + ev.eps)
+	// The conversion rounds the variable term on its own, as the
+	// units.Power that VariablePower returns does, so FMA targets cannot
+	// fuse it into the sum.
+	return units.Power((ev.fixed + float64(ev.varCoeff*(2*u-ev.pow.at(u)))) + ev.eps)
 }
 
 // Energy returns the energy consumed over the given number of hours,
@@ -170,13 +173,55 @@ func clamp01(u float64) float64 {
 	return u
 }
 
-// pow is math.Pow specialized with fast paths for the common exponents.
-func pow(u, r float64) float64 {
-	switch r {
+// pow evaluates u^r for one exponent r, bit-identical to math.Pow(u, r)
+// for every u.
+//
+// math.Pow splits r into an integer part yi and a fraction yf in
+// (−0.5, 0.5], then returns Ldexp(Exp(yf·Log(u))·x1, xe), where
+// u = x1·2^xe is Frexp's split. When yi = 1 (r in (0.5, 1.5], r ≠ 1;
+// the paper's 1.4 is one), at computes Exp(yf·Log(u))·u instead: the same
+// Exp and Log calls without pow's special-case switch, Modf, Frexp and
+// Ldexp. Scaling a product by a power of two does not change its
+// rounding while the product stays normal, and u ≥ 2^-600 keeps
+// Exp(yf·Log(u))·u at or above 2^-900, so both routes round to the same
+// bits. At u = 0 and u = 1 it returns what math.Pow returns for r > 0.
+type pow struct {
+	r  float64
+	yf float64 // math.Pow's fraction of r when its integer part is 1, else 0
+}
+
+func newPow(r float64) pow {
+	yi, yf := math.Modf(r)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	if yi != 1 {
+		yf = 0
+	}
+	return pow{r: r, yf: yf}
+}
+
+// at returns u^r.
+func (p pow) at(u float64) float64 {
+	if p.yf != 0 {
+		switch {
+		case u >= 0x1p-600 && u < 1:
+			// The conversion rounds the product on its own, so it cannot
+			// fuse into the caller's 2u − u^r on FMA targets.
+			return float64(math.Exp(p.yf*math.Log(u)) * u)
+		case u == 0:
+			return 0
+		case u == 1:
+			return 1
+		}
+		return math.Pow(u, p.r)
+	}
+	switch p.r {
 	case 1:
 		return u
 	case 2:
 		return u * u
 	}
-	return powImpl(u, r)
+	return math.Pow(u, p.r)
 }

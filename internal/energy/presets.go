@@ -1,12 +1,6 @@
 package energy
 
-import (
-	"math"
-
-	"powerroute/internal/units"
-)
-
-func powImpl(u, r float64) float64 { return math.Pow(u, r) }
+import "powerroute/internal/units"
 
 // DefaultPeakPower is the average peak server power the paper measured on
 // actual Akamai servers (§2.1): 250 W. Only the idle/peak ratio and PUE

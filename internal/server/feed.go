@@ -44,6 +44,14 @@ const (
 	// may carry (same protective role as maxBatchRows).
 	maxJobsPerRow = 1 << 16
 
+	// MaxJSONBody bounds every JSON ingest body (DecodeJSONBody). It is
+	// sized from the largest JSON body a client in this repository
+	// sends: the shard coordinator's lease window for one binary demand
+	// batch, {"from":<step>,"gates":[...]} with up to maxBatchRows gates
+	// of at most len("false,") bytes each, 6 MiB, plus 1 KiB for the rest
+	// of the envelope. JSON price and demand posts take a few KiB.
+	MaxJSONBody = maxBatchRows*len("false,") + 1<<10
+
 	// wireJobBytes is the fixed encoded size of one WireJob record.
 	wireJobBytes = 24
 )

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -219,6 +220,78 @@ func FuzzParseBatchHeader(f *testing.F) {
 			}
 		} else if h.Hubs != nil {
 			t.Fatalf("demand batch accepted hubs %v", h.Hubs)
+		}
+	})
+}
+
+// FuzzDecodeRow: DecodeRow never panics; it refuses any length that is
+// not 8 bytes per column and any row holding a NaN or ±Inf, and every
+// finite row it accepts round-trips through AppendRow to the same bytes.
+func FuzzDecodeRow(f *testing.F) {
+	f.Add(AppendRow(nil, []float64{0, 1.5, -2, math.MaxFloat64, math.SmallestNonzeroFloat64}), uint8(5))
+	f.Add(AppendRow(nil, []float64{math.Copysign(0, -1)}), uint8(1))
+	f.Add(AppendRow(nil, []float64{1, math.NaN()}), uint8(2))
+	f.Add(AppendRow(nil, []float64{math.Inf(1)}), uint8(1))
+	f.Add(AppendRow(nil, []float64{math.Inf(-1), 3}), uint8(2))
+	f.Add(AppendRow(nil, []float64{1, 2}), uint8(3))
+	f.Add([]byte{1, 2, 3}, uint8(1))
+	f.Add([]byte{}, uint8(0))
+
+	f.Fuzz(func(t *testing.T, b []byte, cols uint8) {
+		dst := make([]float64, cols)
+		err := DecodeRow(b, dst)
+		if len(b) != 8*len(dst) {
+			if err == nil {
+				t.Fatalf("accepted %d bytes for %d columns", len(b), cols)
+			}
+			return
+		}
+		for i := 0; i < len(b); i += 8 {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(b[i:])); math.IsNaN(v) || math.IsInf(v, 0) {
+				if err == nil {
+					t.Fatalf("accepted %v in column %d", v, i/8)
+				}
+				return
+			}
+		}
+		if err != nil {
+			t.Fatalf("refused a finite row: %v", err)
+		}
+		if got := AppendRow(nil, dst); !bytes.Equal(got, b) {
+			t.Fatalf("round trip: %x, want %x", got, b)
+		}
+	})
+}
+
+// FuzzReadJobBlock: ReadJobBlock never panics on arbitrary bytes, never
+// yields more than maxJobsPerRow jobs and none with an error, and a block
+// it accepts round-trips through AppendJobs to the bytes it consumed.
+func FuzzReadJobBlock(f *testing.F) {
+	f.Add(AppendJobs(nil, nil))
+	f.Add(AppendJobs(nil, []WireJob{{Cluster: 2, DeadlineSteps: 12, EnergyKWh: 500, MinFraction: 0.5}}))
+	f.Add(AppendJobs(nil, []WireJob{
+		{Cluster: 0, DeadlineSteps: 0, EnergyKWh: -1},
+		{Cluster: math.MaxUint32, DeadlineSteps: math.MaxUint32, EnergyKWh: math.NaN(), MinFraction: math.Inf(-1)},
+	}))
+	f.Add(AppendJobs(nil, make([]WireJob, maxJobsPerRow+1)))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 3))
+	f.Add([]byte{1})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		jobs, _, err := ReadJobBlock(r, nil, nil)
+		if len(jobs) > maxJobsPerRow {
+			t.Fatalf("yielded %d jobs, cap %d", len(jobs), maxJobsPerRow)
+		}
+		if err != nil {
+			if len(jobs) != 0 {
+				t.Fatalf("yielded %d jobs with error %v", len(jobs), err)
+			}
+			return
+		}
+		consumed := b[:len(b)-r.Len()]
+		if got := AppendJobs(nil, jobs); !bytes.Equal(got, consumed) {
+			t.Fatalf("round trip: %x, want %x", got, consumed)
 		}
 	})
 }

@@ -1,0 +1,214 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"powerroute/internal/batchspec"
+	"powerroute/internal/core"
+	"powerroute/internal/sim"
+)
+
+// batchServer builds a daemon over the test world with the deferrable
+// batch class configured, so demand rows may carry jobs.
+func batchServer(t *testing.T) (*httptest.Server, *core.System) {
+	t.Helper()
+	sys := testWorld(t)
+	batch, err := batchspec.Parse("w=20,pct=0.3", sys.Fleet, sys.Market)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := testScenario(t, sys)
+	sc.Batch = batch
+	eng, err := sim.NewEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, sys
+}
+
+// ingestState is what a refused request must leave unchanged: the
+// engine's cursor, the price feed, and the batch-job ledger.
+type ingestState struct {
+	Steps       int     `json:"steps"`
+	FeedEntries int     `json:"price_feed_entries"`
+	QueuedKWh   float64 `json:"batch_queued_kwh"`
+	ServedKWh   float64 `json:"batch_served_kwh"`
+	ShedKWh     float64 `json:"batch_shed_kwh"`
+}
+
+func readIngestState(t *testing.T, url string) ingestState {
+	t.Helper()
+	var st ingestState
+	if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// checkArrived asserts the engine is at step steps and has taken in
+// exactly kwh of batch work: every arrived kWh is served, shed or still
+// queued, so a job queued twice shows as twice its energy.
+func checkArrived(t *testing.T, url string, steps int, kwh float64) {
+	t.Helper()
+	st := readIngestState(t, url)
+	if arrived := st.ServedKWh + st.ShedKWh + st.QueuedKWh; st.Steps != steps || math.Abs(arrived-kwh) > 1e-9 {
+		t.Fatalf("engine at step %d with %v kWh of batch work arrived (%+v), want step %d with %v kWh",
+			st.Steps, arrived, st, steps, kwh)
+	}
+}
+
+// TestRefusedJSONRowQueuesNoJobs: a JSON demand row the daemon refuses
+// (no prices yet, a wrong column count, a negative rate) answers 4xx and
+// leaves its jobs unqueued, so resending the corrected row queues them
+// exactly once.
+func TestRefusedJSONRowQueuesNoJobs(t *testing.T) {
+	ts, sys := batchServer(t)
+	ns := len(sys.Fleet.States)
+	const kwh = 40
+	jobs := []JobPost{{Cluster: sys.Fleet.Clusters[0].Code, DeadlineSteps: 6, EnergyKWh: kwh}}
+
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 500), Jobs: jobs}, http.StatusConflict)
+	checkArrived(t, ts.URL, 0, 0)
+
+	postJSON(t, ts.URL+"/v1/prices", pricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	negative := flatDemand(ns, 500)
+	negative[3] = -1
+	for _, rates := range [][]float64{flatDemand(ns-1, 500), flatDemand(ns+1, 500), negative} {
+		postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: rates, Jobs: jobs}, http.StatusBadRequest)
+		checkArrived(t, ts.URL, 0, 0)
+	}
+
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 500), Jobs: jobs}, http.StatusOK)
+	checkArrived(t, ts.URL, 1, kwh)
+}
+
+// jobsBatch builds a jobs=1 binary demand batch body.
+func jobsBatch(start time.Time, rows [][]float64, jobs [][]WireJob) *bytes.Buffer {
+	var b bytes.Buffer
+	if err := WriteJobsBatchHeader(&b, start, time.Hour, len(rows), len(rows[0])); err != nil {
+		panic(err)
+	}
+	for i, row := range rows {
+		b.Write(AppendJobs(nil, jobs[i]))
+		b.Write(AppendRow(nil, row))
+	}
+	return &b
+}
+
+// postBatch posts a binary demand batch and returns the status code.
+func postBatch(t *testing.T, url string, body io.Reader) int {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/demand", ContentTypeDemandBatch, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestRefusedBatchRowQueuesNoJobs is the jobs=1 binary batch version:
+// a refused row (no prices yet, a NaN, ±Inf or negative rate) commits
+// neither its rates nor its jobs, rows before it stay committed with
+// theirs, and the corrected row queues its job exactly once.
+func TestRefusedBatchRowQueuesNoJobs(t *testing.T) {
+	ts, sys := batchServer(t)
+	start := sys.Market.Start
+	ns := len(sys.Fleet.States)
+	const kwh = 40
+	job := []WireJob{{Cluster: 0, DeadlineSteps: 6, EnergyKWh: kwh}}
+	good := flatDemand(ns, 500)
+
+	if code := postBatch(t, ts.URL, jobsBatch(start, [][]float64{good}, [][]WireJob{job})); code != http.StatusConflict {
+		t.Fatalf("batch before prices: got %d, want 409", code)
+	}
+	checkArrived(t, ts.URL, 0, 0)
+
+	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	bads := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+	for i, v := range bads {
+		bad := flatDemand(ns, 500)
+		bad[3] = v
+		at := start.Add(time.Duration(i) * time.Hour) // the resume point
+		body := jobsBatch(at, [][]float64{good, bad}, [][]WireJob{job, job})
+		if code := postBatch(t, ts.URL, body); code != http.StatusBadRequest {
+			t.Fatalf("batch with a %v row: got %d, want 400", v, code)
+		}
+		checkArrived(t, ts.URL, i+1, float64(i+1)*kwh)
+	}
+
+	at := start.Add(time.Duration(len(bads)) * time.Hour)
+	if code := postBatch(t, ts.URL, jobsBatch(at, [][]float64{good}, [][]WireJob{job})); code != http.StatusOK {
+		t.Fatalf("corrected batch: got %d, want 200", code)
+	}
+	checkArrived(t, ts.URL, len(bads)+1, float64(len(bads)+1)*kwh)
+}
+
+// padJSON marshals v, then pads it with spaces before its closing brace
+// to exactly n bytes, so a decoder has to read all n to finish the value.
+func padJSON(t *testing.T, v any, n int) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) > n {
+		t.Fatalf("%d-byte body does not fit in %d bytes", len(b), n)
+	}
+	out := append(b[:len(b)-1:len(b)-1], bytes.Repeat([]byte{' '}, n-len(b))...)
+	return append(out, '}')
+}
+
+// TestJSONBodyBound: a JSON price, lease or demand post one byte over
+// MaxJSONBody answers 413 and commits nothing — the engine cursor, the
+// price feed and the lease window stay as they were — while a body of
+// exactly MaxJSONBody bytes, and the largest lease window a coordinator
+// posts, are accepted.
+func TestJSONBodyBound(t *testing.T) {
+	ts, sys := leaseServer(t)
+	start := sys.Market.Start
+	ns := len(sys.Fleet.States)
+	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	before := readIngestState(t, ts.URL)
+
+	prices := pricePost{At: start.Add(time.Hour), Prices: hubPrices(sys, 40)}
+	lease := LeasePost{From: 0, Gates: []bool{true}}
+	demand := DemandPost{At: start, Rates: flatDemand(ns, 500)}
+	for _, c := range []struct {
+		path string
+		post any
+	}{{"/v1/prices", prices}, {"/v1/leases", lease}, {"/v1/demand", demand}} {
+		out := postRaw(t, ts.URL+c.path, padJSON(t, c.post, MaxJSONBody+1), http.StatusRequestEntityTooLarge)
+		if !strings.Contains(string(out), "exceeds") {
+			t.Errorf("POST %s over the bound: %s", c.path, out)
+		}
+		if got := readIngestState(t, ts.URL); got != before {
+			t.Fatalf("POST %s over the bound changed the daemon: %+v, was %+v", c.path, got, before)
+		}
+	}
+	// The lease window is still empty: demand cannot route yet.
+	if out := postJSON(t, ts.URL+"/v1/demand", demand, http.StatusBadRequest); !strings.Contains(string(out), "no burst-token lease") {
+		t.Fatalf("demand after the refused lease post: %s", out)
+	}
+
+	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 0, Gates: make([]bool, maxBatchRows)}, http.StatusOK)
+	postRaw(t, ts.URL+"/v1/prices", padJSON(t, prices, MaxJSONBody), http.StatusOK)
+	postRaw(t, ts.URL+"/v1/demand", padJSON(t, demand, MaxJSONBody), http.StatusOK)
+	if got := readIngestState(t, ts.URL); got.Steps != 1 || got.FeedEntries <= before.FeedEntries {
+		t.Fatalf("bodies at the bound did not commit: %+v, was %+v", got, before)
+	}
+}

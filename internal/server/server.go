@@ -28,6 +28,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -167,6 +168,22 @@ func (s *Server) batchError(w http.ResponseWriter, code, routed int, format stri
 	})
 }
 
+// DecodeJSONBody decodes a JSON ingest body into v, reading at most
+// MaxJSONBody bytes. On failure it returns the status to answer: 413
+// when the body runs past the bound, 400 when it does not decode.
+// Exported for the shard coordinator, whose JSON ingest shares the bound.
+func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(MaxJSONBody))).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
+	}
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -191,8 +208,8 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post pricePost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding price post: %v", err)
+	if code, err := DecodeJSONBody(w, r, &post); err != nil {
+		httpError(w, code, "decoding price post: %v", err)
 		return
 	}
 	if post.At.IsZero() {
@@ -263,8 +280,8 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post LeasePost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding lease post: %v", err)
+	if code, err := DecodeJSONBody(w, r, &post); err != nil {
+		httpError(w, code, "decoding lease post: %v", err)
 		return
 	}
 	// Window-shape violations (gaps, rewinds) are ordering conflicts with
@@ -297,6 +314,7 @@ func (s *Server) pruneLeases() {
 // defaults to the engine's next expected interval. Jobs optionally
 // attaches deferrable batch jobs arriving with the interval; they queue
 // before the interval routes, so a job may start executing immediately.
+// A row the daemon refuses queues none of its jobs.
 type DemandPost struct {
 	At    time.Time `json:"at"`
 	Rates []float64 `json:"rates"`
@@ -328,10 +346,11 @@ func (j JobPost) Job(c, base int) sched.Job {
 	}
 }
 
-// queueJobs converts and enqueues one row's jobs under the engine lock.
+// postedJobs converts one row's posted jobs into s.jobBuf for the
+// interval the engine routes next; routeOne queues them.
 //
 //lint:held mu callers lock s.mu for the posting interval
-func (s *Server) queueJobs(jobs []JobPost) error {
+func (s *Server) postedJobs(jobs []JobPost) error {
 	s.jobBuf = s.jobBuf[:0]
 	base := s.eng.StepsRun()
 	for i, j := range jobs {
@@ -341,7 +360,7 @@ func (s *Server) queueJobs(jobs []JobPost) error {
 		}
 		s.jobBuf = append(s.jobBuf, j.Job(c, base))
 	}
-	return s.eng.QueueJobs(s.jobBuf)
+	return nil
 }
 
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
@@ -350,8 +369,8 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post DemandPost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding demand post: %v", err)
+	if code, err := DecodeJSONBody(w, r, &post); err != nil {
+		httpError(w, code, "decoding demand post: %v", err)
 		return
 	}
 	if oldest, ok := s.routeJSON(w, post); ok {
@@ -373,13 +392,11 @@ func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.
 		httpError(w, http.StatusConflict, "demand at %v, engine expects %v", at, s.eng.Next())
 		return time.Time{}, false
 	}
-	if len(post.Jobs) > 0 {
-		if err := s.queueJobs(post.Jobs); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return time.Time{}, false
-		}
+	if err := s.postedJobs(post.Jobs); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return time.Time{}, false
 	}
-	if code, err := s.routeOne(at, post.Rates); err != nil {
+	if code, err := s.routeOne(at, post.Rates, s.jobBuf); err != nil {
 		httpError(w, code, "%v", err)
 		return time.Time{}, false
 	}
@@ -395,17 +412,31 @@ func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.
 	return s.eng.Next().Add(-s.delay), true
 }
 
-// routeOne advances the engine one interval at `at` using the freshest
-// published prices (decision prices lagged by the reaction delay). Both
-// lookups resolve against one atomically-loaded view, so a concurrent
-// price commit can never tear an interval's bill/decision pair.
+// routeOne queues the interval's jobs, then advances the engine one
+// interval at `at` using the freshest published prices (decision prices
+// lagged by the reaction delay). Both lookups resolve against one
+// atomically-loaded view, so a concurrent price commit can never tear an
+// interval's bill/decision pair. The jobs queue only after the row
+// passes the checks Step would refuse it on, so a refused row commits
+// none of them and a client can resend it corrected.
 //
 //lint:held mu callers lock s.mu around each routed interval
-func (s *Server) routeOne(at time.Time, rates []float64) (int, error) {
+func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job) (int, error) {
 	v := s.feed.current()
 	bill := v.lookup(at)
 	if bill == nil {
 		return http.StatusConflict, fmt.Errorf("server: no prices ingested yet")
+	}
+	if len(jobs) > 0 {
+		if len(rates) != len(s.fleet.States) {
+			return http.StatusBadRequest, fmt.Errorf("server: %d rates for %d states", len(rates), len(s.fleet.States))
+		}
+		if err := sim.CheckDemand(rates); err != nil {
+			return http.StatusBadRequest, err
+		}
+		if err := s.eng.QueueJobs(jobs); err != nil {
+			return http.StatusBadRequest, err
+		}
 	}
 	decision := v.lookup(at.Add(-s.delay))
 	if err := s.eng.Step(at, sim.StepPrices{Decision: decision, Bill: bill}, rates); err != nil {
@@ -439,9 +470,10 @@ func (s *Server) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
 // routeBatchJobs routes a jobs=1 demand batch: each row is a uint32 job
 // count, that many fixed-size job records, then the rate columns. Rows
 // are variable-length, so this path reads per row instead of chunking;
-// the plain routeBatch fast path is untouched for job-free replays. Jobs
-// queue before their row routes (matching the JSON path), so a mid-batch
-// failure leaves rows < routed committed along with their jobs.
+// the plain routeBatch fast path is untouched for job-free replays. A
+// row's jobs queue with the row (routeOne, as on the JSON path), so a
+// mid-batch failure leaves rows < routed committed along with their jobs
+// and the refused row commits neither.
 func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,16 +499,10 @@ func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *Batc
 			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
 			return time.Time{}, false
 		}
-		if len(s.wireJobs) > 0 {
-			s.jobBuf = s.jobBuf[:0]
-			base := s.eng.StepsRun()
-			for _, wj := range s.wireJobs {
-				s.jobBuf = append(s.jobBuf, wj.Job(base))
-			}
-			if err := s.eng.QueueJobs(s.jobBuf); err != nil {
-				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
-				return time.Time{}, false
-			}
+		s.jobBuf = s.jobBuf[:0]
+		base := s.eng.StepsRun()
+		for _, wj := range s.wireJobs {
+			s.jobBuf = append(s.jobBuf, wj.Job(base))
 		}
 		b := s.byteBuf[:rowBytes]
 		if _, err := io.ReadFull(br, b); err != nil {
@@ -488,7 +514,7 @@ func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *Batc
 			return time.Time{}, false
 		}
 		at := h.Start.Add(time.Duration(routed) * h.Step)
-		if code, rerr := s.routeOne(at, s.rowBuf); rerr != nil {
+		if code, rerr := s.routeOne(at, s.rowBuf, s.jobBuf); rerr != nil {
 			s.batchError(w, code, routed, "demand row %d: %v", routed, rerr)
 			return time.Time{}, false
 		}
@@ -541,7 +567,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHea
 				return time.Time{}, false
 			}
 			at := h.Start.Add(time.Duration(routed) * h.Step)
-			if code, rerr := s.routeOne(at, s.rowBuf); rerr != nil {
+			if code, rerr := s.routeOne(at, s.rowBuf, nil); rerr != nil {
 				s.batchError(w, code, routed, "demand row %d: %v", routed, rerr)
 				return time.Time{}, false
 			}

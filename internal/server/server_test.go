@@ -35,13 +35,14 @@ func testWorld(t testing.TB) *core.System {
 	return sys
 }
 
-func testEngine(t testing.TB, sys *core.System) *sim.Engine {
+// testScenario is the hourly test world under the 1500 km optimizer.
+func testScenario(t testing.TB, sys *core.System) sim.Scenario {
 	t.Helper()
 	opt, err := routing.NewPriceOptimizer(sys.Fleet, 1500, routing.DefaultPriceThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.NewEngine(sim.Scenario{
+	return sim.Scenario{
 		Fleet:         sys.Fleet,
 		Policy:        opt,
 		Energy:        energy.OptimisticFuture,
@@ -51,7 +52,12 @@ func testEngine(t testing.TB, sys *core.System) *sim.Engine {
 		Steps:         sys.Market.Hours,
 		Step:          time.Hour,
 		ReactionDelay: sim.DefaultReactionDelay,
-	})
+	}
+}
+
+func testEngine(t testing.TB, sys *core.System) *sim.Engine {
+	t.Helper()
+	eng, err := sim.NewEngine(testScenario(t, sys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +84,13 @@ func postJSON(t *testing.T, url string, v any, wantCode int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, body, wantCode)
+}
+
+// postRaw posts body as JSON and returns the response body, failing
+// unless the status is wantCode.
+func postRaw(t *testing.T, url string, body []byte, wantCode int) []byte {
+	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -522,28 +535,15 @@ func TestBatchHeaderRequiresStart(t *testing.T) {
 func leaseServer(t *testing.T) (*httptest.Server, *core.System) {
 	t.Helper()
 	sys := testWorld(t)
-	opt, err := routing.NewPriceOptimizer(sys.Fleet, 1500, routing.DefaultPriceThreshold)
-	if err != nil {
-		t.Fatal(err)
-	}
 	caps, err := sim.FractionalCaps(sys.Fleet, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := &sim.LeaseStore{}
-	eng, err := sim.NewEngine(sim.Scenario{
-		Fleet:         sys.Fleet,
-		Policy:        opt,
-		Energy:        energy.OptimisticFuture,
-		Market:        sys.Market,
-		Demand:        sys.LongRun,
-		Start:         sys.Market.Start,
-		Steps:         sys.Market.Hours,
-		Step:          time.Hour,
-		ReactionDelay: sim.DefaultReactionDelay,
-		SoftCaps:      caps,
-		BurstGate:     store,
-	})
+	sc := testScenario(t, sys)
+	sc.SoftCaps = caps
+	sc.BurstGate = store
+	eng, err := sim.NewEngine(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,6 +259,20 @@ func TestHourOfWeek(t *testing.T) {
 	if HourOfWeek(time.Date(2006, 1, 2, 5, 0, 0, 0, time.UTC)) != 29 {
 		t.Error("Monday 5am should be hour 29")
 	}
+	// The Unix-time arithmetic agrees with the calendar on every 17th
+	// minute from 1960 to 2040, before and after the epoch, whatever zone
+	// the instant is expressed in.
+	zones := []*time.Location{time.UTC, time.FixedZone("UTC-7", -7*3600), time.FixedZone("UTC+5:30", 5*3600+1800)}
+	end := time.Date(2040, 1, 1, 0, 0, 0, 0, time.UTC)
+	for at := time.Date(1960, 1, 1, 0, 0, 0, 0, time.UTC); at.Before(end); at = at.Add(17 * time.Minute) {
+		u := at.UTC()
+		want := int(u.Weekday())*24 + u.Hour()
+		for _, z := range zones {
+			if got := HourOfWeek(at.In(z)); got != want {
+				t.Fatalf("HourOfWeek(%v) = %d, want %d", at.In(z), got, want)
+			}
+		}
+	}
 }
 
 func TestMustGeneratePanics(t *testing.T) {
