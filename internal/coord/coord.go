@@ -370,9 +370,21 @@ func (co *Coordinator) fanOut(ctx context.Context, path, contentType string, bod
 
 // handlePrices forwards the price post — JSON or binary batch — verbatim
 // to every shard. Each shard overlays the hubs it hosts and ignores the
-// rest, so no column surgery is needed on the price path.
+// rest, so no column surgery is needed on the price path. A JSON body
+// gets the shards' own bound (server.MaxJSONBody), so one they would
+// refuse is answered 413 here before any shard sees it; a binary batch
+// may run to 1 GiB.
 func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
+	limit := int64(server.MaxJSONBody)
+	if r.Header.Get("Content-Type") == server.ContentTypePricesBatch {
+		limit = 1 << 30
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "reading price post: body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading price post: %v", err)
 		return
@@ -542,6 +554,14 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
+		// Size the body once, before the row loop: each row carries 8
+		// bytes per owned state, plus a job block of at least its 4-byte
+		// count on a jobs=1 batch.
+		rowBytes := 8 * len(sh.states)
+		if h.Jobs {
+			rowBytes += 4
+		}
+		bufs[i].Grow(h.Rows * rowBytes)
 		subRows[i] = make([]float64, len(sh.states))
 	}
 	row := make([]float64, ns)

@@ -779,3 +779,49 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 		t.Fatalf("good row: %d lease and %d demand posts, want %d each", tr.count("/v1/leases"), tr.count("/v1/demand"), len(urls))
 	}
 }
+
+// TestCoordinatorBoundsJSONPrices: a JSON price post one byte over
+// server.MaxJSONBody answers 413 before any shard sees a /v1/prices
+// request — forwarded, every shard would refuse it and the client would
+// see a 502 — while a body of exactly the bound reaches every shard, and
+// each takes it.
+func TestCoordinatorBoundsJSONPrices(t *testing.T) {
+	sys, sc := testWorld(t)
+	urls := newShards(t, sc)
+	tr := &countingTransport{paths: map[string]int{}}
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+
+	prices := map[string]float64{}
+	for _, h := range sys.Market.Hubs() {
+		prices[h.ID] = 30
+	}
+	post := map[string]any{"at": sc.Start, "prices": prices}
+	out := postBody(t, ts.URL+"/v1/prices", "application/json", padJSON(t, post, server.MaxJSONBody+1), http.StatusRequestEntityTooLarge)
+	if !strings.Contains(string(out), "exceeds") {
+		t.Errorf("price post over the bound: %s", out)
+	}
+	if n := tr.count("/v1/prices"); n != 0 {
+		t.Fatalf("price post over the bound sent %d requests to shard /v1/prices", n)
+	}
+
+	postBody(t, ts.URL+"/v1/prices", "application/json", padJSON(t, post, server.MaxJSONBody), http.StatusOK)
+	if n := tr.count("/v1/prices"); n != len(urls) {
+		t.Fatalf("price post at the bound sent %d shard requests, want %d", n, len(urls))
+	}
+	for _, url := range urls {
+		var status struct {
+			FeedEntries int `json:"price_feed_entries"`
+		}
+		if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.FeedEntries != 1 {
+			t.Fatalf("shard %s holds %d feed entries after the post at the bound, want 1", url, status.FeedEntries)
+		}
+	}
+}

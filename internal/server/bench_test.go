@@ -130,3 +130,61 @@ func mustFinalizeSteps(b *testing.B, srv *Server) int {
 	}
 	return res.Steps
 }
+
+// BenchmarkPriceFeed times one replay chunk's price-feed work on the
+// shared 39-month world, as the daemon does it beside routing: the
+// ingestBatch of a 2048-row, 29-hub prices batch, the chunk's 2 × 2048
+// lookups (bill at t, decision at t − 1 h, both resolving into the
+// batch just committed), and the prune after the chunk. Successive
+// iterations walk the horizon chunk by chunk, starting over from an
+// empty feed when they wrap.
+func BenchmarkPriceFeed(b *testing.B) {
+	const batch = 2048
+	env, err := experiments.SharedEnv()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := env.System
+	hubs := sys.Market.Hubs()
+	hubIDs := make([]string, len(hubs))
+	cols := len(hubs)
+	steps := sys.Market.Hours
+	flat := make([]float64, steps*cols)
+	for j, h := range hubs {
+		hubIDs[j] = h.ID
+		rt, err := sys.Market.RT(h.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < steps; i++ {
+			flat[i*cols+j] = rt.Values[i]
+		}
+	}
+	hubClusters := make(map[string][]int)
+	for c, cl := range sys.Fleet.Clusters {
+		hubClusters[cl.HubID] = append(hubClusters[cl.HubID], c)
+	}
+	f := newPriceFeed(sys.Fleet, hubClusters)
+	chunks := (steps + batch - 1) / batch
+	k := 0
+	for b.Loop() {
+		if k == chunks {
+			f.reset()
+			k = 0
+		}
+		off := k * batch
+		h := &BatchHeader{Kind: "prices", Start: sys.Market.Start.Add(time.Duration(off) * time.Hour),
+			Step: time.Hour, Rows: min(batch, steps-off), Cols: cols, Hubs: hubIDs}
+		if _, _, err := f.ingestBatch(h, flat[off*cols:(off+h.Rows)*cols]); err != nil {
+			b.Fatal(err)
+		}
+		v := f.current()
+		for i := 0; i < h.Rows; i++ {
+			at := h.Start.Add(time.Duration(i) * time.Hour)
+			v.lookup(at)
+			v.lookup(at.Add(-time.Hour))
+		}
+		f.prune(h.Start.Add(time.Duration(h.Rows-1) * time.Hour))
+		k++
+	}
+}

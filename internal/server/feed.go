@@ -14,10 +14,10 @@ import (
 	"powerroute/internal/sched"
 )
 
-// The daemon's price store lives in shardfeed.go: per-hub feedShards plus
-// atomically published consolidated priceViews. This file holds the
-// binary batch wire format shared with the load generator and the shard
-// coordinator.
+// The daemon's price store lives in pricefeed.go: one flat history of
+// per-cluster rows keyed by int64 instants, published as immutable
+// priceViews. This file holds the binary batch wire format shared with
+// the load generator and the shard coordinator.
 
 // Binary batch bodies: the high-throughput ingest path the trace-replay
 // load generator uses. A batch is one text header line followed by
@@ -140,6 +140,14 @@ func ParseBatchHeader(r *bufio.Reader) (*BatchHeader, error) {
 	}
 	if h.Step <= 0 {
 		return nil, fmt.Errorf("server: non-positive batch step %v", h.Step)
+	}
+	// Every row's instant, start + i·step, must fit in int64 nanoseconds:
+	// the price feed stores that unit, and a wrapped instant would break
+	// chronology partway through a batch. MaxInt64 − start is exact as a
+	// uint64 even for negative starts.
+	if span := uint64(h.Rows - 1); span > 0 && uint64(h.Step) > (math.MaxInt64-uint64(h.Start.UnixNano()))/span {
+		return nil, fmt.Errorf("server: batch of %d rows at step %v from %v runs past %v",
+			h.Rows, h.Step, h.Start, maxFeedInstant)
 	}
 	if h.Kind == "demand" && h.Hubs != nil {
 		return nil, errors.New("server: demand batch must not name hubs")

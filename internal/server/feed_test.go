@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/big"
 	"net/http"
 	"strings"
 	"testing"
@@ -174,8 +175,9 @@ func TestParseBatchHeaderRejectsBadHubs(t *testing.T) {
 // FuzzParseBatchHeader hammers the batch header parser with arbitrary
 // header lines: it must never panic, and anything it accepts must satisfy
 // the documented invariants (known kind, positive dimensions under the
-// row cap, positive step, non-zero start, and — for prices — exactly cols
-// unique non-empty hub names).
+// row cap, positive step, non-zero start, a last row instant that fits
+// in int64 nanoseconds, and — for prices — exactly cols unique non-empty
+// hub names).
 func FuzzParseBatchHeader(f *testing.F) {
 	start := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 	f.Add(fmt.Sprintf("%s kind=demand start=%d step=%d rows=4 cols=9\n", batchMagic, start.UnixNano(), int64(time.Hour)))
@@ -189,6 +191,11 @@ func FuzzParseBatchHeader(f *testing.F) {
 	f.Add(batchMagic + " kind=prices start=1 step=1 rows=1 cols=1 hubs=A kind=demand\n")
 	f.Add("not a batch\n")
 	f.Add("")
+	// 110,000 daily rows from 2006 run past 2262; the largest fitting
+	// span is accepted, from a negative start too.
+	f.Add(fmt.Sprintf("%s kind=prices start=%d step=%d rows=110000 cols=1 hubs=A\n", batchMagic, start.UnixNano(), int64(24*time.Hour)))
+	f.Add(fmt.Sprintf("%s kind=demand start=1 step=%d rows=3 cols=1\n", batchMagic, int64(math.MaxInt64/2)))
+	f.Add(fmt.Sprintf("%s kind=demand start=%d step=%d rows=2 cols=1\n", batchMagic, int64(math.MinInt64), int64(math.MaxInt64)))
 
 	f.Fuzz(func(t *testing.T, line string) {
 		h, err := ParseBatchHeader(bufio.NewReader(strings.NewReader(line)))
@@ -206,6 +213,10 @@ func FuzzParseBatchHeader(f *testing.F) {
 		}
 		if h.Start.IsZero() {
 			t.Fatal("accepted zero start")
+		}
+		last := new(big.Int).Mul(big.NewInt(int64(h.Rows-1)), big.NewInt(int64(h.Step)))
+		if last.Add(last, big.NewInt(h.Start.UnixNano())); !last.IsInt64() {
+			t.Fatalf("accepted last instant %v ns past int64 (%d rows at %v from %v)", last, h.Rows, h.Step, h.Start)
 		}
 		if h.Kind == "prices" {
 			if len(h.Hubs) != h.Cols {

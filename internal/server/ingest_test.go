@@ -212,3 +212,58 @@ func TestJSONBodyBound(t *testing.T) {
 		t.Fatalf("bodies at the bound did not commit: %+v, was %+v", got, before)
 	}
 }
+
+// TestPriceInstantRange: the feed keys entries by int64 Unix
+// nanoseconds, so instants outside that range are refused at the wire.
+// A prices batch of 110,000 daily rows from the engine's start would
+// reach 2307, past the range, and its row instants would wrap: it
+// answers 400 and records nothing, not even unpublished rows that a
+// later post would have to follow. A JSON post at the start then commits
+// as the feed's first entry, and a JSON "at" outside the range answers
+// 400.
+func TestPriceInstantRange(t *testing.T) {
+	srv, ts, sys := testServer(t)
+	start := srv.eng.Start()
+	prices := hubPrices(sys, 30)
+	hubIDs := make([]string, 0, len(prices))
+	row := make([]float64, 0, len(prices))
+	for hub, p := range prices {
+		hubIDs = append(hubIDs, hub)
+		row = append(row, p)
+	}
+	const rows = 110000
+	var b bytes.Buffer
+	if err := WriteBatchHeader(&b, "prices", start, 24*time.Hour, rows, len(hubIDs), hubIDs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		b.Write(AppendRow(nil, row))
+	}
+	// In-process, so the early refusal cannot race the body upload.
+	req := httptest.NewRequest(http.MethodPost, "/v1/prices", &b)
+	req.Header.Set("Content-Type", ContentTypePricesBatch)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("batch past the int64-nanosecond range: got %d want 400: %s", rec.Code, rec.Body)
+	}
+	var out struct {
+		FeedEntries int `json:"feed_entries"`
+	}
+	if err := json.Unmarshal(postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: prices}, http.StatusOK), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.FeedEntries != 1 {
+		t.Fatalf("post at the start after the refused batch: feed_entries %d, want 1", out.FeedEntries)
+	}
+
+	for _, at := range []time.Time{
+		time.Date(1677, 9, 21, 0, 0, 0, 0, time.UTC),
+		time.Date(2262, 4, 12, 0, 0, 0, 0, time.UTC),
+	} {
+		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: prices}, http.StatusBadRequest)
+	}
+	if got := srv.feed.entries(); got != 1 {
+		t.Fatalf("refused out-of-range posts left %d feed entries, want 1", got)
+	}
+}

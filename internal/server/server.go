@@ -17,12 +17,14 @@
 //
 // Handlers are safe for concurrent use. Engine access is serialized
 // behind one mutex, but price ingestion never takes it: the price store
-// is sharded per hub and publishes immutable consolidated views through
-// an atomic pointer (see shardfeed.go), so POST /v1/prices and POST
-// /v1/demand run concurrently without contending — the demand path reads
-// prices from whatever view is current when a row routes. The binary
-// batch bodies (see feed.go) are the high-throughput path: a batch
-// acquires its lock once and routes thousands of intervals per request.
+// keeps one flat history of per-cluster rows keyed by int64 instants and
+// publishes immutable views of it through an atomic pointer (see
+// pricefeed.go), so POST /v1/prices and POST /v1/demand run concurrently
+// without contending — the demand path reads prices from whatever view is
+// current when a row routes, finding a step-aligned feed's covering row
+// by arithmetic checked against the stored instants. The binary batch
+// bodies (see feed.go) are the high-throughput path: a batch acquires its
+// lock once and routes thousands of intervals per request.
 package server
 
 import (
@@ -67,7 +69,7 @@ type Server struct {
 	delay time.Duration
 
 	hubClusters map[string][]int
-	feed        *shardedFeed    // locks itself: commitMu for writers, atomic view for readers
+	feed        *priceFeed      // locks itself: commitMu for writers, atomic view for readers
 	leases      *sim.LeaseStore // locks itself; nil unless this daemon brokers burst-token leases
 
 	// scratch buffers for the demand path.
@@ -105,7 +107,7 @@ func New(cfg Config) (*Server, error) {
 		s.hubClusters[cl.HubID] = append(s.hubClusters[cl.HubID], c)
 		s.clusterIdx[cl.Code] = c
 	}
-	s.feed = newShardedFeed(fleet, s.hubClusters)
+	s.feed = newPriceFeed(fleet, s.hubClusters)
 	return s, nil
 }
 
@@ -216,12 +218,17 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "price post missing \"at\"")
 		return
 	}
+	if post.At.Before(minFeedInstant) || post.At.After(maxFeedInstant) {
+		httpError(w, http.StatusBadRequest, "price post \"at\" %v is outside %v to %v",
+			post.At.UTC(), minFeedInstant, maxFeedInstant)
+		return
+	}
 	if len(post.Prices) == 0 {
 		httpError(w, http.StatusBadRequest, "price post missing \"prices\"")
 		return
 	}
-	// Price ingestion never touches the engine lock: the sharded feed
-	// validates, records, and publishes under its own commit lock.
+	// Price ingestion never touches the engine lock: the feed validates,
+	// records, and publishes under its own commit lock.
 	ignored, entries, code, err := s.feed.ingest(post.At.UTC(), post.Prices)
 	if err != nil {
 		httpError(w, code, "%v", err)
