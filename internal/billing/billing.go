@@ -95,106 +95,29 @@ func (m *Meter) Peak() float64 {
 	return peak
 }
 
-// BurstAccount is the budget half of a 95/5 constraint: it answers
-// whether the next over-cap interval is still within the 5% grace and
-// records the ones that happen. Splitting it from the cap meter lets the
-// same Constraint run against different budget backings — LocalAccount
-// reproduces the classic engine-local arithmetic bit for bit, while a
-// coordinated fleet can meter the same budget under brokered leases (the
-// gate decision arrives via sim.BurstGate; the per-cluster budget itself
-// is intrinsically local, so the account stays exact either way).
-type BurstAccount interface {
-	// CanBurst reports whether an over-cap interval is still permitted.
-	CanBurst() bool
-	// Consume records one over-cap interval, failing when the budget is
-	// exhausted. rate and cap are for the error message only.
-	Consume(rate, cap float64) error
-	// BurstsUsed returns the number of over-cap intervals consumed.
-	BurstsUsed() int
-	// TotalBudget returns the account's full allowance.
-	TotalBudget() int
-	// RestoreBurstsUsed rewinds the account to a checkpointed consumption
-	// count, failing when the count is outside the budget.
-	RestoreBurstsUsed(used int) error
+// Constraint enforces a per-cluster 95/5 cap over a known number of
+// intervals: the cluster may exceed Cap during at most 5% of intervals
+// (its burst budget); once the budget is spent the cap is hard.
+//
+// ckpt:state State,RestoreState
+type Constraint struct {
+	Cap          float64 // baseline billable rate (p95)
+	totalBudget  int     // over-cap intervals the run may spend
+	burstsUsed   int
+	intervalsRun int
 }
 
-// LocalAccount is the engine-local BurstAccount: a fixed allowance of
-// totalIntervals/20 − 1 over-cap intervals, decremented as they happen.
-// This is byte-identical to the pre-lease Constraint behavior.
-type LocalAccount struct {
-	budget      int // remaining over-cap intervals
-	totalBudget int
-	burstsUsed  int
-}
-
-// NewLocalAccount builds the classic local burst budget for a run of
-// totalIntervals intervals.
-func NewLocalAccount(totalIntervals int) (*LocalAccount, error) {
+// NewConstraint builds a constraint for a run of totalIntervals intervals.
+func NewConstraint(cap float64, totalIntervals int) (*Constraint, error) {
+	if cap < 0 {
+		return nil, errors.New("billing: negative cap")
+	}
 	if totalIntervals <= 0 {
 		return nil, errors.New("billing: non-positive interval count")
 	}
 	// One fewer than 5% of intervals: with exactly 5% above the cap, an
 	// interpolated 95th percentile would land marginally above it.
-	budget := totalIntervals/20 - 1
-	if budget < 0 {
-		budget = 0
-	}
-	return &LocalAccount{budget: budget, totalBudget: budget}, nil
-}
-
-// CanBurst reports whether an over-cap interval is still permitted.
-func (a *LocalAccount) CanBurst() bool { return a.budget > 0 }
-
-// Consume spends one burst from the local budget.
-func (a *LocalAccount) Consume(rate, cap float64) error {
-	if a.budget <= 0 {
-		return fmt.Errorf("billing: over-cap interval (%.1f > %.1f) with no burst budget", rate, cap)
-	}
-	a.budget--
-	a.burstsUsed++
-	return nil
-}
-
-// BurstsUsed returns the number of over-cap intervals consumed.
-func (a *LocalAccount) BurstsUsed() int { return a.burstsUsed }
-
-// TotalBudget returns the account's full allowance.
-func (a *LocalAccount) TotalBudget() int { return a.totalBudget }
-
-// RestoreBurstsUsed rewinds the account to a checkpointed count.
-func (a *LocalAccount) RestoreBurstsUsed(used int) error {
-	if used < 0 || used > a.totalBudget {
-		return fmt.Errorf("billing: restored bursts used %d outside budget %d", used, a.totalBudget)
-	}
-	a.budget = a.totalBudget - used
-	a.burstsUsed = used
-	return nil
-}
-
-// Constraint enforces a per-cluster 95/5 cap over a known number of
-// intervals: the cluster may exceed Cap during at most 5% of intervals
-// (its burst budget); once the budget is spent the cap is hard. The cap
-// comparison (the pure meter) lives here; the budget arithmetic is
-// delegated to a BurstAccount.
-//
-// ckpt:state State,RestoreState
-type Constraint struct {
-	Cap          float64      // baseline billable rate (p95)
-	account      BurstAccount // the budget backing; LocalAccount by default
-	intervalsRun int
-}
-
-// NewConstraint builds a constraint for a run of totalIntervals intervals,
-// backed by the classic engine-local budget.
-func NewConstraint(cap float64, totalIntervals int) (*Constraint, error) {
-	if cap < 0 {
-		return nil, errors.New("billing: negative cap")
-	}
-	account, err := NewLocalAccount(totalIntervals)
-	if err != nil {
-		return nil, err
-	}
-	return &Constraint{Cap: cap, account: account}, nil
+	return &Constraint{Cap: cap, totalBudget: max(totalIntervals/20-1, 0)}, nil
 }
 
 // Over reports whether rate exceeds the cap beyond the billing epsilon —
@@ -203,7 +126,7 @@ func NewConstraint(cap float64, totalIntervals int) (*Constraint, error) {
 func (c *Constraint) Over(rate float64) bool { return rate > c.Cap+1e-9 }
 
 // CanBurst reports whether an over-cap interval is still permitted.
-func (c *Constraint) CanBurst() bool { return c.account.CanBurst() }
+func (c *Constraint) CanBurst() bool { return c.burstsUsed < c.totalBudget }
 
 // Limit returns the enforceable rate limit for the next interval given a
 // physical capacity: capacity when a burst is available, min(cap, capacity)
@@ -226,11 +149,15 @@ func (c *Constraint) Commit(rate float64) error {
 	if !c.Over(rate) {
 		return nil
 	}
-	return c.account.Consume(rate, c.Cap)
+	if !c.CanBurst() {
+		return fmt.Errorf("billing: over-cap interval (%.1f > %.1f) with no burst budget", rate, c.Cap)
+	}
+	c.burstsUsed++
+	return nil
 }
 
 // BurstsUsed returns the number of over-cap intervals consumed.
-func (c *Constraint) BurstsUsed() int { return c.account.BurstsUsed() }
+func (c *Constraint) BurstsUsed() int { return c.burstsUsed }
 
 // IntervalsRun returns the number of committed intervals.
 func (c *Constraint) IntervalsRun() int { return c.intervalsRun }
@@ -238,8 +165,8 @@ func (c *Constraint) IntervalsRun() int { return c.intervalsRun }
 // Verify checks the 95/5 invariant after a run: over-cap intervals must not
 // exceed the 5% budget, i.e. the realized p95 did not rise above the cap.
 func (c *Constraint) Verify() error {
-	if used, budget := c.account.BurstsUsed(), c.account.TotalBudget(); used > budget {
-		return fmt.Errorf("billing: %d bursts used, budget %d", used, budget)
+	if c.burstsUsed > c.totalBudget {
+		return fmt.Errorf("billing: %d bursts used, budget %d", c.burstsUsed, c.totalBudget)
 	}
 	return nil
 }
@@ -261,8 +188,8 @@ type ConstraintState struct {
 func (c *Constraint) State() ConstraintState {
 	return ConstraintState{
 		Cap:          c.Cap,
-		TotalBudget:  c.account.TotalBudget(),
-		BurstsUsed:   c.account.BurstsUsed(),
+		TotalBudget:  c.totalBudget,
+		BurstsUsed:   c.burstsUsed,
 		IntervalsRun: c.intervalsRun,
 	}
 }
@@ -275,8 +202,8 @@ func (c *Constraint) RestoreState(s ConstraintState) error {
 	if s.Cap != c.Cap {
 		return fmt.Errorf("billing: restored cap %v, constraint built with %v", s.Cap, c.Cap)
 	}
-	if s.TotalBudget != c.account.TotalBudget() {
-		return fmt.Errorf("billing: restored burst budget %d, constraint built with %d", s.TotalBudget, c.account.TotalBudget())
+	if s.TotalBudget != c.totalBudget {
+		return fmt.Errorf("billing: restored burst budget %d, constraint built with %d", s.TotalBudget, c.totalBudget)
 	}
 	if s.BurstsUsed < 0 || s.BurstsUsed > s.TotalBudget {
 		return fmt.Errorf("billing: restored bursts used %d outside budget %d", s.BurstsUsed, s.TotalBudget)
@@ -284,9 +211,7 @@ func (c *Constraint) RestoreState(s ConstraintState) error {
 	if s.IntervalsRun < s.BurstsUsed {
 		return fmt.Errorf("billing: restored %d intervals with %d bursts used", s.IntervalsRun, s.BurstsUsed)
 	}
-	if err := c.account.RestoreBurstsUsed(s.BurstsUsed); err != nil {
-		return err
-	}
+	c.burstsUsed = s.BurstsUsed
 	c.intervalsRun = s.IntervalsRun
 	return nil
 }
@@ -296,8 +221,8 @@ func (c *Constraint) RestoreState(s ConstraintState) error {
 // gate opens for a cluster that still has budget; it is used when the
 // cluster actually commits an over-cap interval that step, and expired —
 // reclaimed by the broker at the step boundary — when it does not. The
-// ledger is pure bookkeeping: it never blocks a burst (the BurstAccount
-// does that), it only records how the brokered budget moved, so
+// ledger is pure bookkeeping: it never blocks a burst (the Constraint's
+// budget does that), it only records how the brokered budget moved, so
 // granted == used + expired holds at every step boundary.
 //
 // ckpt:state State,RestoreState

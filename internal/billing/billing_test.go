@@ -401,59 +401,62 @@ func TestDemandMeterStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLocalAccountBudget pins the classic 5% budget arithmetic behind the
-// BurstAccount interface: totalIntervals/20 − 1 bursts, hard floor at 0.
-func TestLocalAccountBudget(t *testing.T) {
-	if _, err := NewLocalAccount(0); err == nil {
-		t.Fatal("zero-interval account accepted")
+// TestConstraintBurstBudget pins the classic 5% budget arithmetic:
+// totalIntervals/20 − 1 bursts, hard floor at 0, and restore bounds.
+func TestConstraintBurstBudget(t *testing.T) {
+	if _, err := NewConstraint(1, 0); err == nil {
+		t.Fatal("zero-interval constraint accepted")
 	}
-	tiny, err := NewLocalAccount(10)
+	tiny, err := NewConstraint(1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tiny.TotalBudget() != 0 || tiny.CanBurst() {
-		t.Fatalf("10-interval account: budget %d, CanBurst %v", tiny.TotalBudget(), tiny.CanBurst())
+	if got := tiny.State().TotalBudget; got != 0 || tiny.CanBurst() {
+		t.Fatalf("10-interval constraint: budget %d, CanBurst %v", got, tiny.CanBurst())
 	}
-	if err := tiny.Consume(5, 1); err == nil {
-		t.Fatal("empty budget consumed")
+	if err := tiny.Commit(5); err == nil {
+		t.Fatal("over-cap interval committed with an empty budget")
 	}
 
-	a, err := NewLocalAccount(200)
+	c, err := NewConstraint(1, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalBudget() != 9 {
-		t.Fatalf("200-interval budget %d, want 9", a.TotalBudget())
+	if got := c.State().TotalBudget; got != 9 {
+		t.Fatalf("200-interval budget %d, want 9", got)
 	}
 	for i := 0; i < 9; i++ {
-		if !a.CanBurst() {
+		if !c.CanBurst() {
 			t.Fatalf("CanBurst false with %d bursts used", i)
 		}
-		if err := a.Consume(5, 1); err != nil {
+		if err := c.Commit(5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a.CanBurst() {
+	if c.CanBurst() {
 		t.Fatal("CanBurst true with budget spent")
 	}
-	if err := a.Consume(5, 1); err == nil {
-		t.Fatal("over-budget consume accepted")
+	if err := c.Commit(5); err == nil {
+		t.Fatal("over-budget commit accepted")
 	}
-	if a.BurstsUsed() != 9 {
-		t.Fatalf("bursts used %d, want 9", a.BurstsUsed())
+	if c.BurstsUsed() != 9 {
+		t.Fatalf("bursts used %d, want 9", c.BurstsUsed())
 	}
 
-	if err := a.RestoreBurstsUsed(10); err == nil {
-		t.Fatal("restore beyond budget accepted")
+	st := c.State()
+	for _, used := range []int{10, -1} {
+		bad := st
+		bad.BurstsUsed = used
+		if err := c.RestoreState(bad); err == nil {
+			t.Fatalf("restore of %d bursts used accepted (budget 9)", used)
+		}
 	}
-	if err := a.RestoreBurstsUsed(-1); err == nil {
-		t.Fatal("negative restore accepted")
-	}
-	if err := a.RestoreBurstsUsed(3); err != nil {
+	st.BurstsUsed = 3
+	if err := c.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if a.BurstsUsed() != 3 || !a.CanBurst() {
-		t.Fatalf("restored account: used %d, CanBurst %v", a.BurstsUsed(), a.CanBurst())
+	if c.BurstsUsed() != 3 || !c.CanBurst() {
+		t.Fatalf("restored constraint: used %d, CanBurst %v", c.BurstsUsed(), c.CanBurst())
 	}
 }
 

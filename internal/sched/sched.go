@@ -189,9 +189,6 @@ func NewScheduler(cfg *Config, nc int, siblings [][]int) (*Scheduler, error) {
 	return s, nil
 }
 
-// Migratory reports whether cross-cluster migration is enabled.
-func (s *Scheduler) Migratory() bool { return s.siblings != nil }
-
 // PeakGuarded reports whether the monthly-peak guard is enabled.
 func (s *Scheduler) PeakGuarded() bool { return s.peakGuard }
 

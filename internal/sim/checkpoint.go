@@ -1,11 +1,12 @@
 // Durable engine state: a Checkpoint captures every per-step structure an
 // Engine owns — billing meters (including per-month demand peaks), 95/5
-// burst budgets, battery state-of-charge, the distance histogram, step
-// cursor, and running totals — so a long-horizon run survives a process
-// death. The encoding is versioned and self-describing: a text magic line
-// names the format, a JSON envelope carries the small state plus the
-// declared length and SHA-256 of a binary payload holding the numeric bulk
-// (meter samples, histogram bins, the last assignment matrix). Old or
+// burst budgets, battery state-of-charge, the per-cluster distance
+// histograms, step cursor, and running totals — so a long-horizon run
+// survives a process death. The encoding is versioned and
+// self-describing: a text magic line names the format, a JSON envelope
+// carries the small state plus the declared length and SHA-256 of a
+// binary payload holding the numeric bulk (meter samples, histogram
+// bins, the last assignment matrix). Old or
 // foreign checkpoints fail loudly instead of loading wrong, and a world
 // hash ties every checkpoint to the exact world (fleet, prices, policy,
 // tariffs) that produced it.
@@ -30,6 +31,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -98,8 +100,8 @@ type Totals struct {
 	StorageBoughtKWh []float64 `json:"storage_bought_kwh,omitempty"`
 	StorageServedKWh []float64 `json:"storage_served_kwh,omitempty"`
 
-	// ClusterCarbonKg is the per-cluster emissions ledger, present when
-	// the scenario meters carbon (may be absent at step 0).
+	// ClusterCarbonKg is the per-cluster emissions ledger, present exactly
+	// when the scenario meters carbon.
 	ClusterCarbonKg []float64 `json:"cluster_carbon_kg,omitempty"`
 
 	// Batch class ledgers (served / shed-at-deadline / queue residence
@@ -153,7 +155,8 @@ type Checkpoint struct {
 	// below are present exactly when the scenario configures the matching
 	// subsystem (95/5 soft caps, storage, demand-charge tariff) — Restore
 	// rejects a checkpoint whose optional sections disagree with the
-	// target scenario's configuration.
+	// target scenario's configuration. checkpointSections declares every
+	// per-cluster section, here and in Totals.
 	Totals       Totals
 	Constraints  []billing.ConstraintState
 	Batteries    []storage.Snapshot
@@ -204,26 +207,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		StateIndex:    append([]int(nil), e.sc.shardStates...),
 		StepsRun:      e.stepsRun,
 		LastAt:        e.lastAt,
-		Totals: Totals{
-			ClusterCost:        append([]units.Money(nil), e.res.ClusterCost...),
-			ClusterEnergy:      append([]units.Energy(nil), e.res.ClusterEnergy...),
-			PeakRate:           append([]float64(nil), e.res.PeakRate...),
-			MeanUtilizationSum: append([]float64(nil), e.res.MeanUtilization...),
-			OverloadSec:        append([]float64(nil), e.overloadSec...),
-			StorageBoughtKWh:   append([]float64(nil), e.storageBought...),
-			StorageServedKWh:   append([]float64(nil), e.storageServed...),
-			ClusterCarbonKg:    append([]float64(nil), e.res.ClusterCarbonKg...),
-			BatchServedKWh:     append([]float64(nil), e.batchServed...),
-			BatchShedKWh:       append([]float64(nil), e.batchShed...),
-			BatchDeferredKWh:   append([]float64(nil), e.batchDeferred...),
-		},
-		MeterSamples: make([][]float64, e.nc),
-		DistHists:    make([]*stats.WeightedHistogram, e.nc),
-		Loads:        append([]float64(nil), e.loads...),
-		Assign:       make([][]float64, e.ns),
-	}
-	for c, h := range e.distHists {
-		cp.DistHists[c] = h.Clone()
+		Assign:        make([][]float64, e.ns),
 	}
 	for c, cl := range e.sc.Fleet.Clusters {
 		cp.ClusterCodes[c] = cl.Code
@@ -231,37 +215,12 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	for s, st := range e.sc.Fleet.States {
 		cp.StateCodes[s] = st.Code
 	}
-	for c := range e.meters {
-		cp.MeterSamples[c] = e.meters[c].Samples()
-	}
 	for s := range e.assign {
 		cp.Assign[s] = append([]float64(nil), e.assign[s]...)
 	}
-	if e.constraints != nil {
-		cp.Constraints = make([]billing.ConstraintState, e.nc)
-		for c, con := range e.constraints {
-			cp.Constraints[c] = con.State()
-		}
-	}
-	if e.batteries != nil {
-		cp.Batteries = make([]storage.Snapshot, e.nc)
-		for c, b := range e.batteries {
-			cp.Batteries[c] = b.Snapshot()
-		}
-	}
-	if e.demandMeters != nil {
-		cp.DemandMeters = make([]billing.DemandMeterState, e.nc)
-		for c, m := range e.demandMeters {
-			cp.DemandMeters[c] = m.State()
-		}
-	}
-	if e.sched != nil {
-		cp.BatchQueues = e.sched.State()
-	}
-	if e.leases != nil {
-		cp.BurstLeases = make([]billing.LeaseLedgerState, e.nc)
-		for c, l := range e.leases {
-			cp.BurstLeases[c] = l.State()
+	for _, sec := range checkpointSections() {
+		if sec.keptBy(e) {
+			sec.capture(e, cp)
 		}
 	}
 	return cp, nil
@@ -270,8 +229,9 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // Restore builds a fresh engine for the scenario and loads the checkpoint
 // into it, resuming the run mid-horizon. The scenario must describe the
 // exact world the checkpoint came from: the world hash (fleet, price
-// series, policy, tariffs, storage config) and every configuration echo
-// are verified before any state is applied.
+// series, policy, tariffs, storage config), every configuration echo and
+// every section's presence and length are verified before any state is
+// applied; each section then checks its own values as it loads.
 func Restore(sc Scenario, cp *Checkpoint) (*Engine, error) {
 	eng, err := NewEngine(sc)
 	if err != nil {
@@ -290,7 +250,8 @@ func Restore(sc Scenario, cp *Checkpoint) (*Engine, error) {
 func (e *Engine) Scenario() Scenario { return e.sc }
 
 // loadCheckpoint validates cp against the freshly built engine and applies
-// it. The engine must not have stepped yet.
+// it. The engine must not have stepped yet; on error it is half-loaded and
+// must be discarded, as Restore does.
 func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 	if cp == nil {
 		return errors.New("nil checkpoint")
@@ -318,7 +279,7 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 	if cp.ShardOf != e.sc.shardOf {
 		return fmt.Errorf("checkpoint shard parent %q, scenario's is %q", cp.ShardOf, e.sc.shardOf)
 	}
-	if !equalInts(cp.ClusterIndex, e.sc.shardClusters) || !equalInts(cp.StateIndex, e.sc.shardStates) {
+	if !slices.Equal(cp.ClusterIndex, e.sc.shardClusters) || !slices.Equal(cp.StateIndex, e.sc.shardStates) {
 		return errors.New("checkpoint shard positions differ from the scenario's partition")
 	}
 	if cp.StepsRun < 0 {
@@ -339,16 +300,24 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 		}
 	}
 
-	// Per-cluster vectors, checked in fixed order so a multi-section
-	// mismatch always reports the same error text.
-	for _, sec := range perClusterSections(cp) {
-		if sec.n != e.nc {
-			return fmt.Errorf("checkpoint has %d %s for %d clusters", sec.n, sec.name, e.nc)
+	// Every section is checked before any loads, in table order, so a
+	// checkpoint with several bad sections always reports the same one:
+	// first presence against the engine, then length against the fleet.
+	sections := checkpointSections()
+	for _, sec := range sections {
+		if sec.kept == nil {
+			continue
+		}
+		switch kept, n := sec.kept(e), sec.size(cp); {
+		case kept && n == 0:
+			return fmt.Errorf("checkpoint has no %s, which the scenario keeps", sec.name)
+		case !kept && n > 0:
+			return fmt.Errorf("checkpoint carries %s the scenario does not keep", sec.name)
 		}
 	}
-	for c, samples := range cp.MeterSamples {
-		if len(samples) != cp.StepsRun {
-			return fmt.Errorf("cluster %d meter has %d samples for %d steps", c, len(samples), cp.StepsRun)
+	for _, sec := range sections {
+		if n := sec.size(cp); sec.keptBy(e) && n != e.nc {
+			return fmt.Errorf("checkpoint has %d %s for %d clusters", n, sec.name, e.nc)
 		}
 	}
 	if len(cp.Assign) != e.ns {
@@ -360,186 +329,240 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 		}
 	}
 
-	// Optional subsystems must match the scenario's configuration exactly.
-	if (e.constraints != nil) != (len(cp.Constraints) > 0) {
-		return fmt.Errorf("scenario 95/5 constraints %v, checkpoint carries %d constraint states",
-			e.constraints != nil, len(cp.Constraints))
-	}
-	if e.constraints != nil && len(cp.Constraints) != e.nc {
-		return fmt.Errorf("checkpoint has %d constraint states for %d clusters", len(cp.Constraints), e.nc)
-	}
-	if (e.batteries != nil) != (len(cp.Batteries) > 0) {
-		return fmt.Errorf("scenario storage %v, checkpoint carries %d battery snapshots",
-			e.batteries != nil, len(cp.Batteries))
-	}
-	if e.batteries != nil && len(cp.Batteries) != e.nc {
-		return fmt.Errorf("checkpoint has %d battery snapshots for %d clusters", len(cp.Batteries), e.nc)
-	}
-	if e.batteries != nil && (len(cp.Totals.StorageBoughtKWh) != e.nc || len(cp.Totals.StorageServedKWh) != e.nc) {
-		return fmt.Errorf("checkpoint has %d/%d storage total ledgers for %d clusters",
-			len(cp.Totals.StorageBoughtKWh), len(cp.Totals.StorageServedKWh), e.nc)
-	}
-	if e.batteries == nil && (len(cp.Totals.StorageBoughtKWh) > 0 || len(cp.Totals.StorageServedKWh) > 0) {
-		return errors.New("checkpoint carries storage totals the scenario does not configure")
-	}
-	if (e.demandMeters != nil) != (len(cp.DemandMeters) > 0) {
-		return fmt.Errorf("scenario demand-charge metering %v, checkpoint carries %d demand meters",
-			e.demandMeters != nil, len(cp.DemandMeters))
-	}
-	if e.demandMeters != nil && len(cp.DemandMeters) != e.nc {
-		return fmt.Errorf("checkpoint has %d demand meters for %d clusters", len(cp.DemandMeters), e.nc)
-	}
-	if (e.sched != nil) != (len(cp.BatchQueues) > 0) {
-		return fmt.Errorf("scenario batch class %v, checkpoint carries %d batch queues",
-			e.sched != nil, len(cp.BatchQueues))
-	}
-	if e.sched != nil && len(cp.BatchQueues) != e.nc {
-		return fmt.Errorf("checkpoint has %d batch queues for %d clusters", len(cp.BatchQueues), e.nc)
-	}
-	if e.sched != nil && (len(cp.Totals.BatchServedKWh) != e.nc || len(cp.Totals.BatchShedKWh) != e.nc || len(cp.Totals.BatchDeferredKWh) != e.nc) {
-		return fmt.Errorf("checkpoint has %d/%d/%d batch ledgers for %d clusters",
-			len(cp.Totals.BatchServedKWh), len(cp.Totals.BatchShedKWh), len(cp.Totals.BatchDeferredKWh), e.nc)
-	}
-	if e.sched == nil && (len(cp.Totals.BatchServedKWh) > 0 || len(cp.Totals.BatchShedKWh) > 0 || len(cp.Totals.BatchDeferredKWh) > 0) {
-		return errors.New("checkpoint carries batch ledgers the scenario does not configure")
-	}
-	if (e.leases != nil) != (len(cp.BurstLeases) > 0) {
-		return fmt.Errorf("scenario burst gate %v, checkpoint carries %d burst lease ledgers",
-			e.leases != nil, len(cp.BurstLeases))
-	}
-	if e.leases != nil && len(cp.BurstLeases) != e.nc {
-		return fmt.Errorf("checkpoint has %d burst lease ledgers for %d clusters", len(cp.BurstLeases), e.nc)
-	}
-	if (e.res.ClusterCarbonKg != nil) != (len(cp.Totals.ClusterCarbonKg) > 0) && cp.StepsRun > 0 {
-		// Carbon totals can be legitimately absent at step 0 (all zeros).
-		if e.res.ClusterCarbonKg != nil {
-			return errors.New("scenario meters carbon but checkpoint has no carbon ledger")
-		}
-		return errors.New("checkpoint carries a carbon ledger the scenario does not meter")
-	}
-	if len(cp.Totals.ClusterCarbonKg) > 0 && len(cp.Totals.ClusterCarbonKg) != e.nc {
-		return fmt.Errorf("checkpoint has %d carbon ledgers for %d clusters", len(cp.Totals.ClusterCarbonKg), e.nc)
-	}
-
-	// Distance histogram geometry must match the engine's fixed layout,
-	// cluster by cluster (the count itself is a mandatory per-cluster
-	// section checked above).
-	for c, h := range cp.DistHists {
-		if h == nil {
-			return fmt.Errorf("checkpoint missing cluster %d distance histogram", c)
-		}
-		gotMin, gotMax := h.Bounds()
-		wantMin, wantMax := e.distHists[c].Bounds()
-		if gotMin != wantMin || gotMax != wantMax || h.NumBins() != e.distHists[c].NumBins() {
-			return fmt.Errorf("cluster %d distance histogram geometry [%v, %v]×%d differs from engine's [%v, %v]×%d",
-				c, gotMin, gotMax, h.NumBins(), wantMin, wantMax, e.distHists[c].NumBins())
+	for _, sec := range sections {
+		if sec.keptBy(e) {
+			if err := sec.load(e, cp); err != nil {
+				return err
+			}
 		}
 	}
-
-	// Validation done — apply. Order mirrors NewEngine's construction.
-	for c, con := range e.constraints {
-		if cp.Constraints[c].IntervalsRun != cp.StepsRun {
-			return fmt.Errorf("cluster %d constraint ran %d intervals, checkpoint at step %d",
-				c, cp.Constraints[c].IntervalsRun, cp.StepsRun)
-		}
-		if err := con.RestoreState(cp.Constraints[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
-	for c, b := range e.batteries {
-		if err := b.RestoreSnapshot(cp.Batteries[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
-	for c, m := range e.demandMeters {
-		if err := m.RestoreState(cp.DemandMeters[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
-	if e.sched != nil {
-		if err := e.sched.RestoreState(cp.BatchQueues, cp.StepsRun); err != nil {
-			return err
-		}
-	}
-	for c, l := range e.leases {
-		if err := l.RestoreState(cp.BurstLeases[c]); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
-	for c := range e.meters {
-		e.meters[c].RestoreSamples(cp.MeterSamples[c])
-		// RestoreSamples copies at exact capacity; re-reserve the horizon so
-		// the remaining steps record without reallocating.
-		e.meters[c].Reserve(e.sc.Steps)
-	}
-	for c, h := range cp.DistHists {
-		e.distHists[c] = h.Clone()
-	}
-	copy(e.loads, cp.Loads)
 	for s := range e.assign {
 		copy(e.assign[s], cp.Assign[s])
 	}
-
-	res := e.res
-	copy(res.ClusterCost, cp.Totals.ClusterCost)
-	copy(res.ClusterEnergy, cp.Totals.ClusterEnergy)
-	copy(res.PeakRate, cp.Totals.PeakRate)
-	copy(res.MeanUtilization, cp.Totals.MeanUtilizationSum)
-	copy(e.overloadSec, cp.Totals.OverloadSec)
-	if e.batteries != nil {
-		copy(e.storageBought, cp.Totals.StorageBoughtKWh)
-		copy(e.storageServed, cp.Totals.StorageServedKWh)
-	}
-	if res.ClusterCarbonKg != nil && len(cp.Totals.ClusterCarbonKg) == e.nc {
-		copy(res.ClusterCarbonKg, cp.Totals.ClusterCarbonKg)
-	}
-	if e.sched != nil {
-		copy(e.batchServed, cp.Totals.BatchServedKWh)
-		copy(e.batchShed, cp.Totals.BatchShedKWh)
-		copy(e.batchDeferred, cp.Totals.BatchDeferredKWh)
-	}
-
 	e.stepsRun = cp.StepsRun
 	e.lastAt = cp.LastAt
 	return nil
 }
 
-// equalInts reports whether a and b hold the same values (nil equals nil
-// and the empty slice).
-// section names one checkpoint section and carries its length; the
-// validators walk sections as fixed slices, in declaration order, so a
-// checkpoint with several wrong-sized sections always fails with the
-// same error text (a map range here would pick one at random per run).
-type section struct {
+// checkpointSection is one per-cluster section of a Checkpoint: one value
+// per cluster, in fleet order. Capture, restore, decode and the shard
+// merge all walk checkpointSections, so each section is declared once.
+// The operations close over the section's element type, which lets one
+// table hold sections of different types; newSection builds them.
+type checkpointSection struct {
 	name string
-	n    int
+	// kept reports whether an engine keeps the section; nil for the
+	// sections every engine keeps. An optional section is in a checkpoint
+	// exactly when the engine that took it keeps the section.
+	kept func(e *Engine) bool
+
+	size    func(cp *Checkpoint) int
+	capture func(e *Engine, cp *Checkpoint)
+	load    func(e *Engine, cp *Checkpoint) error
+	// canonical turns an empty section into an absent (nil) one and
+	// passes each value through the section's clone, so that
+	// decode(encode(decode(x))) equals decode(x).
+	canonical func(cp *Checkpoint)
+	// alloc sizes the section of a merged checkpoint; scatter deep-copies
+	// cluster j of part into cluster c of the merge.
+	alloc   func(m *Checkpoint, n int)
+	scatter func(m *Checkpoint, c int, part *Checkpoint, j int)
 }
 
-// perClusterSections lists the mandatory per-cluster vectors in the
-// order validation reports them.
-func perClusterSections(cp *Checkpoint) []section {
-	return []section{
-		{"cluster costs", len(cp.Totals.ClusterCost)},
-		{"cluster energies", len(cp.Totals.ClusterEnergy)},
-		{"peak rates", len(cp.Totals.PeakRate)},
-		{"utilization sums", len(cp.Totals.MeanUtilizationSum)},
-		{"overload ledgers", len(cp.Totals.OverloadSec)},
-		{"meter sample lists", len(cp.MeterSamples)},
-		{"last-interval rates", len(cp.Loads)},
-		{"distance histograms", len(cp.DistHists)},
+// keptBy reports whether e keeps the section.
+func (s *checkpointSection) keptBy(e *Engine) bool { return s.kept == nil || s.kept(e) }
+
+// newSection declares a section of T values: at locates it in a
+// Checkpoint, capture copies it out of an engine, load checks the values
+// that belong to it and copies them back in, and clone deep-copies one
+// cluster's value (nil when a plain copy shares nothing).
+func newSection[T any](name string, kept func(*Engine) bool, at func(*Checkpoint) *[]T,
+	capture func(*Engine) []T, load func(*Engine, *Checkpoint, []T) error, clone func(T) T) checkpointSection {
+	if clone == nil {
+		clone = func(v T) T { return v }
+	}
+	return checkpointSection{
+		name:    name,
+		kept:    kept,
+		size:    func(cp *Checkpoint) int { return len(*at(cp)) },
+		capture: func(e *Engine, cp *Checkpoint) { *at(cp) = capture(e) },
+		load:    func(e *Engine, cp *Checkpoint) error { return load(e, cp, *at(cp)) },
+		canonical: func(cp *Checkpoint) {
+			v := *at(cp)
+			if len(v) == 0 {
+				*at(cp) = nil
+			}
+			for i := range v {
+				v[i] = clone(v[i])
+			}
+		},
+		alloc:   func(m *Checkpoint, n int) { *at(m) = make([]T, n) },
+		scatter: func(m *Checkpoint, c int, part *Checkpoint, j int) { (*at(m))[c] = clone((*at(part))[j]) },
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// vectorSection declares a running sum the engine holds as one slice.
+func vectorSection[T any](name string, kept func(*Engine) bool, at func(*Checkpoint) *[]T, field func(*Engine) []T) checkpointSection {
+	return newSection(name, kept, at,
+		func(e *Engine) []T { return slices.Clone(field(e)) },
+		func(e *Engine, _ *Checkpoint, v []T) error {
+			copy(field(e), v)
+			return nil
+		}, nil)
+}
+
+// each returns f of every element of s.
+func each[S, T any](s []S, f func(S) T) []T {
+	out := make([]T, len(s))
+	for i, v := range s {
+		out[i] = f(v)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return out
+}
+
+// restoreEach loads v[c] into objs[c] for every cluster c.
+func restoreEach[O, T any](objs []O, v []T, restore func(O, T) error) error {
+	for c, o := range objs {
+		if err := restore(o, v[c]); err != nil {
+			return fmt.Errorf("cluster %d: %w", c, err)
 		}
 	}
-	return true
+	return nil
+}
+
+// checkpointSections lists every per-cluster section: first the eight
+// every engine keeps, then the optional ones. The order is the order
+// restore and merge report errors in. The table is built by a function
+// (not a package variable) so ckptfield, which follows same-package calls
+// but not variable initializers, sees every field it touches as
+// referenced by Checkpoint, loadCheckpoint and MergeCheckpoints.
+func checkpointSections() []checkpointSection {
+	return []checkpointSection{
+		vectorSection("cluster costs", nil,
+			func(cp *Checkpoint) *[]units.Money { return &cp.Totals.ClusterCost },
+			func(e *Engine) []units.Money { return e.res.ClusterCost }),
+		vectorSection("cluster energies", nil,
+			func(cp *Checkpoint) *[]units.Energy { return &cp.Totals.ClusterEnergy },
+			func(e *Engine) []units.Energy { return e.res.ClusterEnergy }),
+		vectorSection("peak rates", nil,
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.PeakRate },
+			func(e *Engine) []float64 { return e.res.PeakRate }),
+		vectorSection("utilization sums", nil,
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.MeanUtilizationSum },
+			func(e *Engine) []float64 { return e.res.MeanUtilization }),
+		vectorSection("overload ledgers", nil,
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.OverloadSec },
+			func(e *Engine) []float64 { return e.overloadSec }),
+		newSection("meter sample lists", nil,
+			func(cp *Checkpoint) *[][]float64 { return &cp.MeterSamples },
+			func(e *Engine) [][]float64 {
+				out := make([][]float64, e.nc)
+				for c := range e.meters {
+					out[c] = e.meters[c].Samples()
+				}
+				return out
+			},
+			func(e *Engine, cp *Checkpoint, v [][]float64) error {
+				for c, samples := range v {
+					if len(samples) != cp.StepsRun {
+						return fmt.Errorf("cluster %d meter has %d samples for %d steps", c, len(samples), cp.StepsRun)
+					}
+					e.meters[c].RestoreSamples(samples)
+					// RestoreSamples copies at exact capacity; re-reserve the
+					// horizon so the remaining steps record without reallocating.
+					e.meters[c].Reserve(e.sc.Steps)
+				}
+				return nil
+			},
+			slices.Clone[[]float64]),
+		vectorSection("last-interval rates", nil,
+			func(cp *Checkpoint) *[]float64 { return &cp.Loads },
+			func(e *Engine) []float64 { return e.loads }),
+		newSection("distance histograms", nil,
+			func(cp *Checkpoint) *[]*stats.WeightedHistogram { return &cp.DistHists },
+			func(e *Engine) []*stats.WeightedHistogram {
+				return each(e.distHists, (*stats.WeightedHistogram).Clone)
+			},
+			func(e *Engine, _ *Checkpoint, v []*stats.WeightedHistogram) error {
+				for c, h := range v {
+					if h == nil {
+						return fmt.Errorf("checkpoint missing cluster %d distance histogram", c)
+					}
+					gotMin, gotMax := h.Bounds()
+					wantMin, wantMax := e.distHists[c].Bounds()
+					if gotMin != wantMin || gotMax != wantMax || h.NumBins() != e.distHists[c].NumBins() {
+						return fmt.Errorf("cluster %d distance histogram geometry [%v, %v]×%d differs from engine's [%v, %v]×%d",
+							c, gotMin, gotMax, h.NumBins(), wantMin, wantMax, e.distHists[c].NumBins())
+					}
+					e.distHists[c] = h.Clone()
+				}
+				return nil
+			},
+			(*stats.WeightedHistogram).Clone),
+
+		newSection("95/5 constraint state", func(e *Engine) bool { return e.constraints != nil },
+			func(cp *Checkpoint) *[]billing.ConstraintState { return &cp.Constraints },
+			func(e *Engine) []billing.ConstraintState { return each(e.constraints, (*billing.Constraint).State) },
+			func(e *Engine, cp *Checkpoint, v []billing.ConstraintState) error {
+				return restoreEach(e.constraints, v, func(con *billing.Constraint, s billing.ConstraintState) error {
+					if s.IntervalsRun != cp.StepsRun {
+						return fmt.Errorf("constraint ran %d intervals, checkpoint at step %d", s.IntervalsRun, cp.StepsRun)
+					}
+					return con.RestoreState(s)
+				})
+			}, nil),
+		newSection("burst lease ledgers", func(e *Engine) bool { return e.leases != nil },
+			func(cp *Checkpoint) *[]billing.LeaseLedgerState { return &cp.BurstLeases },
+			func(e *Engine) []billing.LeaseLedgerState { return each(e.leases, (*billing.LeaseLedger).State) },
+			func(e *Engine, _ *Checkpoint, v []billing.LeaseLedgerState) error {
+				return restoreEach(e.leases, v, (*billing.LeaseLedger).RestoreState)
+			}, nil),
+		newSection("battery snapshots", func(e *Engine) bool { return e.batteries != nil },
+			func(cp *Checkpoint) *[]storage.Snapshot { return &cp.Batteries },
+			func(e *Engine) []storage.Snapshot { return each(e.batteries, (*storage.State).Snapshot) },
+			func(e *Engine, _ *Checkpoint, v []storage.Snapshot) error {
+				return restoreEach(e.batteries, v, (*storage.State).RestoreSnapshot)
+			}, nil),
+		newSection("demand meters", func(e *Engine) bool { return e.demandMeters != nil },
+			func(cp *Checkpoint) *[]billing.DemandMeterState { return &cp.DemandMeters },
+			func(e *Engine) []billing.DemandMeterState { return each(e.demandMeters, (*billing.DemandMeter).State) },
+			func(e *Engine, _ *Checkpoint, v []billing.DemandMeterState) error {
+				return restoreEach(e.demandMeters, v, (*billing.DemandMeter).RestoreState)
+			},
+			func(s billing.DemandMeterState) billing.DemandMeterState {
+				return billing.DemandMeterState{
+					Months: append([]timeseries.MonthKey(nil), s.Months...),
+					Peaks:  append([]float64(nil), s.Peaks...),
+				}
+			}),
+		vectorSection("carbon ledgers", func(e *Engine) bool { return e.res.ClusterCarbonKg != nil },
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.ClusterCarbonKg },
+			func(e *Engine) []float64 { return e.res.ClusterCarbonKg }),
+		vectorSection("storage total ledgers", func(e *Engine) bool { return e.storageBought != nil },
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.StorageBoughtKWh },
+			func(e *Engine) []float64 { return e.storageBought }),
+		vectorSection("storage served ledgers", func(e *Engine) bool { return e.storageServed != nil },
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.StorageServedKWh },
+			func(e *Engine) []float64 { return e.storageServed }),
+		newSection("batch queues", func(e *Engine) bool { return e.sched != nil },
+			func(cp *Checkpoint) *[]sched.QueueState { return &cp.BatchQueues },
+			func(e *Engine) []sched.QueueState { return e.sched.State() },
+			func(e *Engine, cp *Checkpoint, v []sched.QueueState) error {
+				return e.sched.RestoreState(v, cp.StepsRun)
+			},
+			func(q sched.QueueState) sched.QueueState {
+				return sched.QueueState{Jobs: append([]sched.QueuedJob(nil), q.Jobs...)}
+			}),
+		vectorSection("batch served ledgers", func(e *Engine) bool { return e.batchServed != nil },
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.BatchServedKWh },
+			func(e *Engine) []float64 { return e.batchServed }),
+		vectorSection("batch shed ledgers", func(e *Engine) bool { return e.batchShed != nil },
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.BatchShedKWh },
+			func(e *Engine) []float64 { return e.batchShed }),
+		vectorSection("batch deferral ledgers", func(e *Engine) bool { return e.batchDeferred != nil },
+			func(cp *Checkpoint) *[]float64 { return &cp.Totals.BatchDeferredKWh },
+			func(e *Engine) []float64 { return e.batchDeferred }),
+	}
 }
 
 // WorldHash returns a SHA-256 digest ("sha256:…") over everything that
@@ -843,52 +866,14 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: checkpoint payload digest %s does not match declared %s (corrupt file)", got, env.PayloadSHA256)
 	}
 
-	// The envelope's optional sections use omitempty, so an empty slice in
-	// a hand-crafted file would not survive a re-encode; normalize to nil
+	// The envelope's optional fields use omitempty, so an empty slice in a
+	// hand-crafted file would not survive a re-encode; normalize to nil
 	// (absent) so decode(encode(decode(x))) is a fixed point.
-	if len(env.Constraints) == 0 {
-		env.Constraints = nil
-	}
-	if len(env.Batteries) == 0 {
-		env.Batteries = nil
-	}
-	if len(env.DemandMeters) == 0 {
-		env.DemandMeters = nil
-	}
-	if len(env.BatchQueues) == 0 {
-		env.BatchQueues = nil
-	}
-	for i := range env.BatchQueues {
-		if len(env.BatchQueues[i].Jobs) == 0 {
-			env.BatchQueues[i].Jobs = nil
-		}
-	}
-	if len(env.Totals.BatchServedKWh) == 0 {
-		env.Totals.BatchServedKWh = nil
-	}
-	if len(env.Totals.BatchShedKWh) == 0 {
-		env.Totals.BatchShedKWh = nil
-	}
-	if len(env.Totals.BatchDeferredKWh) == 0 {
-		env.Totals.BatchDeferredKWh = nil
-	}
-	if len(env.Totals.ClusterCarbonKg) == 0 {
-		env.Totals.ClusterCarbonKg = nil
-	}
-	if len(env.Totals.StorageBoughtKWh) == 0 {
-		env.Totals.StorageBoughtKWh = nil
-	}
-	if len(env.Totals.StorageServedKWh) == 0 {
-		env.Totals.StorageServedKWh = nil
-	}
 	if len(env.ClusterIndex) == 0 {
 		env.ClusterIndex = nil
 	}
 	if len(env.StateIndex) == 0 {
 		env.StateIndex = nil
-	}
-	if len(env.BurstLeases) == 0 {
-		env.BurstLeases = nil
 	}
 	cp := &Checkpoint{
 		Version:       env.Version,
@@ -912,6 +897,13 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		DemandMeters:  env.DemandMeters,
 		BatchQueues:   env.BatchQueues,
 		BurstLeases:   env.BurstLeases,
+	}
+	// Optional sections likewise: absent when empty, and every value in
+	// the form its section's clone gives it.
+	for _, sec := range checkpointSections() {
+		if sec.kept != nil {
+			sec.canonical(cp)
+		}
 	}
 	off := 0
 	take := func(n int) []byte {

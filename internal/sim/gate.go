@@ -1,6 +1,6 @@
 // Burst-token gating: the fleet-coupled half of the 95/5 constraint.
 //
-// Per-cluster burst budgets (billing.BurstAccount) are intrinsically
+// Per-cluster burst budgets (each billing.Constraint's) are intrinsically
 // shard-local and exact. The one fleet-wide coupling is the gate that
 // decides *when* burst headroom unlocks: the engine compares the step's
 // total demand against the fleet's total soft-capped room. A shard

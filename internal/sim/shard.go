@@ -19,16 +19,11 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"powerroute/internal/billing"
 	"powerroute/internal/routing"
-	"powerroute/internal/sched"
-	"powerroute/internal/stats"
 	"powerroute/internal/storage"
 	"powerroute/internal/timeseries"
-	"powerroute/internal/units"
 )
 
 // ShardPartition assigns every cluster and every client state of a fleet
@@ -357,12 +352,13 @@ var ErrShardCursorMismatch = errors.New("shards must pause at the same cursor")
 // parent world (identical ShardOf hash — the shard-compatibility guard),
 // at the same step cursor, with disjoint cluster and state positions that
 // together cover the parent fleet exactly. Per-structure combine rules:
-// per-cluster state (meter samples, burst budgets, burst lease ledgers,
-// monthly demand peaks, battery snapshots, running
-// cost/energy/overload/storage/carbon sums, last-interval rates,
-// distance histograms) scatters into its fleet position — disjoint
-// across shards, so no arithmetic happens at all — and the assignment
-// matrix scatters by state row and cluster column. Distance histograms
+// every per-cluster section of checkpointSections (meter samples, burst
+// budgets, burst lease ledgers, monthly demand peaks, battery snapshots,
+// batch queues, running cost/energy/overload/storage/carbon/batch sums,
+// last-interval rates, distance histograms) scatters into its fleet
+// position — disjoint across shards, so no arithmetic happens at all —
+// and the assignment matrix scatters by state row and cluster column.
+// Value checks are Restore's: each section checks its own as it loads. Distance histograms
 // being per-cluster (routing closure sends a cluster the same hits in
 // the same order either way) is what makes the merged histograms, and
 // the fleet mean/p99 folded from them, bit-exact rather than merely
@@ -381,7 +377,7 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 	if first.ShardOf == "" {
 		return nil, errors.New("sim: checkpoint 0 is not a shard checkpoint (no parent world hash)")
 	}
-	firstHas := optionalSections(first)
+	sections := checkpointSections()
 	nc, ns := 0, 0
 	for i, cp := range parts {
 		if cp == nil {
@@ -409,12 +405,12 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: checkpoint %d shard identity covers %d/%d clusters and %d/%d states",
 				i, len(cp.ClusterIndex), cp.Clusters, len(cp.StateIndex), cp.States)
 		}
-		for j, sec := range optionalSections(cp) {
-			if (sec.n > 0) != (firstHas[j].n > 0) {
+		for _, sec := range sections {
+			if sec.kept != nil && (sec.size(cp) > 0) != (sec.size(first) > 0) {
 				return nil, fmt.Errorf("sim: checkpoint %d carries %s but checkpoint 0 does not (or vice versa)", i, sec.name)
 			}
 		}
-		if err := checkShardVectors(cp); err != nil {
+		if err := checkShardVectors(cp, sections); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint %d: %w", i, err)
 		}
 		nc += cp.Clusters
@@ -434,40 +430,14 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 		StateCodes:    make([]string, ns),
 		StepsRun:      first.StepsRun,
 		LastAt:        first.LastAt,
-		Totals: Totals{
-			ClusterCost:        make([]units.Money, nc),
-			ClusterEnergy:      make([]units.Energy, nc),
-			PeakRate:           make([]float64, nc),
-			MeanUtilizationSum: make([]float64, nc),
-			OverloadSec:        make([]float64, nc),
-		},
-		MeterSamples: make([][]float64, nc),
-		Loads:        make([]float64, nc),
-		DistHists:    make([]*stats.WeightedHistogram, nc),
-		Assign:       make([][]float64, ns),
+		Assign:        make([][]float64, ns),
 	}
-	if len(first.Constraints) > 0 {
-		m.Constraints = make([]billing.ConstraintState, nc)
-	}
-	if len(first.BurstLeases) > 0 {
-		m.BurstLeases = make([]billing.LeaseLedgerState, nc)
-	}
-	if len(first.Batteries) > 0 {
-		m.Batteries = make([]storage.Snapshot, nc)
-		m.Totals.StorageBoughtKWh = make([]float64, nc)
-		m.Totals.StorageServedKWh = make([]float64, nc)
-	}
-	if len(first.DemandMeters) > 0 {
-		m.DemandMeters = make([]billing.DemandMeterState, nc)
-	}
-	if len(first.Totals.ClusterCarbonKg) > 0 {
-		m.Totals.ClusterCarbonKg = make([]float64, nc)
-	}
-	if len(first.BatchQueues) > 0 {
-		m.BatchQueues = make([]sched.QueueState, nc)
-		m.Totals.BatchServedKWh = make([]float64, nc)
-		m.Totals.BatchShedKWh = make([]float64, nc)
-		m.Totals.BatchDeferredKWh = make([]float64, nc)
+	var carried []checkpointSection
+	for _, sec := range sections {
+		if sec.kept == nil || sec.size(first) > 0 {
+			sec.alloc(m, nc)
+			carried = append(carried, sec)
+		}
 	}
 
 	seenCluster := make([]bool, nc)
@@ -479,39 +449,8 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 			}
 			seenCluster[c] = true
 			m.ClusterCodes[c] = cp.ClusterCodes[j]
-			m.Totals.ClusterCost[c] = cp.Totals.ClusterCost[j]
-			m.Totals.ClusterEnergy[c] = cp.Totals.ClusterEnergy[j]
-			m.Totals.PeakRate[c] = cp.Totals.PeakRate[j]
-			m.Totals.MeanUtilizationSum[c] = cp.Totals.MeanUtilizationSum[j]
-			m.Totals.OverloadSec[c] = cp.Totals.OverloadSec[j]
-			m.MeterSamples[c] = append([]float64(nil), cp.MeterSamples[j]...)
-			m.Loads[c] = cp.Loads[j]
-			if m.Constraints != nil {
-				m.Constraints[c] = cp.Constraints[j]
-			}
-			if m.BurstLeases != nil {
-				m.BurstLeases[c] = cp.BurstLeases[j]
-			}
-			if cp.DistHists[j] == nil {
-				return nil, fmt.Errorf("sim: checkpoint %d missing cluster %d distance histogram", i, j)
-			}
-			m.DistHists[c] = cp.DistHists[j].Clone()
-			if m.Batteries != nil {
-				m.Batteries[c] = cp.Batteries[j]
-				m.Totals.StorageBoughtKWh[c] = cp.Totals.StorageBoughtKWh[j]
-				m.Totals.StorageServedKWh[c] = cp.Totals.StorageServedKWh[j]
-			}
-			if m.DemandMeters != nil {
-				m.DemandMeters[c] = cloneDemandMeterState(cp.DemandMeters[j])
-			}
-			if m.Totals.ClusterCarbonKg != nil {
-				m.Totals.ClusterCarbonKg[c] = cp.Totals.ClusterCarbonKg[j]
-			}
-			if m.BatchQueues != nil {
-				m.BatchQueues[c] = sched.QueueState{Jobs: append([]sched.QueuedJob(nil), cp.BatchQueues[j].Jobs...)}
-				m.Totals.BatchServedKWh[c] = cp.Totals.BatchServedKWh[j]
-				m.Totals.BatchShedKWh[c] = cp.Totals.BatchShedKWh[j]
-				m.Totals.BatchDeferredKWh[c] = cp.Totals.BatchDeferredKWh[j]
+			for _, sec := range carried {
+				sec.scatter(m, c, cp, j)
 			}
 		}
 		for sj, s := range cp.StateIndex {
@@ -530,34 +469,15 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 	return m, nil
 }
 
-// optionalSections lists the optional per-cluster sections and their
-// lengths, in the fixed order validation reports them; a section is
-// carried when its length is non-zero, and every part of a merge must
-// carry the same set.
-func optionalSections(cp *Checkpoint) []section {
-	return []section{
-		{"95/5 constraint state", len(cp.Constraints)},
-		{"burst lease ledgers", len(cp.BurstLeases)},
-		{"battery snapshots", len(cp.Batteries)},
-		{"demand meters", len(cp.DemandMeters)},
-		{"carbon ledgers", len(cp.Totals.ClusterCarbonKg)},
-		{"storage total ledgers", len(cp.Totals.StorageBoughtKWh)},
-		{"storage served ledgers", len(cp.Totals.StorageServedKWh)},
-		{"batch queues", len(cp.BatchQueues)},
-		{"batch served ledgers", len(cp.Totals.BatchServedKWh)},
-		{"batch shed ledgers", len(cp.Totals.BatchShedKWh)},
-		{"batch deferral ledgers", len(cp.Totals.BatchDeferredKWh)},
-	}
-}
-
-// checkShardVectors verifies a shard checkpoint's per-cluster and
-// per-state vectors match its declared geometry before the merge indexes
-// into them.
-func checkShardVectors(cp *Checkpoint) error {
+// checkShardVectors verifies a shard checkpoint's per-cluster sections
+// and assignment matrix match its declared geometry before the merge
+// indexes into them: sections every engine keeps hold one value per
+// cluster, optional ones either that or none.
+func checkShardVectors(cp *Checkpoint, sections []checkpointSection) error {
 	nc, ns := cp.Clusters, cp.States
-	for _, sec := range perClusterSections(cp) {
-		if sec.n != nc {
-			return fmt.Errorf("%d %s for %d clusters", sec.n, sec.name, nc)
+	for _, sec := range sections {
+		if n := sec.size(cp); n != nc && (sec.kept == nil || n != 0) {
+			return fmt.Errorf("%d %s for %d clusters", n, sec.name, nc)
 		}
 	}
 	if len(cp.Assign) != ns {
@@ -568,31 +488,5 @@ func checkShardVectors(cp *Checkpoint) error {
 			return fmt.Errorf("assignment row %d has %d clusters, want %d", s, len(row), nc)
 		}
 	}
-	for _, n := range []int{len(cp.Constraints), len(cp.BurstLeases), len(cp.Batteries), len(cp.DemandMeters),
-		len(cp.Totals.ClusterCarbonKg), len(cp.Totals.StorageBoughtKWh), len(cp.Totals.StorageServedKWh),
-		len(cp.BatchQueues), len(cp.Totals.BatchServedKWh), len(cp.Totals.BatchShedKWh), len(cp.Totals.BatchDeferredKWh)} {
-		if n != 0 && n != nc {
-			return fmt.Errorf("optional per-cluster section sized %d for %d clusters", n, nc)
-		}
-	}
 	return nil
-}
-
-// cloneDemandMeterState deep-copies a demand meter's month/peak record so
-// the merged checkpoint shares no slices with its parts.
-func cloneDemandMeterState(s billing.DemandMeterState) billing.DemandMeterState {
-	return billing.DemandMeterState{
-		Months: append([]timeseries.MonthKey(nil), s.Months...),
-		Peaks:  append([]float64(nil), s.Peaks...),
-	}
-}
-
-// SortPartition orders each shard's members ascending, in place — the
-// form Subfleet and Shard require — and returns it for chaining.
-func SortPartition(p ShardPartition) ShardPartition {
-	for i := range p.Clusters {
-		sort.Ints(p.Clusters[i])
-		sort.Ints(p.States[i])
-	}
-	return p
 }

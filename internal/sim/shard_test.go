@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -170,8 +171,8 @@ func TestShardMergeMatchesJointRun(t *testing.T) {
 // structure through a split-and-merge: 95/5 constraints with caps
 // generous enough that the burst gate never fires (the active-gate case
 // has its own test, TestShardMergeActiveBursts), batteries with a
-// routing-aware percentile dispatch plus a demand-charge tariff, and a
-// carbon ledger.
+// routing-aware percentile dispatch plus a demand-charge tariff, a
+// carbon ledger, and the deferrable batch class.
 func TestShardMergePerStructure(t *testing.T) {
 	fx := fixtures()
 	newScenario := func(t *testing.T) Scenario {
@@ -222,6 +223,43 @@ func TestShardMergePerStructure(t *testing.T) {
 		sc.Carbon = intensity
 		runSplitMerge(t, sc)
 	})
+
+	// Batch queues merge mid-run too, while jobs are still queued, at
+	// both routing thresholds that split the fleet.
+	for _, thresholdKm := range []float64{600, 1000} {
+		t.Run(fmt.Sprintf("batch-%.0fkm", thresholdKm), func(t *testing.T) {
+			sc := longRunScenario(t, thresholdKm)
+			sc.Steps = 45 * 24
+			sc.DemandChargePerKW = 3
+			sc.Batch = batchTestConfig(t, sc)
+			runSplitMerge(t, sc)
+
+			want, err := Run(clonePolicy(t, sc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := sc.Steps / 2
+			engines, _ := shardEngines(t, clonePolicy(t, sc), half)
+			merged := mergeThroughWire(t, engines)
+			queued := 0
+			for _, q := range merged.BatchQueues {
+				queued += len(q.Jobs)
+			}
+			if queued == 0 {
+				t.Fatal("no batch job queued at mid-run; the queue scatter goes untested")
+			}
+			resumed, err := Restore(clonePolicy(t, sc), merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveSteps(t, resumed, sc, sc.Steps-half)
+			got, err := resumed.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireResultsMatch(t, "mid-run batch merge", got, want)
+		})
+	}
 }
 
 // runSplitMerge runs sc jointly and as merged shards and requires the
@@ -655,7 +693,8 @@ func TestShardRejectsBadPartitions(t *testing.T) {
 
 	overlap := swap()
 	overlap.Clusters[0] = append(overlap.Clusters[0], overlap.Clusters[1][0])
-	if _, err := sc.Shard(SortPartition(overlap)); err == nil {
+	sort.Ints(overlap.Clusters[0])
+	if _, err := sc.Shard(overlap); err == nil {
 		t.Error("overlapping partition accepted")
 	}
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -29,6 +30,9 @@ const (
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (w *WeightedHistogram) MarshalBinary() ([]byte, error) {
+	if w == nil {
+		return nil, errors.New("stats: marshaling nil histogram")
+	}
 	out := make([]byte, 0, whHeaderBytes+8*len(w.bins))
 	out = append(out, whMagic...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(w.bins)))

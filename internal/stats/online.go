@@ -263,8 +263,11 @@ func (w *WeightedHistogram) Bounds() (min, max float64) { return w.min, w.max }
 // NumBins returns the number of bins.
 func (w *WeightedHistogram) NumBins() int { return len(w.bins) }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy (nil for a nil histogram).
 func (w *WeightedHistogram) Clone() *WeightedHistogram {
+	if w == nil {
+		return nil
+	}
 	c := *w
 	c.bins = append([]float64(nil), w.bins...)
 	return &c

@@ -89,9 +89,6 @@ func NewState(b Battery) *State {
 	return &State{spec: b, socKWh: b.InitialSoC * b.CapacityKWh}
 }
 
-// Spec returns the immutable battery parameters.
-func (s *State) Spec() Battery { return s.spec }
-
 // SoCKWh returns the stored energy.
 func (s *State) SoCKWh() float64 { return s.socKWh }
 

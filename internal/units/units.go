@@ -88,9 +88,6 @@ func (e Energy) String() string {
 // legal: they occur for brief periods in real markets (paper §2.2).
 type Price float64
 
-// PerMWh returns the price as a plain float64 in $/MWh.
-func (p Price) PerMWh() float64 { return float64(p) }
-
 // String formats the price as dollars per MWh.
 func (p Price) String() string { return fmt.Sprintf("$%.2f/MWh", float64(p)) }
 
@@ -126,9 +123,6 @@ func (d Distance) String() string { return fmt.Sprintf("%.0f km", float64(d)) }
 // HitRate is a request arrival rate in hits per second, the load unit used
 // in the Akamai trace (paper §4).
 type HitRate float64
-
-// PerSecond returns r as a plain float64 in hits/s.
-func (r HitRate) PerSecond() float64 { return float64(r) }
 
 // String formats the rate with an adaptive scale.
 func (r HitRate) String() string {
