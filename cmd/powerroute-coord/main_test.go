@@ -152,16 +152,28 @@ func TestCoordServeAndShutdown(t *testing.T) {
 
 // TestCoordBadInvocations covers flag and startup failures.
 func TestCoordBadInvocations(t *testing.T) {
+	const shard = "http://127.0.0.1:1"
 	cases := []struct {
 		argv []string
 		want int
+		msg  string // stderr must contain it
 	}{
-		{[]string{}, 2}, // -shards required
-		{[]string{"-shards", "http://127.0.0.1:1", "-horizon", "nope"}, 2},
-		{[]string{"-shards", "http://127.0.0.1:1", "stray"}, 2},
-		{[]string{"-shards", "http://127.0.0.1:1", "-merge-every", "-1s"}, 2},
+		{[]string{}, 2, "-shards"}, // -shards required
+		{[]string{"-shards", shard, "-horizon", "nope"}, 2, "horizon"},
+		{[]string{"-shards", shard, "stray"}, 2, "unexpected"},
+		{[]string{"-shards", shard, "-merge-every", "-1s"}, 2, "-merge-every"},
 		// Unreachable shard: discovery fails at startup.
-		{[]string{"-shards", "http://127.0.0.1:1", "-months", "1", "-days", "7"}, 1},
+		{[]string{"-shards", shard, "-months", "1", "-days", "7"}, 1, ""},
+		// World-flag usage errors, refused before any shard is contacted.
+		{[]string{"-shards", shard, "-burst-hubs", "NP15+SP15,NYC+DOM", "-batch-spec", "w=20,pct=0.3", "-months", "1", "-days", "2"}, 2, "not supported together"},
+		{[]string{"-shards", shard, "-burst-hubs", "NP15+SP15,NYC+DOM", "-horizon", "trace", "-months", "1", "-days", "2"}, 2, "long-run horizon only"},
+		{[]string{"-shards", shard, "-burst-hubs", "NP15+SP15", "-months", "1", "-days", "2"}, 2, "one region"},
+		{[]string{"-shards", shard, "-burst-hubs", "NP15+SP15,NYC", "-months", "1", "-days", "2"}, 2, "exactly two hub IDs"},
+		{[]string{"-shards", shard, "-batch-spec", "w=20", "-months", "1", "-days", "2"}, 2, "-batch-spec"},
+		// flag parses NaN; the optimizer refuses it before any shard is
+		// contacted.
+		{[]string{"-shards", shard, "-threshold-km", "NaN", "-months", "1", "-days", "2"}, 1, "distance threshold NaN"},
+		{[]string{"-shards", shard, "-price-threshold", "NaN", "-months", "1", "-days", "2"}, 1, "price threshold NaN"},
 	}
 	for _, tc := range cases {
 		var out, errOut syncBuf
@@ -170,6 +182,9 @@ func TestCoordBadInvocations(t *testing.T) {
 		cancel()
 		if code != tc.want {
 			t.Errorf("%v: exit %d, want %d (stderr %q)", tc.argv, code, tc.want, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), tc.msg) {
+			t.Errorf("%v: stderr %q does not mention %q", tc.argv, errOut.String(), tc.msg)
 		}
 	}
 }

@@ -264,6 +264,13 @@ func TestBadInvocations(t *testing.T) {
 		// every state's demand to cluster 0.
 		{[]string{"-threshold-km", "NaN", "-months", "1", "-days", "2"}, 1},
 		{[]string{"-price-threshold", "NaN", "-months", "1", "-days", "2"}, 1},
+		// World-flag usage errors: the burst world is hourly and carries
+		// no batch class, and malformed specs are refused.
+		{[]string{"-burst-hubs", "NP15+SP15,NYC+DOM", "-batch-spec", "w=20,pct=0.3", "-months", "1", "-days", "2"}, 2},
+		{[]string{"-burst-hubs", "NP15+SP15,NYC+DOM", "-horizon", "trace", "-months", "1", "-days", "2"}, 2},
+		{[]string{"-burst-hubs", "NP15+SP15", "-months", "1", "-days", "2"}, 2},
+		{[]string{"-burst-hubs", "NP15+SP15,NYC", "-months", "1", "-days", "2"}, 2},
+		{[]string{"-batch-spec", "w=20", "-months", "1", "-days", "2"}, 2},
 	}
 	for _, tc := range cases {
 		var out, errOut syncBuf

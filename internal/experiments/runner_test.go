@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -179,6 +183,43 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	if len(serial) == 0 || !strings.Contains(serial, "=== fig1:") {
 		t.Fatalf("suspiciously empty output:\n%s", serial)
+	}
+	checkRenderGolden(t, serial)
+}
+
+var update = flag.Bool("update", false, "rewrite this mode's line of testdata/render.golden")
+
+// checkRenderGolden pins the serial rendering by SHA-256 and byte length.
+// testdata/render.golden has two lines: "all", the whole registry, byte
+// for byte what `powerroute all` prints, then "short", the -short subset.
+// Regenerate the current mode's line with `go test ./internal/experiments
+// -run TestParallelDeterminism -update` (add -short for the subset) only
+// when a figure is meant to change.
+func checkRenderGolden(t *testing.T, rendered string) {
+	t.Helper()
+	mode, idx := "all", 0
+	if testing.Short() {
+		mode, idx = "short", 1
+	}
+	got := fmt.Sprintf("%s sha256:%x bytes:%d", mode, sha256.Sum256([]byte(rendered)), len(rendered))
+	path := filepath.Join("testdata", "render.golden")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%s has %d lines, want 2 (all, short)", path, len(lines))
+	}
+	if *update {
+		lines[idx] = got
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if lines[idx] != got {
+		t.Errorf("rendering drifted:\ngot  %s\nwant %s", got, lines[idx])
 	}
 }
 
