@@ -2,10 +2,10 @@
 // fleet-wide HTTP face of N powerrouted shard instances, one per
 // electricity market region.
 //
-// It assembles the same deterministic joint world as powerrouted (match
-// -seed/-months/-days/-horizon/-threshold-km/-price-threshold/
-// -reaction-delay across the coordinator and every shard), discovers each
-// shard's cluster/state ownership from its /v1/world, and then:
+// It registers the same world flags as powerrouted (core.WorldFlags) and
+// builds the same deterministic joint world from them (give the
+// coordinator and every shard equal values), discovers each shard's
+// cluster/state ownership from its /v1/world, and then:
 //
 //   - fans POST /v1/prices out to every shard verbatim (shards ignore
 //     hubs they host no cluster on),
@@ -40,6 +40,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,12 +51,8 @@ import (
 	"syscall"
 	"time"
 
-	"powerroute/internal/batchspec"
 	"powerroute/internal/coord"
 	"powerroute/internal/core"
-	"powerroute/internal/energy"
-	"powerroute/internal/experiments"
-	"powerroute/internal/routing"
 	"powerroute/internal/server"
 	"powerroute/internal/sim"
 )
@@ -70,17 +67,10 @@ func main() {
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("powerroute-coord", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var world core.WorldFlags
+	world.Register(fs)
 	addr := fs.String("addr", "127.0.0.1:7946", "listen address")
 	shards := fs.String("shards", "", "comma-separated powerrouted shard base URLs (required)")
-	seed := fs.Int64("seed", experiments.DefaultSeed, "world seed (must match every shard's)")
-	months := fs.Int("months", 0, "override market history length in months (0 = the paper's 39)")
-	days := fs.Int("days", 0, "override traffic trace length in days (0 = the paper's 24)")
-	horizon := fs.String("horizon", "longrun", "routing interval source: longrun (hourly) or trace (5-minute)")
-	thresholdKm := fs.Float64("threshold-km", 1500, "optimizer distance threshold (must match the shards')")
-	priceThreshold := fs.Float64("price-threshold", routing.DefaultPriceThreshold, "price differential dead-band ($/MWh)")
-	delay := fs.Duration("reaction-delay", sim.DefaultReactionDelay, "lag between a price taking effect and the router seeing it")
-	batchSpec := fs.String("batch-spec", "", "deferrable batch class, matching every shard's -batch-spec (empty = no batch class)")
-	burstHubs := fs.String("burst-hubs", "", "coordinate the burst-exact clique world, matching every shard's -burst-hubs; the coordinator then brokers burst-token leases to the shards")
 	mergeEvery := fs.Duration("merge-every", 10*time.Second, "how often to pull and merge shard checkpoints (0 = on demand only)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -99,88 +89,20 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *burstHubs != "" && *batchSpec != "" {
-		fmt.Fprintln(stderr, "powerroute-coord: -burst-hubs and -batch-spec are not supported together")
-		return 2
-	}
-	if *burstHubs != "" && *horizon != "longrun" {
-		fmt.Fprintln(stderr, "powerroute-coord: -burst-hubs serves the hourly long-run horizon only")
-		return 2
-	}
-
-	sys, err := core.NewSystem(core.Options{Seed: *seed, MarketMonths: *months, TraceDays: *days})
+	sc, err := world.Scenario()
 	if err != nil {
 		fmt.Fprintln(stderr, "powerroute-coord:", err)
+		if errors.Is(err, core.ErrUsage) {
+			return 2
+		}
 		return 1
 	}
-	var sc sim.Scenario
-	if *burstHubs != "" {
-		// The burst-exact clique world. SelfGate on the joint scenario does
-		// double duty: it marks the world as burst-coordinated (arming the
-		// coordinator's lease broker) and lets merged lease-bearing shard
-		// checkpoints restore into the joint engine for /v1/status.
-		pairs, err := core.ParseBurstHubs(*burstHubs)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerroute-coord:", err)
-			return 2
-		}
-		bw, err := sys.BurstWorld(pairs, *thresholdKm, *priceThreshold)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerroute-coord:", err)
-			return 1
-		}
-		if sc, err = sys.BurstScenario(bw, *thresholdKm, *priceThreshold, *delay); err != nil {
-			fmt.Fprintln(stderr, "powerroute-coord:", err)
-			return 1
-		}
+	if world.BurstHubs != "" {
+		// SelfGate on the joint scenario does double duty: it marks the
+		// world as burst-coordinated (arming the coordinator's lease
+		// broker) and lets merged lease-bearing shard checkpoints restore
+		// into the joint engine for /v1/status.
 		sc.BurstGate = sim.SelfGate{}
-	} else {
-		sc = sim.Scenario{
-			Fleet:         sys.Fleet,
-			Energy:        energy.OptimisticFuture,
-			Market:        sys.Market,
-			ReactionDelay: *delay,
-		}
-		switch *horizon {
-		case "longrun":
-			sc.Demand = sys.LongRun
-			sc.Start = sys.Market.Start
-			sc.Steps = sys.Market.Hours
-			sc.Step = time.Hour
-		case "trace":
-			demand, err := sim.FromTrace(sys.Trace)
-			if err != nil {
-				fmt.Fprintln(stderr, "powerroute-coord:", err)
-				return 1
-			}
-			sc.Demand = demand
-			sc.Start = sys.Trace.Start
-			sc.Steps = sys.Trace.Samples
-			sc.Step = 5 * time.Minute
-		default:
-			fmt.Fprintf(stderr, "powerroute-coord: unknown horizon %q (longrun or trace)\n", *horizon)
-			return 2
-		}
-		opt, err := routing.NewPriceOptimizer(sys.Fleet, *thresholdKm, *priceThreshold)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerroute-coord:", err)
-			return 1
-		}
-		sc.Policy = opt
-	}
-
-	// The batch class must be configured against the same joint world the
-	// shards split: restoring merged shard checkpoints that carry batch
-	// queue sections requires the joint scenario to carry the scheduler
-	// config too (and with identical capacities and price gates, or the
-	// merged /v1/status would diverge from an unsplit powerrouted's).
-	if *batchSpec != "" {
-		cfg, err := batchspec.Parse(*batchSpec, sys.Fleet, sys.Market)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerroute-coord:", err)
-			return 2
-		}
-		sc.Batch = cfg
 	}
 
 	co, err := coord.New(ctx, coord.Config{Scenario: sc, ShardURLs: urls})

@@ -39,11 +39,10 @@ func main() {
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("powerroute", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	seed := fs.Int64("seed", experiments.DefaultSeed, "world seed (regenerates all synthetic data)")
+	var world core.Options
+	world.Register(fs)
 	timing := fs.Bool("time", false, "print per-experiment wall time")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiments and sweeps (1 = serial)")
-	months := fs.Int("months", 0, "override market history length in months (0 = the paper's 39)")
-	days := fs.Int("days", 0, "override traffic trace length in days (0 = the paper's 24)")
 	fs.Usage = func() { usage(stderr) }
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -77,7 +76,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		defs = append(defs, def)
 	}
 	experiments.SetParallelism(*parallel)
-	env, err := experiments.NewEnvWith(core.Options{Seed: *seed, MarketMonths: *months, TraceDays: *days})
+	env, err := experiments.NewEnvWith(world)
 	if err != nil {
 		fmt.Fprintln(stderr, "powerroute:", err)
 		return 1

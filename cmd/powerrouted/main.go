@@ -16,6 +16,11 @@
 //	            [-shard-count N -shard-index I]
 //	            [-burst-hubs PAIR,PAIR,...]
 //
+// The nine world flags (-seed, -months, -days, -horizon, -threshold-km,
+// -price-threshold, -reaction-delay, -batch-spec, -burst-hubs) are
+// core.WorldFlags, which powerroute-coord registers too; its Scenario
+// builds the joint world before -shard-count splits it.
+//
 // -burst-hubs replaces the derived world with the burst-exact clique
 // world (core.BurstWorld): each comma-separated hub pair becomes one
 // routing-closed region, soft caps are armed so the 95/5 burst gate
@@ -51,6 +56,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,10 +67,7 @@ import (
 	"syscall"
 	"time"
 
-	"powerroute/internal/batchspec"
 	"powerroute/internal/core"
-	"powerroute/internal/energy"
-	"powerroute/internal/experiments"
 	"powerroute/internal/routing"
 	"powerroute/internal/server"
 	"powerroute/internal/sim"
@@ -81,16 +84,9 @@ func main() {
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("powerrouted", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var world core.WorldFlags
+	world.Register(fs)
 	addr := fs.String("addr", "127.0.0.1:7946", "listen address")
-	seed := fs.Int64("seed", experiments.DefaultSeed, "world seed (must match the feed generator's)")
-	months := fs.Int("months", 0, "override market history length in months (0 = the paper's 39)")
-	days := fs.Int("days", 0, "override traffic trace length in days (0 = the paper's 24)")
-	horizon := fs.String("horizon", "longrun", "routing interval source: longrun (hourly) or trace (5-minute)")
-	thresholdKm := fs.Float64("threshold-km", 1500, "optimizer distance threshold (paper's elbow)")
-	priceThreshold := fs.Float64("price-threshold", routing.DefaultPriceThreshold, "price differential dead-band ($/MWh)")
-	delay := fs.Duration("reaction-delay", sim.DefaultReactionDelay, "lag between a price taking effect and the router seeing it")
-	batchSpec := fs.String("batch-spec", "", "deferrable batch class: w=<watts/server>,pct=<price quantile>[,guard=0|1][,migrate=0|1] (empty = no batch class)")
-	burstHubs := fs.String("burst-hubs", "", "serve the burst-exact clique world instead of the derived one: comma-separated hub pairs, e.g. NP15+SP15,NYC+DOM (soft caps armed, burst gate fleet-coordinated)")
 	stateDir := fs.String("state-dir", "", "directory for durable engine checkpoints (empty = no persistence)")
 	ckptEvery := fs.Duration("checkpoint-every", time.Minute, "periodic checkpoint interval when -state-dir is set (0 = shutdown-only)")
 	restore := fs.Bool("restore", false, "resume from -state-dir's checkpoint instead of starting fresh")
@@ -111,94 +107,24 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "powerrouted: negative -checkpoint-every")
 		return 2
 	}
-	if *burstHubs != "" && *batchSpec != "" {
-		fmt.Fprintln(stderr, "powerrouted: -burst-hubs and -batch-spec are not supported together")
-		return 2
-	}
-	if *burstHubs != "" && *horizon != "longrun" {
-		fmt.Fprintln(stderr, "powerrouted: -burst-hubs serves the hourly long-run horizon only")
-		return 2
-	}
-
-	sys, err := core.NewSystem(core.Options{Seed: *seed, MarketMonths: *months, TraceDays: *days})
-	if err != nil {
-		fmt.Fprintln(stderr, "powerrouted:", err)
-		return 1
-	}
-	var sc sim.Scenario
-	if *burstHubs != "" {
-		// The burst-exact clique world: soft caps armed tight enough that
-		// 95/5 bursts genuinely fire, constructed so sharded and joint
-		// runs stay bit-identical (see core.BurstWorld).
-		pairs, err := core.ParseBurstHubs(*burstHubs)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerrouted:", err)
-			return 2
-		}
-		bw, err := sys.BurstWorld(pairs, *thresholdKm, *priceThreshold)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerrouted:", err)
-			return 1
-		}
-		if sc, err = sys.BurstScenario(bw, *thresholdKm, *priceThreshold, *delay); err != nil {
-			fmt.Fprintln(stderr, "powerrouted:", err)
-			return 1
-		}
-	} else {
-		sc = sim.Scenario{
-			Fleet:         sys.Fleet,
-			Energy:        energy.OptimisticFuture,
-			Market:        sys.Market,
-			ReactionDelay: *delay,
-		}
-		switch *horizon {
-		case "longrun":
-			sc.Demand = sys.LongRun
-			sc.Start = sys.Market.Start
-			sc.Steps = sys.Market.Hours
-			sc.Step = time.Hour
-		case "trace":
-			demand, err := sim.FromTrace(sys.Trace)
-			if err != nil {
-				fmt.Fprintln(stderr, "powerrouted:", err)
-				return 1
-			}
-			sc.Demand = demand
-			sc.Start = sys.Trace.Start
-			sc.Steps = sys.Trace.Samples
-			sc.Step = 5 * time.Minute
-		default:
-			fmt.Fprintf(stderr, "powerrouted: unknown horizon %q (longrun or trace)\n", *horizon)
-			return 2
-		}
-		opt, err := routing.NewPriceOptimizer(sys.Fleet, *thresholdKm, *priceThreshold)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerrouted:", err)
-			return 1
-		}
-		sc.Policy = opt
-	}
-
-	// The deferrable batch class is configured against the joint world —
-	// before any shard split, so every shard (and the coordinator's merge)
-	// sees the same per-cluster capacities and price gates.
-	if *batchSpec != "" {
-		cfg, err := batchspec.Parse(*batchSpec, sys.Fleet, sys.Market)
-		if err != nil {
-			fmt.Fprintln(stderr, "powerrouted:", err)
-			return 2
-		}
-		sc.Batch = cfg
-	}
-
-	// Multi-region sharding: this instance serves one routing-closed
-	// region of the world. The partition is derived deterministically from
-	// the fleet and the optimizer's reach, so every shard (and the
-	// coordinator) computes the same split from the same flags.
 	if *shardCount < 1 || *shardIndex < 0 || *shardIndex >= *shardCount {
 		fmt.Fprintf(stderr, "powerrouted: -shard-index %d out of range for -shard-count %d\n", *shardIndex, *shardCount)
 		return 2
 	}
+
+	sc, err := world.Scenario()
+	if err != nil {
+		fmt.Fprintln(stderr, "powerrouted:", err)
+		if errors.Is(err, core.ErrUsage) {
+			return 2
+		}
+		return 1
+	}
+
+	// Multi-region sharding: this instance serves one routing-closed
+	// region of the joint world. The partition is derived deterministically
+	// from the fleet and the optimizer's reach, so every shard (and the
+	// coordinator) computes the same split from the same flags.
 	if *shardCount > 1 {
 		partition, err := sim.PartitionByRouting(sc.Policy.(routing.Sharder), sc.Fleet)
 		if err != nil {
@@ -207,7 +133,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 		if got := partition.Shards(); got != *shardCount {
 			fmt.Fprintf(stderr, "powerrouted: the world splits into %d market regions at -threshold-km %g, not %d (the paper's 1500 km reach spans one region; try 1000 for 2 or 600 for 3)\n",
-				got, *thresholdKm, *shardCount)
+				got, world.ThresholdKm, *shardCount)
 			return 2
 		}
 		subs, err := sc.Shard(partition)
@@ -228,7 +154,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	// the fleet-wide gate itself; a shard daemon cannot see the fleet's
 	// demand, so it replays gate bits the coordinator posts to /v1/leases.
 	var leases *sim.LeaseStore
-	if *burstHubs != "" {
+	if world.BurstHubs != "" {
 		if *shardCount > 1 {
 			leases = &sim.LeaseStore{}
 			sc.BurstGate = leases

@@ -51,16 +51,14 @@ import (
 	"os"
 	"path/filepath"
 
-	"powerroute/internal/market"
+	"powerroute/internal/core"
 	"powerroute/internal/timeseries"
 	"powerroute/internal/tracefile"
-	"powerroute/internal/traffic"
 )
 
 func main() {
-	seed := flag.Int64("seed", 42, "generation seed")
-	months := flag.Int("months", market.DefaultMonths, "price history length in months")
-	days := flag.Int("days", traffic.DefaultDays, "traffic trace length in days")
+	var world core.Options
+	world.Register(flag.CommandLine)
 	out := flag.String("out", "", "output directory (required unless -replay)")
 	replayURL := flag.String("replay", "", "powerrouted base URL to replay the world against (e.g. http://127.0.0.1:7946)")
 	speedup := flag.Float64("speedup", 0, "replay pacing: simulated seconds per wall second (0 = as fast as possible)")
@@ -74,9 +72,7 @@ func main() {
 	flag.Parse()
 	if *replayURL != "" {
 		opt := replayOptions{
-			Seed:        *seed,
-			Months:      *months,
-			Days:        *days,
+			World:       world,
 			Batch:       *batch,
 			Loops:       *loops,
 			Speedup:     *speedup,
@@ -111,20 +107,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracegen: -out DIR or -replay URL is required")
 		os.Exit(2)
 	}
-	if err := run(*seed, *months, *days, *out, os.Stdout); err != nil {
+	if err := run(world, *out, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed int64, months, days int, dir string, stdout io.Writer) error {
+// run exports the world's price history and 5-minute demand trace as CSV
+// files in dir.
+func run(world core.Options, dir string, stdout io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	mkt, err := market.Generate(market.Config{Seed: seed, Months: months})
+	sys, err := core.NewSystem(world)
 	if err != nil {
 		return err
 	}
+	mkt := sys.Market
 	for _, h := range mkt.Hubs() {
 		rt, err := mkt.RT(h.ID)
 		if err != nil {
@@ -151,10 +150,7 @@ func run(seed int64, months, days int, dir string, stdout io.Writer) error {
 		return err
 	}
 
-	tr, err := traffic.Generate(traffic.Config{Seed: seed + 1, Days: days})
-	if err != nil {
-		return err
-	}
+	tr := sys.Trace
 	demand := &tracefile.Demand{
 		Start: tr.Start,
 		Step:  timeseries.FiveMinute,

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"powerroute/internal/core"
 )
 
 // TestRunTinyHorizon exports a one-month, one-day world and checks the
@@ -12,7 +14,7 @@ import (
 func TestRunTinyHorizon(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := run(1, 1, 1, dir, &out); err != nil {
+	if err := run(core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}, dir, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "demand_5min.csv") {

@@ -12,18 +12,15 @@ import (
 	"time"
 
 	"powerroute/internal/core"
-	"powerroute/internal/market"
 	"powerroute/internal/routing"
 	"powerroute/internal/server"
 	"powerroute/internal/sim"
 	"powerroute/internal/timeseries"
-	"powerroute/internal/traffic"
 )
 
 // replayOptions configures one replay run against a powerrouted daemon.
 type replayOptions struct {
-	Seed         int64
-	Months, Days int
+	World        core.Options // -seed, -months, -days: match the daemon's
 	Batch, Loops int
 	Speedup      float64
 
@@ -136,30 +133,25 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	if opt.KillAfter < 0 {
 		return fmt.Errorf("replay: negative kill-after %d", opt.KillAfter)
 	}
-	mkt, err := market.Generate(market.Config{Seed: opt.Seed, Months: opt.Months})
-	if err != nil {
-		return err
-	}
-	tr, err := traffic.Generate(traffic.Config{Seed: opt.Seed + 1, Days: opt.Days})
-	if err != nil {
-		return err
-	}
-	var demand sim.DemandSource = tr.LongRun()
-
-	// Burst mode: regenerate the burst-exact world the daemons serve (same
+	// Burst mode replays the burst-exact world the daemons serve (same
 	// seed, same flags → bit-identical fleet, caps, and demand).
+	var pairs [][2]string
 	if opt.BurstHubs != "" {
 		if opt.Jobs != nil {
 			return fmt.Errorf("replay: -burst-hubs and -batch-spec are not supported together")
 		}
-		pairs, err := core.ParseBurstHubs(opt.BurstHubs)
-		if err != nil {
+		var err error
+		if pairs, err = core.ParseBurstHubs(opt.BurstHubs); err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
-		sys, err := core.NewSystem(core.Options{Seed: opt.Seed, MarketMonths: opt.Months, TraceDays: opt.Days})
-		if err != nil {
-			return fmt.Errorf("replay: %w", err)
-		}
+	}
+	sys, err := core.NewSystem(opt.World)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	mkt := sys.Market
+	var demand sim.DemandSource = sys.LongRun
+	if pairs != nil {
 		bw, err := sys.BurstWorld(pairs, opt.ThresholdKm, routing.DefaultPriceThreshold)
 		if err != nil {
 			return fmt.Errorf("replay: %w", err)
@@ -178,7 +170,7 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 		}
 		rts[i] = s
 	}
-	ns := len(tr.States)
+	ns := len(sys.Trace.States)
 	step := timeseries.Hourly
 	start := mkt.Start
 	horizon := mkt.Hours
@@ -306,7 +298,7 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	}
 
 	fmt.Fprintf(stdout, "replay: steps [%d, %d) of %d (%d-pass %d-month horizon), %d hubs, %d states, batch %d\n",
-		startOff, end, total, opt.Loops, opt.Months, len(hubs), ns, opt.Batch)
+		startOff, end, total, opt.Loops, mkt.Config.Months, len(hubs), ns, opt.Batch)
 
 	routed := 0
 	t0 := time.Now()

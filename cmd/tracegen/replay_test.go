@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"powerroute/internal/core"
 	"powerroute/internal/energy"
@@ -25,15 +24,9 @@ func replayWorld(t *testing.T, seed int64, months, days int) (*server.Server, *h
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := sim.Scenario{
-		Fleet:         sys.Fleet,
-		Energy:        energy.OptimisticFuture,
-		Market:        sys.Market,
-		Demand:        sys.LongRun,
-		Start:         sys.Market.Start,
-		Steps:         sys.Market.Hours,
-		Step:          time.Hour,
-		ReactionDelay: sim.DefaultReactionDelay,
+	sc, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		t.Fatal(err)
 	}
 	opt, err := routing.NewPriceOptimizer(sys.Fleet, 1500, routing.DefaultPriceThreshold)
 	if err != nil {
@@ -69,7 +62,7 @@ func TestReplayMatchesBatchRun(t *testing.T) {
 	var out strings.Builder
 	// Batch size deliberately misaligned with the horizon so chunk
 	// boundaries land mid-feed.
-	if err := replay(&out, ts.URL, replayOptions{Seed: seed, Months: months, Days: days, Batch: 100, Loops: 1}); err != nil {
+	if err := replay(&out, ts.URL, replayOptions{World: core.Options{Seed: seed, MarketMonths: months, TraceDays: days}, Batch: 100, Loops: 1}); err != nil {
 		t.Fatal(err)
 	}
 	online, err := srv.Finalize()
@@ -101,7 +94,7 @@ func TestReplayMatchesBatchRun(t *testing.T) {
 func TestReplayLoops(t *testing.T) {
 	srv, ts, sc := replayWorld(t, 7, 1, 7)
 	var out strings.Builder
-	if err := replay(&out, ts.URL, replayOptions{Seed: 7, Months: 1, Days: 7, Batch: 512, Loops: 2}); err != nil {
+	if err := replay(&out, ts.URL, replayOptions{World: core.Options{Seed: 7, MarketMonths: 1, TraceDays: 7}, Batch: 512, Loops: 2}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := srv.Finalize()
@@ -119,13 +112,13 @@ func TestReplayLoops(t *testing.T) {
 // TestReplayArgumentValidation: bad knobs fail before any traffic.
 func TestReplayArgumentValidation(t *testing.T) {
 	var out strings.Builder
-	if err := replay(&out, "http://127.0.0.1:1", replayOptions{Seed: 1, Months: 1, Days: 1, Batch: 0, Loops: 1}); err == nil {
+	if err := replay(&out, "http://127.0.0.1:1", replayOptions{World: core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}, Batch: 0, Loops: 1}); err == nil {
 		t.Error("batch 0 accepted")
 	}
-	if err := replay(&out, "http://127.0.0.1:1", replayOptions{Seed: 1, Months: 1, Days: 1, Batch: 16, Loops: 0}); err == nil {
+	if err := replay(&out, "http://127.0.0.1:1", replayOptions{World: core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}, Batch: 16, Loops: 0}); err == nil {
 		t.Error("loop 0 accepted")
 	}
-	if err := replay(&out, "http://127.0.0.1:1", replayOptions{Seed: 1, Months: 1, Days: 1, Batch: 16, Loops: 1, KillAfter: -1}); err == nil {
+	if err := replay(&out, "http://127.0.0.1:1", replayOptions{World: core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}, Batch: 16, Loops: 1, KillAfter: -1}); err == nil {
 		t.Error("negative kill-after accepted")
 	}
 }
@@ -146,7 +139,7 @@ func TestReplayKillRestoreResume(t *testing.T) {
 	_, tsA, sc := replayWorld(t, seed, months, days)
 	half := sc.Steps / 2
 	var out strings.Builder
-	if err := replay(&out, tsA.URL, replayOptions{Seed: seed, Months: months, Days: days, Batch: 100, Loops: 1, KillAfter: half}); err != nil {
+	if err := replay(&out, tsA.URL, replayOptions{World: core.Options{Seed: seed, MarketMonths: months, TraceDays: days}, Batch: 100, Loops: 1, KillAfter: half}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,7 +169,7 @@ func TestReplayKillRestoreResume(t *testing.T) {
 		t.Fatalf("PUT /v1/checkpoint: %d: %s", resp.StatusCode, msg)
 	}
 
-	if err := replay(&out, tsB.URL, replayOptions{Seed: seed, Months: months, Days: days, Batch: 100, Loops: 1, Resume: true}); err != nil {
+	if err := replay(&out, tsB.URL, replayOptions{World: core.Options{Seed: seed, MarketMonths: months, TraceDays: days}, Batch: 100, Loops: 1, Resume: true}); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := srvB.Finalize()

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"powerroute/internal/carbon"
 	"powerroute/internal/core"
@@ -33,12 +32,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	base := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
-		Carbon: intensity,
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		log.Fatal(err)
 	}
+	base.Carbon = intensity
 	baseline := base
 	baseline.Policy = routing.NewBaseline(sys.Fleet)
 	baseRes, err := sim.Run(baseline)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"powerroute/internal/core"
 	"powerroute/internal/energy"
@@ -50,12 +49,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	base := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
-		DemandChargePerKW: 12, // $/kW-month on each cluster's monthly peak
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		log.Fatal(err)
 	}
+	base.DemandChargePerKW = 12 // $/kW-month on each cluster's monthly peak
 	run := func(cfg *storage.Config) *sim.Result {
 		sc := base
 		sc.Policy = routing.NewBaseline(sys.Fleet)

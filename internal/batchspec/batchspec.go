@@ -1,9 +1,10 @@
-// Package batchspec parses the -batch-spec flag shared by powerrouted
-// and powerroute-coord into a deferrable-batch scheduler configuration.
-// Both binaries must agree on the parse: a coordinator merging shard
-// checkpoints that carry batch queue sections restores them into its own
-// joint-world engine, and sim.Restore requires the restoring scenario to
-// have the batch class configured whenever the checkpoint does.
+// Package batchspec parses the -batch-spec world flag into a
+// deferrable-batch scheduler configuration. core.WorldFlags calls it
+// against the joint world for powerrouted and powerroute-coord alike, so
+// both agree on the parse: a coordinator merging shard checkpoints that
+// carry batch queue sections restores them into its own joint-world
+// engine, and sim.Restore requires the restoring scenario to have the
+// batch class configured whenever the checkpoint does.
 package batchspec
 
 import (

@@ -238,16 +238,13 @@ func (s *System) BurstScenario(bw *BurstWorld, thresholdKm, priceThreshold float
 	if err != nil {
 		return sim.Scenario{}, fmt.Errorf("core: burst scenario: %w", err)
 	}
-	return sim.Scenario{
-		Fleet:         bw.Fleet,
-		Policy:        opt,
-		Energy:        energy.OptimisticFuture,
-		Market:        s.Market,
-		Demand:        bw.Demand,
-		Start:         s.Market.Start,
-		Steps:         s.Market.Hours,
-		Step:          time.Hour,
-		ReactionDelay: delay,
-		SoftCaps:      append([]float64(nil), bw.SoftCaps...),
-	}, nil
+	sc, err := s.Scenario(LongRun39Months, energy.OptimisticFuture, delay)
+	if err != nil {
+		return sim.Scenario{}, err
+	}
+	sc.Fleet = bw.Fleet
+	sc.Policy = opt
+	sc.Demand = bw.Demand
+	sc.SoftCaps = append([]float64(nil), bw.SoftCaps...)
+	return sc, nil
 }

@@ -50,19 +50,21 @@ func (h Horizon) String() string {
 	}
 }
 
-// Options configures system assembly.
+// Options configures system assembly: the -seed, -months and -days flags
+// (Options.Register).
 type Options struct {
 	// Seed drives all synthetic data. Systems with equal options are
 	// identical.
 	Seed int64
-	// TargetUtilization sizes cluster capacity against baseline peaks
-	// (default 0.7).
-	TargetUtilization float64
 	// MarketMonths overrides the price history length (default 39).
 	MarketMonths int
 	// TraceDays overrides the traffic trace length (default 24).
 	TraceDays int
 }
+
+// targetUtilization sizes each cluster's capacity against its baseline
+// peak demand.
+const targetUtilization = 0.7
 
 // System is one assembled simulated world.
 type System struct {
@@ -89,9 +91,6 @@ type baselineVal struct {
 
 // NewSystem assembles a world from the given options.
 func NewSystem(opts Options) (*System, error) {
-	if opts.TargetUtilization == 0 {
-		opts.TargetUtilization = 0.7
-	}
 	mkt, err := market.Generate(market.Config{Seed: opts.Seed, Months: opts.MarketMonths})
 	if err != nil {
 		return nil, fmt.Errorf("core: market: %w", err)
@@ -108,7 +107,7 @@ func NewSystem(opts Options) (*System, error) {
 			}
 		}
 	}
-	fleet, err := cluster.DeriveFleet(peaks, opts.TargetUtilization)
+	fleet, err := cluster.DeriveFleet(peaks, targetUtilization)
 	if err != nil {
 		return nil, fmt.Errorf("core: fleet: %w", err)
 	}
@@ -134,8 +133,11 @@ func MustNewSystem(opts Options) *System {
 	return s
 }
 
-// scenario builds the base scenario for a horizon (policy left unset).
-func (s *System) scenario(h Horizon, em energy.Model, delay time.Duration) (sim.Scenario, error) {
+// Scenario builds the base scenario for a horizon: this system's fleet,
+// market and demand over the horizon's Start, Steps and Step, with the
+// given energy model and reaction delay. Policy and every optional
+// subsystem are left unset.
+func (s *System) Scenario(h Horizon, em energy.Model, delay time.Duration) (sim.Scenario, error) {
 	sc := sim.Scenario{
 		Fleet:         s.Fleet,
 		Energy:        em,
@@ -165,7 +167,7 @@ func (s *System) scenario(h Horizon, em energy.Model, delay time.Duration) (sim.
 // baseline runs instead of recomputing them.
 func (s *System) Baseline(h Horizon, em energy.Model) ([]float64, *sim.Result, error) {
 	v, err := s.baselines.Do(baselineKey{horizon: h, energy: em}, func() (baselineVal, error) {
-		sc, err := s.scenario(h, em, sim.DefaultReactionDelay)
+		sc, err := s.Scenario(h, em, sim.DefaultReactionDelay)
 		if err != nil {
 			return baselineVal{}, err
 		}
@@ -234,7 +236,7 @@ func (s *System) Run(cfg RunConfig) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := s.scenario(cfg.Horizon, cfg.Energy, cfg.delay())
+	sc, err := s.Scenario(cfg.Horizon, cfg.Energy, cfg.delay())
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +329,7 @@ func (s *System) runStatic(h Horizon, em energy.Model, hub market.Hub) (*sim.Res
 	if err != nil {
 		return nil, err
 	}
-	sc, err := s.scenario(h, em, sim.DefaultReactionDelay)
+	sc, err := s.Scenario(h, em, sim.DefaultReactionDelay)
 	if err != nil {
 		return nil, err
 	}

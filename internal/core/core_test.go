@@ -39,9 +39,6 @@ func TestNewSystem(t *testing.T) {
 }
 
 func TestNewSystemErrors(t *testing.T) {
-	if _, err := NewSystem(Options{TargetUtilization: 2}); err == nil {
-		t.Error("bad utilization should fail")
-	}
 	if _, err := NewSystem(Options{MarketMonths: -1}); err == nil {
 		t.Error("bad months should fail")
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"powerroute/internal/cluster"
 	"powerroute/internal/core"
@@ -121,20 +120,15 @@ func AblationHardCap(env *Env) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			demand, err := sim.FromTrace(sys.Trace)
+			sc, err := sys.Scenario(core.Trace24Day, energy.OptimisticFuture, sim.DefaultReactionDelay)
 			if err != nil {
 				return err
 			}
-			opt, err := routing.NewPriceOptimizer(hardFleet, 1500, routing.DefaultPriceThreshold)
-			if err != nil {
+			sc.Fleet = hardFleet
+			if sc.Policy, err = routing.NewPriceOptimizer(hardFleet, 1500, routing.DefaultPriceThreshold); err != nil {
 				return err
 			}
-			res, err = sim.Run(sim.Scenario{
-				Fleet: hardFleet, Policy: opt, Energy: energy.OptimisticFuture,
-				Market: sys.Market, Demand: demand,
-				Start: sys.Trace.Start, Steps: sys.Trace.Samples, Step: 5 * time.Minute,
-				ReactionDelay: sim.DefaultReactionDelay,
-			})
+			res, err = sim.Run(sc)
 			return err
 		})
 	if err != nil {
@@ -184,11 +178,11 @@ func AblationUniformFleet(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := sim.Scenario{
-		Fleet: fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
 	}
+	base.Fleet = fleet
 	// The baseline and every sweep point are independent simulations; run
 	// them all concurrently and normalize afterwards.
 	thresholds := []float64{0, 500, 1000, 1500, 2000, 2500}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"powerroute/internal/cluster"
+	"powerroute/internal/core"
 	"powerroute/internal/energy"
 	"powerroute/internal/report"
 	"powerroute/internal/routing"
@@ -104,12 +104,11 @@ func ExtDeferrableBatch(env *Env) (*Result, error) {
 	jobs := fleetBatchJobs(sys.Fleet, everySteps, slackSteps, sys.Market.Hours, kwhPerServer, floor)
 	workload := batchWorkloadKWh(jobs)
 
-	base := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
-		DemandChargePerKW: 12.0,
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
 	}
+	base.DemandChargePerKW = 12.0
 
 	type config struct {
 		label          string
@@ -198,6 +197,11 @@ func ExtBatchPareto(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
+	}
+	base.DemandChargePerKW = 12.0
 	slacks := []int{12, 48, 168}
 	floors := []float64{0.0, 0.5, 1.0}
 
@@ -237,17 +241,12 @@ func ExtBatchPareto(env *Env) (*Result, error) {
 				}
 				guard, migrate = false, false
 			}
-			sc := sim.Scenario{
-				Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-				Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-				Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
-				DemandChargePerKW: 12.0,
-				Policy:            opt,
-				Batch: &sched.Config{
-					MaxBatchKW: maxKW, Thresholds: th,
-					PeakGuard: guard, Migrate: migrate,
-					Jobs: jobs,
-				},
+			sc := base
+			sc.Policy = opt
+			sc.Batch = &sched.Config{
+				MaxBatchKW: maxKW, Thresholds: th,
+				PeakGuard: guard, Migrate: migrate,
+				Jobs: jobs,
 			}
 			p.res, err = sim.Run(sc)
 			return err

@@ -14,10 +14,6 @@ import (
 	"powerroute/internal/core"
 )
 
-// DefaultSeed assembles the canonical world used by the CLI, benchmarks,
-// and EXPERIMENTS.md.
-const DefaultSeed = 42
-
 // Env is the shared experimental environment.
 type Env struct {
 	System *core.System
@@ -41,7 +37,7 @@ func NewEnvWith(opts core.Options) (*Env, error) {
 // sharedEnv returns a lazily built package-level environment (used by
 // benchmarks so repeated runs amortize world construction).
 var sharedEnv = sync.OnceValues(func() (*Env, error) {
-	return NewEnv(DefaultSeed)
+	return NewEnv(core.DefaultSeed)
 })
 
 // SharedEnv returns the canonical environment.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"powerroute/internal/carbon"
 	"powerroute/internal/core"
@@ -29,10 +28,9 @@ func init() {
 func ExtJointOptimization(env *Env) (*Result, error) {
 	var b strings.Builder
 	sys := env.System
-	sc := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
+	sc, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
 	}
 	weights := []float64{0, 0.005, 0.01, 0.02, 0.05, 0.2}
 	var base *sim.Result
@@ -98,16 +96,15 @@ func ExtJointOptimization(env *Env) (*Result, error) {
 func ExtCarbonAware(env *Env) (*Result, error) {
 	var b strings.Builder
 	sys := env.System
-	intensity, err := carbon.FleetSeries(DefaultSeed, sys.Fleet, sys.Market.Start, sys.Market.Hours)
+	intensity, err := carbon.FleetSeries(core.DefaultSeed, sys.Fleet, sys.Market.Start, sys.Market.Hours)
 	if err != nil {
 		return nil, err
 	}
-	base := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
-		Carbon: intensity,
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
 	}
+	base.Carbon = intensity
 	run := func(decision string) (*sim.Result, error) {
 		sc := base
 		opt, err := routing.NewPriceOptimizer(sys.Fleet, 1500, routing.DefaultPriceThreshold)

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"powerroute/internal/core"
 	"powerroute/internal/energy"
 	"powerroute/internal/report"
 	"powerroute/internal/routing"
@@ -73,10 +73,9 @@ func ExtOptimalDispatch(env *Env) (*Result, error) {
 	}
 	batteries := fleetBatteries(sys.Fleet, 1.0, 150, 150, 0.85)
 
-	base := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
 	}
 	stepHours := base.Step.Hours()
 

@@ -154,7 +154,7 @@ func determinismDefs(t *testing.T) []Definition {
 // flight cache) rather than reading results the serial pass warmed.
 func renderAll(t *testing.T, defs []Definition, parallel int) string {
 	t.Helper()
-	env, err := NewEnv(DefaultSeed)
+	env, err := NewEnv(core.DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"powerroute/internal/cluster"
+	"powerroute/internal/core"
 	"powerroute/internal/energy"
 	"powerroute/internal/report"
 	"powerroute/internal/routing"
@@ -77,10 +77,9 @@ func ExtStorageArbitrage(env *Env) (*Result, error) {
 	}
 	batteries := fleetBatteries(sys.Fleet, 1.0, 150, 150, 0.85)
 
-	base := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
 	}
 	type config struct {
 		label   string
@@ -161,12 +160,11 @@ func ExtPeakShaving(env *Env) (*Result, error) {
 		return nil, err
 	}
 	const ratePerKWMonth = 12.0
-	base := sim.Scenario{
-		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market,
-		Demand: sys.LongRun, Start: sys.Market.Start, Steps: sys.Market.Hours,
-		Step: time.Hour, ReactionDelay: sim.DefaultReactionDelay,
-		DemandChargePerKW: ratePerKWMonth,
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return nil, err
 	}
+	base.DemandChargePerKW = ratePerKWMonth
 	// The no-battery reference first: its observed peaks parameterize the
 	// shaver's per-cluster target (90%) and refill floor (70%).
 	ref := base

@@ -223,12 +223,6 @@ func (b *Baseline) Allocate(ctx *Context, assign [][]float64) error {
 	return nil
 }
 
-// Weights exposes the per-state affinity weights (diagnostics and the
-// synthetic Akamai-like router of §6.3).
-func (b *Baseline) Weights(state int) []float64 {
-	return b.weights[state]
-}
-
 // Candidates implements Sharder: the clusters carrying nonzero affinity
 // weight for the state (its normal-operation assignment support).
 func (b *Baseline) Candidates(s int) []int {

@@ -530,14 +530,14 @@ func TestBatchHeaderRequiresStart(t *testing.T) {
 }
 
 // leaseServer builds a burst-coordinated daemon: the unsplit test world
-// under fractional soft caps, its engine's gate fed from the same
-// LeaseStore the server accepts POST /v1/leases into.
+// under soft caps at 90% of each cluster's capacity, its engine's gate fed
+// from the same LeaseStore the server accepts POST /v1/leases into.
 func leaseServer(t *testing.T) (*httptest.Server, *core.System) {
 	t.Helper()
 	sys := testWorld(t)
-	caps, err := sim.FractionalCaps(sys.Fleet, 0.9)
-	if err != nil {
-		t.Fatal(err)
+	caps := make([]float64, len(sys.Fleet.Clusters))
+	for c, cl := range sys.Fleet.Clusters {
+		caps[c] = 0.9 * float64(cl.Capacity)
 	}
 	store := &sim.LeaseStore{}
 	sc := testScenario(t, sys)

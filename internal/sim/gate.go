@@ -69,22 +69,6 @@ func BurstRoomTotal(fleet *cluster.Fleet, softCaps []float64) (float64, error) {
 	return total, nil
 }
 
-// FractionalCaps derives per-cluster soft caps as pct × capacity in
-// fleet order. It is the one shared definition behind the daemons'
-// -softcap-pct flag: the coordinator, every shard, and the load
-// generator must all derive identical cap bits or the worlds' hashes
-// (and the gate's room constant) would silently disagree.
-func FractionalCaps(fleet *cluster.Fleet, pct float64) ([]float64, error) {
-	if !(pct > 0) {
-		return nil, fmt.Errorf("sim: softcap fraction %v must be positive", pct)
-	}
-	caps := make([]float64, len(fleet.Clusters))
-	for c, cl := range fleet.Clusters {
-		caps[c] = pct * float64(cl.Capacity)
-	}
-	return caps, nil
-}
-
 // SelfGate is the gate of an engine that sees the whole world: it
 // answers with the engine's own demand-vs-room comparison. NewEngine
 // installs it whenever the scenario configures no BurstGate. Configured

@@ -55,26 +55,6 @@ func TestBurstRoomTotal(t *testing.T) {
 	}
 }
 
-// TestFractionalCaps: the shared -softcap-pct definition is pct × capacity
-// in fleet order, with non-positive fractions rejected.
-func TestFractionalCaps(t *testing.T) {
-	fleet := fixtures().Fleet
-	caps, err := FractionalCaps(fleet, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, cl := range fleet.Clusters {
-		if caps[c] != 0.8*float64(cl.Capacity) {
-			t.Fatalf("cluster %d cap %v, want %v", c, caps[c], 0.8*float64(cl.Capacity))
-		}
-	}
-	for _, pct := range []float64{0, -0.5} {
-		if _, err := FractionalCaps(fleet, pct); err == nil {
-			t.Fatalf("fraction %v accepted", pct)
-		}
-	}
-}
-
 // TestLeaseStoreProtocol pins the broker-to-shard lease window contract:
 // contiguous posts extend or overwrite, gaps and rewinds are rejected,
 // unposted steps fail loudly, and pruning bounds the window.
