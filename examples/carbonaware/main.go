@@ -27,7 +27,7 @@ func main() {
 	// Midwest vs gas Texas vs hydro-leavened California, with demand-
 	// coupled diurnal swings and wind regimes (§8: "the footprint varies
 	// depending upon what generating assets are active").
-	intensity, err := carbon.FleetSeries(42, sys.Fleet, sys.Market.Start, sys.Market.Hours)
+	intensity, err := carbon.FleetSeries(sys.Market.Config.Seed, sys.Fleet, sys.Market.Start, sys.Market.Hours)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,6 +18,14 @@
 // payloads a single powerrouted serving the whole world would produce,
 // bit for bit.
 //
+// Every request to a shard — discovery's GET /v1/world, the ingest
+// fan-out and the checkpoint pull — goes through one call, so a shard
+// that cannot be reached fails with ErrShardUnreachable and one that
+// answers an error is reported with its status and message, the same way
+// on every path. The coordinator answers its own clients through the
+// daemon's helpers (server.WriteError, server.WriteJSON, server.Requests,
+// server.Healthz).
+//
 // When the joint world runs a coordinated 95/5 burst gate (a soft-capped
 // scenario with a BurstGate), the coordinator is also the burst-token
 // lease broker: before each demand fan-out it resolves the fleet-wide
@@ -35,7 +43,6 @@
 package coord
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -43,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -86,12 +94,10 @@ type Coordinator struct {
 	client    *http.Client
 	shards    []shardInfo
 
-	// Job routing, read-only after New: clusterIdx resolves a JSON job's
-	// cluster code to its joint index; clusterShard and clusterLocal map
+	// Job routing, read-only after New: clusterShard and clusterLocal map
 	// a joint cluster index to its owning shard and to its index in that
 	// shard's engine, the cluster's position in the shard's ascending
 	// cluster list.
-	clusterIdx   map[string]int
 	clusterShard []int
 	clusterLocal []int
 
@@ -106,8 +112,7 @@ type Coordinator struct {
 	mu   sync.Mutex
 	snap *sim.Snapshot // guarded_by: mu
 
-	reqMu    sync.Mutex
-	requests map[string]uint64 // guarded_by: reqMu
+	requests server.Requests // locks itself
 }
 
 // New builds a coordinator for the joint world and discovers each shard's
@@ -140,7 +145,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		fleet:     cfg.Scenario.Fleet,
 		worldHash: hash,
 		client:    client,
-		requests:  make(map[string]uint64),
 	}
 	if cfg.Scenario.BurstGate != nil {
 		room, err := sim.BurstRoomTotal(cfg.Scenario.Fleet, cfg.Scenario.SoftCaps)
@@ -168,10 +172,6 @@ type shardWorld struct {
 }
 
 func (co *Coordinator) discover(ctx context.Context, urls []string) error {
-	co.clusterIdx = make(map[string]int, len(co.fleet.Clusters))
-	for c, cl := range co.fleet.Clusters {
-		co.clusterIdx[cl.Code] = c
-	}
 	stateIdx := make(map[string]int, len(co.fleet.States))
 	for s, st := range co.fleet.States {
 		stateIdx[st.Code] = s
@@ -188,24 +188,11 @@ func (co *Coordinator) discover(ctx context.Context, urls []string) error {
 
 	co.shards = make([]shardInfo, len(urls))
 	for i, url := range urls {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/world", nil)
-		if err != nil {
-			return fmt.Errorf("coord: shard %s: %w", url, err)
-		}
-		resp, err := co.client.Do(req)
-		if err != nil {
-			return fmt.Errorf("coord: shard %s: %w", url, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			return fmt.Errorf("coord: shard %s world: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
-		}
 		var world shardWorld
-		err = json.NewDecoder(resp.Body).Decode(&world)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("coord: shard %s world: %w", url, err)
+		if err := co.call(ctx, http.MethodGet, url, "/v1/world", "", nil, func(r io.Reader) error {
+			return json.NewDecoder(r).Decode(&world)
+		}); err != nil {
+			return fmt.Errorf("coord: discovery: %w", err)
 		}
 		if world.Policy != co.sc.Policy.Name() {
 			return fmt.Errorf("coord: shard %s runs policy %q, joint world runs %q", url, world.Policy, co.sc.Policy.Name())
@@ -218,8 +205,8 @@ func (co *Coordinator) discover(ctx context.Context, urls []string) error {
 		}
 		info := shardInfo{url: url}
 		for local, cl := range world.Clusters {
-			c, ok := co.clusterIdx[cl.Code]
-			if !ok {
+			c, err := co.fleet.Index(cl.Code)
+			if err != nil {
 				return fmt.Errorf("coord: shard %s serves unknown cluster %q", url, cl.Code)
 			}
 			if prev := clusterOwner[c]; prev != -1 {
@@ -269,17 +256,15 @@ func (co *Coordinator) WorldHash() string { return co.worldHash }
 
 // Handler returns the coordinator's HTTP routes.
 func (co *Coordinator) Handler() http.Handler {
+	count := co.requests.Count
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/prices", co.counted("prices", co.handlePrices))
-	mux.HandleFunc("POST /v1/demand", co.counted("demand", co.handleDemand))
-	mux.HandleFunc("GET /v1/status", co.counted("status", co.handleStatus))
-	mux.HandleFunc("GET /v1/checkpoint", co.counted("checkpoint", co.handleCheckpoint))
-	mux.HandleFunc("GET /v1/world", co.counted("world", co.handleWorld))
-	mux.HandleFunc("GET /metrics", co.counted("metrics", co.handleMetrics))
-	mux.HandleFunc("GET /healthz", co.counted("healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	}))
+	mux.HandleFunc("POST /v1/prices", count("prices", co.handlePrices))
+	mux.HandleFunc("POST /v1/demand", count("demand", co.handleDemand))
+	mux.HandleFunc("GET /v1/status", count("status", co.handleStatus))
+	mux.HandleFunc("GET /v1/checkpoint", count("checkpoint", co.handleCheckpoint))
+	mux.HandleFunc("GET /v1/world", count("world", co.handleWorld))
+	mux.HandleFunc("GET /metrics", count("metrics", co.handleMetrics))
+	mux.HandleFunc("GET /healthz", count("healthz", server.Healthz))
 	return mux
 }
 
@@ -307,65 +292,66 @@ func (co *Coordinator) Run(ctx context.Context, every time.Duration, errw io.Wri
 	}
 }
 
-func (co *Coordinator) counted(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		co.reqMu.Lock()
-		co.requests[name]++
-		co.reqMu.Unlock()
-		h(w, r)
+// call sends one request to a shard (a nil body sends none) and hands a
+// 2xx answer's body to read; a nil read discards it. A shard that cannot
+// be reached at all fails with ErrShardUnreachable; one that answers
+// outside 2xx fails with its status and the first 4 KiB of its error
+// body.
+func (co *Coordinator) call(ctx context.Context, method, url, path, contentType string, body []byte, read func(io.Reader) error) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
+	req, err := http.NewRequestWithContext(ctx, method, url+path, rd)
+	if err != nil {
+		return fmt.Errorf("shard %s: %w", url, err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := co.client.Do(req)
+	if err != nil {
+		return fmt.Errorf("%w %s: %v", ErrShardUnreachable, url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("shard %s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
+	}
+	if read == nil {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if err := read(resp.Body); err != nil {
+		return fmt.Errorf("shard %s: %w", url, err)
+	}
+	return nil
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// fanOut posts one body per shard concurrently and collects the failures.
-// A nil body skips that shard. Shards commit independently: when some
-// fail, the others have still ingested — exactly like a mid-batch error
-// on a single daemon — and the caller reports which shards diverged so
-// the feeder can resync them.
-func (co *Coordinator) fanOut(ctx context.Context, path, contentType string, bodies [][]byte) error {
+// eachShard runs f for every shard concurrently and joins the failures.
+func (co *Coordinator) eachShard(f func(i int, url string) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(co.shards))
 	for i, sh := range co.shards {
-		if bodies[i] == nil {
-			continue
-		}
 		wg.Add(1)
-		go func(i int, url string, body []byte) {
+		go func() {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+path, bytes.NewReader(body))
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %s: %w", url, err)
-				return
-			}
-			req.Header.Set("Content-Type", contentType)
-			resp, err := co.client.Do(req)
-			if err != nil {
-				errs[i] = fmt.Errorf("%w %s: %v", ErrShardUnreachable, url, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode/100 != 2 {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-				errs[i] = fmt.Errorf("shard %s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
-				return
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-		}(i, sh.url, bodies[i])
+			errs[i] = f(i, sh.url)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// fanOut posts bodies[i] to shard i, all concurrently, and collects the
+// failures. Shards commit independently: when some fail, the others have
+// still ingested — exactly like a mid-batch error on a single daemon —
+// and the caller reports which shards diverged so the feeder can resync
+// them.
+func (co *Coordinator) fanOut(ctx context.Context, path, contentType string, bodies [][]byte) error {
+	return co.eachShard(func(i int, url string) error {
+		return co.call(ctx, http.MethodPost, url, path, contentType, bodies[i], nil)
+	})
 }
 
 // handlePrices forwards the price post — JSON or binary batch — verbatim
@@ -382,22 +368,19 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, "reading price post: body exceeds %d bytes", tooLarge.Limit)
+		server.WriteError(w, http.StatusRequestEntityTooLarge, "reading price post: body exceeds %d bytes", tooLarge.Limit)
 		return
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading price post: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "reading price post: %v", err)
 		return
 	}
-	bodies := make([][]byte, len(co.shards))
-	for i := range bodies {
-		bodies[i] = body
-	}
+	bodies := slices.Repeat([][]byte{body}, len(co.shards))
 	if err := co.fanOut(r.Context(), "/v1/prices", r.Header.Get("Content-Type"), bodies); err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]any{"shards": len(co.shards)})
+	server.WriteJSON(w, map[string]any{"shards": len(co.shards)})
 }
 
 // postLeases replays the fleet-wide burst gate bits for steps
@@ -409,11 +392,7 @@ func (co *Coordinator) postLeases(ctx context.Context, from int, gates []bool) e
 	if err != nil {
 		return err
 	}
-	bodies := make([][]byte, len(co.shards))
-	for i := range bodies {
-		bodies[i] = body
-	}
-	return co.fanOut(ctx, "/v1/leases", "application/json", bodies)
+	return co.fanOut(ctx, "/v1/leases", "application/json", slices.Repeat([][]byte{body}, len(co.shards)))
 }
 
 // leaseStep maps a demand timestamp onto the joint step grid; the broker
@@ -446,28 +425,28 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 	}
 	var post server.DemandPost
 	if code, err := server.DecodeJSONBody(w, r, &post); err != nil {
-		httpError(w, code, "decoding demand post: %v", err)
+		server.WriteError(w, code, "decoding demand post: %v", err)
 		return
 	}
 	if len(post.Rates) != len(co.fleet.States) {
-		httpError(w, http.StatusBadRequest, "%d rates for %d states", len(post.Rates), len(co.fleet.States))
+		server.WriteError(w, http.StatusBadRequest, "%d rates for %d states", len(post.Rates), len(co.fleet.States))
 		return
 	}
 	if err := sim.CheckDemand(post.Rates); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Jobs name their home cluster by code, which every shard resolves
 	// itself; the coordinator only picks the owning shard.
 	jobs := make([][]server.JobPost, len(co.shards))
 	for i, jp := range post.Jobs {
-		c, ok := co.clusterIdx[jp.Cluster]
-		if !ok {
-			httpError(w, http.StatusBadRequest, "job %d names unknown cluster %q", i, jp.Cluster)
+		c, err := co.fleet.Index(jp.Cluster)
+		if err != nil {
+			server.WriteError(w, http.StatusBadRequest, "job %d names unknown cluster %q", i, jp.Cluster)
 			return
 		}
 		if err := co.checkJob(jp.Job(c, 0)); err != nil {
-			httpError(w, http.StatusBadRequest, "job %d %v", i, err)
+			server.WriteError(w, http.StatusBadRequest, "job %d %v", i, err)
 			return
 		}
 		sh := co.clusterShard[c]
@@ -476,12 +455,12 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 	if co.broker {
 		step, err := co.leaseStep(post.At)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		gate := sim.BurstGateOpen(sim.SumDemand(post.Rates), co.room)
 		if err := co.postLeases(r.Context(), step, []bool{gate}); err != nil {
-			httpError(w, http.StatusBadGateway, "%v", err)
+			server.WriteError(w, http.StatusBadGateway, "%v", err)
 			return
 		}
 	}
@@ -493,16 +472,16 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 		}
 		b, err := json.Marshal(sub)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			server.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		bodies[i] = b
 	}
 	if err := co.fanOut(r.Context(), "/v1/demand", "application/json", bodies); err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]any{"routed": 1, "shards": len(co.shards)})
+	server.WriteJSON(w, map[string]any{"routed": 1, "shards": len(co.shards)})
 }
 
 // handleDemandBatch splits a binary demand batch by state ownership: each
@@ -511,31 +490,26 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 // carries a job block, empty when none of the row's jobs is homed on that
 // shard, with each job's joint cluster index rewritten to the shard's.
 func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReaderSize(r.Body, 1<<16)
-	h, err := server.ParseBatchHeader(br)
+	br, h, err := server.OpenBatch(r, "demand")
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if h.Kind != "demand" {
-		httpError(w, http.StatusBadRequest, "batch kind %q on /v1/demand", h.Kind)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ns := len(co.fleet.States)
 	if h.Cols != ns {
-		httpError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, ns)
+		server.WriteError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, ns)
 		return
 	}
 	var gates []bool
 	baseStep := 0
 	if co.broker {
 		if h.Step != co.sc.Step {
-			httpError(w, http.StatusBadRequest, "batch steps %v, joint world steps %v", h.Step, co.sc.Step)
+			server.WriteError(w, http.StatusBadRequest, "batch steps %v, joint world steps %v", h.Step, co.sc.Step)
 			return
 		}
 		var err error
 		if baseStep, err = co.leaseStep(h.Start); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		gates = make([]bool, h.Rows)
@@ -551,7 +525,7 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			err = server.WriteBatchHeader(bufs[i], "demand", h.Start, h.Step, h.Rows, len(sh.states), nil)
 		}
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			server.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		// Size the body once, before the row loop: each row carries 8
@@ -573,7 +547,7 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 	for i := 0; i < h.Rows; i++ {
 		if h.Jobs {
 			if jobs, jobBytes, err = server.ReadJobBlock(br, jobs, jobBytes); err != nil {
-				httpError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
+				server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
 				return
 			}
 			for j := range shardJobs {
@@ -581,7 +555,7 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			}
 			for k, wj := range jobs {
 				if err := co.checkJob(wj.Job(0)); err != nil {
-					httpError(w, http.StatusBadRequest, "demand row %d: job %d %v", i, k, err)
+					server.WriteError(w, http.StatusBadRequest, "demand row %d: job %d %v", i, k, err)
 					return
 				}
 				c := int(wj.Cluster)
@@ -590,15 +564,15 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			}
 		}
 		if _, err := io.ReadFull(br, rowBytes); err != nil {
-			httpError(w, http.StatusBadRequest, "demand row %d: batch body truncated: %v", i, err)
+			server.WriteError(w, http.StatusBadRequest, "demand row %d: batch body truncated: %v", i, err)
 			return
 		}
 		if err := server.DecodeRow(rowBytes, row); err != nil {
-			httpError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
+			server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
 			return
 		}
 		if err := sim.CheckDemand(row); err != nil {
-			httpError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
+			server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
 			return
 		}
 		if gates != nil {
@@ -618,7 +592,7 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 	}
 	if gates != nil {
 		if err := co.postLeases(r.Context(), baseStep, gates); err != nil {
-			httpError(w, http.StatusBadGateway, "%v", err)
+			server.WriteError(w, http.StatusBadGateway, "%v", err)
 			return
 		}
 	}
@@ -627,48 +601,22 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 		bodies[i] = b.Bytes()
 	}
 	if err := co.fanOut(r.Context(), "/v1/demand", server.ContentTypeDemandBatch, bodies); err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]any{"routed": h.Rows, "shards": len(co.shards)})
+	server.WriteJSON(w, map[string]any{"routed": h.Rows, "shards": len(co.shards)})
 }
 
 // pullMerge fetches every shard's checkpoint and merges them into the
 // joint world's.
 func (co *Coordinator) pullMerge(ctx context.Context) (*sim.Checkpoint, error) {
 	parts := make([]*sim.Checkpoint, len(co.shards))
-	errs := make([]error, len(co.shards))
-	var wg sync.WaitGroup
-	for i, sh := range co.shards {
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/checkpoint", nil)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %s: %w", url, err)
-				return
-			}
-			resp, err := co.client.Do(req)
-			if err != nil {
-				errs[i] = fmt.Errorf("%w %s: %v", ErrShardUnreachable, url, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-				errs[i] = fmt.Errorf("shard %s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
-				return
-			}
-			cp, err := sim.DecodeCheckpoint(resp.Body)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %s: %w", url, err)
-				return
-			}
-			parts[i] = cp
-		}(i, sh.url)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	if err := co.eachShard(func(i int, url string) error {
+		return co.call(ctx, http.MethodGet, url, "/v1/checkpoint", "", nil, func(r io.Reader) (err error) {
+			parts[i], err = sim.DecodeCheckpoint(r)
+			return err
+		})
+	}); err != nil {
 		return nil, err
 	}
 	merged, err := sim.MergeCheckpoints(parts)
@@ -746,7 +694,7 @@ func (co *Coordinator) degradedSnapshot(w http.ResponseWriter, err error) *sim.S
 	snap := co.snap
 	co.mu.Unlock()
 	if snap == nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return nil
 	}
 	w.Header().Set("X-Coord-Degraded", err.Error())
@@ -760,18 +708,18 @@ func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, server.StatusPayload(co.fleet, snap, 0))
+	server.WriteJSON(w, server.StatusPayload(co.fleet, snap, 0))
 }
 
 func (co *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	merged, err := co.pullMergeSettled(r.Context())
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	var buf bytes.Buffer
 	if err := merged.Encode(&buf); err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding merged checkpoint: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "encoding merged checkpoint: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", server.ContentTypeCheckpoint)
@@ -795,7 +743,7 @@ func (co *Coordinator) handleWorld(w http.ResponseWriter, r *http.Request) {
 	for i, st := range co.fleet.States {
 		states[i] = st.Code
 	}
-	writeJSON(w, map[string]any{
+	server.WriteJSON(w, map[string]any{
 		"policy":                 co.sc.Policy.Name(),
 		"start":                  co.sc.Start,
 		"step_seconds":           co.sc.Step.Seconds(),
@@ -815,12 +763,6 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	co.reqMu.Lock()
-	requests := make(map[string]uint64, len(co.requests))
-	for name, n := range co.requests {
-		requests[name] = n
-	}
-	co.reqMu.Unlock()
 	w.Header().Set("Content-Type", server.MetricsContentType)
-	_, _ = w.Write([]byte(server.MetricsText(co.fleet, snap, 0, requests)))
+	_, _ = w.Write([]byte(server.MetricsText(co.fleet, snap, 0, co.requests.Counts())))
 }

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -117,13 +116,6 @@ func IDs() []string {
 // render assembles a Result from builder content.
 func render(id, title string, b *strings.Builder) *Result {
 	return &Result{ID: id, Title: title, Text: strings.TrimRight(b.String(), "\n") + "\n"}
-}
-
-// sortedCopy returns a sorted copy of xs (ascending).
-func sortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
-	return out
 }
 
 // pct formats a fraction as a percentage.

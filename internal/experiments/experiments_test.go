@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"powerroute/internal/carbon"
+	"powerroute/internal/core"
 )
 
 func env(t *testing.T) *Env {
@@ -286,5 +290,53 @@ func TestOptimalExtension(t *testing.T) {
 	}
 	if !strings.Contains(res.Text, "fixed thresholds sleep through") {
 		t.Errorf("lyapunov did not beat the greedy threshold:\n%s", res.Text)
+	}
+}
+
+// TestExtCarbonUsesWorldSeed: ext-carbon meters the carbon intensities of
+// the world's own seed. On a seed-7 world its series must equal
+// carbon.FleetSeries(7, …) bit for bit, and differ from the default
+// seed's, so a constant seed cannot pass.
+func TestExtCarbonUsesWorldSeed(t *testing.T) {
+	const seed = 7
+	sys, err := core.NewSystem(core.Options{Seed: seed, MarketMonths: 1, TraceDays: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := carbonScenario(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := carbon.FleetSeries(seed, sys.Fleet, sys.Market.Start, sys.Market.Hours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := carbon.FleetSeries(core.DefaultSeed, sys.Fleet, sys.Market.Start, sys.Market.Hours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Carbon) != len(want) {
+		t.Fatalf("%d carbon series for %d clusters", len(sc.Carbon), len(want))
+	}
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	seedMatters := false
+	for c, got := range sc.Carbon {
+		if !got.Start.Equal(want[c].Start) || got.Step != want[c].Step || !sameBits(got.Values, want[c].Values) {
+			t.Errorf("cluster %s: ext-carbon's series is not carbon.FleetSeries(%d, …)", sys.Fleet.Clusters[c].Code, seed)
+		}
+		seedMatters = seedMatters || !sameBits(want[c].Values, other[c].Values)
+	}
+	if !seedMatters {
+		t.Fatalf("seeds %d and %d draw the same carbon series; the test cannot tell them apart", seed, core.DefaultSeed)
 	}
 }

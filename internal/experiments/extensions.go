@@ -91,20 +91,32 @@ func ExtJointOptimization(env *Env) (*Result, error) {
 	return render("ext-joint", "Joint optimization frontier", &b), nil
 }
 
+// carbonScenario is ext-carbon's base scenario: the 39-month long run
+// metered against each cluster's hourly carbon intensity, drawn from the
+// world's own seed like every other synthetic series.
+func carbonScenario(sys *core.System) (sim.Scenario, error) {
+	intensity, err := carbon.FleetSeries(sys.Market.Config.Seed, sys.Fleet, sys.Market.Start, sys.Market.Hours)
+	if err != nil {
+		return sim.Scenario{}, err
+	}
+	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
+	if err != nil {
+		return sim.Scenario{}, err
+	}
+	base.Carbon = intensity
+	return base, nil
+}
+
 // ExtCarbonAware implements the §8 "Environmental Cost" sketch: route on a
 // time-varying gCO₂/kWh signal instead of dollars and compare both ledgers.
 func ExtCarbonAware(env *Env) (*Result, error) {
 	var b strings.Builder
 	sys := env.System
-	intensity, err := carbon.FleetSeries(core.DefaultSeed, sys.Fleet, sys.Market.Start, sys.Market.Hours)
+	base, err := carbonScenario(sys)
 	if err != nil {
 		return nil, err
 	}
-	base, err := sys.Scenario(core.LongRun39Months, energy.OptimisticFuture, sim.DefaultReactionDelay)
-	if err != nil {
-		return nil, err
-	}
-	base.Carbon = intensity
+	intensity := base.Carbon
 	run := func(decision string) (*sim.Result, error) {
 		sc := base
 		opt, err := routing.NewPriceOptimizer(sys.Fleet, 1500, routing.DefaultPriceThreshold)

@@ -133,27 +133,18 @@ func TestStatesSortedAndCopied(t *testing.T) {
 	}
 }
 
-func TestStateByCode(t *testing.T) {
-	ca, err := StateByCode("CA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca.Name != "California" || ca.Zone != Pacific {
-		t.Errorf("CA = %+v", ca)
-	}
-	if _, err := StateByCode("ZZ"); err == nil {
-		t.Error("StateByCode(ZZ) did not fail")
-	}
-	if _, err := StateByCode(""); err == nil {
-		t.Error("StateByCode(empty) did not fail")
-	}
-}
-
 func TestStateDistanceGeoLocality(t *testing.T) {
 	// Massachusetts clients must be far closer to a Boston server than to a
 	// Palo Alto server; the inverse for California clients.
-	ma, _ := StateByCode("MA")
-	ca, _ := StateByCode("CA")
+	var ma, ca State
+	for _, st := range States() {
+		switch st.Code {
+		case "MA":
+			ma = st
+		case "CA":
+			ca = st
+		}
+	}
 	if StateDistance(ma, boston) >= StateDistance(ma, paloAlto) {
 		t.Error("MA clients closer to Palo Alto than Boston")
 	}

@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"fmt"
 	"sort"
 
 	"powerroute/internal/units"
@@ -79,14 +78,6 @@ var states = []State{
 	{"WY", "Wyoming", 533000, Point{42.90, -107.00}, Mountain},
 }
 
-var stateByCode = func() map[string]*State {
-	m := make(map[string]*State, len(states))
-	for i := range states {
-		m[states[i].Code] = &states[i]
-	}
-	return m
-}()
-
 // States returns all US states plus DC, sorted by postal code. The returned
 // slice is a copy; callers may mutate it freely.
 func States() []State {
@@ -94,14 +85,6 @@ func States() []State {
 	copy(out, states)
 	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
 	return out
-}
-
-// StateByCode looks up a state by its two-letter postal code.
-func StateByCode(code string) (State, error) {
-	if s, ok := stateByCode[code]; ok {
-		return *s, nil
-	}
-	return State{}, fmt.Errorf("geo: unknown state code %q", code)
 }
 
 // TotalUSPopulation returns the sum of all state populations in the table.

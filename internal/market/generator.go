@@ -51,7 +51,6 @@ type Dataset struct {
 	rt     map[string]*timeseries.Series
 	da     map[string]*timeseries.Series
 	nwDay  *timeseries.Series
-	gas    []float64 // per-hour fuel factor (diagnostic)
 	scales map[string]float64
 }
 
@@ -79,7 +78,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		scales: make(map[string]float64, len(hubs)),
 	}
 
-	d.gas = gasPath(cfg.Seed, start, hours)
+	gas := gasPath(cfg.Seed, start, hours)
 	factors := regionalFactors(cfg.Seed, hours)
 	dayFactors := regionalDayFactors(cfg.Seed, hours)
 	hodFactors := regionalHourOfDayFactors(cfg.Seed, hours)
@@ -101,7 +100,7 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	for i := range d.hubs {
 		h := d.hubs[i]
-		rt, da, scale := generateHub(cfg.Seed, h, start, hours, d.gas, regional[h.RTO], spikes[h.RTO], congestion[h.RTO], vols[h.RTO])
+		rt, da, scale := generateHub(cfg.Seed, h, start, hours, gas, regional[h.RTO], spikes[h.RTO], congestion[h.RTO], vols[h.RTO])
 		d.rt[h.ID] = rt
 		d.da[h.ID] = da
 		d.scales[h.ID] = scale
@@ -147,13 +146,6 @@ func (d *Dataset) DA(hubID string) (*timeseries.Series, error) {
 
 // NorthwestDaily returns the Pacific Northwest's daily day-ahead series.
 func (d *Dataset) NorthwestDaily() *timeseries.Series { return d.nwDay }
-
-// GasFactor returns the shared fuel-price factor by hour (diagnostic).
-func (d *Dataset) GasFactor() []float64 {
-	out := make([]float64, len(d.gas))
-	copy(out, d.gas)
-	return out
-}
 
 // gasPath generates the hourly natural-gas factor: the deterministic
 // keypoint path plus a slow AR(1) wobble shared by all hubs.

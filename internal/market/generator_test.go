@@ -289,7 +289,11 @@ func TestDiurnalPattern(t *testing.T) {
 func TestWeekendEffect(t *testing.T) {
 	d := testData()
 	rt, _ := d.RT("CHI")
-	byDay := rt.GroupByWeekday()
+	var byDay [7][]float64
+	for i, v := range rt.Values {
+		wd := rt.TimeAt(i).Weekday()
+		byDay[wd] = append(byDay[wd], v)
+	}
 	weekend := stats.Mean(append(append([]float64{}, byDay[time.Saturday]...), byDay[time.Sunday]...))
 	midweek := stats.Mean(byDay[time.Wednesday])
 	if weekend >= midweek {
@@ -422,7 +426,7 @@ func TestScaleExposed(t *testing.T) {
 
 func TestGasFactorDiagnostic(t *testing.T) {
 	d := testData()
-	g := d.GasFactor()
+	g := gasPath(d.Config.Seed, d.Start, d.Hours)
 	if len(g) != d.Hours {
 		t.Fatalf("gas length %d", len(g))
 	}
@@ -435,11 +439,6 @@ func TestGasFactorDiagnostic(t *testing.T) {
 	}
 	if early2009 > 0.9*early2006 {
 		t.Errorf("2009 gas %.2f did not collapse vs 2006 %.2f", early2009, early2006)
-	}
-	// Returned slice is a copy.
-	g[0] = -1
-	if d.GasFactor()[0] == -1 {
-		t.Error("GasFactor exposes internal storage")
 	}
 }
 

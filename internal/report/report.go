@@ -1,10 +1,9 @@
 // Package report renders experiment output: aligned text tables (the
-// paper's tabular figures), CSV for external plotting, and quick text
-// charts (bars and histograms) for the figure-shaped results.
+// paper's tabular figures) and quick text charts (bars and histograms)
+// for the figure-shaped results.
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -112,23 +111,6 @@ func (t *Table) String() string {
 	var b strings.Builder
 	_, _ = t.WriteTo(&b)
 	return b.String()
-}
-
-// WriteCSV emits the table as CSV (headers first).
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if len(t.Headers) > 0 {
-		if err := cw.Write(t.Headers); err != nil {
-			return err
-		}
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // pad right-pads s to width display runes.

@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"encoding/csv"
 	"strings"
 	"testing"
 )
@@ -30,23 +29,6 @@ func TestTableAddf(t *testing.T) {
 	tb.Addf(1.23456789, "x", 42)
 	if tb.Rows[0][0] != "1.235" || tb.Rows[0][1] != "x" || tb.Rows[0][2] != "42" {
 		t.Errorf("Addf row = %v", tb.Rows[0])
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("ignored title", "x", "y")
-	tb.Add("1", "2")
-	tb.Add("3", "4,with,commas")
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[2][1] != "4,with,commas" {
-		t.Errorf("csv rows = %v", rows)
 	}
 }
 

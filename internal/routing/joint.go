@@ -64,9 +64,6 @@ func (j *JointOptimizer) Name() string {
 	return fmt.Sprintf("joint-optimizer(w=%.3g$/km)", j.distanceWeight)
 }
 
-// DistanceWeight returns the configured exchange rate.
-func (j *JointOptimizer) DistanceWeight() float64 { return j.distanceWeight }
-
 // Allocate implements Policy: states fill clusters in ascending score
 // order, falling back through the score ranking as clusters fill.
 func (j *JointOptimizer) Allocate(ctx *Context, assign [][]float64) error {

@@ -122,9 +122,6 @@ func TestJointOptimizerValidation(t *testing.T) {
 		t.Error("negative weight should fail")
 	}
 	j, _ := NewJointOptimizer(f, 0.05)
-	if j.DistanceWeight() != 0.05 {
-		t.Error("DistanceWeight wrong")
-	}
 	if j.Name() == "" {
 		t.Error("empty name")
 	}

@@ -160,11 +160,7 @@ func BenchmarkPriceFeed(b *testing.B) {
 			flat[i*cols+j] = rt.Values[i]
 		}
 	}
-	hubClusters := make(map[string][]int)
-	for c, cl := range sys.Fleet.Clusters {
-		hubClusters[cl.HubID] = append(hubClusters[cl.HubID], c)
-	}
-	f := newPriceFeed(sys.Fleet, hubClusters)
+	f := newPriceFeed(sys.Fleet)
 	chunks := (steps + batch - 1) / batch
 	k := 0
 	for b.Loop() {

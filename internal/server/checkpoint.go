@@ -27,12 +27,12 @@ func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 	cp, err := s.eng.Checkpoint()
 	s.mu.Unlock()
 	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	var buf bytes.Buffer
 	if err := cp.Encode(&buf); err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding checkpoint: %v", err)
+		WriteError(w, http.StatusInternalServerError, "encoding checkpoint: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", ContentTypeCheckpoint)
@@ -49,20 +49,20 @@ func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	cp, err := sim.DecodeCheckpoint(http.MaxBytesReader(w, r.Body, maxCheckpointBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	eng, err := sim.Restore(s.eng.Scenario(), cp)
 	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	s.eng = eng
 	s.snap = nil
 	s.feed.reset()
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"restored_steps": cp.StepsRun,
 		"next":           eng.Next(),
 	})

@@ -177,33 +177,22 @@ func ParseBatchHeader(r *bufio.Reader) (*BatchHeader, error) {
 }
 
 // decodeRows stages a whole batch body: rows×cols little-endian float64s
-// decoded into one flat slice, rejecting NaN and ±Inf. The body streams
-// through a bounded chunk buffer and the decode loop runs over contiguous
-// memory — no per-row reads, no per-row allocation. On error the second
-// return is the offending row (truncation reports the first incomplete
-// row). Rows carrying non-finite values are rejected for the same reason
-// the JSON path cannot express them: one poisoned sample would corrupt
-// meters, p95 bills, and every checkpoint downstream.
+// decoded into one flat slice, one row at a time through the caller's
+// buffered reader, rejecting NaN and ±Inf. On error the second return is
+// the offending row (truncation reports the first incomplete row). Rows
+// carrying non-finite values are rejected for the same reason the JSON
+// path cannot express them: one poisoned sample would corrupt meters,
+// p95 bills, and every checkpoint downstream.
 func decodeRows(r io.Reader, rows, cols int) ([]float64, int, error) {
-	rowBytes := cols * 8
 	flat := make([]float64, rows*cols)
-	chunk := max(1, (1<<16)/rowBytes)
-	buf := make([]byte, min(chunk, rows)*rowBytes)
-	for done := 0; done < rows; {
-		n := min(chunk, rows-done)
-		b := buf[:n*rowBytes]
-		read, err := io.ReadFull(r, b)
-		complete := read / rowBytes
-		for i := 0; i < complete; i++ {
-			row := done + i
-			if derr := DecodeRow(b[i*rowBytes:(i+1)*rowBytes], flat[row*cols:(row+1)*cols]); derr != nil {
-				return nil, row, derr
-			}
+	b := make([]byte, cols*8)
+	for row := 0; row < rows; row++ {
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, row, fmt.Errorf("server: batch body truncated: %w", err)
 		}
-		if err != nil {
-			return nil, done + complete, fmt.Errorf("server: batch body truncated: %w", err)
+		if err := DecodeRow(b, flat[row*cols:(row+1)*cols]); err != nil {
+			return nil, row, err
 		}
-		done += n
 	}
 	return flat, 0, nil
 }

@@ -1,9 +1,20 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"maps"
 	"net/http"
+	"sync"
 	"time"
 )
+
+// The HTTP plumbing both daemons share: cmd/powerrouted serves a Server
+// and cmd/powerroute-coord a coord.Coordinator, and both answer errors,
+// JSON replies, request counts, liveness and connection bounds the same
+// way through the helpers below.
 
 // Connection time bounds for both daemons' listeners. A client gets
 // ReadHeaderTimeout to finish its request headers, so one that sends half
@@ -24,4 +35,84 @@ func NewHTTPServer(h http.Handler) *http.Server {
 		ReadHeaderTimeout: ReadHeaderTimeout,
 		IdleTimeout:       IdleTimeout,
 	}
+}
+
+// WriteError answers code with the JSON body {"error": <message>}.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// WriteJSON answers 200 with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// Healthz is the GET /healthz liveness probe.
+func Healthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+// Requests counts the HTTP requests a daemon serves per handler name, the
+// powerrouted_http_requests_total metric family (MetricsText). The zero
+// value is ready to use.
+type Requests struct {
+	mu sync.Mutex
+	n  map[string]uint64 // guarded_by: mu
+}
+
+// Count wraps h so that every request it serves counts under name.
+func (q *Requests) Count(name string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q.mu.Lock()
+		if q.n == nil {
+			q.n = make(map[string]uint64)
+		}
+		q.n[name]++
+		q.mu.Unlock()
+		h(w, r)
+	}
+}
+
+// Counts returns a copy of the per-handler counts.
+func (q *Requests) Counts() map[string]uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return maps.Clone(q.n)
+}
+
+// DecodeJSONBody decodes a JSON ingest body into v, reading at most
+// MaxJSONBody bytes. On failure it returns the status to answer: 413
+// when the body runs past the bound, 400 when it does not decode.
+func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(MaxJSONBody))).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
+	}
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
+}
+
+// OpenBatch reads a binary batch request's header through the 64 KiB
+// buffered reader its rows are then read from, and checks that the batch
+// is of the route's kind ("demand" on /v1/demand, "prices" on
+// /v1/prices). Any error is the request's fault (400).
+func OpenBatch(r *http.Request, kind string) (*bufio.Reader, *BatchHeader, error) {
+	br := bufio.NewReaderSize(r.Body, 1<<16)
+	h, err := ParseBatchHeader(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	if h.Kind != kind {
+		return nil, nil, fmt.Errorf("batch kind %q on %s", h.Kind, r.URL.Path)
+	}
+	return br, h, nil
 }

@@ -14,14 +14,7 @@ import (
 // exposition format (version 0.0.4). Everything is derived from one engine
 // snapshot, so a scrape never tears across a routing step.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reqMu.Lock()
-	requests := make(map[string]uint64, len(s.requests))
-	for name, n := range s.requests {
-		requests[name] = n
-	}
-	s.reqMu.Unlock()
-
-	text := s.metricsText(requests)
+	text := s.metricsText(s.requests.Counts())
 	w.Header().Set("Content-Type", MetricsContentType)
 	_, _ = w.Write([]byte(text))
 }
@@ -32,9 +25,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) metricsText(requests map[string]uint64) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.eng.SnapshotInto(s.snap)
-	s.snap = snap
-	return MetricsText(s.fleet, snap, s.feed.entries(), requests)
+	return MetricsText(s.fleet, s.snapshot(), s.feed.entries(), requests)
 }
 
 // MetricsContentType is the Prometheus text exposition media type.

@@ -105,8 +105,11 @@ type priceFeed struct {
 	view     atomic.Pointer[priceView]
 }
 
-func newPriceFeed(fleet *cluster.Fleet, hubClusters map[string][]int) *priceFeed {
-	f := &priceFeed{fleet: fleet, hubClusters: hubClusters, nc: len(fleet.Clusters)}
+func newPriceFeed(fleet *cluster.Fleet) *priceFeed {
+	f := &priceFeed{fleet: fleet, hubClusters: make(map[string][]int), nc: len(fleet.Clusters)}
+	for c, cl := range fleet.Clusters {
+		f.hubClusters[cl.HubID] = append(f.hubClusters[cl.HubID], c)
+	}
 	f.view.Store(&priceView{nc: f.nc})
 	return f
 }

@@ -17,7 +17,7 @@ import (
 // chronology, prune, publish) is observable.
 func oneHubFeed() *priceFeed {
 	fleet := &cluster.Fleet{Clusters: []cluster.Cluster{{Code: "C0", HubID: "H"}}}
-	return newPriceFeed(fleet, map[string][]int{"H": {0}})
+	return newPriceFeed(fleet)
 }
 
 func mustIngest(t *testing.T, f *priceFeed, at time.Time, price float64) {
@@ -190,7 +190,7 @@ func FuzzPriceFeed(f *testing.F) {
 			hubClusters[hub] = append(hubClusters[hub], c)
 		}
 		nc := len(fleet.Clusters)
-		feed := newPriceFeed(fleet, hubClusters)
+		feed := newPriceFeed(fleet)
 
 		t0 := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 		var model []feedEntry

@@ -25,12 +25,18 @@
 // by arithmetic checked against the stored instants. The binary batch
 // bodies (see feed.go) are the high-throughput path: a batch acquires its
 // lock once and routes thousands of intervals per request.
+//
+// Every demand post, JSON or binary, plain or jobs=1, routes its rows
+// through routeOne and is answered by reply. A binary batch is read one
+// row at a time from the request's 64 KiB buffered reader: on a jobs=1
+// batch the row's job block first (ReadJobBlock), then its rates
+// (DecodeRow). The shard coordinator (internal/coord) serves through the
+// same error, JSON, request-count and health helpers (httpserver.go).
 package server
 
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -68,22 +74,15 @@ type Server struct {
 	step  time.Duration
 	delay time.Duration
 
-	hubClusters map[string][]int
-	feed        *priceFeed      // locks itself: commitMu for writers, atomic view for readers
-	leases      *sim.LeaseStore // locks itself; nil unless this daemon brokers burst-token leases
+	feed     *priceFeed      // locks itself: commitMu for writers, atomic view for readers
+	leases   *sim.LeaseStore // locks itself; nil unless this daemon brokers burst-token leases
+	requests Requests        // locks itself
 
 	// scratch buffers for the demand path.
 	rowBuf   []float64   // guarded_by: mu
 	byteBuf  []byte      // guarded_by: mu
 	wireJobs []WireJob   // guarded_by: mu — one binary row's job block
 	jobBuf   []sched.Job // guarded_by: mu — decoded deferrable jobs for one row
-
-	// clusterIdx maps cluster codes to engine-local indices for the JSON
-	// job ingest path (read-only after New).
-	clusterIdx map[string]int
-
-	reqMu    sync.Mutex
-	requests map[string]uint64 // guarded_by: reqMu
 }
 
 // New builds a Server around an engine.
@@ -92,41 +91,31 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: config missing engine")
 	}
 	fleet := cfg.Engine.Fleet()
-	s := &Server{
-		eng:         cfg.Engine,
-		leases:      cfg.Leases,
-		fleet:       fleet,
-		step:        cfg.Engine.StepSize(),
-		delay:       cfg.Engine.ReactionDelay(),
-		hubClusters: make(map[string][]int),
-		rowBuf:      make([]float64, len(fleet.States)),
-		requests:    make(map[string]uint64),
-		clusterIdx:  make(map[string]int, len(fleet.Clusters)),
-	}
-	for c, cl := range fleet.Clusters {
-		s.hubClusters[cl.HubID] = append(s.hubClusters[cl.HubID], c)
-		s.clusterIdx[cl.Code] = c
-	}
-	s.feed = newPriceFeed(fleet, s.hubClusters)
-	return s, nil
+	return &Server{
+		eng:    cfg.Engine,
+		leases: cfg.Leases,
+		fleet:  fleet,
+		step:   cfg.Engine.StepSize(),
+		delay:  cfg.Engine.ReactionDelay(),
+		feed:   newPriceFeed(fleet),
+		rowBuf: make([]float64, len(fleet.States)),
+	}, nil
 }
 
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
+	count := s.requests.Count
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/prices", s.counted("prices", s.handlePrices))
-	mux.HandleFunc("POST /v1/demand", s.counted("demand", s.handleDemand))
-	mux.HandleFunc("POST /v1/leases", s.counted("leases", s.handleLeases))
-	mux.HandleFunc("GET /v1/assignments", s.counted("assignments", s.handleAssignments))
-	mux.HandleFunc("GET /v1/status", s.counted("status", s.handleStatus))
-	mux.HandleFunc("GET /v1/world", s.counted("world", s.handleWorld))
-	mux.HandleFunc("GET /v1/checkpoint", s.counted("checkpoint", s.handleCheckpointGet))
-	mux.HandleFunc("PUT /v1/checkpoint", s.counted("checkpoint", s.handleCheckpointPut))
-	mux.HandleFunc("GET /metrics", s.counted("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /healthz", s.counted("healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	}))
+	mux.HandleFunc("POST /v1/prices", count("prices", s.handlePrices))
+	mux.HandleFunc("POST /v1/demand", count("demand", s.handleDemand))
+	mux.HandleFunc("POST /v1/leases", count("leases", s.handleLeases))
+	mux.HandleFunc("GET /v1/assignments", count("assignments", s.handleAssignments))
+	mux.HandleFunc("GET /v1/status", count("status", s.handleStatus))
+	mux.HandleFunc("GET /v1/world", count("world", s.handleWorld))
+	mux.HandleFunc("GET /v1/checkpoint", count("checkpoint", s.handleCheckpointGet))
+	mux.HandleFunc("PUT /v1/checkpoint", count("checkpoint", s.handleCheckpointPut))
+	mux.HandleFunc("GET /metrics", count("metrics", s.handleMetrics))
+	mux.HandleFunc("GET /healthz", count("healthz", Healthz))
 	return mux
 }
 
@@ -139,19 +128,13 @@ func (s *Server) Finalize() (*sim.Result, error) {
 	return s.eng.Finalize()
 }
 
-func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.reqMu.Lock()
-		s.requests[name]++
-		s.reqMu.Unlock()
-		h(w, r)
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+// snapshot refreshes s.snap, the one snapshot the handlers reuse, and
+// returns it; the caller copies out what it renders before unlocking.
+//
+//lint:held mu callers read the snapshot under s.mu
+func (s *Server) snapshot() *sim.Snapshot {
+	s.snap = s.eng.SnapshotInto(s.snap)
+	return s.snap
 }
 
 // batchError reports a mid-batch demand failure. Rows before the failing
@@ -168,29 +151,6 @@ func (s *Server) batchError(w http.ResponseWriter, code, routed int, format stri
 		"routed": routed,
 		"next":   s.eng.Next(),
 	})
-}
-
-// DecodeJSONBody decodes a JSON ingest body into v, reading at most
-// MaxJSONBody bytes. On failure it returns the status to answer: 413
-// when the body runs past the bound, 400 when it does not decode.
-// Exported for the shard coordinator, whose JSON ingest shares the bound.
-func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(MaxJSONBody))).Decode(v)
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
-	}
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	return 0, nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // --- price ingestion -------------------------------------------------------
@@ -211,30 +171,30 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 	}
 	var post pricePost
 	if code, err := DecodeJSONBody(w, r, &post); err != nil {
-		httpError(w, code, "decoding price post: %v", err)
+		WriteError(w, code, "decoding price post: %v", err)
 		return
 	}
 	if post.At.IsZero() {
-		httpError(w, http.StatusBadRequest, "price post missing \"at\"")
+		WriteError(w, http.StatusBadRequest, "price post missing \"at\"")
 		return
 	}
 	if post.At.Before(minFeedInstant) || post.At.After(maxFeedInstant) {
-		httpError(w, http.StatusBadRequest, "price post \"at\" %v is outside %v to %v",
+		WriteError(w, http.StatusBadRequest, "price post \"at\" %v is outside %v to %v",
 			post.At.UTC(), minFeedInstant, maxFeedInstant)
 		return
 	}
 	if len(post.Prices) == 0 {
-		httpError(w, http.StatusBadRequest, "price post missing \"prices\"")
+		WriteError(w, http.StatusBadRequest, "price post missing \"prices\"")
 		return
 	}
 	// Price ingestion never touches the engine lock: the feed validates,
 	// records, and publishes under its own commit lock.
 	ignored, entries, code, err := s.feed.ingest(post.At.UTC(), post.Prices)
 	if err != nil {
-		httpError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"at":           post.At.UTC(),
 		"ignored_hubs": ignored,
 		"feed_entries": entries,
@@ -242,29 +202,24 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReaderSize(r.Body, 1<<16)
-	h, err := ParseBatchHeader(br)
+	br, h, err := OpenBatch(r, "prices")
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if h.Kind != "prices" {
-		httpError(w, http.StatusBadRequest, "batch kind %q on /v1/prices", h.Kind)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Stage the whole payload lock-free, then commit it atomically: a
 	// batch that fails to decode or validate publishes nothing.
 	flat, rowIdx, err := decodeRows(br, h.Rows, h.Cols)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "price row %d: %v", rowIdx, err)
+		WriteError(w, http.StatusBadRequest, "price row %d: %v", rowIdx, err)
 		return
 	}
 	entries, code, err := s.feed.ingestBatch(h, flat)
 	if err != nil {
-		httpError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"ingested":     h.Rows,
 		"feed_entries": entries,
 	})
@@ -283,35 +238,24 @@ type LeasePost struct {
 
 func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 	if s.leases == nil {
-		httpError(w, http.StatusBadRequest, "server: this daemon brokers no burst-token leases")
+		WriteError(w, http.StatusBadRequest, "server: this daemon brokers no burst-token leases")
 		return
 	}
 	var post LeasePost
 	if code, err := DecodeJSONBody(w, r, &post); err != nil {
-		httpError(w, code, "decoding lease post: %v", err)
+		WriteError(w, code, "decoding lease post: %v", err)
 		return
 	}
 	// Window-shape violations (gaps, rewinds) are ordering conflicts with
 	// the stored window, like a misaligned demand batch.
 	if err := s.leases.Post(post.From, post.Gates); err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"from":   post.From,
 		"posted": len(post.Gates),
 	})
-}
-
-// pruneLeases reclaims lease bits the engine has consumed. Expired
-// windows can never be read again (the engine only asks for its current
-// step), so dropping them bounds the store across long replays.
-//
-//lint:held mu callers read the engine cursor under s.mu
-func (s *Server) pruneLeases() {
-	if s.leases != nil {
-		s.leases.Prune(s.eng.StepsRun())
-	}
 }
 
 // --- demand ingestion / routing --------------------------------------------
@@ -361,8 +305,8 @@ func (s *Server) postedJobs(jobs []JobPost) error {
 	s.jobBuf = s.jobBuf[:0]
 	base := s.eng.StepsRun()
 	for i, j := range jobs {
-		c, ok := s.clusterIdx[j.Cluster]
-		if !ok {
+		c, err := s.fleet.Index(j.Cluster)
+		if err != nil {
 			return fmt.Errorf("server: job %d names unknown cluster %q", i, j.Cluster)
 		}
 		s.jobBuf = append(s.jobBuf, j.Job(c, base))
@@ -371,24 +315,31 @@ func (s *Server) postedJobs(jobs []JobPost) error {
 }
 
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
+	var oldest time.Time
+	var ok bool
 	if r.Header.Get("Content-Type") == ContentTypeDemandBatch {
-		s.handleDemandBatch(w, r)
-		return
+		br, h, err := OpenBatch(r, "demand")
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		oldest, ok = s.routeBatch(w, br, h)
+	} else {
+		var post DemandPost
+		if code, err := DecodeJSONBody(w, r, &post); err != nil {
+			WriteError(w, code, "decoding demand post: %v", err)
+			return
+		}
+		oldest, ok = s.routeJSON(w, post)
 	}
-	var post DemandPost
-	if code, err := DecodeJSONBody(w, r, &post); err != nil {
-		httpError(w, code, "decoding demand post: %v", err)
-		return
-	}
-	if oldest, ok := s.routeJSON(w, post); ok {
+	if ok {
 		// Prune off the engine lock: it only takes the feed's commit lock.
 		s.feed.prune(oldest)
 	}
 }
 
 // routeJSON routes one JSON-posted interval under the engine lock and
-// writes the response. It returns the oldest future lookup instant so the
-// caller can prune the feed after the lock is released.
+// answers it (reply).
 func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -396,27 +347,18 @@ func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.
 	if post.At.IsZero() {
 		at = s.eng.Next()
 	} else if !at.Equal(s.eng.Next()) {
-		httpError(w, http.StatusConflict, "demand at %v, engine expects %v", at, s.eng.Next())
+		WriteError(w, http.StatusConflict, "demand at %v, engine expects %v", at, s.eng.Next())
 		return time.Time{}, false
 	}
 	if err := s.postedJobs(post.Jobs); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return time.Time{}, false
 	}
 	if code, err := s.routeOne(at, post.Rates, s.jobBuf); err != nil {
-		httpError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return time.Time{}, false
 	}
-	s.pruneLeases()
-	snap := s.eng.SnapshotInto(s.snap)
-	s.snap = snap
-	writeJSON(w, map[string]any{
-		"routed":         1,
-		"at":             at,
-		"steps":          snap.Steps,
-		"total_cost_usd": float64(snap.TotalCost),
-	})
-	return s.eng.Next().Add(-s.delay), true
+	return s.reply(w, map[string]any{"routed": 1, "at": at}), true
 }
 
 // routeOne queues the interval's jobs, then advances the engine one
@@ -452,48 +394,26 @@ func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job) (int,
 	return 0, nil
 }
 
-func (s *Server) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReaderSize(r.Body, 1<<16)
-	h, err := ParseBatchHeader(br)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if h.Kind != "demand" {
-		httpError(w, http.StatusBadRequest, "batch kind %q on /v1/demand", h.Kind)
-		return
-	}
-	if h.Jobs {
-		if oldest, ok := s.routeBatchJobs(w, br, h); ok {
-			s.feed.prune(oldest)
-		}
-		return
-	}
-	if oldest, ok := s.routeBatch(w, br, h); ok {
-		s.feed.prune(oldest)
-	}
-}
-
-// routeBatchJobs routes a jobs=1 demand batch: each row is a uint32 job
-// count, that many fixed-size job records, then the rate columns. Rows
-// are variable-length, so this path reads per row instead of chunking;
-// the plain routeBatch fast path is untouched for job-free replays. A
-// row's jobs queue with the row (routeOne, as on the JSON path), so a
-// mid-batch failure leaves rows < routed committed along with their jobs
-// and the refused row commits neither.
-func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
+// routeBatch routes one binary demand batch under the engine lock, one
+// row at a time through the request's buffered reader: on a jobs=1 batch
+// the row's job block (ReadJobBlock), then its rates (DecodeRow), then
+// the interval with its jobs (routeOne). Rows commit as they route: a
+// mid-batch failure reports the resume point (see batchError), and
+// truncation after k complete rows still commits k, each with its jobs,
+// while the refused row commits neither.
+func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h.Cols != len(s.fleet.States) {
-		httpError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
+		WriteError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
 		return time.Time{}, false
 	}
 	if h.Step != s.step {
-		httpError(w, http.StatusBadRequest, "batch step %v, engine step %v", h.Step, s.step)
+		WriteError(w, http.StatusBadRequest, "batch step %v, engine step %v", h.Step, s.step)
 		return time.Time{}, false
 	}
 	if next := s.eng.Next(); !h.Start.Equal(next) {
-		httpError(w, http.StatusConflict, "batch starts %v, engine expects %v", h.Start, next)
+		WriteError(w, http.StatusConflict, "batch starts %v, engine expects %v", h.Start, next)
 		return time.Time{}, false
 	}
 	rowBytes := h.Cols * 8
@@ -501,99 +421,53 @@ func (s *Server) routeBatchJobs(w http.ResponseWriter, br *bufio.Reader, h *Batc
 		s.byteBuf = make([]byte, rowBytes)
 	}
 	for routed := 0; routed < h.Rows; routed++ {
-		var err error
-		if s.wireJobs, s.byteBuf, err = ReadJobBlock(br, s.wireJobs, s.byteBuf); err != nil {
-			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
-			return time.Time{}, false
-		}
 		s.jobBuf = s.jobBuf[:0]
-		base := s.eng.StepsRun()
-		for _, wj := range s.wireJobs {
-			s.jobBuf = append(s.jobBuf, wj.Job(base))
+		if h.Jobs {
+			var err error
+			if s.wireJobs, s.byteBuf, err = ReadJobBlock(br, s.wireJobs, s.byteBuf); err != nil {
+				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
+				return time.Time{}, false
+			}
+			base := s.eng.StepsRun()
+			for _, wj := range s.wireJobs {
+				s.jobBuf = append(s.jobBuf, wj.Job(base))
+			}
 		}
 		b := s.byteBuf[:rowBytes]
 		if _, err := io.ReadFull(br, b); err != nil {
 			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
 			return time.Time{}, false
 		}
-		if derr := DecodeRow(b, s.rowBuf); derr != nil {
-			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, derr)
+		if err := DecodeRow(b, s.rowBuf); err != nil {
+			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
 			return time.Time{}, false
 		}
 		at := h.Start.Add(time.Duration(routed) * h.Step)
-		if code, rerr := s.routeOne(at, s.rowBuf, s.jobBuf); rerr != nil {
-			s.batchError(w, code, routed, "demand row %d: %v", routed, rerr)
+		if code, err := s.routeOne(at, s.rowBuf, s.jobBuf); err != nil {
+			s.batchError(w, code, routed, "demand row %d: %v", routed, err)
 			return time.Time{}, false
 		}
 	}
-	s.pruneLeases()
-	snap := s.eng.SnapshotInto(s.snap)
-	s.snap = snap
-	writeJSON(w, map[string]any{
-		"routed":         h.Rows,
-		"steps":          snap.Steps,
-		"total_cost_usd": float64(snap.TotalCost),
-	})
-	return s.eng.Next().Add(-s.delay), true
+	return s.reply(w, map[string]any{"routed": h.Rows}), true
 }
 
-// routeBatch decodes and routes one demand batch under the engine lock.
-// Rows stream through a bounded chunk of the byte scratch and are decoded
-// straight off it — no per-row reads, no per-row allocation. Rows commit
-// as they route: a mid-batch failure reports the resume point (see
-// batchError), and truncation after k complete rows still commits k.
-func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h.Cols != len(s.fleet.States) {
-		httpError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
-		return time.Time{}, false
+// reply answers a demand post whose every row routed: it reclaims the
+// lease bits the engine has consumed (the engine only ever asks for its
+// current step, so this bounds the store across long replays), adds the
+// engine's step count and running bill to resp and writes it. It returns
+// the oldest instant a future price lookup can ask for, so the caller can
+// prune the feed after the engine lock is released.
+//
+//lint:held mu callers lock s.mu for the routed post
+func (s *Server) reply(w http.ResponseWriter, resp map[string]any) (oldest time.Time) {
+	if s.leases != nil {
+		s.leases.Prune(s.eng.StepsRun())
 	}
-	if h.Step != s.step {
-		httpError(w, http.StatusBadRequest, "batch step %v, engine step %v", h.Step, s.step)
-		return time.Time{}, false
-	}
-	if next := s.eng.Next(); !h.Start.Equal(next) {
-		httpError(w, http.StatusConflict, "batch starts %v, engine expects %v", h.Start, next)
-		return time.Time{}, false
-	}
-	rowBytes := h.Cols * 8
-	chunk := max(1, (1<<16)/rowBytes)
-	if cap(s.byteBuf) < chunk*rowBytes {
-		s.byteBuf = make([]byte, chunk*rowBytes)
-	}
-	routed := 0
-	for routed < h.Rows {
-		n := min(chunk, h.Rows-routed)
-		b := s.byteBuf[:n*rowBytes]
-		read, err := io.ReadFull(br, b)
-		complete := read / rowBytes
-		for i := 0; i < complete; i++ {
-			if derr := DecodeRow(b[i*rowBytes:(i+1)*rowBytes], s.rowBuf); derr != nil {
-				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, derr)
-				return time.Time{}, false
-			}
-			at := h.Start.Add(time.Duration(routed) * h.Step)
-			if code, rerr := s.routeOne(at, s.rowBuf, nil); rerr != nil {
-				s.batchError(w, code, routed, "demand row %d: %v", routed, rerr)
-				return time.Time{}, false
-			}
-			routed++
-		}
-		if err != nil || complete < n {
-			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
-			return time.Time{}, false
-		}
-	}
-	s.pruneLeases()
-	snap := s.eng.SnapshotInto(s.snap)
-	s.snap = snap
-	writeJSON(w, map[string]any{
-		"routed":         h.Rows,
-		"steps":          snap.Steps,
-		"total_cost_usd": float64(snap.TotalCost),
-	})
-	return s.eng.Next().Add(-s.delay), true
+	snap := s.snapshot()
+	resp["steps"] = snap.Steps
+	resp["total_cost_usd"] = float64(snap.TotalCost)
+	WriteJSON(w, resp)
+	return s.eng.Next().Add(-s.delay)
 }
 
 // --- read endpoints --------------------------------------------------------
@@ -614,7 +488,7 @@ type clusterStatus struct {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	payload := s.statusPayload()
-	writeJSON(w, payload)
+	WriteJSON(w, payload)
 }
 
 // statusPayload renders the status body under the engine lock; the
@@ -623,9 +497,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) statusPayload() map[string]any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.eng.SnapshotInto(s.snap)
-	s.snap = snap
-	return StatusPayload(s.fleet, snap, s.feed.entries())
+	return StatusPayload(s.fleet, s.snapshot(), s.feed.entries())
 }
 
 // StatusPayload renders the /v1/status response body for an engine
@@ -708,7 +580,7 @@ func StatusPayload(fleet *cluster.Fleet, snap *sim.Snapshot, feedEntries int) ma
 
 func (s *Server) handleAssignments(w http.ResponseWriter, r *http.Request) {
 	resp := s.assignmentsPayload(r.URL.Query().Get("matrix") == "1")
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // assignmentsPayload builds the assignments body under the engine lock,
@@ -716,8 +588,7 @@ func (s *Server) handleAssignments(w http.ResponseWriter, r *http.Request) {
 func (s *Server) assignmentsPayload(wantMatrix bool) map[string]any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.eng.SnapshotInto(s.snap)
-	s.snap = snap
+	snap := s.snapshot()
 	var matrix [][]float64
 	if wantMatrix {
 		matrix = s.eng.Assignments(nil)
@@ -793,7 +664,7 @@ func (s *Server) handleWorld(w http.ResponseWriter, r *http.Request) {
 		resp["fleet_bursts"] = true
 		resp["lease_broker"] = s.leases != nil
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // worldInfo reads the routing and storage policy names, start instant,
@@ -801,7 +672,6 @@ func (s *Server) handleWorld(w http.ResponseWriter, r *http.Request) {
 func (s *Server) worldInfo() (policy, storagePolicy string, start time.Time, worldHash string, bursts bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.eng.SnapshotInto(s.snap)
-	s.snap = snap
+	snap := s.snapshot()
 	return snap.Policy, snap.StoragePolicy, s.eng.Start(), s.eng.WorldHash(), snap.BurstLeases != nil
 }

@@ -637,48 +637,138 @@ func TestLeasePostRejectedWithoutBroker(t *testing.T) {
 	}
 }
 
-// TestMidBatchErrorReportsResume: when a demand batch dies mid-way, the
-// error body must carry the committed row count and the engine's next
-// interval so the client can resume.
-func TestMidBatchErrorReportsResume(t *testing.T) {
-	_, ts, sys := testServer(t)
-	start := sys.Market.Start
-	ns := len(sys.Fleet.States)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
+// batchFailure is the error body of a demand batch that died mid-way.
+type batchFailure struct {
+	Error  string    `json:"error"`
+	Routed int       `json:"routed"`
+	Next   time.Time `json:"next"`
+}
 
-	full := demandBatch(start, time.Hour, [][]float64{
-		flatDemand(ns, 400), flatDemand(ns, 500), flatDemand(ns, 600),
-	})
-	truncated := full.Bytes()[:full.Len()-8] // row 2 unreadable
-	resp, err := http.Post(ts.URL+"/v1/demand", ContentTypeDemandBatch, bytes.NewReader(truncated))
+// postFailingBatch posts a demand batch that must fail with 400 and
+// returns its decoded error body.
+func postFailingBatch(t *testing.T, url string, body []byte) batchFailure {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/demand", ContentTypeDemandBatch, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	out, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("truncated batch: got %d: %s", resp.StatusCode, body)
+		t.Fatalf("truncated batch: got %d: %s", resp.StatusCode, out)
 	}
-	var failure struct {
-		Error  string    `json:"error"`
-		Routed int       `json:"routed"`
-		Next   time.Time `json:"next"`
+	var failure batchFailure
+	if err := json.Unmarshal(out, &failure); err != nil {
+		t.Fatalf("error body is not JSON: %s", out)
 	}
-	if err := json.Unmarshal(body, &failure); err != nil {
-		t.Fatalf("error body is not JSON: %s", body)
+	return failure
+}
+
+// TestMidBatchErrorReportsResume: when a demand batch dies mid-way, the
+// error body must carry the committed row count and the engine's next
+// interval so the client can resume. Both wire forms go through the one
+// row loop: a plain batch cut inside row 2, and a jobs=1 batch cut inside
+// row 2's job block or inside its rates, each commit rows 0–1 (with their
+// jobs, exactly once) and nothing of row 2.
+func TestMidBatchErrorReportsResume(t *testing.T) {
+	const kwh = 40
+	job := []WireJob{{Cluster: 0, DeadlineSteps: 6, EnergyKWh: kwh}}
+	cases := []struct {
+		name string
+		jobs bool
+		// cut returns the truncated body of a full three-row batch;
+		// rowBytes is one row's encoded size.
+		cut func(full []byte, rowBytes int) []byte
+	}{
+		{"plain", false, func(full []byte, _ int) []byte { return full[:len(full)-8] }},
+		{"jobs in job block", true, func(full []byte, rowBytes int) []byte {
+			return full[:len(full)-rowBytes+4+wireJobBytes/2]
+		}},
+		{"jobs in rates", true, func(full []byte, _ int) []byte { return full[:len(full)-8] }},
 	}
-	if failure.Routed != 2 || !failure.Next.Equal(start.Add(2*time.Hour)) || failure.Error == "" {
-		t.Fatalf("resume info wrong: %+v", failure)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, sys := batchServer(t)
+			start := sys.Market.Start
+			ns := len(sys.Fleet.States)
+			postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
+
+			rows := [][]float64{flatDemand(ns, 400), flatDemand(ns, 500), flatDemand(ns, 600)}
+			batch := func(at time.Time, rows [][]float64) *bytes.Buffer {
+				if !tc.jobs {
+					return demandBatch(at, time.Hour, rows)
+				}
+				jobs := make([][]WireJob, len(rows))
+				for i := range jobs {
+					jobs[i] = job
+				}
+				return jobsBatch(at, rows, jobs)
+			}
+			rowBytes := 8 * ns
+			arrived := 0.0
+			if tc.jobs {
+				rowBytes += 4 + wireJobBytes
+				arrived = kwh
+			}
+			full := batch(start, rows).Bytes()
+			failure := postFailingBatch(t, ts.URL, tc.cut(full, rowBytes))
+			if failure.Routed != 2 || !failure.Next.Equal(start.Add(2*time.Hour)) || failure.Error == "" {
+				t.Fatalf("resume info wrong: %+v", failure)
+			}
+			checkArrived(t, ts.URL, 2, 2*arrived)
+
+			// Resuming from the reported point succeeds.
+			if code := postBatch(t, ts.URL, batch(failure.Next, rows[2:])); code != http.StatusOK {
+				t.Fatalf("resume batch: got %d", code)
+			}
+			checkArrived(t, ts.URL, 3, 3*arrived)
+		})
 	}
-	// Resuming from the reported point succeeds.
-	resume := demandBatch(failure.Next, time.Hour, [][]float64{flatDemand(ns, 600)})
-	resp, err = http.Post(ts.URL+"/v1/demand", ContentTypeDemandBatch, resume)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestBatchFormsRouteAlike: the same rows posted as a plain batch and as
+// a jobs=1 batch whose every job block is empty route identically: both
+// daemons answer the same and serve byte-identical status and
+// assignments.
+func TestBatchFormsRouteAlike(t *testing.T) {
+	_, plain, sys := testServer(t)
+	_, jobs, _ := testServer(t)
+	start := sys.Market.Start
+	const hours = 24
+	rows := make([][]float64, hours)
+	for i := range rows {
+		rows[i] = sys.LongRun.Rates(start.Add(time.Duration(i)*time.Hour), nil)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resume batch: got %d", resp.StatusCode)
+	for _, url := range []string{plain.URL, jobs.URL} {
+		for i := 0; i < hours; i++ {
+			at := start.Add(time.Duration(i) * time.Hour)
+			postJSON(t, url+"/v1/prices", pricePost{At: at, Prices: hubPrices(sys, float64(20+7*(i%5)))}, http.StatusOK)
+		}
+	}
+
+	routed := func(url string, body io.Reader) []byte {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/demand", ContentTypeDemandBatch, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("demand batch: got %d: %s", resp.StatusCode, out)
+		}
+		return out
+	}
+	plainOut := routed(plain.URL, demandBatch(start, time.Hour, rows))
+	jobsOut := routed(jobs.URL, jobsBatch(start, rows, make([][]WireJob, hours)))
+	if !bytes.Equal(plainOut, jobsOut) {
+		t.Errorf("demand responses differ:\nplain %s\njobs  %s", plainOut, jobsOut)
+	}
+	for _, path := range []string{"/v1/status", "/v1/assignments?matrix=1"} {
+		p, j := get(t, plain.URL+path, http.StatusOK), get(t, jobs.URL+path, http.StatusOK)
+		if !bytes.Equal(p, j) {
+			t.Errorf("GET %s differs between the batch forms:\nplain %s\njobs  %s", path, p, j)
+		}
 	}
 }
 

@@ -73,27 +73,6 @@ func Kurtosis(xs []float64) float64 {
 	return m4 / (m2 * m2)
 }
 
-// Skewness returns the standardized third moment of xs.
-func Skewness(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	n := float64(len(xs))
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m3 / math.Pow(m2, 1.5)
-}
-
 // Summary bundles the moments the paper tabulates per location (Fig 6).
 type Summary struct {
 	N        int
@@ -338,14 +317,6 @@ func Correlation(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Autocorrelation returns the lag-k autocorrelation of xs.
-func Autocorrelation(xs []float64, lag int) (float64, error) {
-	if lag < 0 || lag >= len(xs) {
-		return 0, errors.New("stats: invalid lag")
-	}
-	return Correlation(xs[:len(xs)-lag], xs[lag:])
 }
 
 // Diff returns the successive differences xs[i+1]-xs[i]; the paper's

@@ -32,9 +32,6 @@ func TestMomentsEdgeCases(t *testing.T) {
 	if Kurtosis([]float64{3, 3, 3}) != 0 {
 		t.Error("zero-variance kurtosis should be 0")
 	}
-	if Skewness([]float64{1}) != 0 {
-		t.Error("single-sample skewness should be 0")
-	}
 }
 
 func TestKurtosisGaussian(t *testing.T) {
@@ -45,7 +42,6 @@ func TestKurtosisGaussian(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 	}
 	approx(t, "Gaussian kurtosis", Kurtosis(xs), 3, 0.15)
-	approx(t, "Gaussian skewness", Skewness(xs), 0, 0.05)
 }
 
 func TestKurtosisHeavyTails(t *testing.T) {
@@ -278,28 +274,6 @@ func TestCorrelationBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// A strongly persistent AR(1) has high lag-1 autocorrelation.
-	rng := rand.New(rand.NewSource(6))
-	xs := make([]float64, 20000)
-	for i := 1; i < len(xs); i++ {
-		xs[i] = 0.95*xs[i-1] + rng.NormFloat64()
-	}
-	r, err := Autocorrelation(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 0.9 {
-		t.Errorf("AR(1) lag-1 autocorrelation = %v, want > 0.9", r)
-	}
-	if _, err := Autocorrelation(xs, -1); err == nil {
-		t.Error("negative lag should fail")
-	}
-	if _, err := Autocorrelation(xs, len(xs)); err == nil {
-		t.Error("lag >= n should fail")
 	}
 }
 

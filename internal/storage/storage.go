@@ -92,15 +92,6 @@ func NewState(b Battery) *State {
 // SoCKWh returns the stored energy.
 func (s *State) SoCKWh() float64 { return s.socKWh }
 
-// SoCFrac returns the state of charge as a fraction of capacity (0 for a
-// zero-capacity battery).
-func (s *State) SoCFrac() float64 {
-	if s.spec.CapacityKWh == 0 {
-		return 0
-	}
-	return s.socKWh / s.spec.CapacityKWh
-}
-
 // BoughtKWh returns the cumulative grid energy drawn to charge.
 func (s *State) BoughtKWh() float64 { return s.boughtKWh }
 

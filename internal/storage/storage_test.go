@@ -54,8 +54,8 @@ func TestZeroBatteryNoOps(t *testing.T) {
 	if got := s.Discharge(100, 1); got != 0 {
 		t.Errorf("zero battery discharged %v kWh", got)
 	}
-	if s.SoCKWh() != 0 || s.SoCFrac() != 0 {
-		t.Errorf("zero battery SoC = %v (%v)", s.SoCKWh(), s.SoCFrac())
+	if s.SoCKWh() != 0 {
+		t.Errorf("zero battery SoC = %v", s.SoCKWh())
 	}
 }
 

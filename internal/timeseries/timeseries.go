@@ -196,33 +196,9 @@ func (s *Series) GroupByMonth() ([]MonthKey, map[MonthKey][]float64) {
 	return keys, groups
 }
 
-// GroupByWeekday buckets samples by UTC weekday.
-func (s *Series) GroupByWeekday() [7][]float64 {
-	var out [7][]float64
-	for i, v := range s.Values {
-		d := int(s.TimeAt(i).Weekday())
-		out[d] = append(out[d], v)
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (s *Series) Clone() *Series {
 	v := make([]float64, len(s.Values))
 	copy(v, s.Values)
 	return &Series{Start: s.Start, Step: s.Step, Values: v}
-}
-
-// StepsFromStart returns the index of the step covering instant t: the
-// floor of (t − Start)/Step. Instants before the start map to negative
-// indices — an instant just before Start is step −1, never 0, which plain
-// toward-zero integer division would claim. The result may also lie past
-// the series end; callers bound it separately.
-func (s *Series) StepsFromStart(t time.Time) int {
-	d := t.Sub(s.Start)
-	i := int(d / s.Step)
-	if d < 0 && time.Duration(i)*s.Step != d {
-		i-- // toward-zero truncation rounds negatives up; floor instead
-	}
-	return i
 }

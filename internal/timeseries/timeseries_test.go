@@ -207,48 +207,12 @@ func TestGroupByMonth(t *testing.T) {
 	}
 }
 
-func TestGroupByWeekday(t *testing.T) {
-	// 2006-01-01 is a Sunday.
-	s := New(t0, Daily, 14)
-	for i := range s.Values {
-		s.Values[i] = float64(i)
-	}
-	byDay := s.GroupByWeekday()
-	if len(byDay[time.Sunday]) != 2 || byDay[time.Sunday][0] != 0 {
-		t.Errorf("Sunday bucket = %v", byDay[time.Sunday])
-	}
-	if len(byDay[time.Monday]) != 2 || byDay[time.Monday][0] != 1 {
-		t.Errorf("Monday bucket = %v", byDay[time.Monday])
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	s := New(t0, Hourly, 4)
 	c := s.Clone()
 	c.Values[0] = 99
 	if s.Values[0] == 99 {
 		t.Error("Clone shares storage")
-	}
-}
-
-func TestStepsFromStart(t *testing.T) {
-	s := New(t0, Hourly, 10)
-	if s.StepsFromStart(t0.Add(3*time.Hour+30*time.Minute)) != 3 {
-		t.Error("StepsFromStart mid-step wrong")
-	}
-	if s.StepsFromStart(t0.Add(-2*time.Hour)) != -2 {
-		t.Error("StepsFromStart negative wrong")
-	}
-	// Floor semantics: instants inside the step before the start belong to
-	// step −1, not step 0 (toward-zero truncation would report 0).
-	if got := s.StepsFromStart(t0.Add(-time.Minute)); got != -1 {
-		t.Errorf("StepsFromStart just before start = %d, want -1", got)
-	}
-	if got := s.StepsFromStart(t0.Add(-90 * time.Minute)); got != -2 {
-		t.Errorf("StepsFromStart mid-step before start = %d, want -2", got)
-	}
-	if got := s.StepsFromStart(t0); got != 0 {
-		t.Errorf("StepsFromStart at start = %d, want 0", got)
 	}
 }
 
