@@ -7,8 +7,10 @@
 // coordinator and every shard equal values), discovers each shard's
 // cluster/state ownership from its /v1/world, and then:
 //
-//   - fans POST /v1/prices out to every shard verbatim (shards ignore
-//     hubs they host no cluster on),
+//   - splits a POST /v1/prices binary batch by hub, posting each shard
+//     only the columns of the hubs its clusters sit on, and forwards a
+//     JSON price post to every shard verbatim (shards ignore hubs they
+//     host no cluster on),
 //   - splits POST /v1/demand (JSON or binary batch) by state ownership
 //     and posts each shard its own columns concurrently, forwarding each
 //     deferrable batch job to the shard that owns its home cluster (a

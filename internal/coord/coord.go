@@ -2,14 +2,17 @@
 // face of N powerrouted instances, one per electricity market region
 // (a routing-closed shard of the joint world, see sim.PartitionByRouting).
 //
-// Ingest fans out. A price post is forwarded verbatim to every shard —
-// each shard ignores hubs it hosts no cluster on — and a demand post
-// (JSON or binary batch) is split by state ownership, each shard
-// receiving exactly its own states' columns. Deferrable batch jobs
-// riding a demand post go to the shard that owns their home cluster.
-// Every full demand row (sim.CheckDemand) and every job (sim.CheckJob) is
+// Ingest fans out. A binary price batch is split by hub, each shard
+// receiving only the columns of the hubs its clusters sit on, and a JSON
+// price post, a few hundred bytes, is forwarded verbatim to every shard,
+// which ignores the hubs it hosts no cluster on. A demand post (JSON or
+// binary batch) is split by state ownership, each shard receiving exactly
+// its own states' columns. Batch columns are copied cell by cell, never
+// re-encoded. Deferrable batch jobs riding a demand post go to the shard
+// that owns their home cluster. Every price batch row (server.DecodeRow),
+// every full demand row (sim.CheckDemand) and every job (sim.CheckJob) is
 // admitted before any shard is posted to, so a bad row or job can never
-// leave the shards at different step cursors.
+// leave the shards at different step cursors or feeds.
 //
 // Reads fan in: the coordinator pulls every shard's durable checkpoint,
 // merges them with sim.MergeCheckpoints under the parent world hash,
@@ -33,7 +36,7 @@
 // can make — and posts the lease window to every shard's POST /v1/leases,
 // so the shards' burst ledgers replay exactly the joint engine's.
 //
-//	POST /v1/prices      forward a price vector or batch to every shard
+//	POST /v1/prices      split a price batch by hub; forward a JSON price vector to every shard
 //	POST /v1/demand      split demand (and jobs) by ownership and fan out
 //	GET  /v1/status      fleet-wide status from the last merged snapshot (?refresh=1 re-pulls)
 //	GET  /v1/checkpoint  pull, merge, and stream the joint-world checkpoint
@@ -100,6 +103,10 @@ type Coordinator struct {
 	// cluster list.
 	clusterShard []int
 	clusterLocal []int
+
+	// Price routing, read-only after New: hubShards maps a hub ID to the
+	// shards hosting at least one cluster on it.
+	hubShards map[string][]int
 
 	// Burst-token broker state, armed when the joint world runs a
 	// coordinated burst gate: room is the fleet's soft-capped total (a
@@ -239,6 +246,12 @@ func (co *Coordinator) discover(ctx context.Context, urls []string) error {
 		}
 	}
 	co.clusterShard = clusterOwner
+	co.hubShards = make(map[string][]int)
+	for c, cl := range co.fleet.Clusters {
+		if sh := clusterOwner[c]; !slices.Contains(co.hubShards[cl.HubID], sh) {
+			co.hubShards[cl.HubID] = append(co.hubShards[cl.HubID], sh)
+		}
+	}
 	return nil
 }
 
@@ -354,25 +367,19 @@ func (co *Coordinator) fanOut(ctx context.Context, path, contentType string, bod
 	})
 }
 
-// handlePrices forwards the price post — JSON or binary batch — verbatim
-// to every shard. Each shard overlays the hubs it hosts and ignores the
-// rest, so no column surgery is needed on the price path. A JSON body
-// gets the shards' own bound (server.MaxJSONBody), so one they would
-// refuse is answered 413 here before any shard sees it; a binary batch
-// may run to 1 GiB.
+// handlePrices forwards a JSON price post verbatim to every shard — each
+// shard overlays the hubs it hosts and ignores the rest — and splits a
+// binary batch by hub (handlePricesBatch). A JSON body gets the shards'
+// own bound (server.MaxJSONBody), so one they would refuse is answered
+// 413 here before any shard sees it.
 func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
-	limit := int64(server.MaxJSONBody)
 	if r.Header.Get("Content-Type") == server.ContentTypePricesBatch {
-		limit = 1 << 30
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		server.WriteError(w, http.StatusRequestEntityTooLarge, "reading price post: body exceeds %d bytes", tooLarge.Limit)
+		co.handlePricesBatch(w, r)
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(server.MaxJSONBody)))
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "reading price post: %v", err)
+		writeBodyError(w, "reading price post", err)
 		return
 	}
 	bodies := slices.Repeat([][]byte{body}, len(co.shards))
@@ -381,6 +388,90 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	server.WriteJSON(w, map[string]any{"shards": len(co.shards)})
+}
+
+// maxPriceBatchBody bounds a binary price batch's body.
+const maxPriceBatchBody = 1 << 30
+
+// writeBodyError answers a failed read of a request body: 413 when the
+// body ran past its bound, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		server.WriteError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooLarge.Limit)
+		return
+	}
+	server.WriteError(w, http.StatusBadRequest, "%s: %v", what, err)
+}
+
+// handlePricesBatch splits a binary price batch by hub: each shard
+// receives a batch with the same horizon but only the columns of the hubs
+// its clusters sit on, in the batch's order, each 8-byte cell copied as it
+// arrived. A shard hosting none of the batch's hubs receives the first
+// column, which its feed ignores, so it records the same entries, or
+// reports the same coverage gap, as it would for the whole batch. Every
+// row is decoded (server.DecodeRow) before any shard is posted to, so a
+// non-finite value is refused here with 400 even in a column no shard
+// hosts.
+func (co *Coordinator) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxPriceBatchBody)
+	br, h, err := server.OpenBatch(r, "prices")
+	if err != nil {
+		writeBodyError(w, "reading price batch", err)
+		return
+	}
+	cols := make([][]int, len(co.shards))
+	for col, hub := range h.Hubs {
+		for _, sh := range co.hubShards[hub] {
+			cols[sh] = append(cols[sh], col)
+		}
+	}
+	bodies := make([][]byte, len(co.shards))
+	for i := range co.shards {
+		if len(cols[i]) == 0 {
+			cols[i] = []int{0}
+		}
+		hubs := make([]string, len(cols[i]))
+		for k, col := range cols[i] {
+			hubs[k] = h.Hubs[col]
+		}
+		var hb bytes.Buffer
+		if err := server.WriteBatchHeader(&hb, "prices", h.Start, h.Step, h.Rows, len(hubs), hubs); err != nil {
+			server.WriteError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		bodies[i] = append(make([]byte, 0, hb.Len()+h.StageRows()*8*len(hubs)), hb.Bytes()...)
+	}
+	row := make([]float64, h.Cols)
+	rowBytes := make([]byte, 8*h.Cols)
+	for i := 0; i < h.Rows; i++ {
+		if _, err := io.ReadFull(br, rowBytes); err != nil {
+			writeBodyError(w, fmt.Sprintf("price row %d: batch body truncated", i), err)
+			return
+		}
+		if err := server.DecodeRow(rowBytes, row); err != nil {
+			server.WriteError(w, http.StatusBadRequest, "price row %d: %v", i, err)
+			return
+		}
+		for j := range bodies {
+			bodies[j] = appendCells(bodies[j], rowBytes, cols[j])
+		}
+	}
+	if err := co.fanOut(r.Context(), "/v1/prices", server.ContentTypePricesBatch, bodies); err != nil {
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
+		return
+	}
+	server.WriteJSON(w, map[string]any{"shards": len(co.shards)})
+}
+
+// appendCells appends the 8-byte cells of an encoded batch row at columns
+// cols, in that order, to b: one shard's share of the row, copied without
+// re-encoding.
+func appendCells(b, row []byte, cols []int) []byte {
+	for _, c := range cols {
+		b = append(b, row[8*c:8*c+8]...)
+	}
+	return b
 }
 
 // postLeases replays the fleet-wide burst gate bits for steps
@@ -486,9 +577,10 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 
 // handleDemandBatch splits a binary demand batch by state ownership: each
 // shard receives a batch with the same horizon but only its own states'
-// columns, posted concurrently. In a jobs=1 batch every shard row also
-// carries a job block, empty when none of the row's jobs is homed on that
-// shard, with each job's joint cluster index rewritten to the shard's.
+// columns (appendCells), posted concurrently. In a jobs=1 batch every
+// shard row also carries a job block, empty when none of the row's jobs
+// is homed on that shard, with each job's joint cluster index rewritten
+// to the shard's.
 func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
 	br, h, err := server.OpenBatch(r, "demand")
 	if err != nil {
@@ -512,35 +604,32 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			server.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		gates = make([]bool, h.Rows)
+		gates = make([]bool, 0, h.StageRows())
 	}
-	bufs := make([]*bytes.Buffer, len(co.shards))
-	subRows := make([][]float64, len(co.shards))
+	bodies := make([][]byte, len(co.shards))
 	for i, sh := range co.shards {
-		bufs[i] = &bytes.Buffer{}
+		var hb bytes.Buffer
 		var err error
 		if h.Jobs {
-			err = server.WriteJobsBatchHeader(bufs[i], h.Start, h.Step, h.Rows, len(sh.states))
+			err = server.WriteJobsBatchHeader(&hb, h.Start, h.Step, h.Rows, len(sh.states))
 		} else {
-			err = server.WriteBatchHeader(bufs[i], "demand", h.Start, h.Step, h.Rows, len(sh.states), nil)
+			err = server.WriteBatchHeader(&hb, "demand", h.Start, h.Step, h.Rows, len(sh.states), nil)
 		}
 		if err != nil {
 			server.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		// Size the body once, before the row loop: each row carries 8
-		// bytes per owned state, plus a job block of at least its 4-byte
-		// count on a jobs=1 batch.
+		// Size the body once for the rows a replay chunk carries: each row
+		// carries 8 bytes per owned state, plus a job block of at least
+		// its 4-byte count on a jobs=1 batch.
 		rowBytes := 8 * len(sh.states)
 		if h.Jobs {
 			rowBytes += 4
 		}
-		bufs[i].Grow(h.Rows * rowBytes)
-		subRows[i] = make([]float64, len(sh.states))
+		bodies[i] = append(make([]byte, 0, hb.Len()+h.StageRows()*rowBytes), hb.Bytes()...)
 	}
 	row := make([]float64, ns)
 	rowBytes := make([]byte, 8*ns)
-	scratch := make([]byte, 0, 8*ns)
 	var jobs []server.WireJob
 	var jobBytes []byte
 	shardJobs := make([][]server.WireJob, len(co.shards))
@@ -575,30 +664,21 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
 			return
 		}
-		if gates != nil {
-			gates[i] = sim.BurstGateOpen(sim.SumDemand(row), co.room)
+		if co.broker {
+			gates = append(gates, sim.BurstGateOpen(sim.SumDemand(row), co.room))
 		}
 		for j, sh := range co.shards {
 			if h.Jobs {
-				jobBytes = server.AppendJobs(jobBytes[:0], shardJobs[j])
-				bufs[j].Write(jobBytes)
+				bodies[j] = server.AppendJobs(bodies[j], shardJobs[j])
 			}
-			sub := subRows[j]
-			for k, s := range sh.states {
-				sub[k] = row[s]
-			}
-			bufs[j].Write(server.AppendRow(scratch[:0], sub))
+			bodies[j] = appendCells(bodies[j], rowBytes, sh.states)
 		}
 	}
-	if gates != nil {
+	if co.broker {
 		if err := co.postLeases(r.Context(), baseStep, gates); err != nil {
 			server.WriteError(w, http.StatusBadGateway, "%v", err)
 			return
 		}
-	}
-	bodies := make([][]byte, len(co.shards))
-	for i, b := range bufs {
-		bodies[i] = b.Bytes()
 	}
 	if err := co.fanOut(r.Context(), "/v1/demand", server.ContentTypeDemandBatch, bodies); err != nil {
 		server.WriteError(w, http.StatusBadGateway, "%v", err)

@@ -1,15 +1,20 @@
 package coord
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -136,14 +141,20 @@ func feedWorld(t *testing.T, sys *core.System, sc sim.Scenario, baseURL string, 
 	postBody(t, baseURL+"/v1/demand", server.ContentTypeDemandBatch, db.Bytes(), http.StatusOK)
 }
 
+// marketHubs returns the IDs of the world's market hubs, in market order.
+func marketHubs(sys *core.System) []string {
+	var ids []string
+	for _, h := range sys.Market.Hubs() {
+		ids = append(ids, h.ID)
+	}
+	return ids
+}
+
 // feedPrices posts `hours` of generated hub prices as one binary batch.
 func feedPrices(t *testing.T, sys *core.System, sc sim.Scenario, baseURL string, hours int) {
 	t.Helper()
 	hubs := sys.Market.Hubs()
-	hubIDs := make([]string, len(hubs))
-	for i, h := range hubs {
-		hubIDs[i] = h.ID
-	}
+	hubIDs := marketHubs(sys)
 	var pb bytes.Buffer
 	if err := server.WriteBatchHeader(&pb, "prices", sc.Start, sc.Step, hours, len(hubIDs), hubIDs); err != nil {
 		t.Fatal(err)
@@ -682,15 +693,35 @@ func TestCoordinatorDiscoveryRejectsBadTopologies(t *testing.T) {
 }
 
 // countingTransport counts the coordinator's requests to its shards by
-// URL path.
+// URL path, and records the header of every binary batch it forwards,
+// per shard URL, in the order sent.
 type countingTransport struct {
-	mu    sync.Mutex
-	paths map[string]int
+	mu      sync.Mutex
+	paths   map[string]int
+	headers map[string][]*server.BatchHeader
+}
+
+func newCountingTransport() *countingTransport {
+	return &countingTransport{paths: map[string]int{}, headers: map[string][]*server.BatchHeader{}}
 }
 
 func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	var h *server.BatchHeader
+	if ct := r.Header.Get("Content-Type"); ct == server.ContentTypePricesBatch || ct == server.ContentTypeDemandBatch {
+		body, err := r.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		if h, err = server.ParseBatchHeader(bufio.NewReader(body)); err != nil {
+			return nil, fmt.Errorf("forwarded batch: %w", err)
+		}
+	}
 	c.mu.Lock()
 	c.paths[r.URL.Path]++
+	if h != nil {
+		url := r.URL.Scheme + "://" + r.URL.Host
+		c.headers[url] = append(c.headers[url], h)
+	}
 	c.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(r)
 }
@@ -699,6 +730,18 @@ func (c *countingTransport) count(path string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.paths[path]
+}
+
+// lastHeader returns the header of the last batch forwarded to url.
+func (c *countingTransport) lastHeader(t *testing.T, url string) *server.BatchHeader {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	hs := c.headers[url]
+	if len(hs) == 0 {
+		t.Fatalf("no batch forwarded to shard %s", url)
+	}
+	return hs[len(hs)-1]
 }
 
 // padJSON marshals v, then pads it with spaces before its closing brace
@@ -727,7 +770,7 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 	urls := newBurstShards(t, shardSc)
 	_, _, sc := burstWorld(t)
 	sc.BurstGate = sim.SelfGate{}
-	tr := &countingTransport{paths: map[string]int{}}
+	tr := newCountingTransport()
 	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
 	if err != nil {
 		t.Fatal(err)
@@ -788,7 +831,7 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 func TestCoordinatorBoundsJSONPrices(t *testing.T) {
 	sys, sc := testWorld(t)
 	urls := newShards(t, sc)
-	tr := &countingTransport{paths: map[string]int{}}
+	tr := newCountingTransport()
 	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
 	if err != nil {
 		t.Fatal(err)
@@ -822,6 +865,217 @@ func TestCoordinatorBoundsJSONPrices(t *testing.T) {
 		}
 		if status.FeedEntries != 1 {
 			t.Fatalf("shard %s holds %d feed entries after the post at the bound, want 1", url, status.FeedEntries)
+		}
+	}
+}
+
+// priceBatch encodes rows hours of prices for hubs from hour from, as one
+// binary batch. A hub's price depends only on the hub and the hour, so a
+// shard given another hub's column would bill differently.
+func priceBatch(t *testing.T, sc sim.Scenario, hubs []string, from, rows int) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	start := sc.Start.Add(time.Duration(from) * sc.Step)
+	if err := server.WriteBatchHeader(&b, "prices", start, sc.Step, rows, len(hubs), hubs); err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, len(hubs))
+	for i := from; i < from+rows; i++ {
+		for j, hub := range hubs {
+			row[j] = 20 + float64(crc32.ChecksumIEEE([]byte(hub))%97)*0.5 + float64(i)*0.25
+		}
+		b.Write(server.AppendRow(nil, row))
+	}
+	return b.Bytes()
+}
+
+// TestCoordinatorSplitsPriceBatches: the coordinator writes each shard a
+// price batch of only the hubs its clusters sit on, in the batch's order,
+// or of the batch's first column when it hosts none of them. Three
+// batches (every hub; a shuffled subset; every hub but one shard's) leave
+// each shard byte-identical to a twin fed the whole batch directly: the
+// same /v1/status, price_feed_entries included, after each batch and
+// after the steps routed on its prices.
+func TestCoordinatorSplitsPriceBatches(t *testing.T) {
+	sys, sc := testWorld(t)
+	urls := newShards(t, sc)
+	twins := newShards(t, sc)
+	tr := newCountingTransport()
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+
+	hosted := make([]map[string]bool, len(urls))
+	for i := range hosted {
+		hosted[i] = map[string]bool{}
+	}
+	for c, cl := range sc.Fleet.Clusters {
+		hosted[co.clusterShard[c]][cl.HubID] = true
+	}
+	all := marketHubs(sys)
+	rng := rand.New(rand.NewPCG(3, 20))
+	shuffled := slices.Clone(all)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	subset := shuffled[:len(shuffled)/2]
+	notLast := slices.DeleteFunc(slices.Clone(shuffled), func(hub string) bool { return hosted[len(urls)-1][hub] })
+
+	const rows = 3
+	for b, hubs := range [][]string{all, subset, notLast} {
+		body := priceBatch(t, sc, hubs, b*rows, rows)
+		postBody(t, ts.URL+"/v1/prices", server.ContentTypePricesBatch, body, http.StatusOK)
+		for _, twin := range twins {
+			postBody(t, twin+"/v1/prices", server.ContentTypePricesBatch, body, http.StatusOK)
+		}
+		for i, url := range urls {
+			var want []string
+			for _, hub := range hubs {
+				if hosted[i][hub] {
+					want = append(want, hub)
+				}
+			}
+			// Only the third batch leaves a shard, the last, hosting none.
+			if (want == nil) != (b == 2 && i == len(urls)-1) {
+				t.Fatalf("batch %d names %v of shard %d's hubs; the case is not the one meant", b, want, i)
+			}
+			if want == nil {
+				want = hubs[:1]
+			}
+			h := tr.lastHeader(t, url)
+			if !slices.Equal(h.Hubs, want) || h.Cols != len(want) || h.Rows != rows || h.Step != sc.Step ||
+				!h.Start.Equal(sc.Start.Add(time.Duration(b*rows)*sc.Step)) {
+				t.Fatalf("batch %d: shard %d received %+v, want hubs %v over %d rows", b, i, h, want, rows)
+			}
+		}
+		sameShards(t, fmt.Sprintf("batch %d", b), urls, twins)
+
+		// Route the batch's hours on its prices: through the coordinator,
+		// and to each twin as its own states' columns.
+		for k := b * rows; k < (b+1)*rows; k++ {
+			at := sc.Start.Add(time.Duration(k) * sc.Step)
+			rates := sc.Demand.Rates(at, nil)
+			body, _ = json.Marshal(server.DemandPost{At: at, Rates: rates})
+			postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusOK)
+			for i, twin := range twins {
+				sub := make([]float64, len(co.shards[i].states))
+				for j, s := range co.shards[i].states {
+					sub[j] = rates[s]
+				}
+				body, _ = json.Marshal(server.DemandPost{At: at, Rates: sub})
+				postBody(t, twin+"/v1/demand", "application/json", body, http.StatusOK)
+			}
+		}
+		sameShards(t, fmt.Sprintf("steps after batch %d", b), urls, twins)
+	}
+}
+
+// sameShards requires each shard's /v1/status to equal its twin's byte
+// for byte.
+func sameShards(t *testing.T, when string, urls, twins []string) {
+	t.Helper()
+	for i := range urls {
+		got := get(t, urls[i]+"/v1/status", http.StatusOK)
+		want := get(t, twins[i]+"/v1/status", http.StatusOK)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: shard %d status differs from its twin fed the whole batch:\nsplit %s\nwhole %s", when, i, got, want)
+		}
+	}
+}
+
+// TestCoordinatorRejectsBadPrices: a price batch the shards would refuse
+// is answered 400 by the coordinator, naming the row or the header field,
+// before any shard sees a /v1/prices request: a non-finite value in a
+// column no shard hosts, a truncated body, a duplicated hub, and a header
+// line past 64 KiB.
+func TestCoordinatorRejectsBadPrices(t *testing.T) {
+	sys, sc := testWorld(t)
+	urls := newShards(t, sc)
+	tr := newCountingTransport()
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+
+	hubs := marketHubs(sys)
+	const nowhere = "NOWHERE"
+	if _, ok := co.hubShards[nowhere]; ok {
+		t.Fatalf("hub %s hosts a cluster", nowhere)
+	}
+	nonFinite := priceBatch(t, sc, append(slices.Clone(hubs), nowhere), 0, 2)
+	binary.LittleEndian.PutUint64(nonFinite[len(nonFinite)-8:], math.Float64bits(math.Inf(1)))
+	full := priceBatch(t, sc, hubs, 0, 3)
+	truncated := full[:len(full)-8*len(hubs)+5]
+	dup := priceBatch(t, sc, []string{hubs[0], hubs[0]}, 0, 1)
+	line := fmt.Sprintf("powerroute-batch v1 kind=prices start=%d step=%d rows=1 cols=1 hubs=%s", sc.Start.UnixNano(), int64(sc.Step), hubs[0])
+	long := append([]byte(line+strings.Repeat(" ", 1<<16-len(line))+"\n"), server.AppendRow(nil, []float64{30})...)
+
+	for _, c := range []struct {
+		name string
+		body []byte
+		want []string
+	}{
+		{"non-finite in an unhosted column", nonFinite, []string{"price row 1", "non-finite"}},
+		{"truncated", truncated, []string{"price row 2", "truncated"}},
+		{"duplicated hub", dup, []string{"twice"}},
+		{"header past 64 KiB", long, []string{"exceeds 65536 bytes"}},
+	} {
+		out := string(postBody(t, ts.URL+"/v1/prices", server.ContentTypePricesBatch, c.body, http.StatusBadRequest))
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: error does not name %q: %s", c.name, want, out)
+			}
+		}
+	}
+	if n := tr.count("/v1/prices"); n != 0 {
+		t.Fatalf("refused price batches sent %d requests to shard /v1/prices", n)
+	}
+}
+
+// TestCoordinatorStagingFollowsRows: a batch header is the client's
+// claim, so a header claiming 1,048,576 rows followed by one row sizes
+// the per-shard bodies for at most a replay chunk. Sized from the header,
+// the demand split would allocate ~428 MB on this 51-state fleet before
+// reading row 1 and finding the body truncated.
+func TestCoordinatorStagingFollowsRows(t *testing.T) {
+	sys, sc := testWorld(t)
+	co, _ := newCoordinator(t, sc, newShards(t, sc))
+	const claimed = 1 << 20
+	hubs := marketHubs(sys)
+	var demand bytes.Buffer
+	if err := server.WriteBatchHeader(&demand, "demand", sc.Start, sc.Step, claimed, len(sc.Fleet.States), nil); err != nil {
+		t.Fatal(err)
+	}
+	demand.Write(server.AppendRow(nil, sc.Demand.Rates(sc.Start, nil)))
+	var prices bytes.Buffer
+	if err := server.WriteBatchHeader(&prices, "prices", sc.Start, sc.Step, claimed, len(hubs), hubs); err != nil {
+		t.Fatal(err)
+	}
+	prices.Write(server.AppendRow(nil, make([]float64, len(hubs))))
+
+	for _, c := range []struct {
+		path, contentType string
+		body              []byte
+		want              string
+	}{
+		{"/v1/demand", server.ContentTypeDemandBatch, demand.Bytes(), "demand row 1"},
+		{"/v1/prices", server.ContentTypePricesBatch, prices.Bytes(), "price row 1"},
+	} {
+		req := httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(c.body))
+		req.Header.Set("Content-Type", c.contentType)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		co.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Fatalf("%s: got %d %s, want 400 naming %q", c.path, rec.Code, rec.Body, c.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("%s: a %d-row claim with one row allocated %d bytes", c.path, claimed, alloc)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -39,6 +40,17 @@ const (
 	// maxBatchRows bounds one batch body (a protective cap, not a
 	// throughput limit — replays just send more batches).
 	maxBatchRows = 1 << 20
+
+	// maxBatchHeader bounds the header line, newline included: it is the
+	// size of the buffered reader a batch is read through (OpenBatch). A
+	// prices header names one hub per column, so it bounds their count.
+	maxBatchHeader = 1 << 16
+
+	// stageRows caps the rows staging is sized for before any row arrives
+	// (BatchHeader.StageRows): a header's row count is the client's
+	// claim, so staging past it grows with the rows actually read. It is
+	// the replay's chunk, so a replayed batch still sizes its staging once.
+	stageRows = 2048
 
 	// maxJobsPerRow bounds the deferrable-job block a jobs=1 demand row
 	// may carry (same protective role as maxBatchRows).
@@ -73,9 +85,14 @@ type BatchHeader struct {
 	Jobs bool
 }
 
-// ParseBatchHeader reads and validates one batch header line.
+// StageRows is the row count to size a batch's staging for before its
+// rows arrive: the header's, capped at a replay chunk.
+func (h *BatchHeader) StageRows() int { return min(h.Rows, stageRows) }
+
+// ParseBatchHeader reads and validates one batch header line, refusing a
+// line longer than 64 KiB, newline included.
 func ParseBatchHeader(r *bufio.Reader) (*BatchHeader, error) {
-	line, err := r.ReadString('\n')
+	line, err := readHeaderLine(r)
 	if err != nil {
 		return nil, fmt.Errorf("server: reading batch header: %w", err)
 	}
@@ -176,21 +193,40 @@ func ParseBatchHeader(r *bufio.Reader) (*BatchHeader, error) {
 	return h, nil
 }
 
+// readHeaderLine reads one line through r, newline included, and fails
+// once it runs past maxBatchHeader bytes, whatever r's buffer size.
+func readHeaderLine(r *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(line)+len(frag) > maxBatchHeader {
+			return "", fmt.Errorf("header line exceeds %d bytes", maxBatchHeader)
+		}
+		line = append(line, frag...)
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			return string(line), err
+		}
+	}
+}
+
 // decodeRows stages a whole batch body: rows×cols little-endian float64s
 // decoded into one flat slice, one row at a time through the caller's
-// buffered reader, rejecting NaN and ±Inf. On error the second return is
-// the offending row (truncation reports the first incomplete row). Rows
-// carrying non-finite values are rejected for the same reason the JSON
-// path cannot express them: one poisoned sample would corrupt meters,
-// p95 bills, and every checkpoint downstream.
-func decodeRows(r io.Reader, rows, cols int) ([]float64, int, error) {
-	flat := make([]float64, rows*cols)
-	b := make([]byte, cols*8)
-	for row := 0; row < rows; row++ {
+// buffered reader, rejecting NaN and ±Inf. The slice is sized for
+// h.StageRows() rows and grows with the rows that arrive. On error the
+// second return is the offending row (truncation reports the first
+// incomplete row). Rows carrying non-finite values are rejected for the
+// same reason the JSON path cannot express them: one poisoned sample
+// would corrupt meters, p95 bills, and every checkpoint downstream.
+func decodeRows(r io.Reader, h *BatchHeader) ([]float64, int, error) {
+	flat := make([]float64, 0, h.StageRows()*h.Cols)
+	b := make([]byte, h.Cols*8)
+	for row := 0; row < h.Rows; row++ {
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, row, fmt.Errorf("server: batch body truncated: %w", err)
 		}
-		if err := DecodeRow(b, flat[row*cols:(row+1)*cols]); err != nil {
+		n := len(flat)
+		flat = slices.Grow(flat, h.Cols)[:n+h.Cols]
+		if err := DecodeRow(b, flat[n:]); err != nil {
 			return nil, row, err
 		}
 	}

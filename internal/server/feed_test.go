@@ -174,10 +174,10 @@ func TestParseBatchHeaderRejectsBadHubs(t *testing.T) {
 
 // FuzzParseBatchHeader hammers the batch header parser with arbitrary
 // header lines: it must never panic, and anything it accepts must satisfy
-// the documented invariants (known kind, positive dimensions under the
-// row cap, positive step, non-zero start, a last row instant that fits
-// in int64 nanoseconds, and — for prices — exactly cols unique non-empty
-// hub names).
+// the documented invariants (a newline-terminated line of at most 64 KiB,
+// known kind, positive dimensions under the row cap, positive step,
+// non-zero start, a last row instant that fits in int64 nanoseconds, and
+// — for prices — exactly cols unique non-empty hub names).
 func FuzzParseBatchHeader(f *testing.F) {
 	start := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 	f.Add(fmt.Sprintf("%s kind=demand start=%d step=%d rows=4 cols=9\n", batchMagic, start.UnixNano(), int64(time.Hour)))
@@ -201,6 +201,9 @@ func FuzzParseBatchHeader(f *testing.F) {
 		h, err := ParseBatchHeader(bufio.NewReader(strings.NewReader(line)))
 		if err != nil {
 			return
+		}
+		if i := strings.IndexByte(line, '\n'); i < 0 || i >= maxBatchHeader {
+			t.Fatalf("accepted a header line of %d bytes", i+1)
 		}
 		if h.Kind != "demand" && h.Kind != "prices" {
 			t.Fatalf("accepted kind %q", h.Kind)

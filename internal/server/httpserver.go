@@ -106,7 +106,7 @@ func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (int, error) 
 // is of the route's kind ("demand" on /v1/demand, "prices" on
 // /v1/prices). Any error is the request's fault (400).
 func OpenBatch(r *http.Request, kind string) (*bufio.Reader, *BatchHeader, error) {
-	br := bufio.NewReaderSize(r.Body, 1<<16)
+	br := bufio.NewReaderSize(r.Body, maxBatchHeader)
 	h, err := ParseBatchHeader(br)
 	if err != nil {
 		return nil, nil, err

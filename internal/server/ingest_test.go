@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -265,5 +268,95 @@ func TestPriceInstantRange(t *testing.T) {
 	}
 	if got := srv.feed.entries(); got != 1 {
 		t.Fatalf("refused out-of-range posts left %d feed entries, want 1", got)
+	}
+}
+
+// TestBatchStagingFollowsRows: a batch header is the client's claim, so
+// a prices header naming 64 hubs over 1,048,576 rows, followed by one
+// 512-byte row, sizes the daemon's staging for at most a replay chunk.
+// The daemon refuses the truncated batch having allocated about 1 MiB,
+// where staging sized from the header takes 512 MiB before reading a row.
+func TestBatchStagingFollowsRows(t *testing.T) {
+	srv, _, _ := testServer(t)
+	hubs := make([]string, 64)
+	for i := range hubs {
+		hubs[i] = fmt.Sprintf("H%02d", i)
+	}
+	var b bytes.Buffer
+	if err := WriteBatchHeader(&b, "prices", srv.eng.Start(), time.Hour, maxBatchRows, len(hubs), hubs); err != nil {
+		t.Fatal(err)
+	}
+	b.Write(AppendRow(nil, make([]float64, len(hubs))))
+	req := httptest.NewRequest(http.MethodPost, "/v1/prices", &b)
+	req.Header.Set("Content-Type", ContentTypePricesBatch)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "price row 1") {
+		t.Fatalf("truncated batch: got %d %s, want 400 naming price row 1", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("a %d-row claim with one row allocated %d bytes", maxBatchRows, alloc)
+	}
+	if n := srv.feed.entries(); n != 0 {
+		t.Fatalf("refused batch left %d feed entries", n)
+	}
+}
+
+// TestBatchHeaderLineBound: a batch header line may run to 64 KiB,
+// newline included, the size of the reader the daemon reads it through.
+// One byte more answers 400 and records nothing. The bound holds however
+// the caller buffers the line.
+func TestBatchHeaderLineBound(t *testing.T) {
+	srv, ts, sys := testServer(t)
+	var hubs []string
+	var row []float64
+	for hub, p := range hubPrices(sys, 30) {
+		hubs = append(hubs, hub)
+		row = append(row, p)
+	}
+	var h bytes.Buffer
+	if err := WriteBatchHeader(&h, "prices", srv.eng.Start(), time.Hour, 1, len(hubs), hubs); err != nil {
+		t.Fatal(err)
+	}
+	// The parser splits fields on any run of spaces, so padding before
+	// the newline lengthens the line without changing the header.
+	line := func(n int) []byte {
+		b := bytes.TrimSuffix(h.Bytes(), []byte("\n"))
+		return append(append(b, bytes.Repeat([]byte{' '}, n-len(b)-1)...), '\n')
+	}
+	post := func(n, wantCode int) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/prices", ContentTypePricesBatch, bytes.NewReader(append(line(n), AppendRow(nil, row)...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != wantCode {
+			t.Fatalf("%d-byte header line: got %d want %d: %s", n, resp.StatusCode, wantCode, out)
+		}
+		return string(out)
+	}
+	if out := post(maxBatchHeader+1, http.StatusBadRequest); !strings.Contains(out, "exceeds 65536 bytes") {
+		t.Fatalf("over-long header refused for the wrong reason: %s", out)
+	}
+	if n := srv.feed.entries(); n != 0 {
+		t.Fatalf("refused batch left %d feed entries", n)
+	}
+	post(maxBatchHeader, http.StatusOK)
+	if n := srv.feed.entries(); n != 1 {
+		t.Fatalf("batch with a header at the bound left %d feed entries, want 1", n)
+	}
+
+	for _, size := range []int{16, 1 << 20} {
+		if _, err := ParseBatchHeader(bufio.NewReaderSize(bytes.NewReader(line(maxBatchHeader)), size)); err != nil {
+			t.Errorf("%d-byte buffer: header at the bound refused: %v", size, err)
+		}
+		if _, err := ParseBatchHeader(bufio.NewReaderSize(bytes.NewReader(line(maxBatchHeader+1)), size)); err == nil {
+			t.Errorf("%d-byte buffer: header past the bound accepted", size)
+		}
 	}
 }

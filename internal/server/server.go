@@ -209,7 +209,7 @@ func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Stage the whole payload lock-free, then commit it atomically: a
 	// batch that fails to decode or validate publishes nothing.
-	flat, rowIdx, err := decodeRows(br, h.Rows, h.Cols)
+	flat, rowIdx, err := decodeRows(br, h)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "price row %d: %v", rowIdx, err)
 		return

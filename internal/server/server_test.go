@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -572,8 +573,11 @@ func TestLeaseBrokeredDaemon(t *testing.T) {
 		t.Fatalf("demand before leases: %s", body)
 	}
 
-	// A two-step window covers exactly two intervals; a post that leaves a
-	// gap after it is an ordering conflict.
+	// A window whose end does not fit in an int conflicts; refused, it
+	// leaves the store empty for the real window. A two-step window covers
+	// exactly two intervals; a post that leaves a gap after it is an
+	// ordering conflict.
+	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: math.MaxInt, Gates: []bool{true}}, http.StatusConflict)
 	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 0, Gates: []bool{false, false}}, http.StatusOK)
 	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 5, Gates: []bool{false}}, http.StatusConflict)
 	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)

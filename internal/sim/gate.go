@@ -20,6 +20,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"powerroute/internal/cluster"
@@ -101,12 +102,17 @@ type LeaseStore struct {
 // Post records gate bits for steps [from, from+len(gates)). Posting may
 // extend the window or overwrite bits not yet consumed; gaps are
 // rejected because a missing middle step could never be filled in time.
+// A window whose end does not fit in an int is refused: the stored end
+// would wrap and read as a gap to every later post.
 func (ls *LeaseStore) Post(from int, gates []bool) error {
 	if from < 0 {
 		return fmt.Errorf("sim: lease window starts at negative step %d", from)
 	}
 	if len(gates) == 0 {
 		return nil
+	}
+	if from > math.MaxInt-len(gates) {
+		return fmt.Errorf("sim: lease window of %d steps from step %d ends past the largest step", len(gates), from)
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()

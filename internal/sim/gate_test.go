@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,6 +120,104 @@ func TestLeaseStoreProtocol(t *testing.T) {
 	if got, err := store.GateOpen(42, 0, 0); err != nil || !got {
 		t.Fatalf("re-based window = (%v, %v)", got, err)
 	}
+}
+
+// leaseModel is the lease window contract as a map from step to bit:
+// the steps held are contiguous, from base.
+type leaseModel struct {
+	bits map[int]bool
+	base int
+}
+
+// post applies LeaseStore.Post's documented rules and reports whether
+// the post must succeed.
+func (m *leaseModel) post(from int, gates []bool) bool {
+	switch {
+	case from < 0:
+		return false
+	case len(gates) == 0:
+		return true
+	case from > math.MaxInt-len(gates):
+		return false
+	case len(m.bits) == 0:
+		m.base = from
+	case from > m.base+len(m.bits) || from < m.base:
+		return false
+	}
+	for i, g := range gates {
+		m.bits[from+i] = g
+	}
+	return true
+}
+
+func (m *leaseModel) prune(below int) {
+	maps.DeleteFunc(m.bits, func(step int, _ bool) bool { return step < below })
+	m.base = max(m.base, below)
+}
+
+// leaseStep maps a fuzz byte to a step: mostly small ones, so windows
+// meet, overlap and leave gaps, plus a few negative ones and a few
+// within 55 of math.MaxInt.
+func leaseStep(b byte) int {
+	if b >= 200 {
+		return math.MaxInt - int(b-200)
+	}
+	return int(b) - 8
+}
+
+// FuzzLeaseStorePost runs random Post, Prune and GateOpen sequences
+// against a LeaseStore and the map model of its contract. Each op is
+// three bytes: the op, a step (leaseStep), and for Post the window's
+// length (low 3 bits) and bits. After every op, each modelled step reads
+// its bit and the steps just outside the window read an error.
+func FuzzLeaseStorePost(f *testing.F) {
+	f.Add([]byte{0, 8, 0x3b, 0, 11, 0x12, 2, 10, 0, 1, 10, 0, 0, 20, 0x09})
+	f.Add([]byte{0, 8, 0x1f, 1, 12, 0, 0, 9, 0x0f, 0, 30, 0x02, 1, 100, 0, 0, 50, 0x01})
+	// A one-step window at math.MaxInt, then a post at step 0.
+	f.Add([]byte{0, 200, 0x09, 0, 8, 0x09, 1, 100, 0, 0, 8, 0x09})
+	// A window ending at math.MaxInt, then one step past it.
+	f.Add([]byte{0, 201, 0x09, 0, 200, 0x09, 2, 201, 0, 1, 255, 0})
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		store := &LeaseStore{}
+		model := &leaseModel{bits: map[int]bool{}}
+		for len(script) >= 3 {
+			op, step, arg := script[0]%3, leaseStep(script[1]), script[2]
+			script = script[3:]
+			switch op {
+			case 0:
+				gates := make([]bool, arg&7)
+				for i := range gates {
+					gates[i] = arg>>(3+i%5)&1 == 1
+				}
+				err := store.Post(step, gates)
+				if want := model.post(step, gates); want != (err == nil) {
+					t.Fatalf("Post(%d, %v) = %v, model accepts: %v", step, gates, err, want)
+				}
+			case 1:
+				store.Prune(step)
+				model.prune(step)
+			case 2:
+				got, err := store.GateOpen(step, 0, 0)
+				if want, ok := model.bits[step]; ok != (err == nil) || got != want {
+					t.Fatalf("GateOpen(%d) = (%v, %v), model holds (%v, %v)", step, got, err, want, ok)
+				}
+			}
+			steps := slices.Sorted(maps.Keys(model.bits))
+			for _, s := range steps {
+				if got, err := store.GateOpen(s, 0, 0); err != nil || got != model.bits[s] {
+					t.Fatalf("step %d reads (%v, %v), model holds %v", s, got, err, model.bits[s])
+				}
+			}
+			if len(steps) > 0 {
+				for _, s := range []int{steps[0] - 1, steps[len(steps)-1] + 1} {
+					if _, err := store.GateOpen(s, 0, 0); err == nil {
+						t.Fatalf("step %d outside the window %d..%d was served", s, steps[0], steps[len(steps)-1])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestScenarioRejectsGateWithoutSoftCaps: a burst gate is meaningless
