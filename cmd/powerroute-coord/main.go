@@ -26,10 +26,10 @@
 //
 // With -burst-hubs (matching every shard's) the joint world is the
 // burst-exact clique world and the coordinator doubles as the burst-token
-// lease broker: before each demand fan-out it resolves the fleet-wide
-// 95/5 gate bit from the full demand row and posts the lease window to
-// every shard's POST /v1/leases, so the sharded fleet's burst ledgers —
-// and its books — match an unsplit powerrouted byte for byte.
+// lease broker: it resolves each demand row's fleet-wide 95/5 gate bit
+// from the full row and sends it with every shard's share of the row, so
+// the sharded fleet's burst ledgers — and its books — match an unsplit
+// powerrouted byte for byte.
 //
 // Usage:
 //

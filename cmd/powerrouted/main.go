@@ -26,8 +26,9 @@
 // routing-closed region, soft caps are armed so the 95/5 burst gate
 // genuinely fires, and sharded runs stay bit-identical to the joint
 // engine. A whole-world daemon self-resolves the gate; a -shard-count
-// daemon instead replays burst-token lease windows posted to its
-// POST /v1/leases by the coordinator feeding it (powerroute-coord).
+// daemon is lease-fed instead: every demand row must carry the fleet-wide
+// gate bit, which the coordinator feeding it (powerroute-coord) derives
+// from the full row and sends with the shard's share of it.
 //
 // -batch-spec turns on the deferrable traffic class: each cluster gets a
 // batch serving capacity of W watts per server and a price gate at the
@@ -152,7 +153,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 
 	// Burst gate wiring: a whole-world engine (fresh or restored) resolves
 	// the fleet-wide gate itself; a shard daemon cannot see the fleet's
-	// demand, so it replays gate bits the coordinator posts to /v1/leases.
+	// demand, so it latches the gate bit the coordinator sends with each
+	// demand row.
 	var leases *sim.LeaseStore
 	if world.BurstHubs != "" {
 		if *shardCount > 1 {

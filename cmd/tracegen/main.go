@@ -10,7 +10,7 @@
 // the daemon's ingest endpoints, one routing decision per hour, at a
 // configurable speedup. A sharded fleet is replayed through its
 // powerroute-coord coordinator, which splits every batch across the
-// shards and brokers their burst-token leases.
+// shards and sends each row's burst gate bit with it.
 //
 // Usage:
 //

@@ -39,8 +39,8 @@ type replayOptions struct {
 	// BurstHubs switches the replay from the paper's derived world to the
 	// burst-exact clique world (core.BurstWorld) the daemons were started
 	// with via the matching -burst-hubs flag: comonotone demand rows
-	// instead of the long-run trace. A sharded fleet's lease windows are
-	// the coordinator's business; the replay only posts demand.
+	// instead of the long-run trace. A sharded fleet's gate bits are the
+	// coordinator's business; the replay only posts demand.
 	BurstHubs string
 	// ThresholdKm is the routing proximity threshold the daemons run with;
 	// the burst world's geometry (and so its soft caps) depends on it.
@@ -224,13 +224,8 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 		}
 
 		var db bytes.Buffer
-		var err error
-		if opt.Jobs != nil {
-			err = server.WriteJobsBatchHeader(&db, chunkStart, step, n, ns)
-		} else {
-			err = server.WriteBatchHeader(&db, "demand", chunkStart, step, n, ns, nil)
-		}
-		if err != nil {
+		dh := server.BatchHeader{Kind: "demand", Start: chunkStart, Step: step, Rows: n, Cols: ns, Jobs: opt.Jobs != nil}
+		if err := dh.Write(&db); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {

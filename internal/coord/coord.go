@@ -31,10 +31,12 @@
 //
 // When the joint world runs a coordinated 95/5 burst gate (a soft-capped
 // scenario with a BurstGate), the coordinator is also the burst-token
-// lease broker: before each demand fan-out it resolves the fleet-wide
-// gate bit from the full demand row — the one comparison no single shard
-// can make — and posts the lease window to every shard's POST /v1/leases,
-// so the shards' burst ledgers replay exactly the joint engine's.
+// lease broker: it resolves each demand row's fleet-wide gate bit from the
+// full row — the one comparison no single shard can make — and sends it
+// with every shard's share of that row (a gates=1 batch, or a JSON
+// sub-post's "gate"), so the shards' burst ledgers replay exactly the
+// joint engine's and a demand post costs one request per shard. Clients
+// never send gate bits themselves.
 //
 //	POST /v1/prices      split a price batch by hub; forward a JSON price vector to every shard
 //	POST /v1/demand      split demand (and jobs) by ownership and fan out
@@ -111,7 +113,7 @@ type Coordinator struct {
 	// Burst-token broker state, armed when the joint world runs a
 	// coordinated burst gate: room is the fleet's soft-capped total (a
 	// run constant summed in fleet cluster order, exactly like the joint
-	// engine's), the input to every fleet-wide gate decision.
+	// engine's), the input to every row's gate bit.
 	broker bool
 	room   float64
 
@@ -208,7 +210,7 @@ func (co *Coordinator) discover(ctx context.Context, urls []string) error {
 			return fmt.Errorf("coord: shard %s steps %v, joint world steps %v", url, got, co.sc.Step)
 		}
 		if co.broker && !world.LeaseBroker {
-			return fmt.Errorf("coord: the joint world runs a coordinated burst gate but shard %s accepts no burst-token leases (start it with matching -burst-hubs and -shard-count flags)", url)
+			return fmt.Errorf("coord: the joint world runs a coordinated burst gate but shard %s takes no burst gate bits (start it with matching -burst-hubs and -shard-count flags)", url)
 		}
 		info := shardInfo{url: url}
 		for local, cl := range world.Clusters {
@@ -263,9 +265,6 @@ func (co *Coordinator) Shards() []string {
 	}
 	return urls
 }
-
-// WorldHash returns the joint world's hash.
-func (co *Coordinator) WorldHash() string { return co.worldHash }
 
 // Handler returns the coordinator's HTTP routes.
 func (co *Coordinator) Handler() http.Handler {
@@ -379,7 +378,7 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(server.MaxJSONBody)))
 	if err != nil {
-		writeBodyError(w, "reading price post", err)
+		server.WriteBodyError(w, "reading price post", err)
 		return
 	}
 	bodies := slices.Repeat([][]byte{body}, len(co.shards))
@@ -390,20 +389,6 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, map[string]any{"shards": len(co.shards)})
 }
 
-// maxPriceBatchBody bounds a binary price batch's body.
-const maxPriceBatchBody = 1 << 30
-
-// writeBodyError answers a failed read of a request body: 413 when the
-// body ran past its bound, 400 otherwise.
-func writeBodyError(w http.ResponseWriter, what string, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		server.WriteError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooLarge.Limit)
-		return
-	}
-	server.WriteError(w, http.StatusBadRequest, "%s: %v", what, err)
-}
-
 // handlePricesBatch splits a binary price batch by hub: each shard
 // receives a batch with the same horizon but only the columns of the hubs
 // its clusters sit on, in the batch's order, each 8-byte cell copied as it
@@ -412,12 +397,12 @@ func writeBodyError(w http.ResponseWriter, what string, err error) {
 // reports the same coverage gap, as it would for the whole batch. Every
 // row is decoded (server.DecodeRow) before any shard is posted to, so a
 // non-finite value is refused here with 400 even in a column no shard
-// hosts.
+// hosts, and a header declaring more than server.MaxPriceBatchBody bytes
+// of rows with 413, as a shard would.
 func (co *Coordinator) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxPriceBatchBody)
 	br, h, err := server.OpenBatch(r, "prices")
 	if err != nil {
-		writeBodyError(w, "reading price batch", err)
+		server.WriteBodyError(w, "reading price batch", err)
 		return
 	}
 	cols := make([][]int, len(co.shards))
@@ -427,26 +412,23 @@ func (co *Coordinator) handlePricesBatch(w http.ResponseWriter, r *http.Request)
 		}
 	}
 	bodies := make([][]byte, len(co.shards))
+	sub := *h
 	for i := range co.shards {
 		if len(cols[i]) == 0 {
 			cols[i] = []int{0}
 		}
-		hubs := make([]string, len(cols[i]))
+		sub.Cols = len(cols[i])
+		sub.Hubs = make([]string, sub.Cols)
 		for k, col := range cols[i] {
-			hubs[k] = h.Hubs[col]
+			sub.Hubs[k] = h.Hubs[col]
 		}
-		var hb bytes.Buffer
-		if err := server.WriteBatchHeader(&hb, "prices", h.Start, h.Step, h.Rows, len(hubs), hubs); err != nil {
-			server.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		bodies[i] = append(make([]byte, 0, hb.Len()+h.StageRows()*8*len(hubs)), hb.Bytes()...)
+		bodies[i] = shardBody(&sub, 8*sub.Cols)
 	}
 	row := make([]float64, h.Cols)
 	rowBytes := make([]byte, 8*h.Cols)
 	for i := 0; i < h.Rows; i++ {
 		if _, err := io.ReadFull(br, rowBytes); err != nil {
-			writeBodyError(w, fmt.Sprintf("price row %d: batch body truncated", i), err)
+			server.WriteError(w, http.StatusBadRequest, "price row %d: batch body truncated: %v", i, err)
 			return
 		}
 		if err := server.DecodeRow(rowBytes, row); err != nil {
@@ -464,6 +446,14 @@ func (co *Coordinator) handlePricesBatch(w http.ResponseWriter, r *http.Request)
 	server.WriteJSON(w, map[string]any{"shards": len(co.shards)})
 }
 
+// shardBody starts one shard's batch body: h's header line, with room
+// for the rows a replay chunk carries at rowBytes each.
+func shardBody(h *server.BatchHeader, rowBytes int) []byte {
+	var hb bytes.Buffer
+	_ = h.Write(&hb) // a bytes.Buffer never fails a write
+	return append(make([]byte, 0, hb.Len()+h.StageRows()*rowBytes), hb.Bytes()...)
+}
+
 // appendCells appends the 8-byte cells of an encoded batch row at columns
 // cols, in that order, to b: one shard's share of the row, copied without
 // re-encoding.
@@ -474,29 +464,13 @@ func appendCells(b, row []byte, cols []int) []byte {
 	return b
 }
 
-// postLeases replays the fleet-wide burst gate bits for steps
-// [from, from+len(gates)) to every shard's lease store. It must land
-// before the demand that consumes the window — a shard engine refuses to
-// route a soft-capped step it holds no lease bit for.
-func (co *Coordinator) postLeases(ctx context.Context, from int, gates []bool) error {
-	body, err := json.Marshal(server.LeasePost{From: from, Gates: gates})
-	if err != nil {
-		return err
+// onGrid refuses a demand instant off the joint world's step grid: no
+// shard could route it, and refused here it reaches none of them.
+func (co *Coordinator) onGrid(at time.Time) error {
+	if off := at.Sub(co.sc.Start); off < 0 || off%co.sc.Step != 0 {
+		return fmt.Errorf("demand at %v is not on the joint world's %v grid from %v", at, co.sc.Step, co.sc.Start)
 	}
-	return co.fanOut(ctx, "/v1/leases", "application/json", slices.Repeat([][]byte{body}, len(co.shards)))
-}
-
-// leaseStep maps a demand timestamp onto the joint step grid; the broker
-// needs the absolute step number to address the lease window.
-func (co *Coordinator) leaseStep(at time.Time) (int, error) {
-	if at.IsZero() {
-		return 0, errors.New("a burst-brokered fleet needs an explicit demand timestamp to address the lease window")
-	}
-	off := at.Sub(co.sc.Start)
-	if off < 0 || off%co.sc.Step != 0 {
-		return 0, fmt.Errorf("demand at %v is not on the joint world's %v grid from %v", at, co.sc.Step, co.sc.Start)
-	}
-	return int(off / co.sc.Step), nil
+	return nil
 }
 
 // checkJob admits one job before fan-out with the engine's own rule
@@ -519,6 +493,10 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, code, "decoding demand post: %v", err)
 		return
 	}
+	if post.Gate != nil {
+		server.WriteError(w, http.StatusBadRequest, "demand post carries \"gate\": the coordinator derives every row's gate bit itself")
+		return
+	}
 	if len(post.Rates) != len(co.fleet.States) {
 		server.WriteError(w, http.StatusBadRequest, "%d rates for %d states", len(post.Rates), len(co.fleet.States))
 		return
@@ -526,6 +504,12 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 	if err := sim.CheckDemand(post.Rates); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	if !post.At.IsZero() {
+		if err := co.onGrid(post.At); err != nil {
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 	// Jobs name their home cluster by code, which every shard resolves
 	// itself; the coordinator only picks the owning shard.
@@ -543,21 +527,14 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 		sh := co.clusterShard[c]
 		jobs[sh] = append(jobs[sh], jp)
 	}
+	var gate *bool
 	if co.broker {
-		step, err := co.leaseStep(post.At)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		gate := sim.BurstGateOpen(sim.SumDemand(post.Rates), co.room)
-		if err := co.postLeases(r.Context(), step, []bool{gate}); err != nil {
-			server.WriteError(w, http.StatusBadGateway, "%v", err)
-			return
-		}
+		open := sim.BurstGateOpen(sim.SumDemand(post.Rates), co.room)
+		gate = &open
 	}
 	bodies := make([][]byte, len(co.shards))
 	for i, sh := range co.shards {
-		sub := server.DemandPost{At: post.At, Rates: make([]float64, len(sh.states)), Jobs: jobs[i]}
+		sub := server.DemandPost{At: post.At, Rates: make([]float64, len(sh.states)), Jobs: jobs[i], Gate: gate}
 		for j, s := range sh.states {
 			sub.Rates[j] = post.Rates[s]
 		}
@@ -580,7 +557,8 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 // columns (appendCells), posted concurrently. In a jobs=1 batch every
 // shard row also carries a job block, empty when none of the row's jobs
 // is homed on that shard, with each job's joint cluster index rewritten
-// to the shard's.
+// to the shard's. On a brokered world every shard batch is gates=1, each
+// row led by the gate byte derived from the full row.
 func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
 	br, h, err := server.OpenBatch(r, "demand")
 	if err != nil {
@@ -592,41 +570,34 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 		server.WriteError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, ns)
 		return
 	}
-	var gates []bool
-	baseStep := 0
-	if co.broker {
-		if h.Step != co.sc.Step {
-			server.WriteError(w, http.StatusBadRequest, "batch steps %v, joint world steps %v", h.Step, co.sc.Step)
-			return
-		}
-		var err error
-		if baseStep, err = co.leaseStep(h.Start); err != nil {
-			server.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		gates = make([]bool, 0, h.StageRows())
+	if h.Gates {
+		server.WriteError(w, http.StatusBadRequest, "batch carries gates=1: the coordinator derives every row's gate bit itself")
+		return
+	}
+	if h.Step != co.sc.Step {
+		server.WriteError(w, http.StatusBadRequest, "batch steps %v, joint world steps %v", h.Step, co.sc.Step)
+		return
+	}
+	if err := co.onGrid(h.Start); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	bodies := make([][]byte, len(co.shards))
+	sub := *h
+	sub.Gates = co.broker
 	for i, sh := range co.shards {
-		var hb bytes.Buffer
-		var err error
-		if h.Jobs {
-			err = server.WriteJobsBatchHeader(&hb, h.Start, h.Step, h.Rows, len(sh.states))
-		} else {
-			err = server.WriteBatchHeader(&hb, "demand", h.Start, h.Step, h.Rows, len(sh.states), nil)
-		}
-		if err != nil {
-			server.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		// Size the body once for the rows a replay chunk carries: each row
-		// carries 8 bytes per owned state, plus a job block of at least
-		// its 4-byte count on a jobs=1 batch.
-		rowBytes := 8 * len(sh.states)
-		if h.Jobs {
+		// Each row carries 8 bytes per owned state, plus a job block of at
+		// least its 4-byte count on a jobs=1 batch and a gate byte on a
+		// brokered world.
+		sub.Cols = len(sh.states)
+		rowBytes := 8 * sub.Cols
+		if sub.Jobs {
 			rowBytes += 4
 		}
-		bodies[i] = append(make([]byte, 0, hb.Len()+h.StageRows()*rowBytes), hb.Bytes()...)
+		if sub.Gates {
+			rowBytes++
+		}
+		bodies[i] = shardBody(&sub, rowBytes)
 	}
 	row := make([]float64, ns)
 	rowBytes := make([]byte, 8*ns)
@@ -664,20 +635,18 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
 			return
 		}
-		if co.broker {
-			gates = append(gates, sim.BurstGateOpen(sim.SumDemand(row), co.room))
+		var gate byte
+		if co.broker && sim.BurstGateOpen(sim.SumDemand(row), co.room) {
+			gate = 1
 		}
 		for j, sh := range co.shards {
+			if co.broker {
+				bodies[j] = append(bodies[j], gate)
+			}
 			if h.Jobs {
 				bodies[j] = server.AppendJobs(bodies[j], shardJobs[j])
 			}
 			bodies[j] = appendCells(bodies[j], rowBytes, sh.states)
-		}
-	}
-	if co.broker {
-		if err := co.postLeases(r.Context(), baseStep, gates); err != nil {
-			server.WriteError(w, http.StatusBadGateway, "%v", err)
-			return
 		}
 	}
 	if err := co.fanOut(r.Context(), "/v1/demand", server.ContentTypeDemandBatch, bodies); err != nil {

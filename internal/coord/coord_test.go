@@ -284,9 +284,9 @@ func burstWorld(t testing.TB) (*core.System, *core.BurstWorld, sim.Scenario) {
 	return sys, bw, sc
 }
 
-// newBurstShards carves the burst scenario into lease-replaying shard
-// daemons: each sub-engine reads its gate bits from a LeaseStore the
-// daemon exposes on POST /v1/leases.
+// newBurstShards carves the burst scenario into lease-fed shard daemons:
+// each sub-engine reads its gate bits from a LeaseStore the daemon
+// latches every demand row's gate bit into.
 func newBurstShards(t testing.TB, sc sim.Scenario) []string {
 	t.Helper()
 	p, err := sim.PartitionByRouting(sc.Policy.(routing.Sharder), sc.Fleet)
@@ -486,7 +486,8 @@ func jobsBatch(t *testing.T, sc sim.Scenario, from, n int) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	start := sc.Start.Add(time.Duration(from) * sc.Step)
-	if err := server.WriteJobsBatchHeader(&b, start, sc.Step, n, len(sc.Fleet.States)); err != nil {
+	h := server.BatchHeader{Kind: "demand", Start: start, Step: sc.Step, Rows: n, Cols: len(sc.Fleet.States), Jobs: true}
+	if err := h.Write(&b); err != nil {
 		t.Fatal(err)
 	}
 	var demand []float64
@@ -578,7 +579,8 @@ func TestCoordinatorForwardsJobs(t *testing.T) {
 	twoRows := func(second []byte) []byte {
 		var b bytes.Buffer
 		start := sc.Start.Add(time.Duration(hours) * sc.Step)
-		if err := server.WriteJobsBatchHeader(&b, start, sc.Step, 2, len(sc.Fleet.States)); err != nil {
+		h := server.BatchHeader{Kind: "demand", Start: start, Step: sc.Step, Rows: 2, Cols: len(sc.Fleet.States), Jobs: true}
+		if err := h.Write(&b); err != nil {
 			t.Fatal(err)
 		}
 		rates := sc.Demand.Rates(start, nil)
@@ -693,35 +695,33 @@ func TestCoordinatorDiscoveryRejectsBadTopologies(t *testing.T) {
 }
 
 // countingTransport counts the coordinator's requests to its shards by
-// URL path, and records the header of every binary batch it forwards,
-// per shard URL, in the order sent.
+// URL path, and records every body it sends, per shard URL, in the order
+// sent.
 type countingTransport struct {
-	mu      sync.Mutex
-	paths   map[string]int
-	headers map[string][]*server.BatchHeader
+	mu     sync.Mutex
+	paths  map[string]int
+	bodies map[string][][]byte
 }
 
 func newCountingTransport() *countingTransport {
-	return &countingTransport{paths: map[string]int{}, headers: map[string][]*server.BatchHeader{}}
+	return &countingTransport{paths: map[string]int{}, bodies: map[string][][]byte{}}
 }
 
 func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	var h *server.BatchHeader
-	if ct := r.Header.Get("Content-Type"); ct == server.ContentTypePricesBatch || ct == server.ContentTypeDemandBatch {
-		body, err := r.GetBody()
+	var body []byte
+	if r.GetBody != nil {
+		rd, err := r.GetBody()
 		if err != nil {
 			return nil, err
 		}
-		if h, err = server.ParseBatchHeader(bufio.NewReader(body)); err != nil {
-			return nil, fmt.Errorf("forwarded batch: %w", err)
+		if body, err = io.ReadAll(rd); err != nil {
+			return nil, err
 		}
 	}
 	c.mu.Lock()
 	c.paths[r.URL.Path]++
-	if h != nil {
-		url := r.URL.Scheme + "://" + r.URL.Host
-		c.headers[url] = append(c.headers[url], h)
-	}
+	url := r.URL.Scheme + "://" + r.URL.Host
+	c.bodies[url] = append(c.bodies[url], body)
 	c.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(r)
 }
@@ -732,16 +732,39 @@ func (c *countingTransport) count(path string) int {
 	return c.paths[path]
 }
 
-// lastHeader returns the header of the last batch forwarded to url.
-func (c *countingTransport) lastHeader(t *testing.T, url string) *server.BatchHeader {
+// total counts every request sent to any shard.
+func (c *countingTransport) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, k := range c.paths {
+		n += k
+	}
+	return n
+}
+
+// lastBody returns the last body sent to url.
+func (c *countingTransport) lastBody(t *testing.T, url string) []byte {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hs := c.headers[url]
-	if len(hs) == 0 {
-		t.Fatalf("no batch forwarded to shard %s", url)
+	bs := c.bodies[url]
+	if len(bs) == 0 {
+		t.Fatalf("nothing sent to shard %s", url)
 	}
-	return hs[len(hs)-1]
+	return bs[len(bs)-1]
+}
+
+// lastBatch parses the header of the last body sent to url, a binary
+// batch, and returns it with a reader over the rows.
+func (c *countingTransport) lastBatch(t *testing.T, url string) (*server.BatchHeader, *bufio.Reader) {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(c.lastBody(t, url)))
+	h, err := server.ParseBatchHeader(br)
+	if err != nil {
+		t.Fatalf("shard %s: last body is no batch: %v", url, err)
+	}
+	return h, br
 }
 
 // padJSON marshals v, then pads it with spaces before its closing brace
@@ -759,12 +782,12 @@ func padJSON(t *testing.T, v any, n int) []byte {
 	return append(out, '}')
 }
 
-// TestCoordinatorRejectsBadDemand: a demand row with a negative rate is
-// refused with 400 before any lease window or demand reaches a shard, on
-// the JSON path and as the second row of a binary batch, and a JSON body
-// one byte over server.MaxJSONBody with 413, so every shard stays at the
-// same step cursor. A good row, padded to exactly the bound, then
-// brokers and routes.
+// TestCoordinatorRejectsBadDemand: demand the coordinator refuses reaches
+// no shard, so every shard stays at the same step cursor: a negative rate
+// (400, on the JSON path and as the second row of a binary batch), a
+// client's own gate bits (400, a gates=1 batch or a JSON "gate"), and a
+// JSON body one byte over server.MaxJSONBody (413). A good row, padded to
+// exactly the bound, then brokers and routes with one request per shard.
 func TestCoordinatorRejectsBadDemand(t *testing.T) {
 	sys, _, shardSc := burstWorld(t)
 	urls := newBurstShards(t, shardSc)
@@ -798,12 +821,29 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 	if out := postBody(t, ts.URL+"/v1/demand", server.ContentTypeDemandBatch, b.Bytes(), http.StatusBadRequest); !strings.Contains(string(out), "demand row 1") {
 		t.Errorf("negative batch rate: error does not name row 1: %s", out)
 	}
+	gated := server.BatchHeader{Kind: "demand", Start: sc.Start, Step: sc.Step, Rows: 1, Cols: len(rates), Gates: true}
+	b.Reset()
+	if err := gated.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteByte(1)
+	b.Write(server.AppendRow(nil, rates))
+	if out := postBody(t, ts.URL+"/v1/demand", server.ContentTypeDemandBatch, b.Bytes(), http.StatusBadRequest); !strings.Contains(string(out), "gates=1") {
+		t.Errorf("client gate bytes: %s", out)
+	}
+	open := true
+	body, err = json.Marshal(server.DemandPost{At: sc.Start, Rates: rates, Gate: &open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusBadRequest); !strings.Contains(string(out), "derives every row's gate bit") {
+		t.Errorf("client JSON gate: %s", out)
+	}
 	good := server.DemandPost{At: sc.Start, Rates: rates}
 	postBody(t, ts.URL+"/v1/demand", "application/json", padJSON(t, good, server.MaxJSONBody+1), http.StatusRequestEntityTooLarge)
-	for _, path := range []string{"/v1/leases", "/v1/demand"} {
-		if n := tr.count(path); n != 0 {
-			t.Fatalf("rejected demand still sent %d requests to shard %s", n, path)
-		}
+	before := tr.total()
+	if n := tr.count("/v1/demand"); n != 0 {
+		t.Fatalf("rejected demand still sent %d requests to shard /v1/demand", n)
 	}
 	for _, url := range urls {
 		var status struct {
@@ -818,8 +858,173 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 	}
 
 	postBody(t, ts.URL+"/v1/demand", "application/json", padJSON(t, good, server.MaxJSONBody), http.StatusOK)
-	if tr.count("/v1/leases") != len(urls) || tr.count("/v1/demand") != len(urls) {
-		t.Fatalf("good row: %d lease and %d demand posts, want %d each", tr.count("/v1/leases"), tr.count("/v1/demand"), len(urls))
+	if tr.count("/v1/demand") != len(urls) || tr.total()-before != len(urls) {
+		t.Fatalf("good row: %d demand posts of %d requests, want %d of %d", tr.count("/v1/demand"), tr.total()-before, len(urls), len(urls))
+	}
+}
+
+// TestCoordinatorSendsGateBitsWithRows: on a brokered world each good
+// demand post, a batch or a JSON post, costs exactly one /v1/demand
+// request per shard and nothing else. Every shard batch says gates=1 and
+// leads each row with the gate byte sim.BurstGateOpen(sim.SumDemand(row),
+// room) of the full row, followed by the shard's own columns; every JSON
+// sub-post carries that bit as "gate". The burst world's horizon opens
+// the gate on some rows, so both bit values are checked.
+func TestCoordinatorSendsGateBitsWithRows(t *testing.T) {
+	sys, _, shardSc := burstWorld(t)
+	urls := newBurstShards(t, shardSc)
+	_, _, sc := burstWorld(t)
+	sc.BurstGate = sim.SelfGate{}
+	tr := newCountingTransport()
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+	room, err := sim.BurstRoomTotal(sc.Fleet, sc.SoftCaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hours := sc.Steps - 1
+	feedPrices(t, sys, sc, ts.URL, sc.Steps)
+
+	// One request per shard, and only that: the demand post itself.
+	posts := func(what string, post func()) {
+		t.Helper()
+		before, demand := tr.total(), tr.count("/v1/demand")
+		post()
+		if n, d := tr.total()-before, tr.count("/v1/demand")-demand; n != len(urls) || d != len(urls) {
+			t.Fatalf("%s: %d requests, %d of them demand posts; want %d demand posts and nothing else", what, n, d, len(urls))
+		}
+	}
+	rows := make([][]float64, hours+1)
+	gates := make([]byte, hours+1)
+	for i := range rows {
+		rows[i] = sc.Demand.Rates(sc.Start.Add(time.Duration(i)*sc.Step), nil)
+		if sim.BurstGateOpen(sim.SumDemand(rows[i]), room) {
+			gates[i] = 1
+		}
+	}
+	if !bytes.Contains(gates[:hours], []byte{0}) || !bytes.Contains(gates[:hours], []byte{1}) {
+		t.Fatalf("the batch's gate bits are not mixed: %v", gates[:hours])
+	}
+
+	var b bytes.Buffer
+	if err := server.WriteBatchHeader(&b, "demand", sc.Start, sc.Step, hours, len(sc.Fleet.States), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows[:hours] {
+		b.Write(server.AppendRow(nil, row))
+	}
+	posts("batch", func() { postBody(t, ts.URL+"/v1/demand", server.ContentTypeDemandBatch, b.Bytes(), http.StatusOK) })
+	for i, url := range urls {
+		states := co.shards[i].states
+		h, br := tr.lastBatch(t, url)
+		if !h.Gates || h.Jobs || h.Rows != hours || h.Cols != len(states) {
+			t.Fatalf("shard %d received %+v, want gates=1 over %d rows of %d columns", i, h, hours, len(states))
+		}
+		cells := make([]byte, 8*len(states))
+		sub := make([]float64, len(states))
+		for k, row := range rows[:hours] {
+			g, err := br.ReadByte()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(br, cells); err != nil {
+				t.Fatal(err)
+			}
+			for j, s := range states {
+				sub[j] = row[s]
+			}
+			if g != gates[k] || !bytes.Equal(cells, server.AppendRow(nil, sub)) {
+				t.Fatalf("shard %d row %d: gate byte %d and cells %x, want %d and %x", i, k, g, cells, gates[k], server.AppendRow(nil, sub))
+			}
+		}
+		if n := br.Buffered(); n != 0 {
+			t.Fatalf("shard %d: %d bytes after the last row", i, n)
+		}
+	}
+
+	body, err := json.Marshal(server.DemandPost{Rates: rows[hours]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	posts("JSON", func() { postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusOK) })
+	for i, url := range urls {
+		var sub server.DemandPost
+		if err := json.Unmarshal(tr.lastBody(t, url), &sub); err != nil {
+			t.Fatal(err)
+		}
+		if sub.Gate == nil || *sub.Gate != (gates[hours] == 1) {
+			t.Fatalf("shard %d JSON sub-post gate %v, want %v", i, sub.Gate, gates[hours] == 1)
+		}
+	}
+}
+
+// TestCoordinatorChecksDemandGrid: on a world with no burst broker too, a
+// demand batch whose step is not the joint world's, a batch whose start
+// lies off the joint grid, and a JSON post whose "at" does, are refused
+// with 400 before any shard sees a request. A JSON post with no "at"
+// routes at the shards' next interval.
+func TestCoordinatorChecksDemandGrid(t *testing.T) {
+	sys, sc := testWorld(t)
+	urls := newShards(t, sc)
+	tr := newCountingTransport()
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+	feedPrices(t, sys, sc, ts.URL, 4)
+	before := tr.total()
+
+	rates := sc.Demand.Rates(sc.Start, nil)
+	batch := func(start time.Time, step time.Duration) []byte {
+		var b bytes.Buffer
+		if err := server.WriteBatchHeader(&b, "demand", start, step, 1, len(rates), nil); err != nil {
+			t.Fatal(err)
+		}
+		return append(b.Bytes(), server.AppendRow(nil, rates)...)
+	}
+	offGrid, err := json.Marshal(server.DemandPost{At: sc.Start.Add(30 * time.Minute), Rates: rates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, contentType string
+		body              []byte
+		want              string
+	}{
+		{"half-hour step", server.ContentTypeDemandBatch, batch(sc.Start, 30*time.Minute), "joint world steps"},
+		{"start off the grid", server.ContentTypeDemandBatch, batch(sc.Start.Add(time.Minute), sc.Step), "grid"},
+		{"start before the world", server.ContentTypeDemandBatch, batch(sc.Start.Add(-sc.Step), sc.Step), "grid"},
+		{"JSON at off the grid", "application/json", offGrid, "grid"},
+	} {
+		if out := postBody(t, ts.URL+"/v1/demand", c.contentType, c.body, http.StatusBadRequest); !strings.Contains(string(out), c.want) {
+			t.Errorf("%s: error does not say %q: %s", c.name, c.want, out)
+		}
+	}
+	if n := tr.total() - before; n != 0 {
+		t.Fatalf("refused demand sent %d shard requests", n)
+	}
+
+	body, err := json.Marshal(server.DemandPost{Rates: rates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusOK)
+	for _, url := range urls {
+		var status struct {
+			Steps int `json:"steps"`
+		}
+		if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.Steps != 1 {
+			t.Fatalf("shard %s at step %d, want 1", url, status.Steps)
+		}
 	}
 }
 
@@ -943,7 +1148,7 @@ func TestCoordinatorSplitsPriceBatches(t *testing.T) {
 			if want == nil {
 				want = hubs[:1]
 			}
-			h := tr.lastHeader(t, url)
+			h, _ := tr.lastBatch(t, url)
 			if !slices.Equal(h.Hubs, want) || h.Cols != len(want) || h.Rows != rows || h.Step != sc.Step ||
 				!h.Start.Equal(sc.Start.Add(time.Duration(b*rows)*sc.Step)) {
 				t.Fatalf("batch %d: shard %d received %+v, want hubs %v over %d rows", b, i, h, want, rows)
@@ -985,10 +1190,11 @@ func sameShards(t *testing.T, when string, urls, twins []string) {
 }
 
 // TestCoordinatorRejectsBadPrices: a price batch the shards would refuse
-// is answered 400 by the coordinator, naming the row or the header field,
-// before any shard sees a /v1/prices request: a non-finite value in a
-// column no shard hosts, a truncated body, a duplicated hub, and a header
-// line past 64 KiB.
+// is answered by the coordinator before any shard sees a /v1/prices
+// request: 400, naming the row or the header field, for a non-finite
+// value in a column no shard hosts, a truncated body, a duplicated hub,
+// and a header line past 64 KiB; 413 for a header declaring more than
+// server.MaxPriceBatchBody bytes of rows, 1,048,576 rows of 200 hubs.
 func TestCoordinatorRejectsBadPrices(t *testing.T) {
 	sys, sc := testWorld(t)
 	urls := newShards(t, sc)
@@ -1029,6 +1235,18 @@ func TestCoordinatorRejectsBadPrices(t *testing.T) {
 				t.Errorf("%s: error does not name %q: %s", c.name, want, out)
 			}
 		}
+	}
+	wide := make([]string, 200)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("H%d", i)
+	}
+	var over bytes.Buffer
+	if err := server.WriteBatchHeader(&over, "prices", sc.Start, sc.Step, 1<<20, len(wide), wide); err != nil {
+		t.Fatal(err)
+	}
+	over.Write(server.AppendRow(nil, make([]float64, len(wide))))
+	if out := postBody(t, ts.URL+"/v1/prices", server.ContentTypePricesBatch, over.Bytes(), http.StatusRequestEntityTooLarge); !strings.Contains(string(out), "exceeds 1073741824 bytes") {
+		t.Errorf("over-bound price batch: %s", out)
 	}
 	if n := tr.count("/v1/prices"); n != 0 {
 		t.Fatalf("refused price batches sent %d requests to shard /v1/prices", n)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,6 +32,17 @@ func TestParseBurstHubs(t *testing.T) {
 			t.Errorf("spec %q: error %v, want %q", spec, err, wantErr)
 		}
 	}
+}
+
+// gateBits is a sim.BurstGate holding one bit per step from step 0: the
+// in-test stand-in for the bits a coordinator sends with each demand row.
+type gateBits []bool
+
+func (g gateBits) GateOpen(step int, _, _ float64) (bool, error) {
+	if step < 0 || step >= len(g) {
+		return false, fmt.Errorf("no gate bit for step %d", step)
+	}
+	return g[step], nil
 }
 
 // driveBurst advances eng through `steps` intervals exactly like the
@@ -112,7 +124,7 @@ func TestBurstWorldShardExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gates := make([]bool, shardSc.Steps)
+			gates := make(gateBits, shardSc.Steps)
 			var row []float64
 			open := 0
 			for i := range gates {
@@ -139,11 +151,7 @@ func TestBurstWorldShardExact(t *testing.T) {
 			}
 			parts := make([]*sim.Checkpoint, len(subs))
 			for i, sub := range subs {
-				store := &sim.LeaseStore{}
-				if err := store.Post(0, gates); err != nil {
-					t.Fatal(err)
-				}
-				sub.BurstGate = store
+				sub.BurstGate = gates
 				eng, err := sim.NewEngine(sub)
 				if err != nil {
 					t.Fatalf("shard %d: %v", i, err)

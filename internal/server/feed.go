@@ -24,11 +24,15 @@ import (
 // load generator uses. A batch is one text header line followed by
 // rows×cols little-endian float64s:
 //
-//	powerroute-batch v1 kind=<demand|prices> start=<unixnano> step=<ns> rows=<n> cols=<m> [hubs=<id,id,...>]\n
+//	powerroute-batch v1 kind=<demand|prices> start=<unixnano> step=<ns> rows=<n> cols=<m> [hubs=<id,id,...>] [jobs=1] [gates=1]\n
 //
 // Demand columns are the fleet's states in order; price columns are the
-// named hubs. The header is self-describing, so a chunked replay can POST
-// any number of batches back to back.
+// named hubs. On a demand batch, jobs=1 puts a deferrable-job block before
+// each row's rates, and gates=1 puts one burst gate byte (0 closed, 1
+// open) before everything else in the row: the fleet-wide bit a
+// coordinator derives from the full row for the lease-fed shards it
+// feeds. The header is self-describing, so a chunked replay can POST any
+// number of batches back to back.
 const (
 	batchMagic = "powerroute-batch v1"
 
@@ -46,23 +50,29 @@ const (
 	// prices header names one hub per column, so it bounds their count.
 	maxBatchHeader = 1 << 16
 
-	// stageRows caps the rows staging is sized for before any row arrives
-	// (BatchHeader.StageRows): a header's row count is the client's
-	// claim, so staging past it grows with the rows actually read. It is
-	// the replay's chunk, so a replayed batch still sizes its staging once.
-	stageRows = 2048
+	// stageRows and stageCells cap what staging is sized for before any
+	// row arrives (BatchHeader.StageRows): a header's dimensions are the
+	// client's claim, so staging past them grows with the rows actually
+	// read. stageRows is the replay's chunk and stageCells 1 MiB of
+	// float64s, so a replayed batch, 29 hubs or 51 states wide, still
+	// sizes its staging once.
+	stageRows  = 2048
+	stageCells = 1 << 17
+
+	// MaxPriceBatchBody bounds the rows of a binary price batch, rows ×
+	// cols × 8 bytes. Both daemons refuse a header declaring more with
+	// 413 (OpenBatch) before reading a row.
+	MaxPriceBatchBody = 1 << 30
 
 	// maxJobsPerRow bounds the deferrable-job block a jobs=1 demand row
 	// may carry (same protective role as maxBatchRows).
 	maxJobsPerRow = 1 << 16
 
-	// MaxJSONBody bounds every JSON ingest body (DecodeJSONBody). It is
-	// sized from the largest JSON body a client in this repository
-	// sends: the shard coordinator's lease window for one binary demand
-	// batch, {"from":<step>,"gates":[...]} with up to maxBatchRows gates
-	// of at most len("false,") bytes each, 6 MiB, plus 1 KiB for the rest
-	// of the envelope. JSON price and demand posts take a few KiB.
-	MaxJSONBody = maxBatchRows*len("false,") + 1<<10
+	// MaxJSONBody bounds every JSON ingest body (DecodeJSONBody): 6 MiB
+	// plus 1 KiB. A JSON price post, or a demand post for one interval,
+	// takes a few KiB; the rest is room for the deferrable jobs a demand
+	// post may carry, tens of thousands of them at under 100 bytes each.
+	MaxJSONBody = 6<<20 + 1<<10
 
 	// wireJobBytes is the fixed encoded size of one WireJob record.
 	wireJobBytes = 24
@@ -83,11 +93,15 @@ type BatchHeader struct {
 	// predate the batch class reject the unknown field loudly instead of
 	// misparsing the body.
 	Jobs bool
+	// Gates marks a demand batch whose rows each start with a burst gate
+	// byte, 0 or 1 (header field gates=1).
+	Gates bool
 }
 
 // StageRows is the row count to size a batch's staging for before its
-// rows arrive: the header's, capped at a replay chunk.
-func (h *BatchHeader) StageRows() int { return min(h.Rows, stageRows) }
+// rows arrive: the header's, capped at a replay chunk and at 1 MiB of
+// cells.
+func (h *BatchHeader) StageRows() int { return min(h.Rows, stageRows, stageCells/max(h.Cols, 1)) }
 
 // ParseBatchHeader reads and validates one batch header line, refusing a
 // line longer than 64 KiB, newline included.
@@ -140,6 +154,11 @@ func ParseBatchHeader(r *bufio.Reader) (*BatchHeader, error) {
 				return nil, fmt.Errorf("server: batch jobs flag %q (only jobs=1 is defined)", val)
 			}
 			h.Jobs = true
+		case "gates":
+			if val != "1" {
+				return nil, fmt.Errorf("server: batch gates flag %q (only gates=1 is defined)", val)
+			}
+			h.Gates = true
 		default:
 			return nil, fmt.Errorf("server: unknown batch header field %q", key)
 		}
@@ -171,6 +190,9 @@ func ParseBatchHeader(r *bufio.Reader) (*BatchHeader, error) {
 	}
 	if h.Jobs && h.Kind != "demand" {
 		return nil, fmt.Errorf("server: jobs flag on a %q batch (jobs ride demand batches)", h.Kind)
+	}
+	if h.Gates && h.Kind != "demand" {
+		return nil, fmt.Errorf("server: gates flag on a %q batch (gate bits ride demand batches)", h.Kind)
 	}
 	if h.Kind == "prices" {
 		if len(h.Hubs) != h.Cols {
@@ -250,18 +272,31 @@ func DecodeRow(b []byte, dst []float64) error {
 	return nil
 }
 
-// WriteBatchHeader writes the batch header line for a binary batch body.
-// It is exported for the load generator (cmd/tracegen) so the two sides
-// share one definition of the format.
-func WriteBatchHeader(w io.Writer, kind string, start time.Time, step time.Duration, rows, cols int, hubs []string) error {
-	if kind == "prices" {
-		_, err := fmt.Fprintf(w, "%s kind=prices start=%d step=%d rows=%d cols=%d hubs=%s\n",
-			batchMagic, start.UnixNano(), int64(step), rows, cols, strings.Join(hubs, ","))
-		return err
+// Write writes h as a batch header line, the one ParseBatchHeader reads
+// back: the load generator, the shard coordinator and the daemon's tests
+// all write headers through it, so every side shares one definition of
+// the format.
+func (h *BatchHeader) Write(w io.Writer) error {
+	b := fmt.Appendf(nil, "%s kind=%s start=%d step=%d rows=%d cols=%d",
+		batchMagic, h.Kind, h.Start.UnixNano(), int64(h.Step), h.Rows, h.Cols)
+	if h.Kind == "prices" {
+		b = append(append(b, " hubs="...), strings.Join(h.Hubs, ",")...)
 	}
-	_, err := fmt.Fprintf(w, "%s kind=%s start=%d step=%d rows=%d cols=%d\n",
-		batchMagic, kind, start.UnixNano(), int64(step), rows, cols)
+	if h.Jobs {
+		b = append(b, " jobs=1"...)
+	}
+	if h.Gates {
+		b = append(b, " gates=1"...)
+	}
+	_, err := w.Write(append(b, '\n'))
 	return err
+}
+
+// WriteBatchHeader writes the header line of a batch with neither job
+// blocks nor gate bytes (see BatchHeader.Write).
+func WriteBatchHeader(w io.Writer, kind string, start time.Time, step time.Duration, rows, cols int, hubs []string) error {
+	h := BatchHeader{Kind: kind, Start: start, Step: step, Rows: rows, Cols: cols, Hubs: hubs}
+	return h.Write(w)
 }
 
 // AppendRow appends one row of little-endian float64s to b. Exported for
@@ -271,14 +306,6 @@ func AppendRow(b []byte, row []float64) []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
-}
-
-// WriteJobsBatchHeader writes the header of a jobs=1 demand batch, whose
-// rows each carry a job block (AppendJobs) before the rate columns.
-func WriteJobsBatchHeader(w io.Writer, start time.Time, step time.Duration, rows, cols int) error {
-	_, err := fmt.Fprintf(w, "%s kind=demand start=%d step=%d rows=%d cols=%d jobs=1\n",
-		batchMagic, start.UnixNano(), int64(step), rows, cols)
-	return err
 }
 
 // WireJob is the fixed-size wire form of one deferrable batch job riding

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/big"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -176,8 +177,10 @@ func TestParseBatchHeaderRejectsBadHubs(t *testing.T) {
 // header lines: it must never panic, and anything it accepts must satisfy
 // the documented invariants (a newline-terminated line of at most 64 KiB,
 // known kind, positive dimensions under the row cap, positive step,
-// non-zero start, a last row instant that fits in int64 nanoseconds, and
-// — for prices — exactly cols unique non-empty hub names).
+// non-zero start, a last row instant that fits in int64 nanoseconds, job
+// blocks and gate bytes on demand batches only, and — for prices —
+// exactly cols unique non-empty hub names). Written back with
+// BatchHeader.Write, an accepted header parses to an equal one.
 func FuzzParseBatchHeader(f *testing.F) {
 	start := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 	f.Add(fmt.Sprintf("%s kind=demand start=%d step=%d rows=4 cols=9\n", batchMagic, start.UnixNano(), int64(time.Hour)))
@@ -196,6 +199,11 @@ func FuzzParseBatchHeader(f *testing.F) {
 	f.Add(fmt.Sprintf("%s kind=prices start=%d step=%d rows=110000 cols=1 hubs=A\n", batchMagic, start.UnixNano(), int64(24*time.Hour)))
 	f.Add(fmt.Sprintf("%s kind=demand start=1 step=%d rows=3 cols=1\n", batchMagic, int64(math.MaxInt64/2)))
 	f.Add(fmt.Sprintf("%s kind=demand start=%d step=%d rows=2 cols=1\n", batchMagic, int64(math.MinInt64), int64(math.MaxInt64)))
+	// Gate bytes ride demand batches, with or without job blocks; a
+	// prices batch must refuse them.
+	f.Add(fmt.Sprintf("%s kind=demand start=%d step=%d rows=4 cols=9 gates=1\n", batchMagic, start.UnixNano(), int64(time.Hour)))
+	f.Add(fmt.Sprintf("%s kind=demand start=%d step=%d rows=4 cols=9 jobs=1 gates=1\n", batchMagic, start.UnixNano(), int64(time.Hour)))
+	f.Add(fmt.Sprintf("%s kind=prices start=%d step=%d rows=1 cols=2 hubs=A,B gates=1\n", batchMagic, start.UnixNano(), int64(time.Hour)))
 
 	f.Fuzz(func(t *testing.T, line string) {
 		h, err := ParseBatchHeader(bufio.NewReader(strings.NewReader(line)))
@@ -234,6 +242,20 @@ func FuzzParseBatchHeader(f *testing.F) {
 			}
 		} else if h.Hubs != nil {
 			t.Fatalf("demand batch accepted hubs %v", h.Hubs)
+		}
+		if (h.Jobs || h.Gates) && h.Kind != "demand" {
+			t.Fatalf("%s batch accepted jobs=%v gates=%v", h.Kind, h.Jobs, h.Gates)
+		}
+		var b bytes.Buffer
+		if err := h.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseBatchHeader(bufio.NewReader(&b))
+		if err != nil {
+			t.Fatalf("written header %q does not parse: %v", b.String(), err)
+		}
+		if !reflect.DeepEqual(back, h) {
+			t.Fatalf("round trip: %+v, want %+v", back, h)
 		}
 	})
 }

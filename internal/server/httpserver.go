@@ -101,10 +101,24 @@ func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (int, error) 
 	return 0, nil
 }
 
+// WriteBodyError answers a request body that could not be read: 413 when
+// the body runs, or its header declares it will run, past its bound (an
+// *http.MaxBytesError), 400 otherwise.
+func WriteBodyError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooLarge.Limit)
+		return
+	}
+	WriteError(w, http.StatusBadRequest, "%s: %v", what, err)
+}
+
 // OpenBatch reads a binary batch request's header through the 64 KiB
 // buffered reader its rows are then read from, and checks that the batch
 // is of the route's kind ("demand" on /v1/demand, "prices" on
-// /v1/prices). Any error is the request's fault (400).
+// /v1/prices). A price batch declaring more than MaxPriceBatchBody bytes
+// of rows fails with an *http.MaxBytesError (413 through WriteBodyError);
+// any other error is the request's fault (400).
 func OpenBatch(r *http.Request, kind string) (*bufio.Reader, *BatchHeader, error) {
 	br := bufio.NewReaderSize(r.Body, maxBatchHeader)
 	h, err := ParseBatchHeader(br)
@@ -113,6 +127,9 @@ func OpenBatch(r *http.Request, kind string) (*bufio.Reader, *BatchHeader, error
 	}
 	if h.Kind != kind {
 		return nil, nil, fmt.Errorf("batch kind %q on %s", h.Kind, r.URL.Path)
+	}
+	if h.Kind == "prices" && int64(h.Rows)*int64(h.Cols)*8 > MaxPriceBatchBody {
+		return nil, nil, fmt.Errorf("%d rows of %d prices: %w", h.Rows, h.Cols, &http.MaxBytesError{Limit: MaxPriceBatchBody})
 	}
 	return br, h, nil
 }

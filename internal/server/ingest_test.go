@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +21,7 @@ import (
 
 // batchServer builds a daemon over the test world with the deferrable
 // batch class configured, so demand rows may carry jobs.
-func batchServer(t *testing.T) (*httptest.Server, *core.System) {
+func batchServer(t testing.TB) (*httptest.Server, *core.System) {
 	t.Helper()
 	sys := testWorld(t)
 	batch, err := batchspec.Parse("w=20,pct=0.3", sys.Fleet, sys.Market)
@@ -101,8 +101,9 @@ func TestRefusedJSONRowQueuesNoJobs(t *testing.T) {
 
 // jobsBatch builds a jobs=1 binary demand batch body.
 func jobsBatch(start time.Time, rows [][]float64, jobs [][]WireJob) *bytes.Buffer {
+	h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: len(rows), Cols: len(rows[0]), Jobs: true}
 	var b bytes.Buffer
-	if err := WriteJobsBatchHeader(&b, start, time.Hour, len(rows), len(rows[0])); err != nil {
+	if err := h.Write(&b); err != nil {
 		panic(err)
 	}
 	for i, row := range rows {
@@ -176,11 +177,11 @@ func padJSON(t *testing.T, v any, n int) []byte {
 	return append(out, '}')
 }
 
-// TestJSONBodyBound: a JSON price, lease or demand post one byte over
-// MaxJSONBody answers 413 and commits nothing — the engine cursor, the
-// price feed and the lease window stay as they were — while a body of
-// exactly MaxJSONBody bytes, and the largest lease window a coordinator
-// posts, are accepted.
+// TestJSONBodyBound: a JSON price or demand post one byte over
+// MaxJSONBody answers 413 and commits nothing — the engine cursor and the
+// price feed stay as they were — while a body of exactly MaxJSONBody
+// bytes is accepted. The daemon is a lease-fed shard, so the demand post
+// carries its gate bit.
 func TestJSONBodyBound(t *testing.T) {
 	ts, sys := leaseServer(t)
 	start := sys.Market.Start
@@ -189,12 +190,12 @@ func TestJSONBodyBound(t *testing.T) {
 	before := readIngestState(t, ts.URL)
 
 	prices := pricePost{At: start.Add(time.Hour), Prices: hubPrices(sys, 40)}
-	lease := LeasePost{From: 0, Gates: []bool{true}}
-	demand := DemandPost{At: start, Rates: flatDemand(ns, 500)}
+	closed := false
+	demand := DemandPost{At: start, Rates: flatDemand(ns, 500), Gate: &closed}
 	for _, c := range []struct {
 		path string
 		post any
-	}{{"/v1/prices", prices}, {"/v1/leases", lease}, {"/v1/demand", demand}} {
+	}{{"/v1/prices", prices}, {"/v1/demand", demand}} {
 		out := postRaw(t, ts.URL+c.path, padJSON(t, c.post, MaxJSONBody+1), http.StatusRequestEntityTooLarge)
 		if !strings.Contains(string(out), "exceeds") {
 			t.Errorf("POST %s over the bound: %s", c.path, out)
@@ -203,12 +204,6 @@ func TestJSONBodyBound(t *testing.T) {
 			t.Fatalf("POST %s over the bound changed the daemon: %+v, was %+v", c.path, got, before)
 		}
 	}
-	// The lease window is still empty: demand cannot route yet.
-	if out := postJSON(t, ts.URL+"/v1/demand", demand, http.StatusBadRequest); !strings.Contains(string(out), "no burst-token lease") {
-		t.Fatalf("demand after the refused lease post: %s", out)
-	}
-
-	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 0, Gates: make([]bool, maxBatchRows)}, http.StatusOK)
 	postRaw(t, ts.URL+"/v1/prices", padJSON(t, prices, MaxJSONBody), http.StatusOK)
 	postRaw(t, ts.URL+"/v1/demand", padJSON(t, demand, MaxJSONBody), http.StatusOK)
 	if got := readIngestState(t, ts.URL); got.Steps != 1 || got.FeedEntries <= before.FeedEntries {
@@ -271,34 +266,68 @@ func TestPriceInstantRange(t *testing.T) {
 	}
 }
 
-// TestBatchStagingFollowsRows: a batch header is the client's claim, so
-// a prices header naming 64 hubs over 1,048,576 rows, followed by one
-// 512-byte row, sizes the daemon's staging for at most a replay chunk.
-// The daemon refuses the truncated batch having allocated about 1 MiB,
-// where staging sized from the header takes 512 MiB before reading a row.
-func TestBatchStagingFollowsRows(t *testing.T) {
-	srv, _, _ := testServer(t)
-	hubs := make([]string, 64)
+// shortHubs names n hubs as briefly as base 36 allows, so a 64 KiB
+// header line holds about 14,000 of them.
+func shortHubs(n int) []string {
+	hubs := make([]string, n)
 	for i := range hubs {
-		hubs[i] = fmt.Sprintf("H%02d", i)
+		hubs[i] = strconv.FormatInt(int64(i), 36)
 	}
+	return hubs
+}
+
+// priceClaim builds an in-process prices request: a header over hubs
+// claiming rows rows from start, followed by one row.
+func priceClaim(t *testing.T, start time.Time, hubs []string, rows int) *http.Request {
+	t.Helper()
 	var b bytes.Buffer
-	if err := WriteBatchHeader(&b, "prices", srv.eng.Start(), time.Hour, maxBatchRows, len(hubs), hubs); err != nil {
+	if err := WriteBatchHeader(&b, "prices", start, time.Hour, rows, len(hubs), hubs); err != nil {
 		t.Fatal(err)
 	}
 	b.Write(AppendRow(nil, make([]float64, len(hubs))))
 	req := httptest.NewRequest(http.MethodPost, "/v1/prices", &b)
 	req.Header.Set("Content-Type", ContentTypePricesBatch)
-	rec := httptest.NewRecorder()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	srv.Handler().ServeHTTP(rec, req)
-	runtime.ReadMemStats(&after)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "price row 1") {
-		t.Fatalf("truncated batch: got %d %s, want 400 naming price row 1", rec.Code, rec.Body)
+	return req
+}
+
+// TestBatchStagingFollowsRows: a batch header is the client's claim, so
+// a prices header followed by one row sizes the daemon's staging for at
+// most a replay chunk of 2,048 rows and at most 1 MiB of cells: 64 hubs
+// over 1,048,576 rows, or 13,940 hubs (a 54 KB header) over 9,000 rows.
+// The daemon refuses either truncated batch having allocated a few MiB;
+// 2,048 rows of the wide claim would take 228 MB before reading a row.
+func TestBatchStagingFollowsRows(t *testing.T) {
+	srv, _, _ := testServer(t)
+	for _, c := range []struct {
+		hubs, rows int
+	}{{64, maxBatchRows}, {13940, 9000}} {
+		req := priceClaim(t, srv.eng.Start(), shortHubs(c.hubs), c.rows)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "price row 1") {
+			t.Fatalf("%d hubs: truncated batch: got %d %s, want 400 naming price row 1", c.hubs, rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("a %d-row claim over %d hubs with one row allocated %d bytes", c.rows, c.hubs, alloc)
+		}
+		if n := srv.feed.entries(); n != 0 {
+			t.Fatalf("refused batch left %d feed entries", n)
+		}
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
-		t.Errorf("a %d-row claim with one row allocated %d bytes", maxBatchRows, alloc)
+}
+
+// TestPriceBatchBodyBound: a prices header declaring more than
+// MaxPriceBatchBody bytes of rows, 1,048,576 rows of 200 hubs, is refused
+// with 413 at the header, leaving the feed as it was.
+func TestPriceBatchBodyBound(t *testing.T) {
+	srv, _, _ := testServer(t)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, priceClaim(t, srv.eng.Start(), shortHubs(200), maxBatchRows))
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "exceeds 1073741824 bytes") {
+		t.Fatalf("over-bound price batch: got %d %s, want 413", rec.Code, rec.Body)
 	}
 	if n := srv.feed.entries(); n != 0 {
 		t.Fatalf("refused batch left %d feed entries", n)
@@ -359,4 +388,94 @@ func TestBatchHeaderLineBound(t *testing.T) {
 			t.Errorf("%d-byte buffer: header past the bound accepted", size)
 		}
 	}
+}
+
+// serveState reads a daemon's ingest state in process.
+func serveState(t *testing.T, h http.Handler) ingestState {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+	var st ingestState
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("status: %v: %s", err, rec.Body)
+	}
+	return st
+}
+
+// FuzzJSONDemandPost posts arbitrary bytes as a JSON demand post, in
+// process, to a lease-fed shard and to a daemon with the batch class, so
+// both "gate" and "jobs" are reached. Every answer is 200 or 4xx, never
+// 5xx or a panic. A 4xx leaves the engine cursor, the price feed and the
+// job ledger as they were; a 200 advances the engine exactly one step and
+// takes in exactly the posted jobs' energy, served, shed or queued.
+func FuzzJSONDemandPost(f *testing.F) {
+	leaseTS, sys := leaseServer(f)
+	batchTS, _ := batchServer(f)
+	daemons := []http.Handler{leaseTS.Config.Handler, batchTS.Config.Handler}
+	prices, err := json.Marshal(pricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, h := range daemons {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/prices", bytes.NewReader(prices)))
+		if rec.Code != http.StatusOK {
+			f.Fatalf("seeding prices: %d %s", rec.Code, rec.Body)
+		}
+	}
+
+	ns := len(sys.Fleet.States)
+	open, closed := true, false
+	job := JobPost{Cluster: sys.Fleet.Clusters[0].Code, DeadlineSteps: 6, EnergyKWh: 40, MinFraction: 0.5}
+	negative := flatDemand(ns, 500)
+	negative[3] = -1
+	for _, post := range []DemandPost{
+		{Rates: flatDemand(ns, 500), Gate: &closed},
+		{Rates: flatDemand(ns, 900), Gate: &open},
+		{Rates: flatDemand(ns, 500), Jobs: []JobPost{job, job}},
+		{Rates: flatDemand(ns, 500), Jobs: []JobPost{job}, Gate: &open},
+		{At: sys.Market.Start, Rates: flatDemand(ns, 500)},
+		{Rates: flatDemand(ns-1, 500), Gate: &closed},
+		{Rates: negative, Jobs: []JobPost{job}},
+		{Rates: flatDemand(ns, 500), Jobs: []JobPost{{Cluster: "nowhere", DeadlineSteps: 1, EnergyKWh: 1}}},
+	} {
+		b, err := json.Marshal(post)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, s := range []string{`{"gate":2}`, `{"jobs":[{"energy_kwh":1e308}]}`, `null`, `{}`, `[`, ``} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The daemon decodes the first JSON value and ignores the rest;
+		// so does this reading of the posted jobs.
+		var post DemandPost
+		_ = json.NewDecoder(bytes.NewReader(body)).Decode(&post)
+		var kwh float64
+		for _, j := range post.Jobs {
+			kwh += j.EnergyKWh
+		}
+		for d, h := range daemons {
+			before := serveState(t, h)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/demand", bytes.NewReader(body)))
+			after := serveState(t, h)
+			switch {
+			case rec.Code == http.StatusOK:
+				arrived := (after.ServedKWh + after.ShedKWh + after.QueuedKWh) - (before.ServedKWh + before.ShedKWh + before.QueuedKWh)
+				if after.Steps != before.Steps+1 || math.Abs(arrived-kwh) > 1e-9*max(1, math.Abs(kwh), after.ServedKWh+after.ShedKWh+after.QueuedKWh) {
+					t.Fatalf("daemon %d: 200 moved %+v to %+v, want one step and %v kWh of jobs", d, before, after, kwh)
+				}
+			case rec.Code/100 == 4:
+				if after != before {
+					t.Fatalf("daemon %d: %d changed %+v to %+v: %s", d, rec.Code, before, after, rec.Body)
+				}
+			default:
+				t.Fatalf("daemon %d: answered %d: %s", d, rec.Code, rec.Body)
+			}
+		}
+	})
 }

@@ -28,15 +28,20 @@
 //
 // Every demand post, JSON or binary, plain or jobs=1, routes its rows
 // through routeOne and is answered by reply. A binary batch is read one
-// row at a time from the request's 64 KiB buffered reader: on a jobs=1
-// batch the row's job block first (ReadJobBlock), then its rates
-// (DecodeRow). The shard coordinator (internal/coord) serves through the
-// same error, JSON, request-count and health helpers (httpserver.go).
+// row at a time from the request's 64 KiB buffered reader: on a gates=1
+// batch the row's gate byte first, on a jobs=1 batch then its job block
+// (ReadJobBlock), then its rates (DecodeRow). A lease-fed shard
+// (Config.Leases) takes every row's burst gate bit with the row, on a
+// gates=1 batch or as a JSON post's "gate", and latches it just before
+// the row routes; any other daemon refuses gate bits. The shard
+// coordinator (internal/coord) serves through the same error, JSON,
+// request-count and health helpers (httpserver.go).
 package server
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,13 +59,13 @@ type Config struct {
 	// owns it after New; all further access must go through handlers.
 	Engine *sim.Engine
 
-	// Leases, when non-nil, is the burst-token lease window the engine
-	// reads its fleet gate bits from: the daemon accepts POST /v1/leases
-	// into it (the coordinator posts each window before the demand that
-	// consumes it) and prunes consumed bits as intervals route. A shard
-	// of a soft-capped fleet is started with the same store wired into
-	// its engine's BurstGate; a daemon with no coordinated bursts leaves
-	// it nil and rejects lease posts.
+	// Leases, when non-nil, is the latch the engine reads its fleet gate
+	// bits from, and makes the daemon a lease-fed shard: every demand row
+	// must carry its gate bit (a gates=1 batch, or a JSON post's "gate"),
+	// which the daemon latches for the step the row routes at. A shard of
+	// a soft-capped fleet is started with the same store wired into its
+	// engine's BurstGate; a daemon with no coordinated bursts leaves it
+	// nil and refuses gate bits.
 	Leases *sim.LeaseStore
 }
 
@@ -75,7 +80,7 @@ type Server struct {
 	delay time.Duration
 
 	feed     *priceFeed      // locks itself: commitMu for writers, atomic view for readers
-	leases   *sim.LeaseStore // locks itself; nil unless this daemon brokers burst-token leases
+	leases   *sim.LeaseStore // locks itself; nil unless this daemon is a lease-fed shard
 	requests Requests        // locks itself
 
 	// scratch buffers for the demand path.
@@ -108,7 +113,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/prices", count("prices", s.handlePrices))
 	mux.HandleFunc("POST /v1/demand", count("demand", s.handleDemand))
-	mux.HandleFunc("POST /v1/leases", count("leases", s.handleLeases))
 	mux.HandleFunc("GET /v1/assignments", count("assignments", s.handleAssignments))
 	mux.HandleFunc("GET /v1/status", count("status", s.handleStatus))
 	mux.HandleFunc("GET /v1/world", count("world", s.handleWorld))
@@ -204,7 +208,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
 	br, h, err := OpenBatch(r, "prices")
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		WriteBodyError(w, "reading price batch", err)
 		return
 	}
 	// Stage the whole payload lock-free, then commit it atomically: a
@@ -225,39 +229,6 @@ func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// --- burst-token leases ----------------------------------------------------
-
-// LeasePost is the JSON body of POST /v1/leases: a contiguous window of
-// fleet burst-gate bits, one per interval, starting at absolute step
-// From. The coordinator derives each bit from the full fleet demand row
-// and posts the window before the demand chunk that consumes it.
-type LeasePost struct {
-	From  int    `json:"from"`
-	Gates []bool `json:"gates"`
-}
-
-func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
-	if s.leases == nil {
-		WriteError(w, http.StatusBadRequest, "server: this daemon brokers no burst-token leases")
-		return
-	}
-	var post LeasePost
-	if code, err := DecodeJSONBody(w, r, &post); err != nil {
-		WriteError(w, code, "decoding lease post: %v", err)
-		return
-	}
-	// Window-shape violations (gaps, rewinds) are ordering conflicts with
-	// the stored window, like a misaligned demand batch.
-	if err := s.leases.Post(post.From, post.Gates); err != nil {
-		WriteError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	WriteJSON(w, map[string]any{
-		"from":   post.From,
-		"posted": len(post.Gates),
-	})
-}
-
 // --- demand ingestion / routing --------------------------------------------
 
 // DemandPost is the JSON body of POST /v1/demand: one interval's per-state
@@ -265,11 +236,14 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 // defaults to the engine's next expected interval. Jobs optionally
 // attaches deferrable batch jobs arriving with the interval; they queue
 // before the interval routes, so a job may start executing immediately.
-// A row the daemon refuses queues none of its jobs.
+// A row the daemon refuses queues none of its jobs. Gate is the
+// interval's fleet-wide burst gate bit: a lease-fed shard needs it, any
+// other daemon refuses it.
 type DemandPost struct {
 	At    time.Time `json:"at"`
 	Rates []float64 `json:"rates"`
 	Jobs  []JobPost `json:"jobs,omitempty"`
+	Gate  *bool     `json:"gate,omitempty"`
 }
 
 // JobPost is one deferrable batch job in a JSON demand post.
@@ -338,9 +312,25 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// gateError refuses a demand post whose gate bits do not fit the daemon:
+// a lease-fed shard needs every row's bit, any other daemon takes none.
+func (s *Server) gateError(gated bool) error {
+	switch {
+	case s.leases != nil && !gated:
+		return errors.New(`server: a lease-fed shard needs each demand row's burst gate bit (a gates=1 batch or a JSON "gate")`)
+	case s.leases == nil && gated:
+		return errors.New("server: this daemon is not a lease-fed shard and takes no burst gate bits")
+	}
+	return nil
+}
+
 // routeJSON routes one JSON-posted interval under the engine lock and
 // answers it (reply).
 func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.Time, ok bool) {
+	if err := s.gateError(post.Gate != nil); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return time.Time{}, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	at := post.At.UTC()
@@ -354,23 +344,24 @@ func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return time.Time{}, false
 	}
-	if code, err := s.routeOne(at, post.Rates, s.jobBuf); err != nil {
+	if code, err := s.routeOne(at, post.Rates, s.jobBuf, post.Gate); err != nil {
 		WriteError(w, code, "%v", err)
 		return time.Time{}, false
 	}
 	return s.reply(w, map[string]any{"routed": 1, "at": at}), true
 }
 
-// routeOne queues the interval's jobs, then advances the engine one
-// interval at `at` using the freshest published prices (decision prices
-// lagged by the reaction delay). Both lookups resolve against one
-// atomically-loaded view, so a concurrent price commit can never tear an
-// interval's bill/decision pair. The jobs queue only after the row
-// passes the checks Step would refuse it on, so a refused row commits
-// none of them and a client can resend it corrected.
+// routeOne queues the interval's jobs, latches its gate bit when it
+// carries one, then advances the engine one interval at `at` using the
+// freshest published prices (decision prices lagged by the reaction
+// delay). Both lookups resolve against one atomically-loaded view, so a
+// concurrent price commit can never tear an interval's bill/decision
+// pair. The jobs queue only after the row passes the checks Step would
+// refuse it on, so a refused row commits none of them and a client can
+// resend it corrected.
 //
 //lint:held mu callers lock s.mu around each routed interval
-func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job) (int, error) {
+func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job, gate *bool) (int, error) {
 	v := s.feed.current()
 	bill := v.lookup(at)
 	if bill == nil {
@@ -387,6 +378,9 @@ func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job) (int,
 			return http.StatusBadRequest, err
 		}
 	}
+	if gate != nil {
+		s.leases.Set(s.eng.StepsRun(), *gate)
+	}
 	decision := v.lookup(at.Add(-s.delay))
 	if err := s.eng.Step(at, sim.StepPrices{Decision: decision, Bill: bill}, rates); err != nil {
 		return http.StatusBadRequest, err
@@ -395,13 +389,18 @@ func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job) (int,
 }
 
 // routeBatch routes one binary demand batch under the engine lock, one
-// row at a time through the request's buffered reader: on a jobs=1 batch
-// the row's job block (ReadJobBlock), then its rates (DecodeRow), then
-// the interval with its jobs (routeOne). Rows commit as they route: a
-// mid-batch failure reports the resume point (see batchError), and
-// truncation after k complete rows still commits k, each with its jobs,
-// while the refused row commits neither.
+// row at a time through the request's buffered reader: on a gates=1
+// batch the row's gate byte, on a jobs=1 batch its job block
+// (ReadJobBlock), then its rates (DecodeRow), then the interval with its
+// jobs and gate bit (routeOne). Rows commit as they route: a mid-batch
+// failure reports the resume point (see batchError), and truncation
+// after k complete rows still commits k, each with its jobs, while the
+// refused row commits neither.
 func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
+	if err := s.gateError(h.Gates); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return time.Time{}, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h.Cols != len(s.fleet.States) {
@@ -420,7 +419,24 @@ func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHea
 	if cap(s.byteBuf) < rowBytes {
 		s.byteBuf = make([]byte, rowBytes)
 	}
+	var open bool
+	var gate *bool
+	if h.Gates {
+		gate = &open
+	}
 	for routed := 0; routed < h.Rows; routed++ {
+		if h.Gates {
+			g, err := br.ReadByte()
+			if err != nil {
+				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
+				return time.Time{}, false
+			}
+			if g > 1 {
+				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: gate byte %d (want 0 or 1)", routed, g)
+				return time.Time{}, false
+			}
+			open = g == 1
+		}
 		s.jobBuf = s.jobBuf[:0]
 		if h.Jobs {
 			var err error
@@ -443,7 +459,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHea
 			return time.Time{}, false
 		}
 		at := h.Start.Add(time.Duration(routed) * h.Step)
-		if code, err := s.routeOne(at, s.rowBuf, s.jobBuf); err != nil {
+		if code, err := s.routeOne(at, s.rowBuf, s.jobBuf, gate); err != nil {
 			s.batchError(w, code, routed, "demand row %d: %v", routed, err)
 			return time.Time{}, false
 		}
@@ -451,18 +467,13 @@ func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHea
 	return s.reply(w, map[string]any{"routed": h.Rows}), true
 }
 
-// reply answers a demand post whose every row routed: it reclaims the
-// lease bits the engine has consumed (the engine only ever asks for its
-// current step, so this bounds the store across long replays), adds the
+// reply answers a demand post whose every row routed: it adds the
 // engine's step count and running bill to resp and writes it. It returns
 // the oldest instant a future price lookup can ask for, so the caller can
 // prune the feed after the engine lock is released.
 //
 //lint:held mu callers lock s.mu for the routed post
 func (s *Server) reply(w http.ResponseWriter, resp map[string]any) (oldest time.Time) {
-	if s.leases != nil {
-		s.leases.Prune(s.eng.StepsRun())
-	}
 	snap := s.snapshot()
 	resp["steps"] = snap.Steps
 	resp["total_cost_usd"] = float64(snap.TotalCost)
@@ -659,8 +670,8 @@ func (s *Server) handleWorld(w http.ResponseWriter, r *http.Request) {
 		resp["storage_policy"] = storagePolicy
 	}
 	if bursts {
-		// The engine meters coordinated softcap bursts; a shard daemon
-		// additionally accepts the gate-bit windows via POST /v1/leases.
+		// The engine meters coordinated softcap bursts; a lease-fed shard
+		// also takes each demand row's gate bit with the row.
 		resp["fleet_bursts"] = true
 		resp["lease_broker"] = s.leases != nil
 	}

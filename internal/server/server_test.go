@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -530,10 +529,11 @@ func TestBatchHeaderRequiresStart(t *testing.T) {
 	}
 }
 
-// leaseServer builds a burst-coordinated daemon: the unsplit test world
-// under soft caps at 90% of each cluster's capacity, its engine's gate fed
-// from the same LeaseStore the server accepts POST /v1/leases into.
-func leaseServer(t *testing.T) (*httptest.Server, *core.System) {
+// leaseServer builds a lease-fed daemon: the unsplit test world under
+// soft caps at 90% of each cluster's capacity, its engine's gate read
+// from the same LeaseStore the server latches each demand row's gate bit
+// into.
+func leaseServer(t testing.TB) (*httptest.Server, *core.System) {
 	t.Helper()
 	sys := testWorld(t)
 	caps := make([]float64, len(sys.Fleet.Clusters))
@@ -557,54 +557,87 @@ func leaseServer(t *testing.T) (*httptest.Server, *core.System) {
 	return ts, sys
 }
 
-// TestLeaseBrokeredDaemon drives the shard-side half of the lease
-// protocol over HTTP: demand cannot route past the posted gate window,
-// windows extend contiguously (gaps conflict), and the lease state shows
-// up in /v1/status and /v1/world.
+// gatedBatch builds a gates=1 binary demand batch of hourly rows, each
+// led by its gate byte.
+func gatedBatch(start time.Time, rows [][]float64, gates []byte) []byte {
+	h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: len(rows), Cols: len(rows[0]), Gates: true}
+	var b bytes.Buffer
+	if err := h.Write(&b); err != nil {
+		panic(err)
+	}
+	for i, row := range rows {
+		b.WriteByte(gates[i])
+		b.Write(AppendRow(nil, row))
+	}
+	return b.Bytes()
+}
+
+// leaseStatus is the lease-fed daemon's step count and burst ledger.
+type leaseStatus struct {
+	Steps       int `json:"steps"`
+	BurstLeases *struct {
+		Granted int `json:"tokens_granted"`
+		Used    int `json:"tokens_used"`
+		Expired int `json:"tokens_expired"`
+	} `json:"burst_leases"`
+}
+
+func readLeaseStatus(t *testing.T, url string) leaseStatus {
+	t.Helper()
+	var status leaseStatus
+	if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &status); err != nil {
+		t.Fatal(err)
+	}
+	if status.BurstLeases == nil {
+		t.Fatalf("status = %+v, want a burst_leases section", status)
+	}
+	return status
+}
+
+// TestLeaseBrokeredDaemon drives a lease-fed shard over HTTP: a demand
+// post without gate bits is refused before any row routes; each row's bit
+// is latched for the step the row routes at, so an open bit grants burst
+// tokens and a closed one grants none; a gate byte other than 0 or 1 is
+// refused at its row with the resume point; and the lease state shows up
+// in /v1/status, /v1/world and /metrics.
 func TestLeaseBrokeredDaemon(t *testing.T) {
 	ts, sys := leaseServer(t)
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
+	row := flatDemand(ns, 900)
 	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 
-	// No lease window posted yet: the engine refuses to guess the bit.
-	body := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusBadRequest)
-	if !strings.Contains(string(body), "no burst-token lease") {
-		t.Fatalf("demand before leases: %s", body)
+	body := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: row}, http.StatusBadRequest)
+	if !strings.Contains(string(body), "needs each demand row's burst gate bit") {
+		t.Fatalf("JSON demand without a gate bit: %s", body)
+	}
+	if code := postBatch(t, ts.URL, demandBatch(start, time.Hour, [][]float64{row})); code != http.StatusBadRequest {
+		t.Fatalf("batch without gates=1: got %d, want 400", code)
+	}
+	if st := readLeaseStatus(t, ts.URL); st.Steps != 0 {
+		t.Fatalf("refused posts routed %d steps", st.Steps)
 	}
 
-	// A window whose end does not fit in an int conflicts; refused, it
-	// leaves the store empty for the real window. A two-step window covers
-	// exactly two intervals; a post that leaves a gap after it is an
-	// ordering conflict.
-	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: math.MaxInt, Gates: []bool{true}}, http.StatusConflict)
-	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 0, Gates: []bool{false, false}}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 5, Gates: []bool{false}}, http.StatusConflict)
-	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
-	body = postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusBadRequest)
-	if !strings.Contains(string(body), "no burst-token lease") {
-		t.Fatalf("demand beyond the window: %s", body)
+	closed, open := false, true
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: row, Gate: &closed}, http.StatusOK)
+	if st := readLeaseStatus(t, ts.URL); st.Steps != 1 || st.BurstLeases.Granted != 0 {
+		t.Fatalf("after a closed gate: %+v, want 1 step and no tokens granted", st)
+	}
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: row, Gate: &open}, http.StatusOK)
+	perOpen := readLeaseStatus(t, ts.URL).BurstLeases.Granted
+	if perOpen == 0 {
+		t.Fatal("an open gate granted no burst tokens")
 	}
 
-	// The consumed window was pruned as the rows routed; the next post
-	// re-bases at the engine's cursor.
-	postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 2, Gates: []bool{false}}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
-
-	var status struct {
-		Steps       int `json:"steps"`
-		BurstLeases *struct {
-			Granted int `json:"tokens_granted"`
-			Used    int `json:"tokens_used"`
-			Expired int `json:"tokens_expired"`
-		} `json:"burst_leases"`
+	// Rows 0 and 1 route (closed, then open); row 2's gate byte is refused
+	// with the resume point.
+	failure := postFailingBatch(t, ts.URL, gatedBatch(start.Add(2*time.Hour), [][]float64{row, row, row}, []byte{0, 1, 2}))
+	if !strings.Contains(failure.Error, "demand row 2: gate byte 2") || failure.Routed != 2 || !failure.Next.Equal(start.Add(4*time.Hour)) {
+		t.Fatalf("bad gate byte: %+v, want row 2 refused after 2 routed, next %v", failure, start.Add(4*time.Hour))
 	}
-	if err := json.Unmarshal(get(t, ts.URL+"/v1/status", http.StatusOK), &status); err != nil {
-		t.Fatal(err)
-	}
-	if status.Steps != 3 || status.BurstLeases == nil {
-		t.Fatalf("status = %+v, want 3 steps with a burst_leases section", status)
+	status := readLeaseStatus(t, ts.URL)
+	if status.Steps != 4 || status.BurstLeases.Granted != 2*perOpen {
+		t.Fatalf("status = %+v, want 4 steps and %d tokens granted", status, 2*perOpen)
 	}
 	var world struct {
 		FleetBursts bool `json:"fleet_bursts"`
@@ -622,13 +655,24 @@ func TestLeaseBrokeredDaemon(t *testing.T) {
 	}
 }
 
-// TestLeasePostRejectedWithoutBroker: a daemon with no coordinated
-// bursts refuses lease windows instead of silently dropping them.
-func TestLeasePostRejectedWithoutBroker(t *testing.T) {
-	_, ts, _ := testServer(t)
-	body := postJSON(t, ts.URL+"/v1/leases", LeasePost{From: 0, Gates: []bool{true}}, http.StatusBadRequest)
-	if !strings.Contains(string(body), "brokers no burst-token leases") {
-		t.Fatalf("lease post on a broker-less daemon: %s", body)
+// TestGateBitsRejectedWithoutBroker: a daemon that is not a lease-fed
+// shard refuses gate bits, on a JSON post and on a gates=1 batch, before
+// any row routes, instead of silently dropping them.
+func TestGateBitsRejectedWithoutBroker(t *testing.T) {
+	_, ts, sys := testServer(t)
+	start := sys.Market.Start
+	row := flatDemand(len(sys.Fleet.States), 500)
+	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	open := true
+	body := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: row, Gate: &open}, http.StatusBadRequest)
+	if !strings.Contains(string(body), "takes no burst gate bits") {
+		t.Fatalf("JSON gate on a daemon that is not lease-fed: %s", body)
+	}
+	if code := postBatch(t, ts.URL, bytes.NewReader(gatedBatch(start, [][]float64{row}, []byte{1}))); code != http.StatusBadRequest {
+		t.Fatalf("gates=1 batch on a daemon that is not lease-fed: got %d, want 400", code)
+	}
+	if got := readIngestState(t, ts.URL); got.Steps != 0 {
+		t.Fatalf("refused gate bits routed %d steps", got.Steps)
 	}
 	var world struct {
 		FleetBursts *bool `json:"fleet_bursts"`

@@ -8,7 +8,8 @@
 // different bits than the joint engine, which is why soft-capped shard
 // splits used to be exact only while the gate never fired. The BurstGate
 // interface externalizes the decision so a broker that sees the full
-// demand row can hand every shard the joint engine's exact gate bit.
+// demand row can hand every shard the joint engine's exact gate bit,
+// sent with the shard's share of that row.
 //
 // Bit-exactness contract: both parties — the engine's SelfGate and the
 // coordinator's broker — MUST derive the bit with the same float
@@ -20,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"powerroute/internal/cluster"
@@ -84,84 +84,38 @@ func (SelfGate) GateOpen(step int, localDemand, localRoom float64) (bool, error)
 	return BurstGateOpen(localDemand, localRoom), nil
 }
 
-// LeaseStore replays externally brokered gate bits to a shard engine.
-// The coordinator computes the joint gate bit for each step from the
-// full demand row and posts it here — over HTTP via POST /v1/leases —
-// before the step's demand arrives; the engine then consults the store
-// inside Step. A step with no posted
-// lease fails loudly: guessing would silently fork the shard's books
-// from the joint run.
+// LeaseStore is the gate of a shard engine fed by a coordinator: a
+// one-step latch holding the fleet-wide bit the coordinator derived from
+// the full demand row. The shard's daemon sets it from the gate bit that
+// rides each demand row, just before that row routes; the engine then
+// reads it inside Step. A step whose bit was never set fails loudly:
+// guessing would silently fork the shard's books from the joint run. The
+// zero value holds no bit.
 type LeaseStore struct {
 	mu sync.Mutex
-	// base is the step index of gates[0]. guarded_by: mu
-	base int
-	// gates holds the brokered bits for steps [base, base+len). guarded_by: mu
-	gates []bool
+	// step is the step the latch holds a bit for, when set. guarded_by: mu
+	step int
+	// open is that step's bit. guarded_by: mu
+	open bool
+	// set reports whether any bit was set. guarded_by: mu
+	set bool
 }
 
-// Post records gate bits for steps [from, from+len(gates)). Posting may
-// extend the window or overwrite bits not yet consumed; gaps are
-// rejected because a missing middle step could never be filled in time.
-// A window whose end does not fit in an int is refused: the stored end
-// would wrap and read as a gap to every later post.
-func (ls *LeaseStore) Post(from int, gates []bool) error {
-	if from < 0 {
-		return fmt.Errorf("sim: lease window starts at negative step %d", from)
-	}
-	if len(gates) == 0 {
-		return nil
-	}
-	if from > math.MaxInt-len(gates) {
-		return fmt.Errorf("sim: lease window of %d steps from step %d ends past the largest step", len(gates), from)
-	}
+// Set latches the gate bit for one step, replacing any earlier bit.
+func (ls *LeaseStore) Set(step int, open bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if len(ls.gates) == 0 {
-		ls.base = from
-		ls.gates = append(ls.gates[:0], gates...)
-		return nil
-	}
-	end := ls.base + len(ls.gates)
-	if from > end {
-		return fmt.Errorf("sim: lease window starting at step %d leaves a gap after step %d", from, end-1)
-	}
-	if from < ls.base {
-		return fmt.Errorf("sim: lease window starting at step %d precedes the stored window at %d", from, ls.base)
-	}
-	for i, g := range gates {
-		step := from + i
-		if step < end {
-			ls.gates[step-ls.base] = g
-		} else {
-			ls.gates = append(ls.gates, g)
-		}
-	}
-	return nil
+	ls.step, ls.open, ls.set = step, open, true
 }
 
-// GateOpen implements BurstGate by looking up the brokered bit; the
-// local sums are ignored (the broker derived the joint ones).
+// GateOpen implements BurstGate from the latched bit; the local sums are
+// ignored (the coordinator derived the joint ones). Any step but the
+// latched one is an error.
 func (ls *LeaseStore) GateOpen(step int, localDemand, localRoom float64) (bool, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if len(ls.gates) == 0 || step < ls.base || step >= ls.base+len(ls.gates) {
-		return false, fmt.Errorf("sim: no burst-token lease posted for step %d (POST /v1/leases must precede the step's demand)", step)
+	if !ls.set || step != ls.step {
+		return false, fmt.Errorf("sim: no burst gate bit set for step %d (a lease-fed shard takes each row's bit with its demand)", step)
 	}
-	return ls.gates[step-ls.base], nil
-}
-
-// Prune drops stored bits for steps below the cursor, bounding the
-// window to the unconsumed tail.
-func (ls *LeaseStore) Prune(below int) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if below <= ls.base {
-		return
-	}
-	if drop := below - ls.base; drop >= len(ls.gates) {
-		ls.base, ls.gates = below, ls.gates[:0]
-	} else {
-		ls.gates = append(ls.gates[:0], ls.gates[drop:]...)
-		ls.base = below
-	}
+	return ls.open, nil
 }

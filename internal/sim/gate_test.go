@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"maps"
-	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -58,166 +55,34 @@ func TestBurstRoomTotal(t *testing.T) {
 	}
 }
 
-// TestLeaseStoreProtocol pins the broker-to-shard lease window contract:
-// contiguous posts extend or overwrite, gaps and rewinds are rejected,
-// unposted steps fail loudly, and pruning bounds the window.
+// TestLeaseStoreProtocol pins the shard-side latch: a step with no bit
+// set fails loudly, a set bit answers for its own step only, and the
+// next Set replaces it.
 func TestLeaseStoreProtocol(t *testing.T) {
 	store := &LeaseStore{}
 
-	// Reading before any post fails loudly — guessing a bit would fork
-	// the shard's books from the joint run.
-	if _, err := store.GateOpen(0, 0, 0); err == nil || !strings.Contains(err.Error(), "no burst-token lease") {
-		t.Fatalf("unposted step served: %v", err)
+	// Reading before any Set fails loudly — guessing a bit would fork
+	// the shard's books from the joint run. Step 0 is no exception.
+	if _, err := store.GateOpen(0, 0, 0); err == nil || !strings.Contains(err.Error(), "no burst gate bit") {
+		t.Fatalf("unset step served: %v", err)
 	}
 
-	if err := store.Post(-1, []bool{true}); err == nil {
-		t.Fatal("negative window start accepted")
-	}
-	if err := store.Post(5, nil); err != nil {
-		t.Fatalf("empty post: %v", err)
-	}
-
-	if err := store.Post(0, []bool{true, false, true}); err != nil {
-		t.Fatal(err)
-	}
-	// A gap after the stored window could never be filled in time.
-	if err := store.Post(4, []bool{true}); err == nil || !strings.Contains(err.Error(), "gap") {
-		t.Fatalf("gapped window accepted: %v", err)
-	}
-	// Contiguous append plus overwrite of a not-yet-consumed bit.
-	if err := store.Post(2, []bool{false, true}); err != nil {
-		t.Fatal(err)
-	}
-	for step, want := range []bool{true, false, false, true} {
-		got, err := store.GateOpen(step, 0, 0)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if got != want {
-			t.Fatalf("step %d bit %v, want %v", step, got, want)
-		}
-	}
-	if _, err := store.GateOpen(4, 0, 0); err == nil {
-		t.Fatal("step beyond the window served")
-	}
-
-	store.Prune(2)
-	if _, err := store.GateOpen(1, 0, 0); err == nil {
-		t.Fatal("pruned step served")
-	}
+	store.Set(3, true)
 	if got, err := store.GateOpen(3, 0, 0); err != nil || !got {
-		t.Fatalf("surviving step after prune = (%v, %v)", got, err)
+		t.Fatalf("step 3 after Set(3, true) = (%v, %v)", got, err)
 	}
-	// A post rewinding before the pruned base is a stale broker.
-	if err := store.Post(0, []bool{true}); err == nil || !strings.Contains(err.Error(), "precedes") {
-		t.Fatalf("pre-base window accepted: %v", err)
-	}
-	// Pruning everything empties the window; the next post re-bases it.
-	store.Prune(100)
-	if err := store.Post(42, []bool{true}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := store.GateOpen(42, 0, 0); err != nil || !got {
-		t.Fatalf("re-based window = (%v, %v)", got, err)
-	}
-}
-
-// leaseModel is the lease window contract as a map from step to bit:
-// the steps held are contiguous, from base.
-type leaseModel struct {
-	bits map[int]bool
-	base int
-}
-
-// post applies LeaseStore.Post's documented rules and reports whether
-// the post must succeed.
-func (m *leaseModel) post(from int, gates []bool) bool {
-	switch {
-	case from < 0:
-		return false
-	case len(gates) == 0:
-		return true
-	case from > math.MaxInt-len(gates):
-		return false
-	case len(m.bits) == 0:
-		m.base = from
-	case from > m.base+len(m.bits) || from < m.base:
-		return false
-	}
-	for i, g := range gates {
-		m.bits[from+i] = g
-	}
-	return true
-}
-
-func (m *leaseModel) prune(below int) {
-	maps.DeleteFunc(m.bits, func(step int, _ bool) bool { return step < below })
-	m.base = max(m.base, below)
-}
-
-// leaseStep maps a fuzz byte to a step: mostly small ones, so windows
-// meet, overlap and leave gaps, plus a few negative ones and a few
-// within 55 of math.MaxInt.
-func leaseStep(b byte) int {
-	if b >= 200 {
-		return math.MaxInt - int(b-200)
-	}
-	return int(b) - 8
-}
-
-// FuzzLeaseStorePost runs random Post, Prune and GateOpen sequences
-// against a LeaseStore and the map model of its contract. Each op is
-// three bytes: the op, a step (leaseStep), and for Post the window's
-// length (low 3 bits) and bits. After every op, each modelled step reads
-// its bit and the steps just outside the window read an error.
-func FuzzLeaseStorePost(f *testing.F) {
-	f.Add([]byte{0, 8, 0x3b, 0, 11, 0x12, 2, 10, 0, 1, 10, 0, 0, 20, 0x09})
-	f.Add([]byte{0, 8, 0x1f, 1, 12, 0, 0, 9, 0x0f, 0, 30, 0x02, 1, 100, 0, 0, 50, 0x01})
-	// A one-step window at math.MaxInt, then a post at step 0.
-	f.Add([]byte{0, 200, 0x09, 0, 8, 0x09, 1, 100, 0, 0, 8, 0x09})
-	// A window ending at math.MaxInt, then one step past it.
-	f.Add([]byte{0, 201, 0x09, 0, 200, 0x09, 2, 201, 0, 1, 255, 0})
-
-	f.Fuzz(func(t *testing.T, script []byte) {
-		store := &LeaseStore{}
-		model := &leaseModel{bits: map[int]bool{}}
-		for len(script) >= 3 {
-			op, step, arg := script[0]%3, leaseStep(script[1]), script[2]
-			script = script[3:]
-			switch op {
-			case 0:
-				gates := make([]bool, arg&7)
-				for i := range gates {
-					gates[i] = arg>>(3+i%5)&1 == 1
-				}
-				err := store.Post(step, gates)
-				if want := model.post(step, gates); want != (err == nil) {
-					t.Fatalf("Post(%d, %v) = %v, model accepts: %v", step, gates, err, want)
-				}
-			case 1:
-				store.Prune(step)
-				model.prune(step)
-			case 2:
-				got, err := store.GateOpen(step, 0, 0)
-				if want, ok := model.bits[step]; ok != (err == nil) || got != want {
-					t.Fatalf("GateOpen(%d) = (%v, %v), model holds (%v, %v)", step, got, err, want, ok)
-				}
-			}
-			steps := slices.Sorted(maps.Keys(model.bits))
-			for _, s := range steps {
-				if got, err := store.GateOpen(s, 0, 0); err != nil || got != model.bits[s] {
-					t.Fatalf("step %d reads (%v, %v), model holds %v", s, got, err, model.bits[s])
-				}
-			}
-			if len(steps) > 0 {
-				for _, s := range []int{steps[0] - 1, steps[len(steps)-1] + 1} {
-					if _, err := store.GateOpen(s, 0, 0); err == nil {
-						t.Fatalf("step %d outside the window %d..%d was served", s, steps[0], steps[len(steps)-1])
-					}
-				}
-			}
+	for _, step := range []int{2, 4} {
+		if _, err := store.GateOpen(step, 0, 0); err == nil {
+			t.Fatalf("step %d served from the bit set for step 3", step)
 		}
-	})
+	}
+	store.Set(4, false)
+	if got, err := store.GateOpen(4, 0, 0); err != nil || got {
+		t.Fatalf("step 4 after Set(4, false) = (%v, %v)", got, err)
+	}
+	if _, err := store.GateOpen(3, 0, 0); err == nil {
+		t.Fatal("step 3 still served after Set(4, ...)")
+	}
 }
 
 // TestScenarioRejectsGateWithoutSoftCaps: a burst gate is meaningless

@@ -127,8 +127,8 @@ func (sc Scenario) WorldHash() (string, error) {
 //
 // The engine's one fleet-wide coupling — the 95/5 burst gate's
 // demand-vs-room comparison — no longer limits the split: a shard run
-// whose BurstGate replays the joint gate bits (a LeaseStore fed by the
-// coordinator's burst-token broker) reproduces the joint soft-capped run
+// whose BurstGate replays the joint gate bits (a LeaseStore set from the
+// bit the coordinator sends with each demand row) reproduces the joint soft-capped run
 // exactly even while bursts fire, because burst *budgets* are
 // per-cluster and therefore shard-local. Set each sub-scenario's
 // BurstGate after Shard returns; Shard itself leaves the field as

@@ -469,16 +469,27 @@ func tightSoftCaps(t testing.TB, sc Scenario) []float64 {
 	return caps
 }
 
+// gateBits is a BurstGate holding one bit per step from step 0: the
+// in-test stand-in for the bits a coordinator sends with each demand row.
+type gateBits []bool
+
+func (g gateBits) GateOpen(step int, _, _ float64) (bool, error) {
+	if step < 0 || step >= len(g) {
+		return false, fmt.Errorf("no gate bit for step %d", step)
+	}
+	return g[step], nil
+}
+
 // jointGateBits replays the scenario's demand and derives the joint
 // burst-gate bit per step with the exported helpers — exactly what the
 // coordinator's burst-token broker does from the full demand row.
-func jointGateBits(t testing.TB, sc Scenario) []bool {
+func jointGateBits(t testing.TB, sc Scenario) gateBits {
 	t.Helper()
 	room, err := BurstRoomTotal(sc.Fleet, sc.SoftCaps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := make([]bool, sc.Steps)
+	bits := make(gateBits, sc.Steps)
 	var row []float64
 	for i := range bits {
 		at := sc.Start.Add(time.Duration(i) * sc.Step)
@@ -488,10 +499,10 @@ func jointGateBits(t testing.TB, sc Scenario) []bool {
 	return bits
 }
 
-// leaseFedShardEngines shards sc, hands every sub-engine a LeaseStore
-// pre-posted with the joint gate bits, and drives each k steps — the
-// in-test double of a coordinator-brokered shard fleet.
-func leaseFedShardEngines(t testing.TB, sc Scenario, gates []bool, k int) []*Engine {
+// leaseFedShardEngines shards sc, hands every sub-engine the joint gate
+// bits, and drives each k steps — the in-test double of a
+// coordinator-brokered shard fleet.
+func leaseFedShardEngines(t testing.TB, sc Scenario, gates gateBits, k int) []*Engine {
 	t.Helper()
 	p, err := PartitionByRouting(sc.Policy.(routing.Sharder), sc.Fleet)
 	if err != nil {
@@ -503,11 +514,7 @@ func leaseFedShardEngines(t testing.TB, sc Scenario, gates []bool, k int) []*Eng
 	}
 	engines := make([]*Engine, len(subs))
 	for i, sub := range subs {
-		store := &LeaseStore{}
-		if err := store.Post(0, gates); err != nil {
-			t.Fatal(err)
-		}
-		sub.BurstGate = store
+		sub.BurstGate = gates
 		eng, err := NewEngine(sub)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
@@ -521,9 +528,8 @@ func leaseFedShardEngines(t testing.TB, sc Scenario, gates []bool, k int) []*Eng
 // TestShardMergeActiveBursts is the invariant PR "fleet-exact sharding"
 // exists for: a soft-capped world whose burst gate actually fires,
 // split across 2 and 3 shards whose engines replay coordinator-brokered
-// gate bits from LeaseStores, merges to the joint SelfGate run bit for
-// bit — burst budgets, lease ledgers, and distance distribution
-// included. The merge is exercised at the full horizon and mid-run
+// gate bits, merges to the joint SelfGate run bit for bit — burst
+// budgets, lease ledgers, and distance distribution included. The merge is exercised at the full horizon and mid-run
 // (merge, restore into the joint world, finish jointly).
 func TestShardMergeActiveBursts(t *testing.T) {
 	for _, tc := range []struct {
@@ -612,11 +618,7 @@ func TestMergeRejectsBurstLeasePresenceMismatch(t *testing.T) {
 	parts := make([]*Checkpoint, len(subs))
 	for i, sub := range subs {
 		if i == 0 {
-			store := &LeaseStore{}
-			if err := store.Post(0, make([]bool, sc.Steps)); err != nil {
-				t.Fatal(err)
-			}
-			sub.BurstGate = store
+			sub.BurstGate = make(gateBits, sc.Steps)
 		}
 		eng, err := NewEngine(sub)
 		if err != nil {

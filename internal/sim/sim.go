@@ -71,8 +71,8 @@ type Scenario struct {
 	// granted/used/expired burst token in per-cluster lease ledgers that
 	// ride in checkpoints. SelfGate reproduces the local decision (for
 	// whole-world engines that must stay byte-comparable with a merged
-	// shard fleet); a LeaseStore replays gate bits brokered by a
-	// coordinator. Requires SoftCaps. Nil keeps the exact engine-local
+	// shard fleet); a LeaseStore holds the bit a coordinator sends with
+	// each demand row. Requires SoftCaps. Nil keeps the exact engine-local
 	// code path with no ledgers.
 	BurstGate BurstGate
 
