@@ -128,19 +128,6 @@ func (c *Constraint) Over(rate float64) bool { return rate > c.Cap+1e-9 }
 // CanBurst reports whether an over-cap interval is still permitted.
 func (c *Constraint) CanBurst() bool { return c.burstsUsed < c.totalBudget }
 
-// Limit returns the enforceable rate limit for the next interval given a
-// physical capacity: capacity when a burst is available, min(cap, capacity)
-// otherwise.
-func (c *Constraint) Limit(capacity float64) float64 {
-	if c.CanBurst() {
-		return capacity
-	}
-	if c.Cap < capacity {
-		return c.Cap
-	}
-	return capacity
-}
-
 // Commit records the realized rate for one interval, consuming a burst if
 // the rate exceeded the cap. It returns an error if the rate exceeded the
 // cap with no budget left (a router bug).

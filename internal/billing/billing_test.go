@@ -122,9 +122,6 @@ func TestConstraintBasics(t *testing.T) {
 	if !c.CanBurst() {
 		t.Error("fresh constraint should allow bursting")
 	}
-	if c.Limit(500) != 500 {
-		t.Errorf("Limit with budget = %v, want capacity 500", c.Limit(500))
-	}
 	// Four over-cap commits consume the budget.
 	for i := 0; i < 4; i++ {
 		if err := c.Commit(200); err != nil {
@@ -133,9 +130,6 @@ func TestConstraintBasics(t *testing.T) {
 	}
 	if c.CanBurst() {
 		t.Error("budget should be exhausted")
-	}
-	if c.Limit(500) != 100 {
-		t.Errorf("Limit without budget = %v, want cap 100", c.Limit(500))
 	}
 	if err := c.Commit(200); err == nil {
 		t.Error("over-cap commit without budget should fail")
@@ -156,16 +150,18 @@ func TestConstraintBasics(t *testing.T) {
 
 func TestConstraintCapBelowCapacity(t *testing.T) {
 	c, _ := NewConstraint(100, 100)
-	// When cap exceeds capacity, the physical limit wins.
-	if c.Limit(80) != 80 {
-		t.Errorf("Limit(80) = %v, want 80", c.Limit(80))
+	// A cluster whose capacity (80) sits below its cap never bursts:
+	// intervals at full capacity spend no budget and always commit.
+	for i := 0; i < 10; i++ {
+		if c.Over(80) {
+			t.Fatal("a rate below the cap counts as a burst")
+		}
+		if err := c.Commit(80); err != nil {
+			t.Fatalf("interval %d at capacity rejected: %v", i, err)
+		}
 	}
-	// Exhaust the budget, then check again.
-	for i := 0; i < 5; i++ {
-		_ = c.Commit(101)
-	}
-	if c.Limit(80) != 80 {
-		t.Errorf("post-budget Limit(80) = %v, want 80", c.Limit(80))
+	if c.BurstsUsed() != 0 || !c.CanBurst() {
+		t.Errorf("BurstsUsed = %d, CanBurst = %v; want 0 and true", c.BurstsUsed(), c.CanBurst())
 	}
 }
 

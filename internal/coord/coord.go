@@ -369,8 +369,9 @@ func (co *Coordinator) fanOut(ctx context.Context, path, contentType string, bod
 // handlePrices forwards a JSON price post verbatim to every shard — each
 // shard overlays the hubs it hosts and ignores the rest — and splits a
 // binary batch by hub (handlePricesBatch). A JSON body gets the shards'
-// own bound (server.MaxJSONBody), so one they would refuse is answered
-// 413 here before any shard sees it.
+// own bound (server.MaxJSONBody) and must, as there, be exactly one JSON
+// value, so one they would refuse is answered 413 or 400 here before any
+// shard sees it.
 func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Content-Type") == server.ContentTypePricesBatch {
 		co.handlePricesBatch(w, r)
@@ -379,6 +380,10 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(server.MaxJSONBody)))
 	if err != nil {
 		server.WriteBodyError(w, "reading price post", err)
+		return
+	}
+	if !json.Valid(body) {
+		server.WriteError(w, http.StatusBadRequest, "decoding price post: body is not exactly one JSON value")
 		return
 	}
 	bodies := slices.Repeat([][]byte{body}, len(co.shards))

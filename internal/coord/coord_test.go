@@ -318,9 +318,10 @@ func newBurstShards(t testing.TB, sc sim.Scenario) []string {
 
 // TestCoordinatorBurstLeaseBroker is the fleet-exact burst guarantee at
 // the coordinator layer: an active-burst horizon fanned out through the
-// coordinator (which brokers the lease windows) must produce the same
-// fleet-wide status, byte for byte, as one daemon serving the unsplit
-// world under SelfGate — with burst tokens genuinely granted and spent.
+// coordinator (which derives each demand row's gate bit from the full row
+// and sends it with the row) must produce the same fleet-wide status,
+// byte for byte, as one daemon serving the unsplit world under SelfGate —
+// with burst tokens genuinely granted and spent.
 func TestCoordinatorBurstLeaseBroker(t *testing.T) {
 	sys, _, jointSc := burstWorld(t)
 	hours := jointSc.Steps - 1
@@ -349,7 +350,7 @@ func TestCoordinatorBurstLeaseBroker(t *testing.T) {
 	feedWorld(t, sys, coordSc, coordTS.URL, hours)
 
 	// The JSON single-step path brokers too: one more interval, posted as
-	// a JSON demand vector, must carry its lease bit ahead of the demand.
+	// a JSON demand vector, must carry its gate bit with the demand.
 	at := jointSc.Start.Add(time.Duration(hours) * jointSc.Step)
 	var row []float64
 	row = jointSc.Demand.Rates(at, row)
@@ -1295,5 +1296,103 @@ func TestCoordinatorStagingFollowsRows(t *testing.T) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 			t.Errorf("%s: a %d-row claim with one row allocated %d bytes", c.path, claimed, alloc)
 		}
+	}
+}
+
+// TestJSONBodiesHoldOneValue: a JSON price or demand post carrying more
+// than one JSON value, or one value followed by junk or a stray brace,
+// answers 400 on a daemon, on a lease-fed shard and on the coordinator,
+// and moves nothing: every engine cursor and price feed stays where it
+// was, and the coordinator sends no /v1/prices or /v1/demand request to
+// any shard.
+func TestJSONBodiesHoldOneValue(t *testing.T) {
+	sys, _, shardSc := burstWorld(t)
+	urls := newBurstShards(t, shardSc)
+	_, _, sc := burstWorld(t)
+	sc.BurstGate = sim.SelfGate{}
+	tr := newCountingTransport()
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(co.Handler())
+	defer coordTS.Close()
+	_, singleSc := testWorld(t)
+	eng, err := sim.NewEngine(singleSc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(srv.Handler())
+	defer single.Close()
+	feedPrices(t, sys, sc, coordTS.URL, 4)
+	feedPrices(t, sys, singleSc, single.URL, 4)
+
+	type state struct {
+		Steps       int `json:"steps"`
+		FeedEntries int `json:"price_feed_entries"`
+	}
+	daemons := append([]string{single.URL}, urls...)
+	states := func() []state {
+		out := make([]state, len(daemons))
+		for i, url := range daemons {
+			if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	// bad spoils a good body three ways: a second value and junk, a stray
+	// closing brace, and a second value alone.
+	bad := func(v any) [][]byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]byte{
+			append(append(slices.Clone(b), b...), " not json at all"...),
+			append(slices.Clone(b), '}'),
+			append(append(slices.Clone(b), '\n'), b...),
+		}
+	}
+	prices := map[string]float64{}
+	for _, hub := range marketHubs(sys) {
+		prices[hub] = 30
+	}
+	pricePosts := bad(map[string]any{"at": sc.Start.Add(4 * sc.Step), "prices": prices})
+	closed := false
+	demandPosts := func(url string) [][]byte {
+		var world struct {
+			States []string `json:"states"`
+		}
+		if err := json.Unmarshal(get(t, url+"/v1/world", http.StatusOK), &world); err != nil {
+			t.Fatal(err)
+		}
+		post := server.DemandPost{Rates: make([]float64, len(world.States))}
+		if slices.Contains(urls, url) {
+			post.Gate = &closed
+		}
+		return bad(post)
+	}
+
+	before := states()
+	ingest := func() int { return tr.count("/v1/prices") + tr.count("/v1/demand") }
+	ingested, sent := ingest(), tr.total()
+	for _, url := range append(daemons, coordTS.URL) {
+		for _, body := range pricePosts {
+			postBody(t, url+"/v1/prices", "application/json", body, http.StatusBadRequest)
+		}
+		for _, body := range demandPosts(url) {
+			postBody(t, url+"/v1/demand", "application/json", body, http.StatusBadRequest)
+		}
+	}
+	if got := states(); !slices.Equal(got, before) {
+		t.Fatalf("refused bodies moved the daemons: %+v, was %+v", got, before)
+	}
+	if n := ingest() - ingested; n != 0 || tr.total() != sent {
+		t.Fatalf("refused bodies sent %d ingest requests (%d requests in all) to the shards", n, tr.total()-sent)
 	}
 }

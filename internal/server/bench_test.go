@@ -133,7 +133,7 @@ func mustFinalizeSteps(b *testing.B, srv *Server) int {
 
 // BenchmarkPriceFeed times one replay chunk's price-feed work on the
 // shared 39-month world, as the daemon does it beside routing: the
-// ingestBatch of a 2048-row, 29-hub prices batch, the chunk's 2 × 2048
+// commit of a 2048-row, 29-hub prices batch, the chunk's 2 × 2048
 // lookups (bill at t, decision at t − 1 h, both resolving into the
 // batch just committed), and the prune after the chunk. Successive
 // iterations walk the horizon chunk by chunk, starting over from an
@@ -171,14 +171,13 @@ func BenchmarkPriceFeed(b *testing.B) {
 		off := k * batch
 		h := &BatchHeader{Kind: "prices", Start: sys.Market.Start.Add(time.Duration(off) * time.Hour),
 			Step: time.Hour, Rows: min(batch, steps-off), Cols: cols, Hubs: hubIDs}
-		if _, _, err := f.ingestBatch(h, flat[off*cols:(off+h.Rows)*cols]); err != nil {
+		if _, _, _, err := f.commit(h, flat[off*cols:(off+h.Rows)*cols]); err != nil {
 			b.Fatal(err)
 		}
-		v := f.current()
 		for i := 0; i < h.Rows; i++ {
 			at := h.Start.Add(time.Duration(i) * time.Hour)
-			v.lookup(at)
-			v.lookup(at.Add(-time.Hour))
+			f.lookup(at)
+			f.lookup(at.Add(-time.Hour))
 		}
 		f.prune(h.Start.Add(time.Duration(h.Rows-1) * time.Hour))
 		k++

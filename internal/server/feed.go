@@ -16,9 +16,9 @@ import (
 )
 
 // The daemon's price store lives in pricefeed.go: one flat history of
-// per-cluster rows keyed by int64 instants, published as immutable
-// priceViews. This file holds the binary batch wire format shared with
-// the load generator and the shard coordinator.
+// per-cluster rows keyed by int64 instants. This file holds the binary
+// batch wire format shared with the load generator and the shard
+// coordinator.
 
 // Binary batch bodies: the high-throughput ingest path the trace-replay
 // load generator uses. A batch is one text header line followed by

@@ -67,8 +67,8 @@ func TestBatchIngestRejectsNonFinite(t *testing.T) {
 			if !strings.Contains(string(out), "non-finite") {
 				t.Fatalf("rejected for the wrong reason: %s", out)
 			}
-			if srv.feed.entries() != 0 {
-				t.Fatalf("poisoned price row entered the feed (%d entries)", srv.feed.entries())
+			if feedEntries(srv) != 0 {
+				t.Fatalf("poisoned price row entered the feed (%d entries)", feedEntries(srv))
 			}
 		})
 	}
@@ -168,7 +168,7 @@ func TestParseBatchHeaderRejectsBadHubs(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate hub batch: got %d want 400", resp.StatusCode)
 	}
-	if srv.feed.entries() != 0 {
+	if feedEntries(srv) != 0 {
 		t.Fatal("duplicate hub batch entered the feed")
 	}
 }

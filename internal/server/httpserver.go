@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"net/http"
 	"sync"
@@ -87,10 +88,21 @@ func (q *Requests) Counts() map[string]uint64 {
 }
 
 // DecodeJSONBody decodes a JSON ingest body into v, reading at most
-// MaxJSONBody bytes. On failure it returns the status to answer: 413
-// when the body runs past the bound, 400 when it does not decode.
+// MaxJSONBody bytes. The body must be exactly one JSON value: anything
+// but white space after it (a second value, a stray '}' or ']', junk) is
+// refused rather than dropped. On failure it returns the status to
+// answer: 413 when the body runs past the bound, 400 when it does not
+// decode.
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(MaxJSONBody))).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(MaxJSONBody)))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("body holds more than one JSON value")
+		}
+	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -261,7 +263,7 @@ func TestPriceInstantRange(t *testing.T) {
 	} {
 		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: prices}, http.StatusBadRequest)
 	}
-	if got := srv.feed.entries(); got != 1 {
+	if got := feedEntries(srv); got != 1 {
 		t.Fatalf("refused out-of-range posts left %d feed entries, want 1", got)
 	}
 }
@@ -313,7 +315,7 @@ func TestBatchStagingFollowsRows(t *testing.T) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 			t.Errorf("a %d-row claim over %d hubs with one row allocated %d bytes", c.rows, c.hubs, alloc)
 		}
-		if n := srv.feed.entries(); n != 0 {
+		if n := feedEntries(srv); n != 0 {
 			t.Fatalf("refused batch left %d feed entries", n)
 		}
 	}
@@ -329,7 +331,7 @@ func TestPriceBatchBodyBound(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "exceeds 1073741824 bytes") {
 		t.Fatalf("over-bound price batch: got %d %s, want 413", rec.Code, rec.Body)
 	}
-	if n := srv.feed.entries(); n != 0 {
+	if n := feedEntries(srv); n != 0 {
 		t.Fatalf("refused batch left %d feed entries", n)
 	}
 }
@@ -372,11 +374,11 @@ func TestBatchHeaderLineBound(t *testing.T) {
 	if out := post(maxBatchHeader+1, http.StatusBadRequest); !strings.Contains(out, "exceeds 65536 bytes") {
 		t.Fatalf("over-long header refused for the wrong reason: %s", out)
 	}
-	if n := srv.feed.entries(); n != 0 {
+	if n := feedEntries(srv); n != 0 {
 		t.Fatalf("refused batch left %d feed entries", n)
 	}
 	post(maxBatchHeader, http.StatusOK)
-	if n := srv.feed.entries(); n != 1 {
+	if n := feedEntries(srv); n != 1 {
 		t.Fatalf("batch with a header at the bound left %d feed entries, want 1", n)
 	}
 
@@ -405,9 +407,10 @@ func serveState(t *testing.T, h http.Handler) ingestState {
 // FuzzJSONDemandPost posts arbitrary bytes as a JSON demand post, in
 // process, to a lease-fed shard and to a daemon with the batch class, so
 // both "gate" and "jobs" are reached. Every answer is 200 or 4xx, never
-// 5xx or a panic. A 4xx leaves the engine cursor, the price feed and the
-// job ledger as they were; a 200 advances the engine exactly one step and
-// takes in exactly the posted jobs' energy, served, shed or queued.
+// 5xx or a panic, and a body that is not exactly one JSON value is 400.
+// A 4xx leaves the engine cursor, the price feed and the job ledger as
+// they were; a 200 advances the engine exactly one step and takes in
+// exactly the posted jobs' energy, served, shed or queued.
 func FuzzJSONDemandPost(f *testing.F) {
 	leaseTS, sys := leaseServer(f)
 	batchTS, _ := batchServer(f)
@@ -448,12 +451,18 @@ func FuzzJSONDemandPost(f *testing.F) {
 	for _, s := range []string{`{"gate":2}`, `{"jobs":[{"energy_kwh":1e308}]}`, `null`, `{}`, `[`, ``} {
 		f.Add([]byte(s))
 	}
+	rates, err := json.Marshal(DemandPost{Rates: flatDemand(ns, 500), Gate: &closed})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append(slices.Clone(rates), rates...), " not json at all"...))
+	f.Add(append(slices.Clone(rates), '}'))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// The daemon decodes the first JSON value and ignores the rest;
-		// so does this reading of the posted jobs.
+		// The daemon takes a body of exactly one JSON value, so a 200
+		// answers a body this reading of the posted jobs decodes whole.
 		var post DemandPost
-		_ = json.NewDecoder(bytes.NewReader(body)).Decode(&post)
+		valid := json.Unmarshal(body, &post) == nil
 		var kwh float64
 		for _, j := range post.Jobs {
 			kwh += j.EnergyKWh
@@ -464,6 +473,8 @@ func FuzzJSONDemandPost(f *testing.F) {
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/demand", bytes.NewReader(body)))
 			after := serveState(t, h)
 			switch {
+			case !valid && rec.Code != http.StatusBadRequest:
+				t.Fatalf("daemon %d: answered %d to a body that is not one JSON value: %s", d, rec.Code, rec.Body)
 			case rec.Code == http.StatusOK:
 				arrived := (after.ServedKWh + after.ShedKWh + after.QueuedKWh) - (before.ServedKWh + before.ShedKWh + before.QueuedKWh)
 				if after.Steps != before.Steps+1 || math.Abs(arrived-kwh) > 1e-9*max(1, math.Abs(kwh), after.ServedKWh+after.ShedKWh+after.QueuedKWh) {
@@ -476,6 +487,129 @@ func FuzzJSONDemandPost(f *testing.F) {
 			default:
 				t.Fatalf("daemon %d: answered %d: %s", d, rec.Code, rec.Body)
 			}
+		}
+	})
+}
+
+// feedCopy is a copy of a daemon's price feed, read under the lock that
+// guards it.
+type feedCopy struct {
+	at []int64
+	px []float64
+}
+
+func readFeed(srv *Server) feedCopy {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return feedCopy{slices.Clone(srv.feed.at), slices.Clone(srv.feed.px)}
+}
+
+// FuzzJSONPricePost posts arbitrary bytes as a JSON price post, in
+// process, to a daemon. Every answer is 200 or 4xx, never 5xx or a
+// panic. A 4xx leaves the feed's instants and rows as they were, so its
+// entry count and every lookup are unchanged. A 200 needs an instant at
+// or past the newest entry, and on an empty feed a price for every
+// cluster; it appends one entry at the posted instant, or corrects the
+// newest entry when the post re-prices that instant. Either way the
+// posted hubs' clusters take the posted prices, every other cluster
+// carries the previous newest vector, and the reply counts the posted
+// hubs that host no cluster and the entries held.
+func FuzzJSONPricePost(f *testing.F) {
+	srv, _, sys := testServer(f)
+	h := srv.Handler()
+	nc := len(sys.Fleet.Clusters)
+	hubClusters := map[string][]int{}
+	for c, cl := range sys.Fleet.Clusters {
+		hubClusters[cl.HubID] = append(hubClusters[cl.HubID], c)
+	}
+	start := sys.Market.Start
+	hub := sys.Fleet.Clusters[0].HubID
+	valid, err := json.Marshal(pricePost{At: start, Prices: hubPrices(sys, 30)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, post := range []pricePost{
+		{At: start, Prices: hubPrices(sys, 30)},
+		{At: start, Prices: map[string]float64{hub: 31}},
+		{At: start.Add(time.Hour), Prices: map[string]float64{hub: 40, "NOWHERE": 1}},
+		{At: start.Add(2 * time.Hour), Prices: map[string]float64{}},
+		{At: start.Add(-time.Hour), Prices: hubPrices(sys, 20)},
+		{At: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), Prices: hubPrices(sys, 30)},
+	} {
+		b, err := json.Marshal(post)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	dup := fmt.Sprintf(`{"at":%q,"prices":{%q:50,%q:51}}`, start.Add(3*time.Hour).Format(time.RFC3339), hub, hub)
+	for _, s := range []string{dup, string(valid) + " junk", string(valid) + "}", `{"at":"2006-01-01T00:00:00Z"}`, `null`, ``} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// Keep the feed short, so one input costs the same however many
+		// ran before it: drop all but the newest entry.
+		before := readFeed(srv)
+		if n := len(before.at); n > 16 {
+			srv.mu.Lock()
+			srv.feed.prune(time.Unix(0, before.at[n-1]))
+			srv.mu.Unlock()
+			before = readFeed(srv)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/prices", bytes.NewReader(body)))
+		after := readFeed(srv)
+		switch {
+		case rec.Code/100 == 4:
+			if !slices.Equal(after.at, before.at) || !sameVec(after.px, before.px) {
+				t.Fatalf("%d changed the feed: %+v, was %+v: %s", rec.Code, after, before, rec.Body)
+			}
+		case rec.Code == http.StatusOK:
+			var post pricePost
+			if err := json.Unmarshal(body, &post); err != nil {
+				t.Fatalf("200 for a body that is no price post: %v: %q", err, body)
+			}
+			n, at := len(before.at), post.At.UnixNano()
+			if n > 0 && at < before.at[n-1] {
+				t.Fatalf("200 for a post at %v, before the newest entry %v", post.At, time.Unix(0, before.at[n-1]).UTC())
+			}
+			vec := make([]float64, nc)
+			covered := make([]bool, nc)
+			if n > 0 {
+				copy(vec, before.px[(n-1)*nc:])
+				for c := range covered {
+					covered[c] = true
+				}
+			}
+			ignored := 0
+			for hub, price := range post.Prices {
+				if len(hubClusters[hub]) == 0 {
+					ignored++
+				}
+				for _, c := range hubClusters[hub] {
+					vec[c], covered[c] = price, true
+				}
+			}
+			if slices.Contains(covered, false) {
+				t.Fatalf("200 for a post leaving a cluster unpriced: %q", body)
+			}
+			wantAt, wantPx := append(slices.Clone(before.at), at), append(slices.Clone(before.px), vec...)
+			if n > 0 && at == before.at[n-1] {
+				wantAt, wantPx = before.at, append(slices.Clone(before.px[:(n-1)*nc]), vec...)
+			}
+			if !slices.Equal(after.at, wantAt) || !sameVec(after.px, wantPx) {
+				t.Fatalf("200 left the feed %+v, want %+v", after, feedCopy{wantAt, wantPx})
+			}
+			var reply struct {
+				Ignored int `json:"ignored_hubs"`
+				Entries int `json:"feed_entries"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.Ignored != ignored || reply.Entries != len(wantAt) {
+				t.Fatalf("reply %s (%v), want %d ignored hubs and %d entries", rec.Body, err, ignored, len(wantAt))
+			}
+		default:
+			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
 		}
 	})
 }

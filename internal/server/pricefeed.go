@@ -5,8 +5,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"powerroute/internal/cluster"
@@ -20,89 +18,20 @@ var (
 	maxFeedInstant = time.Unix(0, math.MaxInt64).UTC()
 )
 
-// priceView is one immutable snapshot of the ingested price feed: flat
-// rows of nc per-cluster prices (fleet order — the exact shape routing
-// needs), row i taking effect at instant at[i] (Unix nanoseconds,
-// strictly increasing). A view is published through priceFeed's atomic
-// pointer and never mutated afterwards, so readers — the demand path
-// resolving bill and decision prices, the status and metrics endpoints
-// counting entries — work from whatever view they loaded without taking
-// any lock.
-type priceView struct {
-	at      []int64
-	px      []float64
-	nc      int
-	spacing int64 // at[1] − at[0], the stride lookup's guess assumes
-}
-
-func (v *priceView) len() int { return len(v.at) }
-
-// row returns entry i's per-cluster vector.
-func (v *priceView) row(i int) []float64 { return v.px[i*v.nc : (i+1)*v.nc : (i+1)*v.nc] }
-
-// lookup returns the vector covering instant at — the newest entry at or
-// before it, clamped to the first entry for pre-feed instants, exactly as
-// the batch engine clamps decision times to the start of market data.
-// Returns nil when the view is empty.
-//
-// A replayed feed posts one row per interval, so the covering entry is
-// found by arithmetic: the guess i = (t − at[0]) / spacing is accepted
-// only when at[i] ≤ t < at[i+1]. Instants strictly increase, so exactly
-// one i passes that check, and it is the entry the binary search
-// returns. A guess that fails — an irregular feed, or a wrapped
-// subtraction — falls back to the search, so every feed resolves exactly
-// as by the search alone.
-func (v *priceView) lookup(at time.Time) []float64 {
-	n := len(v.at)
-	if n == 0 {
-		return nil
-	}
-	t := at.UnixNano()
-	switch {
-	case t >= v.at[n-1]:
-		return v.row(n - 1)
-	case t < v.at[0]:
-		return v.row(0)
-	}
-	// Here n ≥ 2 (so spacing > 0 unless the subtraction wrapped) and
-	// at[0] ≤ t < at[n−1].
-	if i := (t - v.at[0]) / v.spacing; i >= 0 && i < int64(n-1) && v.at[i] <= t && t < v.at[i+1] {
-		return v.row(int(i))
-	}
-	i, found := slices.BinarySearch(v.at, t)
-	if !found {
-		i--
-	}
-	return v.row(i)
-}
-
-// priceFeed is the daemon's price store: one flat canonical history —
-// instants in at, nc prices per entry in px — published to readers as
-// immutable priceViews through an atomic pointer, RCU-style: readers
-// Load and never lock, writers build a successor view and Store it.
-// commitMu serializes writers: chronology checks, the canonical arrays
-// behind the view, and the swap itself.
-//
-// Lock order: Server.mu → commitMu (the demand path and checkpoint
-// restore reach the feed while holding Server.mu; price ingestion takes
-// commitMu without ever touching Server.mu, which is what lets POST
-// /v1/prices and POST /v1/demand run concurrently). View readers take no
-// lock at all.
-//
-// The canonical arrays grow by append: writes land strictly beyond every
-// published view's length, so sharing their backing arrays with views is
-// race-free. The two mutations that would touch a published region —
-// correcting the newest entry and pruning the front — re-back the arrays
-// instead (see push and prune).
+// priceFeed is the daemon's price store: one flat history of per-cluster
+// rows, nc prices each in fleet order (the exact shape routing needs),
+// row i taking effect at instant at[i] (Unix nanoseconds, strictly
+// increasing). Like the engine it feeds, a priceFeed is not safe for
+// concurrent use: the Server guards it with the engine's lock, so a
+// price commit, a demand row's two lookups and a status read of the
+// entry count each see one whole feed.
 type priceFeed struct {
 	fleet       *cluster.Fleet
 	hubClusters map[string][]int // hub id → cluster indices; fixed at construction
 	nc          int              // prices per entry: the fleet's cluster count
 
-	commitMu sync.Mutex
-	at       []int64   // guarded_by: commitMu
-	px       []float64 // guarded_by: commitMu
-	view     atomic.Pointer[priceView]
+	at []int64
+	px []float64
 }
 
 func newPriceFeed(fleet *cluster.Fleet) *priceFeed {
@@ -110,116 +39,113 @@ func newPriceFeed(fleet *cluster.Fleet) *priceFeed {
 	for c, cl := range fleet.Clusters {
 		f.hubClusters[cl.HubID] = append(f.hubClusters[cl.HubID], c)
 	}
-	f.view.Store(&priceView{nc: f.nc})
 	return f
 }
 
-// current returns the latest published view. Never nil.
-func (f *priceFeed) current() *priceView { return f.view.Load() }
+// entries returns the entry count — what feed_entries responses and the
+// price_feed_entries metric report.
+func (f *priceFeed) entries() int { return len(f.at) }
 
-// entries returns the published entry count — what feed_entries
-// responses and the price_feed_entries metric report.
-func (f *priceFeed) entries() int { return f.current().len() }
+// row returns entry i's per-cluster vector.
+func (f *priceFeed) row(i int) []float64 { return f.px[i*f.nc : (i+1)*f.nc : (i+1)*f.nc] }
 
-// ingest applies one JSON price post: hub prices taking effect at an
-// instant (within the int64-nanosecond range), overlaid on the newest
-// vector. Hubs hosting no cluster are counted as ignored; every cluster
-// must be covered once the overlay is applied. On failure nothing is
-// recorded and code carries the HTTP status to report.
-func (f *priceFeed) ingest(at time.Time, prices map[string]float64) (ignored, entries, code int, err error) {
-	f.commitMu.Lock()
-	defer f.commitMu.Unlock()
-	vec := make([]float64, f.nc)
-	covered := make([]bool, f.nc)
-	if len(f.at) > 0 {
-		copy(vec, f.last())
-		for c := range covered {
-			covered[c] = true
-		}
-	}
-	for hub, price := range prices {
-		idxs, ok := f.hubClusters[hub]
-		if !ok {
-			ignored++
-			continue
-		}
-		for _, c := range idxs {
-			vec[c] = price
-			covered[c] = true
-		}
-	}
-	for c, ok := range covered {
-		if !ok {
-			return ignored, 0, http.StatusBadRequest,
-				fmt.Errorf("no price yet for cluster %s (hub %s)", f.fleet.Clusters[c].Code, f.fleet.Clusters[c].HubID)
-		}
+// lookup returns the vector covering instant at — the newest entry at or
+// before it, clamped to the first entry for pre-feed instants, exactly as
+// the batch engine clamps decision times to the start of market data.
+// Returns nil when the feed is empty.
+//
+// A replayed feed posts one row per interval, so the covering entry is
+// found by arithmetic: the guess i = (t − at[0]) / (at[1] − at[0]) is
+// accepted only when at[i] ≤ t < at[i+1]. Instants strictly increase, so
+// exactly one i passes that check, and it is the entry the binary search
+// returns. A guess that fails — an irregular feed, or a wrapped
+// subtraction — falls back to the search, so every feed resolves exactly
+// as by the search alone.
+func (f *priceFeed) lookup(at time.Time) []float64 {
+	n := len(f.at)
+	if n == 0 {
+		return nil
 	}
 	t := at.UnixNano()
-	if err := f.checkChronology(t); err != nil {
-		return ignored, 0, http.StatusConflict, err
+	switch {
+	case t >= f.at[n-1]:
+		return f.row(n - 1)
+	case t < f.at[0]:
+		return f.row(0)
 	}
-	f.push(t, vec)
-	return ignored, f.publish(), 0, nil
+	// Here n ≥ 2, so the spacing is nonzero (and positive unless the
+	// subtraction wrapped), and at[0] ≤ t < at[n−1].
+	if i := (t - f.at[0]) / (f.at[1] - f.at[0]); i >= 0 && i < int64(n-1) && f.at[i] <= t && t < f.at[i+1] {
+		return f.row(int(i))
+	}
+	i, found := slices.BinarySearch(f.at, t)
+	if !found {
+		i--
+	}
+	return f.row(i)
 }
 
-// ingestBatch commits one staged binary prices batch atomically: flat
-// holds the batch's rows×cols prices, already decoded and validated, and
-// nothing is recorded unless the whole batch passes chronology and
-// coverage — a failed batch leaves the feed exactly as it was.
-func (f *priceFeed) ingestBatch(h *BatchHeader, flat []float64) (entries, code int, err error) {
-	f.commitMu.Lock()
-	defer f.commitMu.Unlock()
-	// ParseBatchHeader guarantees a positive step and a last instant that
-	// fits in int64 nanoseconds, so the batch's instants strictly increase
-	// and only its first row can violate chronology.
-	start, step := h.Start.UnixNano(), int64(h.Step)
-	if err := f.checkChronology(start); err != nil {
-		return 0, http.StatusConflict, fmt.Errorf("price row 0: %v", err)
-	}
-	colClusters := make([][]int, h.Cols)
+// commit records one staged prices batch: flat holds its rows×cols
+// prices, already decoded and validated, column j pricing every cluster
+// on hub h.Hubs[j]. Each row overlays the vector before it, and a row at
+// the newest instant corrects that entry. The batch commits whole or not
+// at all: a row older than the newest entry is refused with 409, and a
+// batch that would leave a cluster unpriced in an empty feed with 400.
+// ignored counts the hubs that host no cluster. A JSON price post
+// commits as a one-row batch.
+func (f *priceFeed) commit(h *BatchHeader, flat []float64) (ignored, entries, code int, err error) {
+	cols := make([][]int, h.Cols)
 	covered := make([]bool, f.nc)
-	if len(f.at) > 0 {
-		for c := range covered {
+	for j, hub := range h.Hubs {
+		cols[j] = f.hubClusters[hub]
+		if len(cols[j]) == 0 {
+			ignored++
+		}
+		for _, c := range cols[j] {
 			covered[c] = true
 		}
 	}
-	for i, hub := range h.Hubs {
-		colClusters[i] = f.hubClusters[hub]
-		for _, c := range colClusters[i] {
-			covered[c] = true
-		}
+	// A batch's instants strictly increase (ParseBatchHeader checks that
+	// they fit in int64 nanoseconds, handlePrices that a JSON post's
+	// instant does), so only its first row can violate chronology.
+	start, step := h.Start.UnixNano(), int64(h.Step)
+	n := len(f.at)
+	if n > 0 && start < f.at[n-1] {
+		return ignored, 0, http.StatusConflict, fmt.Errorf("server: price at %v precedes newest feed entry %v",
+			time.Unix(0, start).UTC(), time.Unix(0, f.at[n-1]).UTC())
 	}
-	for c, ok := range covered {
-		if !ok {
-			return 0, http.StatusBadRequest,
-				fmt.Errorf("no price for cluster %s (hub %s) in batch", f.fleet.Clusters[c].Code, f.fleet.Clusters[c].HubID)
-		}
+	if c := slices.Index(covered, false); n == 0 && c >= 0 {
+		cl := f.fleet.Clusters[c]
+		return ignored, 0, http.StatusBadRequest, fmt.Errorf("no price yet for cluster %s (hub %s)", cl.Code, cl.HubID)
 	}
-	// Nothing below can fail: roll one vector forward through the rows,
-	// append each to the canonical arrays, and publish once.
+	// Nothing below can fail: roll one vector forward through the rows
+	// and append each, or overwrite the newest entry it corrects.
 	vec := make([]float64, f.nc)
-	copy(vec, f.last())
+	if n > 0 {
+		copy(vec, f.row(n-1))
+	}
 	f.at = slices.Grow(f.at, h.Rows)
 	f.px = slices.Grow(f.px, h.Rows*f.nc)
-	for i := 0; i < h.Rows; i++ {
-		for col, price := range flat[i*h.Cols : (i+1)*h.Cols] {
-			for _, c := range colClusters[col] {
+	for i := range h.Rows {
+		for j, price := range flat[i*h.Cols : (i+1)*h.Cols] {
+			for _, c := range cols[j] {
 				vec[c] = price
 			}
 		}
-		f.push(start+int64(i)*step, vec)
+		if t := start + int64(i)*step; len(f.at) == 0 || t > f.at[len(f.at)-1] {
+			f.at = append(f.at, t)
+			f.px = append(f.px, vec...)
+		} else {
+			copy(f.row(len(f.at)-1), vec)
+		}
 	}
-	return f.publish(), 0, nil
+	return ignored, len(f.at), 0, nil
 }
 
 // prune drops entries that can never be looked up again — everything
 // strictly older than the newest entry at or before oldest — and
-// publishes the shortened view. Readers still holding an older view keep
-// its arrays alive until they return (the RCU bargain), but the canonical
-// arrays are re-backed so the feed itself retains nothing it pruned.
+// re-backs the arrays, so the feed retains nothing it pruned.
 func (f *priceFeed) prune(oldest time.Time) {
-	f.commitMu.Lock()
-	defer f.commitMu.Unlock()
 	// keep is the newest entry at or before oldest.
 	keep, found := slices.BinarySearch(f.at, oldest.UnixNano())
 	if !found {
@@ -230,70 +156,8 @@ func (f *priceFeed) prune(oldest time.Time) {
 	}
 	f.at = slices.Clone(f.at[keep:])
 	f.px = slices.Clone(f.px[keep*f.nc:])
-	f.publish()
 }
 
-// reset drops everything — the feed belonged to a replaced run
-// (checkpoint restore) — and publishes an empty view.
-func (f *priceFeed) reset() {
-	f.commitMu.Lock()
-	defer f.commitMu.Unlock()
-	f.at, f.px = nil, nil
-	f.view.Store(&priceView{nc: f.nc})
-}
-
-// last returns the newest canonical vector, or nil when the feed is
-// empty.
-//
-//lint:held commitMu callers hold the commit lock
-func (f *priceFeed) last() []float64 {
-	n := len(f.at)
-	if n == 0 {
-		return nil
-	}
-	return f.px[(n-1)*f.nc : n*f.nc]
-}
-
-// checkChronology refuses an entry at instant t (Unix nanoseconds) older
-// than the newest one; a re-post at the newest instant is a correction.
-//
-//lint:held commitMu callers hold the commit lock across check+push
-func (f *priceFeed) checkChronology(t int64) error {
-	if n := len(f.at); n > 0 && t < f.at[n-1] {
-		return fmt.Errorf("server: price at %v precedes newest feed entry %v",
-			time.Unix(0, t).UTC(), time.Unix(0, f.at[n-1]).UTC())
-	}
-	return nil
-}
-
-// push records a copy of vec as the entry at instant t without
-// publishing it. The caller has checked chronology; a push at the newest
-// instant replaces that entry (feed corrections).
-//
-//lint:held commitMu callers hold the commit lock across check+publish
-func (f *priceFeed) push(t int64, vec []float64) {
-	if n := len(f.at); n > 0 && t == f.at[n-1] {
-		// Overwriting in place would mutate the newest published view;
-		// re-back the price array so existing views stay frozen.
-		f.px = slices.Clone(f.px)
-		copy(f.px[(n-1)*f.nc:], vec)
-		return
-	}
-	f.at = append(f.at, t)
-	f.px = append(f.px, vec...)
-}
-
-// publish swaps in a view of the canonical arrays (capped at the current
-// length, so later appends can share the backing without touching any
-// published element) and returns the entry count.
-//
-//lint:held commitMu callers hold the commit lock
-func (f *priceFeed) publish() int {
-	n := len(f.at)
-	v := &priceView{at: f.at[:n:n], px: f.px[: n*f.nc : n*f.nc], nc: f.nc}
-	if n >= 2 {
-		v.spacing = f.at[1] - f.at[0]
-	}
-	f.view.Store(v)
-	return n
-}
+// reset drops everything: the feed belonged to a replaced run
+// (checkpoint restore).
+func (f *priceFeed) reset() { f.at, f.px = nil, nil }

@@ -22,15 +22,15 @@ func oneHubFeed() *priceFeed {
 
 func mustIngest(t *testing.T, f *priceFeed, at time.Time, price float64) {
 	t.Helper()
-	if _, _, _, err := f.ingest(at, map[string]float64{"H": price}); err != nil {
+	if _, _, _, err := f.commit(pricePost{At: at, Prices: map[string]float64{"H": price}}.batch()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestPriceFeedPrune: the feed retains only the covering entry at or
 // before the oldest future lookup instant, lookups after pruning resolve
-// exactly as before, and a no-op prune publishes nothing (the view
-// pointer is unchanged).
+// exactly as before, and pruning at or behind the first entry keeps
+// every entry.
 func TestPriceFeedPrune(t *testing.T) {
 	f := oneHubFeed()
 	t0 := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -41,57 +41,16 @@ func TestPriceFeedPrune(t *testing.T) {
 	if f.entries() != 5 { // entries 5..9; entry 5 covers 5:30
 		t.Fatalf("feed holds %d entries after prune, want 5", f.entries())
 	}
-	v := f.current()
-	if got := v.lookup(t0.Add(5*time.Hour + 30*time.Minute)); got[0] != 5 {
+	if got := f.lookup(t0.Add(5*time.Hour + 30*time.Minute)); got[0] != 5 {
 		t.Fatalf("covering lookup = %v, want 5", got[0])
 	}
 	// Pre-threshold instants clamp to the retained covering entry.
-	if got := v.lookup(t0); got[0] != 5 {
+	if got := f.lookup(t0); got[0] != 5 {
 		t.Fatalf("clamped lookup = %v, want 5", got[0])
 	}
-	// Pruning at/behind the first entry is a no-op and publishes nothing.
-	before := f.current()
 	f.prune(t0)
-	if f.current() != before {
-		t.Fatal("no-op prune published a new view")
-	}
 	if f.entries() != 5 {
 		t.Fatalf("no-op prune changed length to %d", f.entries())
-	}
-}
-
-// TestPriceFeedViewImmutable: a published view is frozen — later posts,
-// corrections of the newest entry, and prunes must all build successors
-// instead of mutating arrays a concurrent reader may hold. This is the
-// RCU contract the lock-free demand path rests on.
-func TestPriceFeedViewImmutable(t *testing.T) {
-	f := oneHubFeed()
-	t0 := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 3; i++ {
-		mustIngest(t, f, t0.Add(time.Duration(i)*time.Hour), float64(i))
-	}
-	old := f.current()
-
-	// Append beyond the old view, then correct its newest entry in the
-	// successor, then prune the front away.
-	mustIngest(t, f, t0.Add(3*time.Hour), 3)
-	mustIngest(t, f, t0.Add(3*time.Hour), 33) // correction: replaces newest
-	f.prune(t0.Add(3 * time.Hour))
-
-	if old.len() != 3 {
-		t.Fatalf("old view length changed to %d", old.len())
-	}
-	for i := 0; i < 3; i++ {
-		if got := old.row(i)[0]; got != float64(i) {
-			t.Fatalf("old view entry %d mutated to %v", i, got)
-		}
-	}
-	now := f.current()
-	if now.len() != 1 {
-		t.Fatalf("successor view holds %d entries, want 1", now.len())
-	}
-	if got := now.row(0)[0]; got != 33 {
-		t.Fatalf("successor view entry = %v, want 33", got)
 	}
 }
 
@@ -101,7 +60,7 @@ func TestPriceFeedChronology(t *testing.T) {
 	f := oneHubFeed()
 	t0 := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 	mustIngest(t, f, t0.Add(time.Hour), 10)
-	_, _, code, err := f.ingest(t0, map[string]float64{"H": 5})
+	_, _, code, err := f.commit(pricePost{At: t0, Prices: map[string]float64{"H": 5}}.batch())
 	if err == nil || !strings.Contains(err.Error(), "precedes newest feed entry") {
 		t.Fatalf("stale post: got %v", err)
 	}
@@ -139,11 +98,10 @@ func modelLookup(model []feedEntry, t time.Time) []float64 {
 // the newest instant replaces that entry, anything later appends.
 func modelPush(model []feedEntry, at time.Time, vec []float64) []feedEntry {
 	if n := len(model); n > 0 && at.Equal(model[n-1].at) {
-		out := append([]feedEntry(nil), model...)
-		out[n-1] = feedEntry{at, vec}
-		return out
+		model[n-1] = feedEntry{at, vec}
+		return model
 	}
-	return append(model[:len(model):len(model)], feedEntry{at, vec})
+	return append(model, feedEntry{at, vec})
 }
 
 // sameVec compares two price vectors bit for bit.
@@ -167,9 +125,10 @@ func sameVec(a, b []float64) bool {
 // included), aligned binary batches at a step the lookups do not share
 // (with gaps between them, and some starting at the newest instant),
 // prunes, resets, and lookups before the feed, at entries, between
-// entries and past the feed. Every lookup must match the model bit for
-// bit, every accept or refuse decision and its status code must match,
-// and no view captured earlier may ever change.
+// entries and past the feed. JSON posts commit as the daemon commits
+// them, as one-row batches (pricePost.batch). Every lookup must match the
+// model bit for bit, and every accept or refuse decision, its status
+// code, the ignored-hub count and the entry count must match.
 func FuzzPriceFeed(f *testing.F) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		f.Add(seed)
@@ -194,11 +153,6 @@ func FuzzPriceFeed(f *testing.F) {
 
 		t0 := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 		var model []feedEntry
-		type captured struct {
-			view  *priceView
-			model []feedEntry
-		}
-		var views []captured
 		price := func() float64 { return float64(rng.IntN(2000)-500) / 8 }
 		newest := func() time.Time {
 			if len(model) == 0 {
@@ -272,7 +226,7 @@ func FuzzPriceFeed(f *testing.F) {
 				case at.Before(newest()) && len(model) > 0:
 					wantCode = http.StatusConflict
 				}
-				ignored, entries, code, err := feed.ingest(at, prices)
+				ignored, entries, code, err := feed.commit(pricePost{At: at, Prices: prices}.batch())
 				if code != wantCode || (err != nil) != (wantCode != 0) {
 					t.Fatalf("op %d: JSON post at %v: code %d err %v, want code %d", op, at, code, err, wantCode)
 				}
@@ -320,9 +274,18 @@ func FuzzPriceFeed(f *testing.F) {
 				case !covered(named):
 					wantCode = http.StatusBadRequest
 				}
-				entries, code, err := feed.ingestBatch(h, flat)
+				wantIgnored := 0
+				for _, hub := range cols {
+					if len(hubClusters[hub]) == 0 {
+						wantIgnored++
+					}
+				}
+				ignored, entries, code, err := feed.commit(h, flat)
 				if code != wantCode || (err != nil) != (wantCode != 0) {
 					t.Fatalf("op %d: batch at %v: code %d err %v, want code %d", op, start, code, err, wantCode)
+				}
+				if ignored != wantIgnored {
+					t.Fatalf("op %d: batch ignored %d hubs, want %d", op, ignored, wantIgnored)
 				}
 				if wantCode == 0 {
 					for i := 0; i < h.Rows; i++ {
@@ -351,8 +314,6 @@ func FuzzPriceFeed(f *testing.F) {
 			case r == 11 && rng.IntN(4) == 0: // reset
 				feed.reset()
 				model = nil
-			case r == 12: // capture the current view with its model
-				views = append(views, captured{feed.current(), model})
 			default: // lookups
 				for range 8 {
 					var at time.Time
@@ -375,23 +336,13 @@ func FuzzPriceFeed(f *testing.F) {
 						at = newest().Add(time.Duration(1+rng.IntN(1e6)) * time.Second)
 					}
 					want := modelLookup(model, at)
-					if got := feed.current().lookup(at); !sameVec(got, want) {
+					if got := feed.lookup(at); !sameVec(got, want) {
 						t.Fatalf("op %d: lookup(%v) = %v, model %v", op, at, got, want)
 					}
 				}
 			}
 			if feed.entries() != len(model) {
 				t.Fatalf("op %d: feed holds %d entries, model %d", op, feed.entries(), len(model))
-			}
-			for k, c := range views {
-				if c.view.len() != len(c.model) {
-					t.Fatalf("op %d: captured view %d changed length %d → %d", op, k, len(c.model), c.view.len())
-				}
-				for i, e := range c.model {
-					if c.view.at[i] != e.at.UnixNano() || !sameVec(c.view.row(i), e.vec) {
-						t.Fatalf("op %d: captured view %d entry %d changed", op, k, i)
-					}
-				}
 			}
 		}
 	})

@@ -9,27 +9,41 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"powerroute/internal/core"
 )
 
-// TestConcurrentPricesDemandStatus drives the three hot endpoints from
+// TestConcurrentPricesDemandStatus drives the hot endpoints from
 // independent goroutines — a price feeder posting JSON vectors at its own
-// cadence, the demand loop routing intervals, and status scrapers — the
-// workload the sharded feed exists for, under -race in CI. Every
-// response must be indistinguishable from some serial interleaving of
-// the same requests ("single-mutex semantics"): prices land in
-// chronological order, each status body is one consistent snapshot
-// (steps never go backwards between reads, positive steps imply a
-// positive bill), and the final step count equals what the demand loop
-// ingested.
+// cadence, the demand loop routing intervals, status scrapers and
+// checkpoint pulls — under -race in CI, on a plain daemon and on a
+// lease-fed shard, whose demand rows carry gate bits into the latch the
+// engine reads inside Step. Server.mu guards the engine, the price feed
+// and that latch alike, so every response must be indistinguishable from
+// some serial interleaving of the same requests ("single-mutex
+// semantics"): prices land in chronological order, each status body is
+// one consistent snapshot (steps never go backwards between reads,
+// positive steps imply a positive bill), every checkpoint pull succeeds,
+// and the final step count equals what the demand loop ingested.
 func TestConcurrentPricesDemandStatus(t *testing.T) {
-	_, ts, sys := testServer(t)
+	t.Run("plain", func(t *testing.T) {
+		_, ts, sys := testServer(t)
+		concurrentPricesDemandStatus(t, ts.URL, sys, false)
+	})
+	t.Run("lease-fed", func(t *testing.T) {
+		ts, sys := leaseServer(t)
+		concurrentPricesDemandStatus(t, ts.URL, sys, true)
+	})
+}
+
+func concurrentPricesDemandStatus(t *testing.T, url string, sys *core.System, gated bool) {
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
 	nc := len(sys.Fleet.Clusters)
 	const steps = 40
 
 	// Seed a covering vector so routing can start immediately.
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, url+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -54,7 +68,7 @@ func TestConcurrentPricesDemandStatus(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			resp, err := http.Post(ts.URL+"/v1/prices", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(url+"/v1/prices", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return
@@ -76,7 +90,7 @@ func TestConcurrentPricesDemandStatus(t *testing.T) {
 			defer wg.Done()
 			lastSteps := 0
 			for !stopped() {
-				resp, err := http.Get(ts.URL + "/v1/status")
+				resp, err := http.Get(url + "/v1/status")
 				if err != nil {
 					t.Error(err)
 					return
@@ -120,12 +134,37 @@ func TestConcurrentPricesDemandStatus(t *testing.T) {
 		}()
 	}
 
+	// Checkpoint puller: each pull takes the engine lock between routed
+	// rows and must always succeed.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stopped() {
+			resp, err := http.Get(url + "/v1/checkpoint")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("checkpoint: got %d: %s", resp.StatusCode, body)
+				return
+			}
+		}
+	}()
+
 	// Demand loop: the sequential spine the concurrent traffic runs
-	// against.
+	// against. On the lease-fed shard every row carries its gate bit,
+	// open on every third row.
 	demand := flatDemand(ns, 1500)
 	for i := 0; i < steps; i++ {
-		at := start.Add(time.Duration(i) * time.Hour)
-		postJSON(t, ts.URL+"/v1/demand", DemandPost{At: at, Rates: demand}, http.StatusOK)
+		post := DemandPost{At: start.Add(time.Duration(i) * time.Hour), Rates: demand}
+		if gated {
+			open := i%3 == 0
+			post.Gate = &open
+		}
+		postJSON(t, url+"/v1/demand", post, http.StatusOK)
 	}
 	close(stop)
 	wg.Wait()
@@ -134,7 +173,7 @@ func TestConcurrentPricesDemandStatus(t *testing.T) {
 		Steps int     `json:"steps"`
 		Cost  float64 `json:"total_cost_usd"`
 	}
-	if err := json.Unmarshal(get(t, ts.URL+"/v1/status", http.StatusOK), &status); err != nil {
+	if err := json.Unmarshal(get(t, url+"/v1/status", http.StatusOK), &status); err != nil {
 		t.Fatal(err)
 	}
 	if status.Steps != steps || status.Cost <= 0 {

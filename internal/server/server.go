@@ -15,16 +15,19 @@
 //	GET  /metrics         Prometheus-style text metrics
 //	GET  /healthz         liveness probe
 //
-// Handlers are safe for concurrent use. Engine access is serialized
-// behind one mutex, but price ingestion never takes it: the price store
-// keeps one flat history of per-cluster rows keyed by int64 instants and
-// publishes immutable views of it through an atomic pointer (see
-// pricefeed.go), so POST /v1/prices and POST /v1/demand run concurrently
-// without contending — the demand path reads prices from whatever view is
-// current when a row routes, finding a step-aligned feed's covering row
-// by arithmetic checked against the stored instants. The binary batch
-// bodies (see feed.go) are the high-throughput path: a batch acquires its
-// lock once and routes thousands of intervals per request.
+// Handlers are safe for concurrent use. One mutex, Server.mu, serializes
+// the engine, the price feed (pricefeed.go) and a lease-fed shard's gate
+// latch. A price post is read, decoded and validated before it takes the
+// lock, which it holds only to commit its rows to the feed; a demand post
+// holds it while its rows route, each looking up its bill and decision
+// prices and stepping the engine, and a status or metrics read while it
+// renders. The clients in this repository (tracegen's replay, the shard
+// coordinator, the benchmark) wait for a price post's answer before they
+// send the demand that reads those prices, so price commits and routing
+// have little to overlap. A step-aligned feed's covering row is found by
+// arithmetic checked against the stored instants. The binary batch
+// bodies (see feed.go) are the high-throughput path: a batch takes the
+// lock once and commits or routes thousands of intervals per request.
 //
 // Every demand post, JSON or binary, plain or jobs=1, routes its rows
 // through routeOne and is answered by reply. A binary batch is read one
@@ -44,7 +47,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,7 +70,9 @@ type Config struct {
 	// which the daemon latches for the step the row routes at. A shard of
 	// a soft-capped fleet is started with the same store wired into its
 	// engine's BurstGate; a daemon with no coordinated bursts leaves it
-	// nil and refuses gate bits.
+	// nil and refuses gate bits. The server owns the store after New, as
+	// it owns the engine: it latches a bit only under the lock the engine
+	// steps under, so the store needs no lock of its own.
 	Leases *sim.LeaseStore
 }
 
@@ -79,8 +86,8 @@ type Server struct {
 	step  time.Duration
 	delay time.Duration
 
-	feed     *priceFeed      // locks itself: commitMu for writers, atomic view for readers
-	leases   *sim.LeaseStore // locks itself; nil unless this daemon is a lease-fed shard
+	feed     *priceFeed      // guarded_by: mu
+	leases   *sim.LeaseStore // nil unless this daemon is a lease-fed shard; latched under mu, read by eng.Step
 	requests Requests        // locks itself
 
 	// scratch buffers for the demand path.
@@ -168,6 +175,19 @@ type pricePost struct {
 	Prices map[string]float64 `json:"prices"`
 }
 
+// batch returns the post as the one-row prices batch it commits as, its
+// hubs in sorted order. One row needs no step.
+func (p pricePost) batch() (*BatchHeader, []float64) {
+	hubs := slices.Sorted(maps.Keys(p.Prices))
+	flat := make([]float64, len(hubs))
+	for j, hub := range hubs {
+		flat[j] = p.Prices[hub]
+	}
+	return &BatchHeader{Kind: "prices", Start: p.At.UTC(), Rows: 1, Cols: len(hubs), Hubs: hubs}, flat
+}
+
+// handlePrices commits a JSON price post through the feed's one commit
+// routine, as a one-row batch; a binary batch goes to handlePricesBatch.
 func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Content-Type") == ContentTypePricesBatch {
 		s.handlePricesBatch(w, r)
@@ -191,9 +211,10 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "price post missing \"prices\"")
 		return
 	}
-	// Price ingestion never touches the engine lock: the feed validates,
-	// records, and publishes under its own commit lock.
-	ignored, entries, code, err := s.feed.ingest(post.At.UTC(), post.Prices)
+	h, flat := post.batch()
+	s.mu.Lock()
+	ignored, entries, code, err := s.feed.commit(h, flat)
+	s.mu.Unlock()
 	if err != nil {
 		WriteError(w, code, "%v", err)
 		return
@@ -211,14 +232,20 @@ func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
 		WriteBodyError(w, "reading price batch", err)
 		return
 	}
-	// Stage the whole payload lock-free, then commit it atomically: a
-	// batch that fails to decode or validate publishes nothing.
+	// Stage the whole payload off the lock, then commit it atomically: a
+	// batch that fails to decode or validate records nothing.
 	flat, rowIdx, err := decodeRows(br, h)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "price row %d: %v", rowIdx, err)
 		return
 	}
-	entries, code, err := s.feed.ingestBatch(h, flat)
+	s.mu.Lock()
+	_, entries, code, err := s.feed.commit(h, flat)
+	s.mu.Unlock()
+	if code == http.StatusConflict {
+		// Only a batch's first row can precede the feed.
+		err = fmt.Errorf("price row 0: %w", err)
+	}
 	if err != nil {
 		WriteError(w, code, "%v", err)
 		return
@@ -289,27 +316,21 @@ func (s *Server) postedJobs(jobs []JobPost) error {
 }
 
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
-	var oldest time.Time
-	var ok bool
 	if r.Header.Get("Content-Type") == ContentTypeDemandBatch {
 		br, h, err := OpenBatch(r, "demand")
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		oldest, ok = s.routeBatch(w, br, h)
-	} else {
-		var post DemandPost
-		if code, err := DecodeJSONBody(w, r, &post); err != nil {
-			WriteError(w, code, "decoding demand post: %v", err)
-			return
-		}
-		oldest, ok = s.routeJSON(w, post)
+		s.routeBatch(w, br, h)
+		return
 	}
-	if ok {
-		// Prune off the engine lock: it only takes the feed's commit lock.
-		s.feed.prune(oldest)
+	var post DemandPost
+	if code, err := DecodeJSONBody(w, r, &post); err != nil {
+		WriteError(w, code, "decoding demand post: %v", err)
+		return
 	}
+	s.routeJSON(w, post)
 }
 
 // gateError refuses a demand post whose gate bits do not fit the daemon:
@@ -326,10 +347,10 @@ func (s *Server) gateError(gated bool) error {
 
 // routeJSON routes one JSON-posted interval under the engine lock and
 // answers it (reply).
-func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.Time, ok bool) {
+func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) {
 	if err := s.gateError(post.Gate != nil); err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
-		return time.Time{}, false
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,32 +359,30 @@ func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) (oldest time.
 		at = s.eng.Next()
 	} else if !at.Equal(s.eng.Next()) {
 		WriteError(w, http.StatusConflict, "demand at %v, engine expects %v", at, s.eng.Next())
-		return time.Time{}, false
+		return
 	}
 	if err := s.postedJobs(post.Jobs); err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
-		return time.Time{}, false
+		return
 	}
 	if code, err := s.routeOne(at, post.Rates, s.jobBuf, post.Gate); err != nil {
 		WriteError(w, code, "%v", err)
-		return time.Time{}, false
+		return
 	}
-	return s.reply(w, map[string]any{"routed": 1, "at": at}), true
+	s.reply(w, map[string]any{"routed": 1, "at": at})
 }
 
 // routeOne queues the interval's jobs, latches its gate bit when it
 // carries one, then advances the engine one interval at `at` using the
-// freshest published prices (decision prices lagged by the reaction
-// delay). Both lookups resolve against one atomically-loaded view, so a
-// concurrent price commit can never tear an interval's bill/decision
-// pair. The jobs queue only after the row passes the checks Step would
-// refuse it on, so a refused row commits none of them and a client can
-// resend it corrected.
+// feed's prices (decision prices lagged by the reaction delay). The
+// engine lock guards the feed too, so no price commit can land between
+// an interval's bill and decision lookups. The jobs queue only after the
+// row passes the checks Step would refuse it on, so a refused row
+// commits none of them and a client can resend it corrected.
 //
 //lint:held mu callers lock s.mu around each routed interval
 func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job, gate *bool) (int, error) {
-	v := s.feed.current()
-	bill := v.lookup(at)
+	bill := s.feed.lookup(at)
 	if bill == nil {
 		return http.StatusConflict, fmt.Errorf("server: no prices ingested yet")
 	}
@@ -381,7 +400,7 @@ func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job, gate 
 	if gate != nil {
 		s.leases.Set(s.eng.StepsRun(), *gate)
 	}
-	decision := v.lookup(at.Add(-s.delay))
+	decision := s.feed.lookup(at.Add(-s.delay))
 	if err := s.eng.Step(at, sim.StepPrices{Decision: decision, Bill: bill}, rates); err != nil {
 		return http.StatusBadRequest, err
 	}
@@ -396,24 +415,24 @@ func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job, gate 
 // failure reports the resume point (see batchError), and truncation
 // after k complete rows still commits k, each with its jobs, while the
 // refused row commits neither.
-func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) (oldest time.Time, ok bool) {
+func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) {
 	if err := s.gateError(h.Gates); err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
-		return time.Time{}, false
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h.Cols != len(s.fleet.States) {
 		WriteError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
-		return time.Time{}, false
+		return
 	}
 	if h.Step != s.step {
 		WriteError(w, http.StatusBadRequest, "batch step %v, engine step %v", h.Step, s.step)
-		return time.Time{}, false
+		return
 	}
 	if next := s.eng.Next(); !h.Start.Equal(next) {
 		WriteError(w, http.StatusConflict, "batch starts %v, engine expects %v", h.Start, next)
-		return time.Time{}, false
+		return
 	}
 	rowBytes := h.Cols * 8
 	if cap(s.byteBuf) < rowBytes {
@@ -429,11 +448,11 @@ func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHea
 			g, err := br.ReadByte()
 			if err != nil {
 				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
-				return time.Time{}, false
+				return
 			}
 			if g > 1 {
 				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: gate byte %d (want 0 or 1)", routed, g)
-				return time.Time{}, false
+				return
 			}
 			open = g == 1
 		}
@@ -442,7 +461,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHea
 			var err error
 			if s.wireJobs, s.byteBuf, err = ReadJobBlock(br, s.wireJobs, s.byteBuf); err != nil {
 				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
-				return time.Time{}, false
+				return
 			}
 			base := s.eng.StepsRun()
 			for _, wj := range s.wireJobs {
@@ -452,33 +471,33 @@ func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHea
 		b := s.byteBuf[:rowBytes]
 		if _, err := io.ReadFull(br, b); err != nil {
 			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
-			return time.Time{}, false
+			return
 		}
 		if err := DecodeRow(b, s.rowBuf); err != nil {
 			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
-			return time.Time{}, false
+			return
 		}
 		at := h.Start.Add(time.Duration(routed) * h.Step)
 		if code, err := s.routeOne(at, s.rowBuf, s.jobBuf, gate); err != nil {
 			s.batchError(w, code, routed, "demand row %d: %v", routed, err)
-			return time.Time{}, false
+			return
 		}
 	}
-	return s.reply(w, map[string]any{"routed": h.Rows}), true
+	s.reply(w, map[string]any{"routed": h.Rows})
 }
 
-// reply answers a demand post whose every row routed: it adds the
-// engine's step count and running bill to resp and writes it. It returns
-// the oldest instant a future price lookup can ask for, so the caller can
-// prune the feed after the engine lock is released.
+// reply answers a demand post whose every row routed: it prunes the feed
+// of the entries no future lookup can reach (older than the one covering
+// the next interval's decision instant), adds the engine's step count and
+// running bill to resp, and writes it.
 //
 //lint:held mu callers lock s.mu for the routed post
-func (s *Server) reply(w http.ResponseWriter, resp map[string]any) (oldest time.Time) {
+func (s *Server) reply(w http.ResponseWriter, resp map[string]any) {
+	s.feed.prune(s.eng.Next().Add(-s.delay))
 	snap := s.snapshot()
 	resp["steps"] = snap.Steps
 	resp["total_cost_usd"] = float64(snap.TotalCost)
 	WriteJSON(w, resp)
-	return s.eng.Next().Add(-s.delay)
 }
 
 // --- read endpoints --------------------------------------------------------

@@ -128,6 +128,14 @@ func hubPrices(sys *core.System, base float64) map[string]float64 {
 	return prices
 }
 
+// feedEntries reads the daemon's feed length under the lock that guards
+// the feed.
+func feedEntries(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.feed.entries()
+}
+
 func flatDemand(n int, rate float64) []float64 {
 	d := make([]float64, n)
 	for i := range d {
@@ -492,7 +500,7 @@ func TestDemandPruningKeepsRouting(t *testing.T) {
 		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: hubPrices(sys, 30+float64(i))}, http.StatusOK)
 		postJSON(t, ts.URL+"/v1/demand", DemandPost{At: at, Rates: flatDemand(ns, 1200)}, http.StatusOK)
 	}
-	held := srv.feed.entries()
+	held := feedEntries(srv)
 	// Next lookup horizon is Next-delay = start+(steps-1)h; only the
 	// covering entry plus newer ones survive (delay = 1h -> 2 entries).
 	if held > 3 {

@@ -91,6 +91,11 @@ type Engine struct {
 	loads     []float64
 	// capacities caches the fleet's per-cluster capacities as floats.
 	capacities []float64 // ckpt:immutable derived from sc.Fleet at construction
+	// room is each cluster's soft-capped room, min(softcap, capacity), and
+	// roomTotal their fleet-order sum (burstRoom); nil and 0 unless the
+	// scenario sets soft caps.
+	room      []float64 // ckpt:immutable derived from sc.SoftCaps and sc.Fleet at construction
+	roomTotal float64   // ckpt:immutable derived from sc.SoftCaps and sc.Fleet at construction
 	// powerEval holds each cluster's energy model bound to its server count
 	// with the load-independent terms folded (bit-identical to sc.Energy).
 	powerEval []energy.Evaluator // ckpt:immutable derived from sc.Energy and sc.Fleet at construction
@@ -170,6 +175,10 @@ func NewEngine(sc Scenario) (*Engine, error) {
 				return nil, err
 			}
 			e.constraints[c] = con
+		}
+		var err error
+		if e.room, e.roomTotal, err = burstRoom(sc.Fleet, sc.SoftCaps); err != nil {
+			return nil, err
 		}
 	}
 	// Burst gating: SelfGate unless the scenario externalizes the
@@ -406,23 +415,10 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 	// letting the router spend it chasing cheap prices.
 	if e.constraints != nil {
 		totalDemand := SumDemand(ctx.Demand)
-		var totalRoom float64
-		for c := range sc.Fleet.Clusters {
-			capacity := e.capacities[c]
-			cap95 := e.constraints[c].Cap
-			if cap95 > capacity {
-				cap95 = capacity
-			}
-			ctx.Room[c] = cap95
-			ctx.BurstRoom[c] = 0
-			totalRoom += cap95
-		}
-		if e.leases != nil {
-			for c := range e.leaseGranted {
-				e.leaseGranted[c] = false
-			}
-		}
-		open, err := e.gate.GateOpen(e.stepsRun, totalDemand, totalRoom)
+		copy(ctx.Room, e.room)
+		clear(ctx.BurstRoom)
+		clear(e.leaseGranted)
+		open, err := e.gate.GateOpen(e.stepsRun, totalDemand, e.roomTotal)
 		if err != nil {
 			return fmt.Errorf("sim: burst gate at %v: %w", at, err)
 		}

@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"powerroute/internal/cluster"
 )
@@ -55,19 +54,28 @@ func SumDemand(row []float64) float64 {
 // order — the engine's per-step totalRoom, a run constant for a fixed
 // world. External brokers use it to reproduce the joint gate exactly.
 func BurstRoomTotal(fleet *cluster.Fleet, softCaps []float64) (float64, error) {
+	_, total, err := burstRoom(fleet, softCaps)
+	return total, err
+}
+
+// burstRoom returns each cluster's soft-capped room, min(softCaps[c],
+// capacity[c]), and their total summed in fleet cluster order: the one
+// definition behind BurstRoomTotal and the engine's room tiers.
+func burstRoom(fleet *cluster.Fleet, softCaps []float64) (room []float64, total float64, err error) {
 	if len(softCaps) != len(fleet.Clusters) {
-		return 0, fmt.Errorf("sim: %d soft caps for %d clusters", len(softCaps), len(fleet.Clusters))
+		return nil, 0, fmt.Errorf("sim: %d soft caps for %d clusters", len(softCaps), len(fleet.Clusters))
 	}
-	var total float64
+	room = make([]float64, len(softCaps))
 	for c, cl := range fleet.Clusters {
 		capacity := float64(cl.Capacity)
 		cap95 := softCaps[c]
 		if cap95 > capacity {
 			cap95 = capacity
 		}
+		room[c] = cap95
 		total += cap95
 	}
-	return total, nil
+	return room, total, nil
 }
 
 // SelfGate is the gate of an engine that sees the whole world: it
@@ -90,21 +98,17 @@ func (SelfGate) GateOpen(step int, localDemand, localRoom float64) (bool, error)
 // rides each demand row, just before that row routes; the engine then
 // reads it inside Step. A step whose bit was never set fails loudly:
 // guessing would silently fork the shard's books from the joint run. The
-// zero value holds no bit.
+// zero value holds no bit. Like the Engine it gates, a LeaseStore is not
+// safe for concurrent use: its owner serializes Set with the engine's
+// Step (internal/server sets it under the lock its engine steps under).
 type LeaseStore struct {
-	mu sync.Mutex
-	// step is the step the latch holds a bit for, when set. guarded_by: mu
-	step int
-	// open is that step's bit. guarded_by: mu
-	open bool
-	// set reports whether any bit was set. guarded_by: mu
-	set bool
+	step int  // the step the latch holds a bit for, when set
+	open bool // that step's bit
+	set  bool // whether any bit was set
 }
 
 // Set latches the gate bit for one step, replacing any earlier bit.
 func (ls *LeaseStore) Set(step int, open bool) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
 	ls.step, ls.open, ls.set = step, open, true
 }
 
@@ -112,8 +116,6 @@ func (ls *LeaseStore) Set(step int, open bool) {
 // ignored (the coordinator derived the joint ones). Any step but the
 // latched one is an error.
 func (ls *LeaseStore) GateOpen(step int, localDemand, localRoom float64) (bool, error) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
 	if !ls.set || step != ls.step {
 		return false, fmt.Errorf("sim: no burst gate bit set for step %d (a lease-fed shard takes each row's bit with its demand)", step)
 	}
