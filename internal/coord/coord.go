@@ -7,12 +7,14 @@
 // price post, a few hundred bytes, is forwarded verbatim to every shard,
 // which ignores the hubs it hosts no cluster on. A demand post (JSON or
 // binary batch) is split by state ownership, each shard receiving exactly
-// its own states' columns. Batch columns are copied cell by cell, never
-// re-encoded. Deferrable batch jobs riding a demand post go to the shard
-// that owns their home cluster. Every price batch row (server.DecodeRow),
-// every full demand row (sim.CheckDemand) and every job (sim.CheckJob) is
-// admitted before any shard is posted to, so a bad row or job can never
-// leave the shards at different step cursors or feeds.
+// its own states' columns. Batch rows are read through the daemon's
+// server.RowReader and streamed row by row into the shard bodies, each
+// cell copied as it arrived, never re-encoded. Deferrable batch jobs
+// riding a demand post go to the shard that owns their home cluster.
+// Every batch row (finite, read whole), every full demand row
+// (sim.CheckDemand) and every job (sim.CheckJob) is admitted before any
+// shard is posted to, so a bad row or job can never leave the shards at
+// different step cursors or feeds.
 //
 // Reads fan in: the coordinator pulls every shard's durable checkpoint,
 // merges them with sim.MergeCheckpoints under the parent world hash,
@@ -400,12 +402,12 @@ func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 // arrived. A shard hosting none of the batch's hubs receives the first
 // column, which its feed ignores, so it records the same entries, or
 // reports the same coverage gap, as it would for the whole batch. Every
-// row is decoded (server.DecodeRow) before any shard is posted to, so a
+// row is read (server.RowReader) before any shard is posted to, so a
 // non-finite value is refused here with 400 even in a column no shard
-// hosts, and a header declaring more than server.MaxPriceBatchBody bytes
-// of rows with 413, as a shard would.
+// hosts, and a header declaring more than server.MaxBatchBody bytes of
+// rows with 413, as a shard would.
 func (co *Coordinator) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
-	br, h, err := server.OpenBatch(r, "prices")
+	h, rows, err := server.OpenBatch(w, r, "prices")
 	if err != nil {
 		server.WriteBodyError(w, "reading price batch", err)
 		return
@@ -429,19 +431,13 @@ func (co *Coordinator) handlePricesBatch(w http.ResponseWriter, r *http.Request)
 		}
 		bodies[i] = shardBody(&sub, 8*sub.Cols)
 	}
-	row := make([]float64, h.Cols)
-	rowBytes := make([]byte, 8*h.Cols)
-	for i := 0; i < h.Rows; i++ {
-		if _, err := io.ReadFull(br, rowBytes); err != nil {
-			server.WriteError(w, http.StatusBadRequest, "price row %d: batch body truncated: %v", i, err)
-			return
-		}
-		if err := server.DecodeRow(rowBytes, row); err != nil {
-			server.WriteError(w, http.StatusBadRequest, "price row %d: %v", i, err)
+	for i := range h.Rows {
+		if err := rows.Next(); err != nil {
+			server.WriteBodyError(w, fmt.Sprintf("price row %d", i), err)
 			return
 		}
 		for j := range bodies {
-			bodies[j] = appendCells(bodies[j], rowBytes, cols[j])
+			bodies[j] = appendCells(bodies[j], rows.Cells, cols[j])
 		}
 	}
 	if err := co.fanOut(r.Context(), "/v1/prices", server.ContentTypePricesBatch, bodies); err != nil {
@@ -525,7 +521,7 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 			server.WriteError(w, http.StatusBadRequest, "job %d names unknown cluster %q", i, jp.Cluster)
 			return
 		}
-		if err := co.checkJob(jp.Job(c, 0)); err != nil {
+		if err := co.checkJob(jp.Job(c)); err != nil {
 			server.WriteError(w, http.StatusBadRequest, "job %d %v", i, err)
 			return
 		}
@@ -565,7 +561,7 @@ func (co *Coordinator) handleDemand(w http.ResponseWriter, r *http.Request) {
 // to the shard's. On a brokered world every shard batch is gates=1, each
 // row led by the gate byte derived from the full row.
 func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request) {
-	br, h, err := server.OpenBatch(r, "demand")
+	h, rows, err := server.OpenBatch(w, r, "demand")
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -604,44 +600,27 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 		}
 		bodies[i] = shardBody(&sub, rowBytes)
 	}
-	row := make([]float64, ns)
-	rowBytes := make([]byte, 8*ns)
-	var jobs []server.WireJob
-	var jobBytes []byte
 	shardJobs := make([][]server.WireJob, len(co.shards))
-	for i := 0; i < h.Rows; i++ {
-		if h.Jobs {
-			if jobs, jobBytes, err = server.ReadJobBlock(br, jobs, jobBytes); err != nil {
-				server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
+	for i := range h.Rows {
+		if err := rows.Next(); err != nil {
+			server.WriteBodyError(w, fmt.Sprintf("demand row %d", i), err)
+			return
+		}
+		for k, wj := range rows.Jobs {
+			if err := co.checkJob(wj.Job()); err != nil {
+				server.WriteError(w, http.StatusBadRequest, "demand row %d: job %d %v", i, k, err)
 				return
 			}
-			for j := range shardJobs {
-				shardJobs[j] = shardJobs[j][:0]
-			}
-			for k, wj := range jobs {
-				if err := co.checkJob(wj.Job(0)); err != nil {
-					server.WriteError(w, http.StatusBadRequest, "demand row %d: job %d %v", i, k, err)
-					return
-				}
-				c := int(wj.Cluster)
-				wj.Cluster = uint32(co.clusterLocal[c])
-				shardJobs[co.clusterShard[c]] = append(shardJobs[co.clusterShard[c]], wj)
-			}
+			c := int(wj.Cluster)
+			wj.Cluster = uint32(co.clusterLocal[c])
+			shardJobs[co.clusterShard[c]] = append(shardJobs[co.clusterShard[c]], wj)
 		}
-		if _, err := io.ReadFull(br, rowBytes); err != nil {
-			server.WriteError(w, http.StatusBadRequest, "demand row %d: batch body truncated: %v", i, err)
-			return
-		}
-		if err := server.DecodeRow(rowBytes, row); err != nil {
-			server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
-			return
-		}
-		if err := sim.CheckDemand(row); err != nil {
+		if err := sim.CheckDemand(rows.Values); err != nil {
 			server.WriteError(w, http.StatusBadRequest, "demand row %d: %v", i, err)
 			return
 		}
 		var gate byte
-		if co.broker && sim.BurstGateOpen(sim.SumDemand(row), co.room) {
+		if co.broker && sim.BurstGateOpen(sim.SumDemand(rows.Values), co.room) {
 			gate = 1
 		}
 		for j, sh := range co.shards {
@@ -650,8 +629,9 @@ func (co *Coordinator) handleDemandBatch(w http.ResponseWriter, r *http.Request)
 			}
 			if h.Jobs {
 				bodies[j] = server.AppendJobs(bodies[j], shardJobs[j])
+				shardJobs[j] = shardJobs[j][:0]
 			}
-			bodies[j] = appendCells(bodies[j], rowBytes, sh.states)
+			bodies[j] = appendCells(bodies[j], rows.Cells, sh.states)
 		}
 	}
 	if err := co.fanOut(r.Context(), "/v1/demand", server.ContentTypeDemandBatch, bodies); err != nil {

@@ -1195,7 +1195,7 @@ func sameShards(t *testing.T, when string, urls, twins []string) {
 // request: 400, naming the row or the header field, for a non-finite
 // value in a column no shard hosts, a truncated body, a duplicated hub,
 // and a header line past 64 KiB; 413 for a header declaring more than
-// server.MaxPriceBatchBody bytes of rows, 1,048,576 rows of 200 hubs.
+// server.MaxBatchBody bytes of rows, 1,048,576 rows of 200 hubs.
 func TestCoordinatorRejectsBadPrices(t *testing.T) {
 	sys, sc := testWorld(t)
 	urls := newShards(t, sc)

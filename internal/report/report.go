@@ -172,27 +172,6 @@ func Histogram(w io.Writer, title string, labels []string, fractions []float64) 
 	return nil
 }
 
-// Series renders an (x, y) series as aligned columns, a text stand-in for
-// the paper's line plots.
-func Series(w io.Writer, title, xLabel, yLabel string, xs, ys []float64) error {
-	if _, err := fmt.Fprintln(w, title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %12s  %12s\n", xLabel, yLabel); err != nil {
-		return err
-	}
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := fmt.Fprintf(w, "  %12.4g  %12.4g\n", xs[i], ys[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Sparkline renders values as a compact unicode block series.
 func Sparkline(values []float64) string {
 	if len(values) == 0 {

@@ -65,22 +65,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var buf bytes.Buffer
-	err := Series(&buf, "Cost vs distance", "km", "cost", []float64{0, 500}, []float64{1, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "km") || !strings.Contains(buf.String(), "0.9") {
-		t.Errorf("series output: %q", buf.String())
-	}
-	// Mismatched lengths truncate instead of panicking.
-	buf.Reset()
-	if err := Series(&buf, "t", "x", "y", []float64{1, 2, 3}, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3})
 	if len([]rune(s)) != 4 {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -59,10 +58,15 @@ const (
 	stageRows  = 2048
 	stageCells = 1 << 17
 
-	// MaxPriceBatchBody bounds the rows of a binary price batch, rows ×
-	// cols × 8 bytes. Both daemons refuse a header declaring more with
-	// 413 (OpenBatch) before reading a row.
-	MaxPriceBatchBody = 1 << 30
+	// MaxBatchBody bounds the rows of every binary batch body, price or
+	// demand, and so what either daemon stages of one. OpenBatch reads a
+	// body through it, plus the 64 KiB its header line may take: rows
+	// running past it end in an *http.MaxBytesError at the row where it
+	// cuts, 413 through WriteBodyError. A price batch's rows take rows ×
+	// cols × 8 bytes, so a header declaring more is refused with 413
+	// before a row is read; a demand batch's job blocks make its size
+	// known only as its rows arrive.
+	MaxBatchBody = 1 << 30
 
 	// maxJobsPerRow bounds the deferrable-job block a jobs=1 demand row
 	// may carry (same protective role as maxBatchRows).
@@ -231,33 +235,58 @@ func readHeaderLine(r *bufio.Reader) (string, error) {
 	}
 }
 
-// decodeRows stages a whole batch body: rows×cols little-endian float64s
-// decoded into one flat slice, one row at a time through the caller's
-// buffered reader, rejecting NaN and ±Inf. The slice is sized for
-// h.StageRows() rows and grows with the rows that arrive. On error the
-// second return is the offending row (truncation reports the first
-// incomplete row). Rows carrying non-finite values are rejected for the
-// same reason the JSON path cannot express them: one poisoned sample
-// would corrupt meters, p95 bills, and every checkpoint downstream.
-func decodeRows(r io.Reader, h *BatchHeader) ([]float64, int, error) {
-	flat := make([]float64, 0, h.StageRows()*h.Cols)
-	b := make([]byte, h.Cols*8)
-	for row := 0; row < h.Rows; row++ {
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, row, fmt.Errorf("server: batch body truncated: %w", err)
+// RowReader reads a batch body's rows in the layout its header declares:
+// on a gates=1 batch the row's gate byte, on a jobs=1 batch its job block,
+// then its Cols cells. OpenBatch returns one for every batch; nothing else
+// reads batch rows. It holds one row, sized for Cols cells by the first
+// Next, so callers check Cols first (a prices header bounds it by the hub
+// names it holds, a demand batch must match the fleet's states).
+type RowReader struct {
+	r *bufio.Reader
+	h *BatchHeader
+
+	// The row Next read last; each is overwritten by the next call.
+	Gate   bool      // its burst gate bit (gates=1 batches)
+	Jobs   []WireJob // its job block (jobs=1 batches)
+	Cells  []byte    // its cells as they arrived, 8 bytes each
+	Values []float64 // its cells decoded by DecodeRow, all finite
+
+	jobBytes []byte
+}
+
+// Next reads one row. A read error is wrapped, so a body that runs past
+// its bound still answers as an *http.MaxBytesError (WriteBodyError).
+func (rr *RowReader) Next() error {
+	if rr.Cells == nil {
+		rr.Cells, rr.Values = make([]byte, 8*rr.h.Cols), make([]float64, rr.h.Cols)
+	}
+	if rr.h.Gates {
+		g, err := rr.r.ReadByte()
+		if err != nil {
+			return fmt.Errorf("server: batch body truncated: %w", err)
 		}
-		n := len(flat)
-		flat = slices.Grow(flat, h.Cols)[:n+h.Cols]
-		if err := DecodeRow(b, flat[n:]); err != nil {
-			return nil, row, err
+		if g > 1 {
+			return fmt.Errorf("gate byte %d (want 0 or 1)", g)
+		}
+		rr.Gate = g == 1
+	}
+	if rr.h.Jobs {
+		var err error
+		if rr.Jobs, rr.jobBytes, err = readJobBlock(rr.r, rr.Jobs, rr.jobBytes); err != nil {
+			return err
 		}
 	}
-	return flat, 0, nil
+	if _, err := io.ReadFull(rr.r, rr.Cells); err != nil {
+		return fmt.Errorf("server: batch body truncated: %w", err)
+	}
+	return DecodeRow(rr.Cells, rr.Values)
 }
 
 // DecodeRow decodes one batch row of little-endian float64s from b into
-// dst, rejecting NaN and ±Inf. Exported for the shard coordinator, which
-// re-splits demand rows along shard boundaries.
+// dst, rejecting NaN and ±Inf: one poisoned sample would corrupt meters,
+// p95 bills and every checkpoint downstream, and the JSON path cannot
+// express one. RowReader decodes every batch row through it; it is
+// exported for the benchmark, which times the decode on its own.
 func DecodeRow(b []byte, dst []float64) error {
 	if len(b) != 8*len(dst) {
 		return fmt.Errorf("server: batch row is %d bytes for %d columns", len(b), len(dst))
@@ -333,31 +362,30 @@ func AppendJobs(b []byte, jobs []WireJob) []byte {
 	return b
 }
 
-// Job converts the wire job into the scheduler's form for a row routed
-// at step base. Like JobPost.Job it leaves admission to sim.CheckJob,
-// which rejects an out-of-range cluster or a zero DeadlineSteps.
-func (j WireJob) Job(base int) sched.Job {
+// Job converts the wire job into the scheduler's form counted from its
+// row, as JobPost.Job does. It leaves admission to sim.CheckJob, which
+// rejects an out-of-range cluster or a zero DeadlineSteps.
+func (j WireJob) Job() sched.Job {
 	return sched.Job{
 		Cluster:     int(j.Cluster),
-		Arrival:     base,
-		Deadline:    base + int(j.DeadlineSteps),
+		Deadline:    int(j.DeadlineSteps),
 		EnergyKWh:   j.EnergyKWh,
 		MinFraction: j.MinFraction,
 	}
 }
 
-// ReadJobBlock reads one jobs=1 row's job block (a uint32 count, then
+// readJobBlock reads one jobs=1 row's job block (a uint32 count, then
 // that many WireJob records) and decodes the jobs into dst[:0]. buf is
 // byte scratch, grown when a block outgrows it. Both come back for reuse.
-// The daemon's demand path and the shard coordinator's splitter share
-// it, so the block layout and the per-row cap are declared once.
-func ReadJobBlock(r io.Reader, dst []WireJob, buf []byte) ([]WireJob, []byte, error) {
+// RowReader reads every job block through it, so the block layout and
+// the per-row cap are declared once.
+func readJobBlock(r io.Reader, dst []WireJob, buf []byte) ([]WireJob, []byte, error) {
 	dst = dst[:0]
 	if cap(buf) < 4 {
 		buf = make([]byte, 4, wireJobBytes)
 	}
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return dst, buf, fmt.Errorf("server: batch body truncated: %v", err)
+		return dst, buf, fmt.Errorf("server: batch body truncated: %w", err)
 	}
 	count := int(binary.LittleEndian.Uint32(buf[:4]))
 	if count > maxJobsPerRow {
@@ -369,7 +397,7 @@ func ReadJobBlock(r io.Reader, dst []WireJob, buf []byte) ([]WireJob, []byte, er
 	}
 	b := buf[:n]
 	if _, err := io.ReadFull(r, b); err != nil {
-		return dst, buf, fmt.Errorf("server: batch body truncated: %v", err)
+		return dst, buf, fmt.Errorf("server: batch body truncated: %w", err)
 	}
 	for i := 0; i < count; i++ {
 		dst = append(dst, decodeWireJob(b[i*wireJobBytes:]))

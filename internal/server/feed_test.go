@@ -299,7 +299,7 @@ func FuzzDecodeRow(f *testing.F) {
 	})
 }
 
-// FuzzReadJobBlock: ReadJobBlock never panics on arbitrary bytes, never
+// FuzzReadJobBlock: readJobBlock never panics on arbitrary bytes, never
 // yields more than maxJobsPerRow jobs and none with an error, and a block
 // it accepts round-trips through AppendJobs to the bytes it consumed.
 func FuzzReadJobBlock(f *testing.F) {
@@ -315,7 +315,7 @@ func FuzzReadJobBlock(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bytes.NewReader(b)
-		jobs, _, err := ReadJobBlock(r, nil, nil)
+		jobs, _, err := readJobBlock(r, nil, nil)
 		if len(jobs) > maxJobsPerRow {
 			t.Fatalf("yielded %d jobs, cap %d", len(jobs), maxJobsPerRow)
 		}

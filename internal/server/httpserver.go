@@ -91,48 +91,48 @@ func (q *Requests) Counts() map[string]uint64 {
 // MaxJSONBody bytes. The body must be exactly one JSON value: anything
 // but white space after it (a second value, a stray '}' or ']', junk) is
 // refused rather than dropped. On failure it returns the status to
-// answer: 413 when the body runs past the bound, 400 when it does not
-// decode.
+// answer (bodyError).
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(MaxJSONBody)))
 	err := dec.Decode(v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
-			err = nil
+			return 0, nil
 		} else if err == nil {
 			err = errors.New("body holds more than one JSON value")
 		}
 	}
+	return bodyError(err)
+}
+
+// bodyError returns the status and error to answer for a request body
+// that could not be read or decoded: 413 when the body runs, or its
+// header declares it will run, past its bound (an *http.MaxBytesError),
+// 400 otherwise.
+func bodyError(err error) (int, error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
 	}
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	return 0, nil
+	return http.StatusBadRequest, err
 }
 
-// WriteBodyError answers a request body that could not be read: 413 when
-// the body runs, or its header declares it will run, past its bound (an
-// *http.MaxBytesError), 400 otherwise.
+// WriteBodyError answers a request body that could not be read, with
+// bodyError's status.
 func WriteBodyError(w http.ResponseWriter, what string, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		WriteError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooLarge.Limit)
-		return
-	}
-	WriteError(w, http.StatusBadRequest, "%s: %v", what, err)
+	code, err := bodyError(err)
+	WriteError(w, code, "%s: %v", what, err)
 }
 
-// OpenBatch reads a binary batch request's header through the 64 KiB
-// buffered reader its rows are then read from, and checks that the batch
-// is of the route's kind ("demand" on /v1/demand, "prices" on
-// /v1/prices). A price batch declaring more than MaxPriceBatchBody bytes
-// of rows fails with an *http.MaxBytesError (413 through WriteBodyError);
-// any other error is the request's fault (400).
-func OpenBatch(r *http.Request, kind string) (*bufio.Reader, *BatchHeader, error) {
-	br := bufio.NewReaderSize(r.Body, maxBatchHeader)
+// OpenBatch reads a binary batch request's header and returns the reader
+// of its rows, after checking that the batch is of the route's kind
+// ("demand" on /v1/demand, "prices" on /v1/prices). The body is read
+// through one 64 KiB buffered reader and bounded at MaxBatchBody plus
+// the header line's 64 KiB. A price batch declaring more than
+// MaxBatchBody bytes of rows fails here with an *http.MaxBytesError (413
+// through WriteBodyError); any other error is the request's fault (400).
+func OpenBatch(w http.ResponseWriter, r *http.Request, kind string) (*BatchHeader, *RowReader, error) {
+	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, maxBatchHeader+MaxBatchBody), maxBatchHeader)
 	h, err := ParseBatchHeader(br)
 	if err != nil {
 		return nil, nil, err
@@ -140,8 +140,8 @@ func OpenBatch(r *http.Request, kind string) (*bufio.Reader, *BatchHeader, error
 	if h.Kind != kind {
 		return nil, nil, fmt.Errorf("batch kind %q on %s", h.Kind, r.URL.Path)
 	}
-	if h.Kind == "prices" && int64(h.Rows)*int64(h.Cols)*8 > MaxPriceBatchBody {
-		return nil, nil, fmt.Errorf("%d rows of %d prices: %w", h.Rows, h.Cols, &http.MaxBytesError{Limit: MaxPriceBatchBody})
+	if h.Kind == "prices" && int64(h.Rows)*int64(h.Cols)*8 > MaxBatchBody {
+		return nil, nil, fmt.Errorf("%d rows of %d prices: %w", h.Rows, h.Cols, &http.MaxBytesError{Limit: MaxBatchBody})
 	}
-	return br, h, nil
+	return h, &RowReader{r: br, h: h}, nil
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -298,8 +300,10 @@ func priceClaim(t *testing.T, start time.Time, hubs []string, rows int) *http.Re
 // over 1,048,576 rows, or 13,940 hubs (a 54 KB header) over 9,000 rows.
 // The daemon refuses either truncated batch having allocated a few MiB;
 // 2,048 rows of the wide claim would take 228 MB before reading a row.
+// A jobs=1 demand header claiming 1,048,576 rows, followed by one row,
+// is staged the same way: row 0 routes and row 1 is refused.
 func TestBatchStagingFollowsRows(t *testing.T) {
-	srv, _, _ := testServer(t)
+	srv, ts, sys := testServer(t)
 	for _, c := range []struct {
 		hubs, rows int
 	}{{64, maxBatchRows}, {13940, 9000}} {
@@ -319,10 +323,93 @@ func TestBatchStagingFollowsRows(t *testing.T) {
 			t.Fatalf("refused batch left %d feed entries", n)
 		}
 	}
+
+	start := srv.eng.Start()
+	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	ns := len(sys.Fleet.States)
+	h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: maxBatchRows, Cols: ns, Jobs: true}
+	var b bytes.Buffer
+	if err := h.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	b.Write(AppendRow(AppendJobs(nil, nil), flatDemand(ns, 500)))
+	req := httptest.NewRequest(http.MethodPost, "/v1/demand", &b)
+	req.Header.Set("Content-Type", ContentTypeDemandBatch)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "demand row 1") {
+		t.Fatalf("truncated demand batch: got %d %s, want 400 naming demand row 1", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("a %d-row jobs=1 demand claim with one row allocated %d bytes", h.Rows, alloc)
+	}
+	if got := readIngestState(t, ts.URL).Steps; got != 1 {
+		t.Fatalf("engine at step %d after the truncated demand batch, want 1", got)
+	}
+}
+
+// repeatReader reads its bytes over and over, without end.
+type repeatReader struct {
+	b   []byte
+	off int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.b[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.b)
+	}
+	return n, nil
+}
+
+// TestBatchBodyBound: OpenBatch reads every batch body through one
+// bound, MaxBatchBody of rows after a header line of up to 64 KiB. A
+// jobs=1 demand batch of rows carrying maxJobsPerRow jobs each, generated
+// as it is read so that no 1 GiB buffer is built, is cut by the bound in
+// the row it runs past: reading that row fails with an
+// *http.MaxBytesError, which WriteBodyError answers with 413.
+func TestBatchBodyBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads 1 GiB of batch rows")
+	}
+	h := BatchHeader{Kind: "demand", Start: time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC), Step: time.Hour, Rows: maxBatchRows, Cols: 1, Jobs: true}
+	var head bytes.Buffer
+	if err := h.Write(&head); err != nil {
+		t.Fatal(err)
+	}
+	row := AppendRow(AppendJobs(nil, make([]WireJob, maxJobsPerRow)), []float64{1})
+	body := io.MultiReader(bytes.NewReader(head.Bytes()), &repeatReader{b: row})
+	rec := httptest.NewRecorder()
+	_, rows, err := OpenBatch(rec, httptest.NewRequest(http.MethodPost, "/v1/demand", body), "demand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for ; i < h.Rows; i++ {
+		if err = rows.Next(); err != nil {
+			break
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("row %d: got %v, want an *http.MaxBytesError", i, err)
+	}
+	if want := (maxBatchHeader + MaxBatchBody - head.Len()) / len(row); i != want {
+		t.Fatalf("the bound cut row %d, want row %d", i, want)
+	}
+	WriteBodyError(rec, fmt.Sprintf("demand row %d", i), err)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "body exceeds") {
+		t.Fatalf("answered %d %s, want 413", rec.Code, rec.Body)
+	}
 }
 
 // TestPriceBatchBodyBound: a prices header declaring more than
-// MaxPriceBatchBody bytes of rows, 1,048,576 rows of 200 hubs, is refused
+// MaxBatchBody bytes of rows, 1,048,576 rows of 200 hubs, is refused
 // with 413 at the header, leaving the feed as it was.
 func TestPriceBatchBodyBound(t *testing.T) {
 	srv, _, _ := testServer(t)
@@ -610,6 +697,173 @@ func FuzzJSONPricePost(f *testing.F) {
 			}
 		default:
 			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
+		}
+	})
+}
+
+// modelRows decodes, by hand, the complete rows of a batch body after its
+// header line and returns each one's job energy: the layout RowReader
+// reads, written out once more for the fuzzer to check it against.
+func modelRows(h *BatchHeader, rows []byte) []float64 {
+	var kwh []float64
+	for len(kwh) < h.Rows {
+		if h.Gates {
+			if len(rows) < 1 {
+				break
+			}
+			rows = rows[1:]
+		}
+		e := 0.0
+		if h.Jobs {
+			if len(rows) < 4 {
+				break
+			}
+			n := int(binary.LittleEndian.Uint32(rows))
+			if n > maxJobsPerRow || len(rows) < 4+n*wireJobBytes {
+				break
+			}
+			for k := range n {
+				e += math.Float64frombits(binary.LittleEndian.Uint64(rows[4+k*wireJobBytes+8:]))
+			}
+			rows = rows[4+n*wireJobBytes:]
+		}
+		if h.Cols > len(rows)/8 {
+			break
+		}
+		rows = rows[8*h.Cols:]
+		kwh = append(kwh, e)
+	}
+	return kwh
+}
+
+// FuzzDemandBatchPost posts arbitrary bytes as a binary demand batch, in
+// process, to a lease-fed shard and to a daemon with the batch class, so
+// gate bytes and job blocks are both reached, and checks each answer
+// against a model of the rows (modelRows). Every answer is 200 or 4xx. A
+// 200 routes the header's every row: the engine advances that many steps
+// and takes in exactly the posted jobs' energy, served, shed or queued. A
+// refusal carrying "routed" k advances exactly k steps with exactly the
+// jobs of rows 0 to k−1, which the body holds whole. Any other refusal
+// changes nothing. A header starting at the world's start is moved to the
+// engine's next interval, so the seeds keep routing as the engine
+// advances; any other start is posted as it is.
+func FuzzDemandBatchPost(f *testing.F) {
+	leaseTS, sys := leaseServer(f)
+	batchTS, _ := batchServer(f)
+	daemons := []http.Handler{leaseTS.Config.Handler, batchTS.Config.Handler}
+	start := sys.Market.Start
+	prices, err := json.Marshal(pricePost{At: start, Prices: hubPrices(sys, 30)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, h := range daemons {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/prices", bytes.NewReader(prices)))
+		if rec.Code != http.StatusOK {
+			f.Fatalf("seeding prices: %d %s", rec.Code, rec.Body)
+		}
+	}
+
+	ns := len(sys.Fleet.States)
+	job := WireJob{Cluster: 0, DeadlineSteps: 6, EnergyKWh: 40, MinFraction: 0.5}
+	batch := func(rows int, gates, jobs bool, edit func(b []byte) []byte) []byte {
+		h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: rows, Cols: ns, Jobs: jobs, Gates: gates}
+		var b bytes.Buffer
+		if err := h.Write(&b); err != nil {
+			f.Fatal(err)
+		}
+		for i := range 2 {
+			if gates {
+				b.WriteByte(byte(i % 2))
+			}
+			if jobs {
+				b.Write(AppendJobs(nil, []WireJob{job}))
+			}
+			b.Write(AppendRow(nil, flatDemand(ns, 500+100*float64(i))))
+		}
+		return edit(b.Bytes())
+	}
+	same := func(b []byte) []byte { return b }
+	rowBytes := 8 * ns
+	for _, seed := range [][]byte{
+		batch(2, false, false, same),
+		batch(2, false, true, same),
+		batch(2, true, false, same),
+		batch(2, true, true, same),
+		// Cut before row 1's gate byte, inside its job block, inside its
+		// rates.
+		batch(2, true, false, func(b []byte) []byte { return b[:len(b)-rowBytes-1] }),
+		batch(2, false, true, func(b []byte) []byte { return b[:len(b)-rowBytes-wireJobBytes/2] }),
+		batch(2, false, false, func(b []byte) []byte { return b[:len(b)-8] }),
+		// Row 1 with gate byte 2, with a NaN rate.
+		batch(2, true, false, func(b []byte) []byte { b[len(b)-rowBytes-1] = 2; return b }),
+		batch(2, false, false, func(b []byte) []byte { return AppendRow(b[:len(b)-8], []float64{math.NaN()}) }),
+		// A header claiming more rows than the body holds.
+		batch(5, false, false, same),
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		line, rest, _ := bytes.Cut(body, []byte("\n"))
+		h, err := ParseBatchHeader(bufio.NewReader(bytes.NewReader(body)))
+		for d, handler := range daemons {
+			before := serveState(t, handler)
+			post := body
+			if err == nil && h.Start.Equal(start) {
+				moved := *h
+				moved.Start = start.Add(time.Duration(before.Steps) * time.Hour)
+				var b bytes.Buffer
+				if err := moved.Write(&b); err != nil {
+					t.Fatal(err)
+				}
+				post = append(b.Bytes(), rest...)
+			}
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/v1/demand", bytes.NewReader(post))
+			req.Header.Set("Content-Type", ContentTypeDemandBatch)
+			handler.ServeHTTP(rec, req)
+			after := serveState(t, handler)
+
+			var reply struct {
+				Routed *int `json:"routed"`
+			}
+			_ = json.Unmarshal(rec.Body.Bytes(), &reply)
+			routed := -1 // no row routed, nothing may change
+			switch {
+			case rec.Code == http.StatusOK:
+				if err != nil {
+					t.Fatalf("daemon %d: 200 for a body whose header %q does not parse: %v", d, line, err)
+				}
+				routed = h.Rows
+				if reply.Routed == nil || *reply.Routed != routed {
+					t.Fatalf("daemon %d: 200 reply %s, want %d rows routed", d, rec.Body, routed)
+				}
+			case rec.Code/100 == 4:
+				if reply.Routed != nil {
+					routed = *reply.Routed
+				}
+			default:
+				t.Fatalf("daemon %d: answered %d: %s", d, rec.Code, rec.Body)
+			}
+			if routed < 0 {
+				if after != before {
+					t.Fatalf("daemon %d: %d changed %+v to %+v: %s", d, rec.Code, before, after, rec.Body)
+				}
+				continue
+			}
+			rows := modelRows(h, rest)
+			if routed > len(rows) {
+				t.Fatalf("daemon %d: routed %d rows of a body holding %d whole: %s", d, routed, len(rows), rec.Body)
+			}
+			kwh := 0.0
+			for _, e := range rows[:routed] {
+				kwh += e
+			}
+			arrived := (after.ServedKWh + after.ShedKWh + after.QueuedKWh) - (before.ServedKWh + before.ShedKWh + before.QueuedKWh)
+			if after.Steps != before.Steps+routed || math.Abs(arrived-kwh) > 1e-9*max(1, kwh, after.ServedKWh+after.ShedKWh+after.QueuedKWh) {
+				t.Fatalf("daemon %d: %d moved %+v to %+v, want %d steps and %v kWh of jobs: %s", d, rec.Code, before, after, routed, kwh, rec.Body)
+			}
 		}
 	})
 }

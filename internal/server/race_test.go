@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -178,5 +180,149 @@ func concurrentPricesDemandStatus(t *testing.T, url string, sys *core.System, ga
 	}
 	if status.Steps != steps || status.Cost <= 0 {
 		t.Fatalf("final status %+v, want %d steps and positive cost", status, steps)
+	}
+}
+
+// TestConcurrentStalledDemandBody: the daemon reads a demand post whole
+// before it takes Server.mu, so a client that stalls mid-body holds up no
+// other request. A binary demand batch sends its header and row 0, then
+// stalls while the daemon waits for row 1; meanwhile a status read, a
+// metrics scrape, a checkpoint pull and a price post at the newest
+// instant each answer within a 2 s client timeout. Then the body
+// completes, and the batch routes both rows. On a plain daemon and on a
+// lease-fed shard, whose batch is gates=1.
+func TestConcurrentStalledDemandBody(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		_, ts, sys := testServer(t)
+		stalledDemandBody(t, ts.Config.Handler, sys, false)
+	})
+	t.Run("lease-fed", func(t *testing.T) {
+		ts, sys := leaseServer(t)
+		stalledDemandBody(t, ts.Config.Handler, sys, true)
+	})
+}
+
+// waitingBody is a request body that closes waiting when its reader
+// first asks for more than its first n bytes: it has taken those and now
+// waits on the client for the rest.
+type waitingBody struct {
+	io.ReadCloser
+	n       int
+	waiting chan struct{}
+}
+
+func (b *waitingBody) Read(p []byte) (int, error) {
+	if b.n <= 0 && b.waiting != nil {
+		close(b.waiting)
+		b.waiting = nil
+	}
+	n, err := b.ReadCloser.Read(p)
+	b.n -= n
+	return n, err
+}
+
+func stalledDemandBody(t *testing.T, daemon http.Handler, sys *core.System, gated bool) {
+	start := sys.Market.Start
+	ns := len(sys.Fleet.States)
+	h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: 2, Cols: ns, Gates: gated}
+	var head, tail bytes.Buffer
+	if err := h.Write(&head); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range []*bytes.Buffer{&head, &tail} {
+		if gated {
+			b.WriteByte(byte(i))
+		}
+		b.Write(AppendRow(nil, flatDemand(ns, 500+200*float64(i))))
+	}
+
+	// The daemon reads the demand body through waitingBody, which says
+	// when the daemon has read the header and row 0 and waits for row 1.
+	waiting := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/demand" {
+			r.Body = &waitingBody{ReadCloser: r.Body, n: head.Len(), waiting: waiting}
+		}
+		daemon.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	prices := pricePost{At: start, Prices: hubPrices(sys, 30)}
+	postJSON(t, ts.URL+"/v1/prices", prices, http.StatusOK)
+
+	// The body is a pipe: its header and row 0 go out, then it stalls
+	// until tail is written. Closing the pipe at cleanup, before the
+	// test server's own cleanup, frees a handler still reading it.
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.CloseWithError(errors.New("test over")) })
+	type answer struct {
+		code int
+		body []byte
+		err  error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/demand", ContentTypeDemandBatch, pr)
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		answered <- answer{resp.StatusCode, body, err}
+	}()
+	if _, err := pw.Write(head.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-waiting:
+	case a := <-answered:
+		t.Fatalf("the batch answered before its body was complete: %d %v: %s", a.code, a.err, a.body)
+	}
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	body, err := json.Marshal(prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, probe := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodGet, "/v1/status", nil},
+		{http.MethodGet, "/metrics", nil},
+		{http.MethodGet, "/v1/checkpoint", nil},
+		{http.MethodPost, "/v1/prices", body},
+	} {
+		req, err := http.NewRequest(probe.method, ts.URL+probe.path, bytes.NewReader(probe.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		began := time.Now()
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s while a demand body stalls: %v", probe.method, probe.path, err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s while a demand body stalls: got %d: %s", probe.method, probe.path, resp.StatusCode, out)
+		}
+		t.Logf("%s %s answered in %v", probe.method, probe.path, time.Since(began))
+	}
+
+	if _, err := pw.Write(tail.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	a := <-answered
+	if a.err != nil || a.code != http.StatusOK {
+		t.Fatalf("stalled batch once complete: %d %v: %s", a.code, a.err, a.body)
+	}
+	var routed struct {
+		Routed int `json:"routed"`
+		Steps  int `json:"steps"`
+	}
+	if err := json.Unmarshal(a.body, &routed); err != nil || routed.Routed != 2 || routed.Steps != 2 {
+		t.Fatalf("stalled batch answered %s (%v), want both rows routed", a.body, err)
 	}
 }

@@ -17,10 +17,11 @@
 //
 // Handlers are safe for concurrent use. One mutex, Server.mu, serializes
 // the engine, the price feed (pricefeed.go) and a lease-fed shard's gate
-// latch. A price post is read, decoded and validated before it takes the
-// lock, which it holds only to commit its rows to the feed; a demand post
-// holds it while its rows route, each looking up its bill and decision
-// prices and stepping the engine, and a status or metrics read while it
+// latch, and no handler holds it while it reads a request body. A post of
+// either kind is read, decoded and checked off the lock, then takes it
+// only to commit: a price post to commit its rows to the feed, a demand
+// post while its rows route, each looking up its bill and decision prices
+// and stepping the engine. A status or metrics read holds it while it
 // renders. The clients in this repository (tracegen's replay, the shard
 // coordinator, the benchmark) wait for a price post's answer before they
 // send the demand that reads those prices, so price commits and routing
@@ -29,24 +30,23 @@
 // bodies (see feed.go) are the high-throughput path: a batch takes the
 // lock once and commits or routes thousands of intervals per request.
 //
-// Every demand post, JSON or binary, plain or jobs=1, routes its rows
-// through routeOne and is answered by reply. A binary batch is read one
-// row at a time from the request's 64 KiB buffered reader: on a gates=1
-// batch the row's gate byte first, on a jobs=1 batch then its job block
-// (ReadJobBlock), then its rates (DecodeRow). A lease-fed shard
+// Every batch row is read through one RowReader: on a gates=1 batch the
+// row's gate byte, on a jobs=1 batch its job block, then its cells. A
+// demand post, JSON or binary, plain or jobs=1, is staged whole before
+// the lock (a JSON post as a one-row batch), routes its rows through
+// routeOne under it (route), and is answered by reply. A lease-fed shard
 // (Config.Leases) takes every row's burst gate bit with the row, on a
 // gates=1 batch or as a JSON post's "gate", and latches it just before
 // the row routes; any other daemon refuses gate bits. The shard
-// coordinator (internal/coord) serves through the same error, JSON,
-// request-count and health helpers (httpserver.go).
+// coordinator (internal/coord) reads batch rows through the same
+// RowReader and serves through the same error, JSON, request-count and
+// health helpers (httpserver.go).
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"net/http"
 	"slices"
@@ -89,12 +89,6 @@ type Server struct {
 	feed     *priceFeed      // guarded_by: mu
 	leases   *sim.LeaseStore // nil unless this daemon is a lease-fed shard; latched under mu, read by eng.Step
 	requests Requests        // locks itself
-
-	// scratch buffers for the demand path.
-	rowBuf   []float64   // guarded_by: mu
-	byteBuf  []byte      // guarded_by: mu
-	wireJobs []WireJob   // guarded_by: mu — one binary row's job block
-	jobBuf   []sched.Job // guarded_by: mu — decoded deferrable jobs for one row
 }
 
 // New builds a Server around an engine.
@@ -110,7 +104,6 @@ func New(cfg Config) (*Server, error) {
 		step:   cfg.Engine.StepSize(),
 		delay:  cfg.Engine.ReactionDelay(),
 		feed:   newPriceFeed(fleet),
-		rowBuf: make([]float64, len(fleet.States)),
 	}, nil
 }
 
@@ -227,20 +220,20 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
-	br, h, err := OpenBatch(r, "prices")
+	h, rows, err := OpenBatch(w, r, "prices")
 	if err != nil {
 		WriteBodyError(w, "reading price batch", err)
 		return
 	}
 	// Stage the whole payload off the lock, then commit it atomically: a
-	// batch that fails to decode or validate records nothing.
-	flat, rowIdx, err := decodeRows(br, h)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "price row %d: %v", rowIdx, err)
+	// batch that fails to read or decode records nothing.
+	d := stage(h, rows)
+	if d.err != nil {
+		WriteBodyError(w, fmt.Sprintf("price row %d", len(d.ends)), d.err)
 		return
 	}
 	s.mu.Lock()
-	_, entries, code, err := s.feed.commit(h, flat)
+	_, entries, code, err := s.feed.commit(h, d.rates)
 	s.mu.Unlock()
 	if code == http.StatusConflict {
 		// Only a batch's first row can precede the feed.
@@ -285,52 +278,109 @@ type JobPost struct {
 }
 
 // Job converts the posted job, homed at cluster index c, into the
-// scheduler's form for an interval routed at step base. Admission
-// (sim.CheckJob) is the engine's, so a non-positive DeadlineSteps is
-// rejected there as a deadline at or behind the cursor.
-func (j JobPost) Job(c, base int) sched.Job {
+// scheduler's form counted from its interval: arriving at step 0, due
+// DeadlineSteps later. The daemon adds the step the interval routes at.
+// Admission (sim.CheckJob) is the engine's, so a non-positive
+// DeadlineSteps is rejected there as a deadline at or behind the cursor.
+func (j JobPost) Job(c int) sched.Job {
 	return sched.Job{
 		Cluster:     c,
-		Arrival:     base,
-		Deadline:    base + j.DeadlineSteps,
+		Deadline:    j.DeadlineSteps,
 		EnergyKWh:   j.EnergyKWh,
 		MinFraction: j.MinFraction,
 	}
 }
 
-// postedJobs converts one row's posted jobs into s.jobBuf for the
-// interval the engine routes next; routeOne queues them.
-//
-//lint:held mu callers lock s.mu for the posting interval
-func (s *Server) postedJobs(jobs []JobPost) error {
-	s.jobBuf = s.jobBuf[:0]
-	base := s.eng.StepsRun()
-	for i, j := range jobs {
-		c, err := s.fleet.Index(j.Cluster)
-		if err != nil {
-			return fmt.Errorf("server: job %d names unknown cluster %q", i, j.Cluster)
-		}
-		s.jobBuf = append(s.jobBuf, j.Job(c, base))
-	}
-	return nil
+// staged is a post read whole before the daemon takes its lock: a
+// batch's rows up to its last or its first refusal, or a JSON demand post
+// as a one-row batch.
+type staged struct {
+	start time.Time // the first row's interval; zero for the engine's next
+	cols  int
+	rates []float64   // row i's cells are rates[i*cols : (i+1)*cols]
+	gates []bool      // row i's burst gate bit; nil on a post without gate bits
+	jobs  []sched.Job // every row's jobs, counted from their row (WireJob.Job, JobPost.Job)
+	ends  []int       // row i's jobs end at jobs[ends[i]]; one entry per row staged
+	err   error       // the refusal that stopped staging at row len(ends), or nil
+	json  bool        // a JSON post: the reply names the interval it routed
 }
 
+// stage reads a batch's rows until its last row or its first refusal.
+// Its cells are sized for h.StageRows() rows and grow as rows arrive.
+func stage(h *BatchHeader, rows *RowReader) *staged {
+	d := &staged{start: h.Start, cols: h.Cols, rates: make([]float64, 0, h.StageRows()*h.Cols)}
+	for range h.Rows {
+		if d.err = rows.Next(); d.err != nil {
+			break
+		}
+		d.rates = append(d.rates, rows.Values...)
+		if h.Gates {
+			d.gates = append(d.gates, rows.Gate)
+		}
+		for _, j := range rows.Jobs {
+			d.jobs = append(d.jobs, j.Job())
+		}
+		d.ends = append(d.ends, len(d.jobs))
+	}
+	return d
+}
+
+// stageJSON stages a JSON demand post as a one-row batch, its jobs homed
+// by cluster index and its "gate" the row's gate bit.
+func (s *Server) stageJSON(post DemandPost) *staged {
+	d := &staged{start: post.At.UTC(), cols: len(post.Rates), rates: post.Rates, json: true}
+	if post.Gate != nil {
+		d.gates = []bool{*post.Gate}
+	}
+	for i, j := range post.Jobs {
+		c, err := s.fleet.Index(j.Cluster)
+		if err != nil {
+			d.err = fmt.Errorf("server: job %d names unknown cluster %q", i, j.Cluster)
+			return d
+		}
+		d.jobs = append(d.jobs, j.Job(c))
+	}
+	d.ends = []int{len(d.jobs)}
+	return d
+}
+
+// handleDemand runs the checks that need no lock, stages the post, JSON
+// or binary, and routes it. No body is read under the lock, so a client
+// that stalls mid-body holds up no other request.
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
+	var d *staged
 	if r.Header.Get("Content-Type") == ContentTypeDemandBatch {
-		br, h, err := OpenBatch(r, "demand")
+		h, rows, err := OpenBatch(w, r, "demand")
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.routeBatch(w, br, h)
-		return
+		if err := s.gateError(h.Gates); err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if h.Cols != len(s.fleet.States) {
+			WriteError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
+			return
+		}
+		if h.Step != s.step {
+			WriteError(w, http.StatusBadRequest, "batch step %v, engine step %v", h.Step, s.step)
+			return
+		}
+		d = stage(h, rows)
+	} else {
+		var post DemandPost
+		if code, err := DecodeJSONBody(w, r, &post); err != nil {
+			WriteError(w, code, "decoding demand post: %v", err)
+			return
+		}
+		if err := s.gateError(post.Gate != nil); err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		d = s.stageJSON(post)
 	}
-	var post DemandPost
-	if code, err := DecodeJSONBody(w, r, &post); err != nil {
-		WriteError(w, code, "decoding demand post: %v", err)
-		return
-	}
-	s.routeJSON(w, post)
+	s.route(w, d)
 }
 
 // gateError refuses a demand post whose gate bits do not fit the daemon:
@@ -345,31 +395,49 @@ func (s *Server) gateError(gated bool) error {
 	return nil
 }
 
-// routeJSON routes one JSON-posted interval under the engine lock and
-// answers it (reply).
-func (s *Server) routeJSON(w http.ResponseWriter, post DemandPost) {
-	if err := s.gateError(post.Gate != nil); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+// route routes a staged demand post from the engine's next interval,
+// under the engine lock: each row through routeOne, its jobs moved to the
+// step it routes at. Rows commit as they route. A refused row, or the
+// refusal that stopped staging once the rows before it have routed, is
+// answered with the resume point (batchError) and commits nothing.
+func (s *Server) route(w http.ResponseWriter, d *staged) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	at := post.At.UTC()
-	if post.At.IsZero() {
+	at := d.start
+	if at.IsZero() {
 		at = s.eng.Next()
 	} else if !at.Equal(s.eng.Next()) {
 		WriteError(w, http.StatusConflict, "demand at %v, engine expects %v", at, s.eng.Next())
 		return
 	}
-	if err := s.postedJobs(post.Jobs); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	lo := 0
+	for i, hi := range d.ends {
+		jobs := d.jobs[lo:hi]
+		lo = hi
+		base := s.eng.StepsRun()
+		for k := range jobs {
+			jobs[k].Arrival, jobs[k].Deadline = base, base+jobs[k].Deadline
+		}
+		var gate *bool
+		if d.gates != nil {
+			gate = &d.gates[i]
+		}
+		rates := d.rates[i*d.cols : (i+1)*d.cols]
+		if code, err := s.routeOne(at.Add(time.Duration(i)*s.step), rates, jobs, gate); err != nil {
+			s.batchError(w, code, i, "demand row %d: %v", i, err)
+			return
+		}
+	}
+	if d.err != nil {
+		code, err := bodyError(d.err)
+		s.batchError(w, code, len(d.ends), "demand row %d: %v", len(d.ends), err)
 		return
 	}
-	if code, err := s.routeOne(at, post.Rates, s.jobBuf, post.Gate); err != nil {
-		WriteError(w, code, "%v", err)
-		return
+	resp := map[string]any{"routed": len(d.ends)}
+	if d.json {
+		resp["at"] = at
 	}
-	s.reply(w, map[string]any{"routed": 1, "at": at})
+	s.reply(w, resp)
 }
 
 // routeOne queues the interval's jobs, latches its gate bit when it
@@ -405,85 +473,6 @@ func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job, gate 
 		return http.StatusBadRequest, err
 	}
 	return 0, nil
-}
-
-// routeBatch routes one binary demand batch under the engine lock, one
-// row at a time through the request's buffered reader: on a gates=1
-// batch the row's gate byte, on a jobs=1 batch its job block
-// (ReadJobBlock), then its rates (DecodeRow), then the interval with its
-// jobs and gate bit (routeOne). Rows commit as they route: a mid-batch
-// failure reports the resume point (see batchError), and truncation
-// after k complete rows still commits k, each with its jobs, while the
-// refused row commits neither.
-func (s *Server) routeBatch(w http.ResponseWriter, br *bufio.Reader, h *BatchHeader) {
-	if err := s.gateError(h.Gates); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h.Cols != len(s.fleet.States) {
-		WriteError(w, http.StatusBadRequest, "batch has %d state columns, fleet has %d", h.Cols, len(s.fleet.States))
-		return
-	}
-	if h.Step != s.step {
-		WriteError(w, http.StatusBadRequest, "batch step %v, engine step %v", h.Step, s.step)
-		return
-	}
-	if next := s.eng.Next(); !h.Start.Equal(next) {
-		WriteError(w, http.StatusConflict, "batch starts %v, engine expects %v", h.Start, next)
-		return
-	}
-	rowBytes := h.Cols * 8
-	if cap(s.byteBuf) < rowBytes {
-		s.byteBuf = make([]byte, rowBytes)
-	}
-	var open bool
-	var gate *bool
-	if h.Gates {
-		gate = &open
-	}
-	for routed := 0; routed < h.Rows; routed++ {
-		if h.Gates {
-			g, err := br.ReadByte()
-			if err != nil {
-				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
-				return
-			}
-			if g > 1 {
-				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: gate byte %d (want 0 or 1)", routed, g)
-				return
-			}
-			open = g == 1
-		}
-		s.jobBuf = s.jobBuf[:0]
-		if h.Jobs {
-			var err error
-			if s.wireJobs, s.byteBuf, err = ReadJobBlock(br, s.wireJobs, s.byteBuf); err != nil {
-				s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
-				return
-			}
-			base := s.eng.StepsRun()
-			for _, wj := range s.wireJobs {
-				s.jobBuf = append(s.jobBuf, wj.Job(base))
-			}
-		}
-		b := s.byteBuf[:rowBytes]
-		if _, err := io.ReadFull(br, b); err != nil {
-			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: server: batch body truncated: %v", routed, err)
-			return
-		}
-		if err := DecodeRow(b, s.rowBuf); err != nil {
-			s.batchError(w, http.StatusBadRequest, routed, "demand row %d: %v", routed, err)
-			return
-		}
-		at := h.Start.Add(time.Duration(routed) * h.Step)
-		if code, err := s.routeOne(at, s.rowBuf, s.jobBuf, gate); err != nil {
-			s.batchError(w, code, routed, "demand row %d: %v", routed, err)
-			return
-		}
-	}
-	s.reply(w, map[string]any{"routed": h.Rows})
 }
 
 // reply answers a demand post whose every row routed: it prunes the feed

@@ -161,102 +161,6 @@ func TestMutualInformationErrors(t *testing.T) {
 	}
 }
 
-func TestOnlineMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 10000)
-	var o Online
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*37 + 55
-		o.Add(xs[i])
-	}
-	if o.N() != len(xs) {
-		t.Errorf("N = %d", o.N())
-	}
-	approx(t, "online mean", o.Mean(), Mean(xs), 1e-9)
-	approx(t, "online variance", o.Variance(), Variance(xs), 1e-6)
-	approx(t, "online stddev", o.StdDev(), StdDev(xs), 1e-6)
-}
-
-func TestOnlineMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	var a, b, whole Online
-	for i := 0; i < 5000; i++ {
-		x := rng.ExpFloat64() * 10
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	approx(t, "merged mean", a.Mean(), whole.Mean(), 1e-9)
-	approx(t, "merged variance", a.Variance(), whole.Variance(), 1e-6)
-	if a.N() != whole.N() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Error("merged N/min/max mismatch")
-	}
-	// Merging an empty accumulator is a no-op; merging into empty copies.
-	var empty Online
-	before := a
-	a.Merge(&empty)
-	if a != before {
-		t.Error("merge with empty changed state")
-	}
-	var fresh Online
-	fresh.Merge(&a)
-	if fresh != a {
-		t.Error("merge into empty should copy")
-	}
-}
-
-func TestOnlineEmpty(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.StdDev() != 0 || o.N() != 0 {
-		t.Error("empty Online should be all zeros")
-	}
-}
-
-func TestWeightedMeanAndQuantile(t *testing.T) {
-	samples := []WeightedSample{
-		{Value: 10, Weight: 1},
-		{Value: 20, Weight: 3},
-	}
-	approx(t, "WeightedMean", WeightedMean(samples), 17.5, 1e-12)
-	q, err := WeightedQuantile(samples, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "WeightedQuantile(0.5)", q, 20, 1e-12)
-	q, _ = WeightedQuantile(samples, 0.1)
-	approx(t, "WeightedQuantile(0.1)", q, 10, 1e-12)
-	if _, err := WeightedQuantile(nil, 0.5); err == nil {
-		t.Error("empty weighted quantile should fail")
-	}
-	if _, err := WeightedQuantile([]WeightedSample{{1, 0}}, 0.5); err == nil {
-		t.Error("zero-weight quantile should fail")
-	}
-	if WeightedMean(nil) != 0 {
-		t.Error("empty weighted mean should be 0")
-	}
-}
-
-func TestWeightedQuantileMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	f := func(n uint8) bool {
-		size := int(n)%100 + 1
-		samples := make([]WeightedSample, size)
-		for i := range samples {
-			samples[i] = WeightedSample{Value: rng.NormFloat64() * 100, Weight: rng.Float64() + 0.01}
-		}
-		q1, e1 := WeightedQuantile(samples, 0.25)
-		q2, e2 := WeightedQuantile(samples, 0.75)
-		return e1 == nil && e2 == nil && q1 <= q2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWeightedHistogram(t *testing.T) {
 	w := NewWeightedHistogram(0, 100, 100)
 	for i := 0; i < 100; i++ {

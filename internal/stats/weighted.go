@@ -4,139 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Online accumulates streaming moments with Welford's algorithm. The
-// simulation engine meters per-cluster costs and distances this way so long
-// runs (39 months of hours) do not need to retain every sample.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (o *Online) Add(x float64) {
-	if o.n == 0 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean (0 if empty).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance (0 if fewer than two
-// observations).
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest observation (0 if empty).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation (0 if empty).
-func (o *Online) Max() float64 { return o.max }
-
-// Merge folds another accumulator into o (parallel reduction).
-func (o *Online) Merge(p *Online) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *p
-		return
-	}
-	n := o.n + p.n
-	d := p.mean - o.mean
-	mean := o.mean + d*float64(p.n)/float64(n)
-	m2 := o.m2 + p.m2 + d*d*float64(o.n)*float64(p.n)/float64(n)
-	min := o.min
-	if p.min < min {
-		min = p.min
-	}
-	max := o.max
-	if p.max > max {
-		max = p.max
-	}
-	*o = Online{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
-// WeightedSample is a value with a non-negative weight; the simulator uses
-// hit counts as weights when describing client-server distance (Fig 17's
-// mean and 99th-percentile distances are hit-weighted).
-type WeightedSample struct {
-	Value  float64
-	Weight float64
-}
-
-// WeightedMean returns Σwv/Σw, or 0 when the total weight is zero.
-func WeightedMean(samples []WeightedSample) float64 {
-	var sw, swv float64
-	for _, s := range samples {
-		sw += s.Weight
-		swv += s.Weight * s.Value
-	}
-	if sw == 0 {
-		return 0
-	}
-	return swv / sw
-}
-
-// WeightedQuantile returns the smallest value v such that the weight of
-// samples ≤ v is at least q of the total weight. Returns an error when the
-// sample is empty or total weight is zero.
-func WeightedQuantile(samples []WeightedSample, q float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := append([]WeightedSample(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Value < sorted[j].Value })
-	var total float64
-	for _, s := range sorted {
-		total += s.Weight
-	}
-	if total == 0 {
-		return 0, ErrEmpty
-	}
-	target := q * total
-	var cum float64
-	for _, s := range sorted {
-		cum += s.Weight
-		if cum >= target {
-			return s.Value, nil
-		}
-	}
-	return sorted[len(sorted)-1].Value, nil
-}
 
 // WeightedHistogram accumulates weighted values into fixed-width bins and
 // can answer weighted quantile queries in O(bins); the simulator uses it to
