@@ -4,23 +4,28 @@
 //
 // It registers the same world flags as powerrouted (core.WorldFlags) and
 // builds the same deterministic joint world from them (give the
-// coordinator and every shard equal values), discovers each shard's
-// cluster/state ownership from its /v1/world, and then:
+// coordinator and every shard equal values). The world's market regions
+// are its routing partition, so each shard's clusters and states follow
+// from the world: -shards lists the shard URLs in -shard-index order, and
+// the coordinator refuses to start unless each shard's /v1/world serves
+// its region. It then:
 //
 //   - splits a POST /v1/prices binary batch by hub, posting each shard
-//     only the columns of the hubs its clusters sit on, and forwards a
-//     JSON price post to every shard verbatim (shards ignore hubs they
-//     host no cluster on),
+//     only the columns of the hubs its clusters sit on, and checks a JSON
+//     price post as a shard would before forwarding it to every shard
+//     (shards ignore hubs they host no cluster on),
 //   - splits POST /v1/demand (JSON or binary batch) by state ownership
 //     and posts each shard its own columns concurrently, forwarding each
 //     deferrable batch job to the shard that owns its home cluster (a
 //     jobs=1 row's WireJob.Cluster is a joint-fleet index, the order of
 //     the coordinator's /v1/world, rewritten to the shard's own index),
-//   - periodically pulls GET /v1/checkpoint from every shard, merges the
-//     parts with sim.MergeCheckpoints, restores the merged state into a
-//     joint-world engine, and serves fleet-wide GET /v1/status and
-//     /metrics from that snapshot — bit-for-bit what one powerrouted
-//     serving the unsplit world would report,
+//   - answers every GET /v1/status and /metrics by pulling GET
+//     /v1/checkpoint from every shard, merging the parts with
+//     sim.MergeCheckpoints and restoring the merged state into a
+//     joint-world engine — bit-for-bit what one powerrouted serving the
+//     unsplit world would report; when a pull fails it serves the newest
+//     snapshot a read merged, marked with an X-Coord-Degraded header,
+//     and 502 while none has,
 //   - serves GET /v1/checkpoint as the merged joint-world checkpoint
 //     (restorable by a single powerrouted via PUT /v1/checkpoint).
 //
@@ -72,8 +77,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	var world core.WorldFlags
 	world.Register(fs)
 	addr := fs.String("addr", "127.0.0.1:7946", "listen address")
-	shards := fs.String("shards", "", "comma-separated powerrouted shard base URLs (required)")
-	mergeEvery := fs.Duration("merge-every", 10*time.Second, "how often to pull and merge shard checkpoints (0 = on demand only)")
+	shards := fs.String("shards", "", "comma-separated powerrouted shard base URLs, in -shard-index order (required)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -84,10 +88,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	urls := splitURLs(*shards)
 	if len(urls) == 0 {
 		fmt.Fprintln(stderr, "powerroute-coord: -shards URL,URL,... is required")
-		return 2
-	}
-	if *mergeEvery < 0 {
-		fmt.Fprintln(stderr, "powerroute-coord: negative -merge-every")
 		return 2
 	}
 
@@ -127,7 +127,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	go co.Run(ctx, *mergeEvery, stderr)
 
 	select {
 	case err := <-serveErr:

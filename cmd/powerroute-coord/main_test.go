@@ -97,7 +97,7 @@ func TestCoordServeAndShutdown(t *testing.T) {
 	var out, errOut syncBuf
 	done := make(chan int, 1)
 	argv := []string{"-addr", "127.0.0.1:0", "-months", "1", "-days", "7",
-		"-threshold-km", "1000", "-shards", strings.Join(urls, ","), "-merge-every", "0"}
+		"-threshold-km", "1000", "-shards", strings.Join(urls, ",")}
 	go func() { done <- run(ctx, argv, &out, &errOut) }()
 
 	var base string
@@ -161,7 +161,6 @@ func TestCoordBadInvocations(t *testing.T) {
 		{[]string{}, 2, "-shards"}, // -shards required
 		{[]string{"-shards", shard, "-horizon", "nope"}, 2, "horizon"},
 		{[]string{"-shards", shard, "stray"}, 2, "unexpected"},
-		{[]string{"-shards", shard, "-merge-every", "-1s"}, 2, "-merge-every"},
 		// Unreachable shard: discovery fails at startup.
 		{[]string{"-shards", shard, "-months", "1", "-days", "7"}, 1, ""},
 		// World-flag usage errors, refused before any shard is contacted.

@@ -177,8 +177,8 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	total := horizon * opt.Loops
 
 	client := &http.Client{Timeout: 5 * time.Minute}
-	// A coordinator serves /v1/status from its last merged snapshot;
-	// refresh=1 makes it re-pull the shards first. A daemon ignores it.
+	// Both daemons ignore refresh=1: a coordinator pulls and merges its
+	// shards on every status read, and a daemon reads its own engine.
 	statusURL := baseURL + "/v1/status?refresh=1"
 
 	// Jobs ride demand rows addressed by the target's cluster index, so

@@ -1,29 +1,35 @@
 // Package coord is the multi-region shard coordinator: the fleet-wide
-// face of N powerrouted instances, one per electricity market region
-// (a routing-closed shard of the joint world, see sim.PartitionByRouting).
+// face of N powerrouted instances, one per electricity market region.
+// The regions are the joint world's routing partition
+// (sim.PartitionByRouting), a pure function of the world, so the
+// coordinator derives every shard's clusters, states and hubs from it
+// and only checks, at New, that shard i's /v1/world serves region i.
 //
 // Ingest fans out. A binary price batch is split by hub, each shard
 // receiving only the columns of the hubs its clusters sit on, and a JSON
-// price post, a few hundred bytes, is forwarded verbatim to every shard,
-// which ignores the hubs it hosts no cluster on. A demand post (JSON or
-// binary batch) is split by state ownership, each shard receiving exactly
-// its own states' columns. Batch rows are read through the daemon's
-// server.RowReader and streamed row by row into the shard bodies, each
-// cell copied as it arrived, never re-encoded. Deferrable batch jobs
-// riding a demand post go to the shard that owns their home cluster.
-// Every batch row (finite, read whole), every full demand row
-// (sim.CheckDemand) and every job (sim.CheckJob) is admitted before any
-// shard is posted to, so a bad row or job can never leave the shards at
-// different step cursors or feeds.
+// price post, admitted by the daemon's own server.DecodePricePost, is
+// forwarded to every shard, which ignores the hubs it hosts no cluster
+// on. A demand post (JSON or binary batch) is split by state ownership,
+// each shard receiving exactly its own states' columns. Batch rows are
+// read through the daemon's server.RowReader and streamed row by row
+// into the shard bodies, each cell copied as it arrived, never
+// re-encoded. Deferrable batch jobs riding a demand post go to the shard
+// that owns their home cluster. Every batch row (finite and within
+// sim.MaxMagnitude, read whole), every JSON price post, every full demand
+// row (sim.CheckDemand) and every job (sim.CheckJob) is admitted before
+// any shard is posted to, so a bad row, post or job can never leave the
+// shards at different step cursors or feeds.
 //
-// Reads fan in: the coordinator pulls every shard's durable checkpoint,
-// merges them with sim.MergeCheckpoints under the parent world hash,
-// restores the merged state into a joint-world engine, and serves the
-// fleet-wide /v1/status and /metrics from that snapshot — the same
-// payloads a single powerrouted serving the whole world would produce,
-// bit for bit.
+// Reads fan in, and every read pulls: for each /v1/status and /metrics
+// read the coordinator pulls every shard's durable checkpoint, merges
+// them with sim.MergeCheckpoints under the parent world hash, restores
+// the merged state into a joint-world engine, and serves that snapshot —
+// the same payloads a single powerrouted serving the whole world would
+// produce, bit for bit. It keeps only the newest snapshot a read merged,
+// as the fallback a read serves, marked X-Coord-Degraded, when its own
+// pull fails.
 //
-// Every request to a shard — discovery's GET /v1/world, the ingest
+// Every request to a shard — New's GET /v1/world, the ingest
 // fan-out and the checkpoint pull — goes through one call, so a shard
 // that cannot be reached fails with ErrShardUnreachable and one that
 // answers an error is reported with its status and message, the same way
@@ -40,12 +46,12 @@
 // joint engine's and a demand post costs one request per shard. Clients
 // never send gate bits themselves.
 //
-//	POST /v1/prices      split a price batch by hub; forward a JSON price vector to every shard
+//	POST /v1/prices      split a price batch by hub; check a JSON price post, then forward it to every shard
 //	POST /v1/demand      split demand (and jobs) by ownership and fan out
-//	GET  /v1/status      fleet-wide status from the last merged snapshot (?refresh=1 re-pulls)
+//	GET  /v1/status      fleet-wide status, pulled and merged for the read
 //	GET  /v1/checkpoint  pull, merge, and stream the joint-world checkpoint
 //	GET  /v1/world       the joint world description
-//	GET  /metrics        fleet-wide Prometheus metrics
+//	GET  /metrics        fleet-wide Prometheus metrics, pulled and merged for the read
 //	GET  /healthz        liveness probe
 package coord
 
@@ -85,8 +91,9 @@ type Config struct {
 	Client *http.Client
 }
 
-// shardInfo is one shard's discovered state ownership (its clusters are
-// recorded per cluster in Coordinator.clusterShard).
+// shardInfo is one shard: region i of the joint world's routing
+// partition (its clusters are recorded per cluster in
+// Coordinator.clusterShard).
 type shardInfo struct {
 	url    string
 	states []int // fleet state indices, ascending
@@ -103,7 +110,7 @@ type Coordinator struct {
 
 	// Job routing, read-only after New: clusterShard and clusterLocal map
 	// a joint cluster index to its owning shard and to its index in that
-	// shard's engine, the cluster's position in the shard's ascending
+	// shard's engine, the cluster's position in its region's ascending
 	// cluster list.
 	clusterShard []int
 	clusterLocal []int
@@ -119,17 +126,20 @@ type Coordinator struct {
 	broker bool
 	room   float64
 
-	// Cached merged snapshot, refreshed periodically (Run) or on demand.
-	mu   sync.Mutex
-	snap *sim.Snapshot // guarded_by: mu
+	// newest is the newest snapshot, by Steps, that any read merged: what
+	// a read answers, marked degraded, when its own pull fails.
+	mu     sync.Mutex
+	newest *sim.Snapshot // guarded_by: mu
 
 	requests server.Requests // locks itself
 }
 
-// New builds a coordinator for the joint world and discovers each shard's
-// cluster/state ownership from its /v1/world. The shards must partition
-// the world exactly: disjoint cluster and state sets whose union is the
-// whole fleet, same policy, same step.
+// New builds a coordinator for the joint world. Its shards are the
+// regions of the world's routing partition (sim.PartitionByRouting), so
+// the policy must be shardable and ShardURLs[i] must serve region i:
+// New checks that each shard's /v1/world lists exactly that region's
+// clusters and states in fleet order, and runs the joint world's policy
+// and step.
 func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if len(cfg.ShardURLs) == 0 {
 		return nil, errors.New("coord: no shard URLs")
@@ -138,24 +148,43 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: joint world: %w", err)
 	}
-	// Fail fast on a shard-count/partition mismatch: the routing partition
-	// is a pure function of the joint world, so a wrong URL count can be
-	// rejected before any shard is contacted.
-	if sharder, ok := cfg.Scenario.Policy.(routing.Sharder); ok {
-		if p, err := sim.PartitionByRouting(sharder, cfg.Scenario.Fleet); err == nil && p.Shards() != len(cfg.ShardURLs) {
-			return nil, fmt.Errorf("coord: %d shard URLs for a world that splits into %d market regions at this policy's reach",
-				len(cfg.ShardURLs), p.Shards())
-		}
+	sharder, ok := cfg.Scenario.Policy.(routing.Sharder)
+	if !ok {
+		return nil, fmt.Errorf("coord: policy %s does not split into market regions", cfg.Scenario.Policy.Name())
+	}
+	// The partition is a pure function of the joint world, so a wrong URL
+	// count is refused before any shard is contacted.
+	p, err := sim.PartitionByRouting(sharder, cfg.Scenario.Fleet)
+	if err != nil {
+		return nil, fmt.Errorf("coord: joint world: %w", err)
+	}
+	if p.Shards() != len(cfg.ShardURLs) {
+		return nil, fmt.Errorf("coord: %d shard URLs for a world that splits into %d market regions at this policy's reach",
+			len(cfg.ShardURLs), p.Shards())
 	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Minute}
 	}
+	nc := len(cfg.Scenario.Fleet.Clusters)
 	co := &Coordinator{
-		sc:        cfg.Scenario,
-		fleet:     cfg.Scenario.Fleet,
-		worldHash: hash,
-		client:    client,
+		sc:           cfg.Scenario,
+		fleet:        cfg.Scenario.Fleet,
+		worldHash:    hash,
+		client:       client,
+		shards:       make([]shardInfo, p.Shards()),
+		clusterShard: make([]int, nc),
+		clusterLocal: make([]int, nc),
+		hubShards:    make(map[string][]int),
+	}
+	for i, url := range cfg.ShardURLs {
+		co.shards[i] = shardInfo{url: url, states: p.States[i]}
+		for local, c := range p.Clusters[i] {
+			co.clusterShard[c], co.clusterLocal[c] = i, local
+			if hub := co.fleet.Clusters[c].HubID; !slices.Contains(co.hubShards[hub], i) {
+				co.hubShards[hub] = append(co.hubShards[hub], i)
+			}
+		}
 	}
 	if cfg.Scenario.BurstGate != nil {
 		room, err := sim.BurstRoomTotal(cfg.Scenario.Fleet, cfg.Scenario.SoftCaps)
@@ -165,13 +194,15 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		co.broker = true
 		co.room = room
 	}
-	if err := co.discover(ctx, cfg.ShardURLs); err != nil {
-		return nil, err
+	for i := range co.shards {
+		if err := co.checkShard(ctx, i, p.Clusters[i], p.States[i]); err != nil {
+			return nil, err
+		}
 	}
 	return co, nil
 }
 
-// shardWorld is the slice of a shard's /v1/world the coordinator needs.
+// shardWorld is the slice of a shard's /v1/world the coordinator checks.
 type shardWorld struct {
 	Policy      string  `json:"policy"`
 	StepSeconds float64 `json:"step_seconds"`
@@ -182,84 +213,44 @@ type shardWorld struct {
 	States []string `json:"states"`
 }
 
-func (co *Coordinator) discover(ctx context.Context, urls []string) error {
-	stateIdx := make(map[string]int, len(co.fleet.States))
-	for s, st := range co.fleet.States {
-		stateIdx[st.Code] = s
+// checkShard refuses shard i unless its /v1/world runs the joint world's
+// policy and step, takes gate bits when the joint world brokers them, and
+// serves exactly region i: its clusters and states, in fleet order.
+func (co *Coordinator) checkShard(ctx context.Context, i int, clusters, states []int) error {
+	url := co.shards[i].url
+	var world shardWorld
+	if err := co.call(ctx, http.MethodGet, url, "/v1/world", "", nil, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(&world)
+	}); err != nil {
+		return fmt.Errorf("coord: shard check: %w", err)
 	}
-	clusterOwner := make([]int, len(co.fleet.Clusters))
-	co.clusterLocal = make([]int, len(co.fleet.Clusters))
-	stateOwner := make([]int, len(co.fleet.States))
-	for i := range clusterOwner {
-		clusterOwner[i] = -1
+	if world.Policy != co.sc.Policy.Name() {
+		return fmt.Errorf("coord: shard %s runs policy %q, joint world runs %q", url, world.Policy, co.sc.Policy.Name())
 	}
-	for i := range stateOwner {
-		stateOwner[i] = -1
+	if got := time.Duration(world.StepSeconds * float64(time.Second)); got != co.sc.Step {
+		return fmt.Errorf("coord: shard %s steps %v, joint world steps %v", url, got, co.sc.Step)
 	}
-
-	co.shards = make([]shardInfo, len(urls))
-	for i, url := range urls {
-		var world shardWorld
-		if err := co.call(ctx, http.MethodGet, url, "/v1/world", "", nil, func(r io.Reader) error {
-			return json.NewDecoder(r).Decode(&world)
-		}); err != nil {
-			return fmt.Errorf("coord: discovery: %w", err)
-		}
-		if world.Policy != co.sc.Policy.Name() {
-			return fmt.Errorf("coord: shard %s runs policy %q, joint world runs %q", url, world.Policy, co.sc.Policy.Name())
-		}
-		if got := time.Duration(world.StepSeconds * float64(time.Second)); got != co.sc.Step {
-			return fmt.Errorf("coord: shard %s steps %v, joint world steps %v", url, got, co.sc.Step)
-		}
-		if co.broker && !world.LeaseBroker {
-			return fmt.Errorf("coord: the joint world runs a coordinated burst gate but shard %s takes no burst gate bits (start it with matching -burst-hubs and -shard-count flags)", url)
-		}
-		info := shardInfo{url: url}
-		for local, cl := range world.Clusters {
-			c, err := co.fleet.Index(cl.Code)
-			if err != nil {
-				return fmt.Errorf("coord: shard %s serves unknown cluster %q", url, cl.Code)
-			}
-			if prev := clusterOwner[c]; prev != -1 {
-				return fmt.Errorf("coord: cluster %q claimed by shards %s and %s", cl.Code, urls[prev], url)
-			}
-			clusterOwner[c] = i
-			co.clusterLocal[c] = local
-		}
-		for _, code := range world.States {
-			s, ok := stateIdx[code]
-			if !ok {
-				return fmt.Errorf("coord: shard %s serves unknown state %q", url, code)
-			}
-			if prev := stateOwner[s]; prev != -1 {
-				return fmt.Errorf("coord: state %q claimed by shards %s and %s", code, urls[prev], url)
-			}
-			stateOwner[s] = i
-			info.states = append(info.states, s)
-		}
-		co.shards[i] = info
+	if co.broker && !world.LeaseBroker {
+		return fmt.Errorf("coord: the joint world runs a coordinated burst gate but shard %s takes no burst gate bits (start it with matching -burst-hubs and -shard-count flags)", url)
 	}
-	for c, owner := range clusterOwner {
-		if owner == -1 {
-			return fmt.Errorf("coord: no shard serves cluster %q", co.fleet.Clusters[c].Code)
-		}
+	var got, want, wantStates []string
+	for _, cl := range world.Clusters {
+		got = append(got, cl.Code)
 	}
-	for s, owner := range stateOwner {
-		if owner == -1 {
-			return fmt.Errorf("coord: no shard serves state %q", co.fleet.States[s].Code)
-		}
+	for _, c := range clusters {
+		want = append(want, co.fleet.Clusters[c].Code)
 	}
-	co.clusterShard = clusterOwner
-	co.hubShards = make(map[string][]int)
-	for c, cl := range co.fleet.Clusters {
-		if sh := clusterOwner[c]; !slices.Contains(co.hubShards[cl.HubID], sh) {
-			co.hubShards[cl.HubID] = append(co.hubShards[cl.HubID], sh)
-		}
+	for _, s := range states {
+		wantStates = append(wantStates, co.fleet.States[s].Code)
+	}
+	if !slices.Equal(got, want) || !slices.Equal(world.States, wantStates) {
+		return fmt.Errorf("coord: shard %s serves clusters %v and %d states, not region %d of the joint world (clusters %v and %d states): list -shards in -shard-index order",
+			url, got, len(world.States), i, want, len(states))
 	}
 	return nil
 }
 
-// Shards returns the discovered shard URLs in configuration order.
+// Shards returns the shard URLs, shard i serving region i.
 func (co *Coordinator) Shards() []string {
 	urls := make([]string, len(co.shards))
 	for i, sh := range co.shards {
@@ -280,30 +271,6 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", count("metrics", co.handleMetrics))
 	mux.HandleFunc("GET /healthz", count("healthz", server.Healthz))
 	return mux
-}
-
-// Run refreshes the merged snapshot every `every` until ctx is cancelled,
-// reporting pull/merge failures to errw. With every <= 0 it returns
-// immediately (status is then refreshed only on demand).
-func (co *Coordinator) Run(ctx context.Context, every time.Duration, errw io.Writer) {
-	if every <= 0 {
-		return
-	}
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			// A cursor mismatch here just means the fleet is mid-ingest;
-			// the next tick will land on a settled instant. Only real
-			// failures are worth the operator's attention.
-			if _, err := co.refresh(ctx); err != nil && !errors.Is(err, sim.ErrShardCursorMismatch) {
-				fmt.Fprintln(errw, "coord: refresh:", err)
-			}
-		}
-	}
 }
 
 // call sends one request to a shard (a nil body sends none) and hands a
@@ -368,28 +335,29 @@ func (co *Coordinator) fanOut(ctx context.Context, path, contentType string, bod
 	})
 }
 
-// handlePrices forwards a JSON price post verbatim to every shard — each
-// shard overlays the hubs it hosts and ignores the rest — and splits a
-// binary batch by hub (handlePricesBatch). A JSON body gets the shards'
-// own bound (server.MaxJSONBody) and must, as there, be exactly one JSON
-// value, so one they would refuse is answered 413 or 400 here before any
-// shard sees it.
+// handlePrices forwards a JSON price post to every shard — each shard
+// overlays the hubs it hosts and ignores the rest — and splits a binary
+// batch by hub (handlePricesBatch). A JSON post is admitted by the
+// shards' own decode-and-check (server.DecodePricePost), so one they
+// would refuse is answered 413 or 400 here with their message before any
+// shard sees it, and the decoded post is what every shard receives.
 func (co *Coordinator) handlePrices(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Content-Type") == server.ContentTypePricesBatch {
 		co.handlePricesBatch(w, r)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(server.MaxJSONBody)))
+	post, code, err := server.DecodePricePost(w, r)
 	if err != nil {
-		server.WriteBodyError(w, "reading price post", err)
+		server.WriteError(w, code, "%v", err)
 		return
 	}
-	if !json.Valid(body) {
-		server.WriteError(w, http.StatusBadRequest, "decoding price post: body is not exactly one JSON value")
+	body, err := json.Marshal(post)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	bodies := slices.Repeat([][]byte{body}, len(co.shards))
-	if err := co.fanOut(r.Context(), "/v1/prices", r.Header.Get("Content-Type"), bodies); err != nil {
+	if err := co.fanOut(r.Context(), "/v1/prices", "application/json", bodies); err != nil {
 		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
@@ -689,60 +657,42 @@ func (co *Coordinator) pullMergeSettled(ctx context.Context) (*sim.Checkpoint, e
 	return nil, err
 }
 
-// refresh pulls, merges, restores into a joint engine, and caches the
-// fleet-wide snapshot.
-func (co *Coordinator) refresh(ctx context.Context) (*sim.Snapshot, error) {
-	merged, err := co.pullMergeSettled(ctx)
-	if err != nil {
-		return nil, err
+// read pulls, merges and restores the fleet-wide snapshot a status or
+// metrics read renders, keeping it when it is the newest any read has
+// merged. When the pull fails (a shard down mid-replay, say) the read
+// answers that newest snapshot, marked with an X-Coord-Degraded header
+// naming the failure; while no read has merged, it answers 502 and
+// returns nil.
+func (co *Coordinator) read(w http.ResponseWriter, r *http.Request) *sim.Snapshot {
+	var snap *sim.Snapshot
+	merged, err := co.pullMergeSettled(r.Context())
+	if err == nil {
+		var eng *sim.Engine
+		if eng, err = sim.Restore(co.sc, merged); err == nil {
+			snap = eng.Snapshot()
+		}
 	}
-	eng, err := sim.Restore(co.sc, merged)
-	if err != nil {
-		return nil, err
+	co.mu.Lock()
+	if snap != nil && (co.newest == nil || snap.Steps >= co.newest.Steps) {
+		co.newest = snap
 	}
-	snap := eng.Snapshot()
-	co.mu.Lock()
-	co.snap = snap
+	newest := co.newest
 	co.mu.Unlock()
-	return snap, nil
-}
-
-// cachedSnapshot returns the last merged snapshot, refreshing first when
-// none exists yet or the caller forces it.
-func (co *Coordinator) cachedSnapshot(ctx context.Context, force bool) (*sim.Snapshot, error) {
-	co.mu.Lock()
-	snap := co.snap
-	co.mu.Unlock()
-	if snap != nil && !force {
-		return snap, nil
-	}
-	return co.refresh(ctx)
-}
-
-// degradedSnapshot falls back to the last merged snapshot when a fresh
-// pull fails (a shard down mid-replay, say): reads stay up, marked with
-// an X-Coord-Degraded header naming the failure. Only when no merge ever
-// succeeded is there nothing to serve.
-func (co *Coordinator) degradedSnapshot(w http.ResponseWriter, err error) *sim.Snapshot {
-	co.mu.Lock()
-	snap := co.snap
-	co.mu.Unlock()
-	if snap == nil {
+	switch {
+	case snap != nil:
+		return snap
+	case newest == nil:
 		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return nil
 	}
 	w.Header().Set("X-Coord-Degraded", err.Error())
-	return snap
+	return newest
 }
 
 func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	snap, err := co.cachedSnapshot(r.Context(), r.URL.Query().Get("refresh") == "1")
-	if err != nil {
-		if snap = co.degradedSnapshot(w, err); snap == nil {
-			return
-		}
+	if snap := co.read(w, r); snap != nil {
+		server.WriteJSON(w, server.StatusPayload(co.fleet, snap, 0))
 	}
-	server.WriteJSON(w, server.StatusPayload(co.fleet, snap, 0))
 }
 
 func (co *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -791,12 +741,8 @@ func (co *Coordinator) handleWorld(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap, err := co.cachedSnapshot(r.Context(), false)
-	if err != nil {
-		if snap = co.degradedSnapshot(w, err); snap == nil {
-			return
-		}
+	if snap := co.read(w, r); snap != nil {
+		w.Header().Set("Content-Type", server.MetricsContentType)
+		_, _ = w.Write([]byte(server.MetricsText(co.fleet, snap, 0, co.requests.Counts())))
 	}
-	w.Header().Set("Content-Type", server.MetricsContentType)
-	_, _ = w.Write([]byte(server.MetricsText(co.fleet, snap, 0, co.requests.Counts())))
 }

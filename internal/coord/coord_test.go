@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -394,9 +395,27 @@ func TestCoordinatorRejectsShardCountMismatch(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDegradedReads: a shard dying mid-replay turns fan-outs
-// into tagged ErrShardUnreachable failures, while status reads fall back
-// to the last merged snapshot and say so via X-Coord-Degraded.
+// TestCoordinatorNeedsShardablePolicy: a policy with no routing
+// candidates has no market regions for shards to serve, so New refuses it
+// before any shard is contacted (the URL is dead on purpose).
+func TestCoordinatorNeedsShardablePolicy(t *testing.T) {
+	_, sc := testWorld(t)
+	allToOne, err := routing.NewAllToOne(sc.Fleet, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Policy = allToOne
+	_, err = New(context.Background(), Config{Scenario: sc, ShardURLs: []string{"http://127.0.0.1:1"}})
+	if err == nil || !strings.Contains(err.Error(), "market regions") {
+		t.Fatalf("unshardable policy: got %v, want an error saying it has no market regions", err)
+	}
+}
+
+// TestCoordinatorDegradedReads: a shard dying mid-replay turns pulls and
+// fan-outs into tagged ErrShardUnreachable failures, while every status
+// and metrics read, forced or not, falls back to the newest merged
+// snapshot and says so via X-Coord-Degraded. A coordinator on which no
+// read has merged has nothing to fall back on and answers 502.
 func TestCoordinatorDegradedReads(t *testing.T) {
 	sys, sc := testWorld(t)
 	p, err := sim.PartitionByRouting(sc.Policy.(routing.Sharder), sc.Fleet)
@@ -423,19 +442,21 @@ func TestCoordinatorDegradedReads(t *testing.T) {
 		urls[i] = servers[i].URL
 	}
 	co, coordTS := newCoordinator(t, sc, urls)
+	_, unread := newCoordinator(t, sc, urls)
 
 	const hours = 24
 	feedWorld(t, sys, sc, coordTS.URL, hours)
-	get(t, coordTS.URL+"/v1/status?refresh=1", http.StatusOK) // cache a merged snapshot
+	get(t, coordTS.URL+"/v1/status?refresh=1", http.StatusOK) // one read merges a snapshot
 
 	servers[0].Close() // shard 0 dies mid-replay
 
-	// Ingest fan-out reports the unreachable shard as such.
-	if _, err := co.refresh(context.Background()); !errors.Is(err, ErrShardUnreachable) {
-		t.Fatalf("refresh with a dead shard: got %v, want ErrShardUnreachable", err)
+	// A pull reports the unreachable shard as such.
+	if _, err := co.pullMergeSettled(context.Background()); !errors.Is(err, ErrShardUnreachable) {
+		t.Fatalf("pull with a dead shard: got %v, want ErrShardUnreachable", err)
 	}
 
-	// A forced refresh degrades to the cached snapshot instead of failing.
+	// A forced read degrades to the newest merged snapshot instead of
+	// failing.
 	resp, err := http.Get(coordTS.URL + "/v1/status?refresh=1")
 	if err != nil {
 		t.Fatal(err)
@@ -458,15 +479,24 @@ func TestCoordinatorDegradedReads(t *testing.T) {
 		t.Fatalf("degraded status serves step %d, want the last merged %d", status.Steps, hours)
 	}
 
-	// The cached (unforced) read stays clean — no degradation marker.
-	resp, err = http.Get(coordTS.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
+	// An unforced read pulls too, and degrades the same way.
+	for _, path := range []string{"/v1/status", "/metrics"} {
+		resp, err = http.Get(coordTS.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if h := resp.Header.Get("X-Coord-Degraded"); resp.StatusCode != http.StatusOK || !strings.Contains(h, "unreachable") {
+			t.Fatalf("unforced %s: code %d, degraded %q", path, resp.StatusCode, h)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Coord-Degraded") != "" {
-		t.Fatalf("cached status: code %d, degraded %q", resp.StatusCode, resp.Header.Get("X-Coord-Degraded"))
+
+	// No read merged on the second coordinator: nothing to serve.
+	for _, path := range []string{"/v1/status?refresh=1", "/v1/status", "/metrics"} {
+		if out := get(t, unread.URL+path, http.StatusBadGateway); !strings.Contains(string(out), "unreachable") {
+			t.Fatalf("%s with no merged snapshot: %s", path, out)
+		}
 	}
 
 	// Demand fan-out fails loudly, naming the shard.
@@ -651,7 +681,8 @@ func TestCoordinatorForwardsJobs(t *testing.T) {
 }
 
 // TestCoordinatorDiscoveryRejectsBadTopologies: shards that overlap, miss
-// clusters, or disagree on the policy must fail New loudly.
+// clusters or states, are listed out of region order, or disagree on the
+// policy must fail New loudly.
 func TestCoordinatorDiscoveryRejectsBadTopologies(t *testing.T) {
 	_, sc := testWorld(t)
 	urls := newShards(t, sc)
@@ -665,6 +696,26 @@ func TestCoordinatorDiscoveryRejectsBadTopologies(t *testing.T) {
 	}
 	if _, err := New(ctx, Config{Scenario: sc, ShardURLs: []string{urls[0], urls[0]}}); err == nil {
 		t.Error("duplicated shard accepted")
+	}
+	// Shard i must serve region i: -shards lists them in -shard-index
+	// order.
+	if _, err := New(ctx, Config{Scenario: sc, ShardURLs: []string{urls[1], urls[0]}}); err == nil || !strings.Contains(err.Error(), "region 0") {
+		t.Errorf("swapped shards: got %v, want an error naming region 0", err)
+	}
+
+	// A shard serving its region's clusters but not all of its states.
+	var world map[string]any
+	if err := json.Unmarshal(get(t, urls[0]+"/v1/world", http.StatusOK), &world); err != nil {
+		t.Fatal(err)
+	}
+	states := world["states"].([]any)
+	world["states"] = states[:len(states)-1]
+	lacking := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, world)
+	}))
+	defer lacking.Close()
+	if _, err := New(ctx, Config{Scenario: sc, ShardURLs: []string{lacking.URL, urls[1]}}); err == nil || !strings.Contains(err.Error(), "region 0") {
+		t.Errorf("shard missing a state of its region: got %v, want an error naming region 0", err)
 	}
 
 	// A shard serving the whole world overlaps any real shard.
@@ -1394,5 +1445,348 @@ func TestJSONBodiesHoldOneValue(t *testing.T) {
 	}
 	if n := ingest() - ingested; n != 0 || tr.total() != sent {
 		t.Fatalf("refused bodies sent %d ingest requests (%d requests in all) to the shards", n, tr.total()-sent)
+	}
+}
+
+// TestCoordinatorEveryReadPulls: demand posted after the last forced read
+// shows in the next unforced GET /v1/status and GET /metrics. Every read
+// pulls and merges the shards; none is served from an earlier merge.
+func TestCoordinatorEveryReadPulls(t *testing.T) {
+	sys, sc := testWorld(t)
+	_, coordTS := newCoordinator(t, sc, newShards(t, sc))
+	const hours = 6
+	feedWorld(t, sys, sc, coordTS.URL, hours)
+	get(t, coordTS.URL+"/v1/status?refresh=1", http.StatusOK)
+
+	at := sc.Start.Add(hours * sc.Step)
+	body, err := json.Marshal(server.DemandPost{At: at, Rates: sc.Demand.Rates(at, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBody(t, coordTS.URL+"/v1/demand", "application/json", body, http.StatusOK)
+
+	var status struct {
+		Steps int `json:"steps"`
+	}
+	if err := json.Unmarshal(get(t, coordTS.URL+"/v1/status", http.StatusOK), &status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Steps != hours+1 {
+		t.Fatalf("unforced status after a post reports step %d, want %d", status.Steps, hours+1)
+	}
+	metrics := string(get(t, coordTS.URL+"/metrics", http.StatusOK))
+	if want := fmt.Sprintf("\npowerrouted_steps_total %d\n", hours+1); !strings.Contains(metrics, want) {
+		t.Fatalf("unforced metrics after a post lack %q:\n%s", strings.TrimSpace(want), metrics)
+	}
+}
+
+// TestCoordinatorChecksJSONPrices: a JSON price post a shard would refuse
+// (no "at", no prices, an "at" past the feed's int64-nanosecond range, a
+// price past sim.MaxMagnitude) is answered by the coordinator with the
+// daemon's own 400 before any shard sees a /v1/prices request. A good
+// post reaches every shard as the post it decoded.
+func TestCoordinatorChecksJSONPrices(t *testing.T) {
+	sys, sc := testWorld(t)
+	urls := newShards(t, sc)
+	tr := newCountingTransport()
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+
+	hub := marketHubs(sys)[0]
+	start := sc.Start.Format(time.RFC3339)
+	for _, body := range []string{
+		fmt.Sprintf(`{"prices":{%q:30}}`, hub),
+		fmt.Sprintf(`{"at":%q,"prices":{}}`, start),
+		fmt.Sprintf(`{"at":"3000-01-01T00:00:00Z","prices":{%q:30}}`, hub),
+		fmt.Sprintf(`{"at":%q,"prices":{%q:1e308}}`, start, hub),
+	} {
+		want := postBody(t, urls[0]+"/v1/prices", "application/json", []byte(body), http.StatusBadRequest)
+		got := postBody(t, ts.URL+"/v1/prices", "application/json", []byte(body), http.StatusBadRequest)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: coordinator answered %s, a shard %s", body, got, want)
+		}
+	}
+	if n := tr.count("/v1/prices"); n != 0 {
+		t.Fatalf("refused price posts sent %d requests to shard /v1/prices", n)
+	}
+
+	prices := map[string]float64{}
+	for i, hub := range marketHubs(sys) {
+		prices[hub] = 30 + float64(i)
+	}
+	post := server.PricePost{At: sc.Start, Prices: prices}
+	body, err := json.Marshal(post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBody(t, ts.URL+"/v1/prices", "application/json", body, http.StatusOK)
+	for _, url := range urls {
+		var sent server.PricePost
+		if err := json.Unmarshal(tr.lastBody(t, url), &sent); err != nil {
+			t.Fatal(err)
+		}
+		if !sent.At.Equal(post.At) || !maps.Equal(sent.Prices, post.Prices) {
+			t.Fatalf("shard %s received %+v, want %+v", url, sent, post)
+		}
+	}
+}
+
+// TestConcurrentCoordinatorReads: demand batches post through the
+// coordinator while readers poll unforced /v1/status and /metrics. Every
+// answer is 200, no reader ever sees the step count fall, and the last
+// read equals an unsplit daemon's status byte for byte, bar
+// price_feed_entries. CI runs it ten times under the race detector.
+func TestConcurrentCoordinatorReads(t *testing.T) {
+	sys, sc := testWorld(t)
+	const hours, chunk, readers = 48, 4, 3
+
+	singleEng, err := sim.NewEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleSrv, err := server.New(server.Config{Engine: singleEng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(singleSrv.Handler())
+	defer single.Close()
+	feedWorld(t, sys, sc, single.URL, hours)
+
+	_, coordTS := newCoordinator(t, sc, newShards(t, sc))
+	feedPrices(t, sys, sc, coordTS.URL, hours)
+	get(t, coordTS.URL+"/v1/status", http.StatusOK)
+
+	// readSteps reads one fleet-wide step count, from the status body or
+	// the metrics text.
+	readSteps := func(path string) (int, error) {
+		resp, err := http.Get(coordTS.URL + path)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return 0, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return 0, fmt.Errorf("GET %s: %d %s", path, resp.StatusCode, body)
+		}
+		var status struct {
+			Steps *int `json:"steps"`
+		}
+		if path == "/v1/status" {
+			if err := json.Unmarshal(body, &status); err != nil || status.Steps == nil {
+				return 0, fmt.Errorf("GET %s: no steps in %s (%v)", path, body, err)
+			}
+			return *status.Steps, nil
+		}
+		var steps int
+		for line := range strings.Lines(string(body)) {
+			if n, err := fmt.Sscanf(line, "powerrouted_steps_total %d\n", &steps); n == 1 && err == nil {
+				return steps, nil
+			}
+		}
+		return 0, fmt.Errorf("GET %s: no steps counter in %s", path, body)
+	}
+
+	// Every reader has answered once before the first post, so the reads
+	// overlap the posts.
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg, started sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for i := r; ; i++ {
+				path := []string{"/v1/status", "/metrics"}[i%2]
+				steps, err := readSteps(path)
+				if err == nil && steps < last {
+					err = fmt.Errorf("reader %d: GET %s reports step %d after step %d", r, path, steps, last)
+				}
+				if i == r {
+					started.Done()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				last = steps
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	var demand []float64
+	for from := 0; from < hours; from += chunk {
+		var b bytes.Buffer
+		if err := server.WriteBatchHeader(&b, "demand", sc.Start.Add(time.Duration(from)*sc.Step), sc.Step, chunk, len(sc.Fleet.States), nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := from; i < from+chunk; i++ {
+			demand = sc.Demand.Rates(sc.Start.Add(time.Duration(i)*sc.Step), demand)
+			b.Write(server.AppendRow(nil, demand))
+		}
+		postBody(t, coordTS.URL+"/v1/demand", server.ContentTypeDemandBatch, b.Bytes(), http.StatusOK)
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	normalize := func(raw []byte) []byte {
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "price_feed_entries")
+		out, _ := json.Marshal(m)
+		return out
+	}
+	want := normalize(get(t, single.URL+"/v1/status", http.StatusOK))
+	got := normalize(get(t, coordTS.URL+"/v1/status", http.StatusOK))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("coordinator status after concurrent reads differs from the unsplit daemon:\ncoord  %s\nsingle %s", got, want)
+	}
+}
+
+// holdTransport answers every shard checkpoint pull with the checkpoint
+// the shard served when asked, but, while hold is set, hands it back only
+// once hold is closed, announcing each held pull on held.
+type holdTransport struct {
+	mu   sync.Mutex
+	hold chan struct{}
+	held chan struct{}
+}
+
+func (h *holdTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.URL.Path != "/v1/checkpoint" {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	h.mu.Lock()
+	hold, held := h.hold, h.held
+	h.mu.Unlock()
+	if hold != nil {
+		held <- struct{}{}
+		<-hold
+	}
+	return resp, nil
+}
+
+// TestCoordinatorKeepsNewestSnapshot: a read whose pull finishes last but
+// merged an older fleet does not replace the newest merged snapshot, so
+// a degraded read afterwards still serves the newest. Read A pulls the
+// shards at step 6 and is held; a post moves them to step 7, which read B
+// merges; A then completes; with a shard down, every read answers step 7.
+func TestCoordinatorKeepsNewestSnapshot(t *testing.T) {
+	sys, sc := testWorld(t)
+	p, err := sim.PartitionByRouting(sc.Policy.(routing.Sharder), sc.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := sc.Shard(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]*httptest.Server, len(subs))
+	urls := make([]string, len(subs))
+	for i, sub := range subs {
+		eng, err := sim.NewEngine(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = httptest.NewServer(srv.Handler())
+		t.Cleanup(servers[i].Close)
+		urls[i] = servers[i].URL
+	}
+	tr := &holdTransport{}
+	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+	const hours = 6
+	feedWorld(t, sys, sc, ts.URL, hours)
+	steps := func(raw []byte) int {
+		t.Helper()
+		var status struct {
+			Steps int `json:"steps"`
+		}
+		if err := json.Unmarshal(raw, &status); err != nil {
+			t.Fatal(err)
+		}
+		return status.Steps
+	}
+
+	hold := make(chan struct{})
+	tr.mu.Lock()
+	tr.hold, tr.held = hold, make(chan struct{}, len(urls))
+	held := tr.held
+	tr.mu.Unlock()
+	readA := make(chan []byte, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/status")
+		if err != nil {
+			readA <- nil
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		readA <- body
+	}()
+	for range urls {
+		<-held
+	}
+	tr.mu.Lock()
+	tr.hold = nil
+	tr.mu.Unlock()
+
+	at := sc.Start.Add(hours * sc.Step)
+	body, err := json.Marshal(server.DemandPost{At: at, Rates: sc.Demand.Rates(at, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBody(t, ts.URL+"/v1/demand", "application/json", body, http.StatusOK)
+	if got := steps(get(t, ts.URL+"/v1/status", http.StatusOK)); got != hours+1 {
+		t.Fatalf("read B merged step %d, want %d", got, hours+1)
+	}
+	close(hold)
+	a := <-readA
+	if a == nil {
+		t.Fatal("read A failed")
+	}
+	if got := steps(a); got != hours {
+		t.Fatalf("read A merged step %d, want %d", got, hours)
+	}
+
+	servers[0].Close()
+	for _, path := range []string{"/v1/status", "/v1/status?refresh=1"} {
+		if got := steps(get(t, ts.URL+path, http.StatusOK)); got != hours+1 {
+			t.Fatalf("degraded %s serves step %d, want the newest merged %d", path, got, hours+1)
+		}
 	}
 }

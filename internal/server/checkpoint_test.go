@@ -17,7 +17,7 @@ import (
 // routeIntervals posts a price vector and routes n JSON demand intervals.
 func routeIntervals(t *testing.T, ts *httptest.Server, sys *core.System, n int) {
 	t.Helper()
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	demand := flatDemand(len(sys.Fleet.States), 1500)
 	for i := 0; i < n; i++ {
 		postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: demand}, http.StatusOK)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"powerroute/internal/sched"
+	"powerroute/internal/sim"
 )
 
 // The daemon's price store lives in pricefeed.go: one flat history of
@@ -283,18 +284,22 @@ func (rr *RowReader) Next() error {
 }
 
 // DecodeRow decodes one batch row of little-endian float64s from b into
-// dst, rejecting NaN and ±Inf: one poisoned sample would corrupt meters,
-// p95 bills and every checkpoint downstream, and the JSON path cannot
-// express one. RowReader decodes every batch row through it; it is
-// exported for the benchmark, which times the decode on its own.
+// dst, rejecting NaN and ±Inf, which would corrupt meters, p95 bills and
+// every checkpoint downstream (the JSON path cannot express one), and any
+// value past ±sim.MaxMagnitude, whose sums could overflow the ledgers.
+// RowReader decodes every batch row through it; it is exported for the
+// benchmark, which times the decode on its own.
 func DecodeRow(b []byte, dst []float64) error {
 	if len(b) != 8*len(dst) {
 		return fmt.Errorf("server: batch row is %d bytes for %d columns", len(b), len(dst))
 	}
 	for i := range dst {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("server: batch row has non-finite value in column %d", i)
+		if !(math.Abs(v) <= sim.MaxMagnitude) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("server: batch row has non-finite value in column %d", i)
+			}
+			return fmt.Errorf("server: batch row has value %v in column %d, past the ±%v bound", v, i, sim.MaxMagnitude)
 		}
 		dst[i] = v
 	}

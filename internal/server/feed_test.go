@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"powerroute/internal/sim"
 )
 
 // TestBatchIngestRejectsNonFinite: a NaN or ±Inf price/demand row in a
@@ -261,10 +263,13 @@ func FuzzParseBatchHeader(f *testing.F) {
 }
 
 // FuzzDecodeRow: DecodeRow never panics; it refuses any length that is
-// not 8 bytes per column and any row holding a NaN or ±Inf, and every
-// finite row it accepts round-trips through AppendRow to the same bytes.
+// not 8 bytes per column and any row holding a NaN, ±Inf or a value past
+// ±sim.MaxMagnitude, and every row it accepts round-trips through
+// AppendRow to the same bytes.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add(AppendRow(nil, []float64{0, 1.5, -2, math.MaxFloat64, math.SmallestNonzeroFloat64}), uint8(5))
+	f.Add(AppendRow(nil, []float64{sim.MaxMagnitude, -sim.MaxMagnitude, math.SmallestNonzeroFloat64}), uint8(3))
+	f.Add(AppendRow(nil, []float64{1, math.Nextafter(-sim.MaxMagnitude, math.Inf(-1))}), uint8(2))
 	f.Add(AppendRow(nil, []float64{math.Copysign(0, -1)}), uint8(1))
 	f.Add(AppendRow(nil, []float64{1, math.NaN()}), uint8(2))
 	f.Add(AppendRow(nil, []float64{math.Inf(1)}), uint8(1))
@@ -283,7 +288,7 @@ func FuzzDecodeRow(f *testing.F) {
 			return
 		}
 		for i := 0; i < len(b); i += 8 {
-			if v := math.Float64frombits(binary.LittleEndian.Uint64(b[i:])); math.IsNaN(v) || math.IsInf(v, 0) {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(b[i:])); math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > sim.MaxMagnitude {
 				if err == nil {
 					t.Fatalf("accepted %v in column %d", v, i/8)
 				}
@@ -291,7 +296,7 @@ func FuzzDecodeRow(f *testing.F) {
 			}
 		}
 		if err != nil {
-			t.Fatalf("refused a finite row: %v", err)
+			t.Fatalf("refused a row within the bound: %v", err)
 		}
 		if got := AppendRow(nil, dst); !bytes.Equal(got, b) {
 			t.Fatalf("round trip: %x, want %x", got, b)

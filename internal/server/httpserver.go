@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,12 +46,19 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// WriteJSON answers 200 with v as indented JSON.
+// WriteJSON answers 200 with v as indented JSON. A v that does not
+// encode (a non-finite float, say) is answered 500 with a JSON error,
+// never a 200 with an empty or cut body.
 func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(b.Bytes())
 }
 
 // Healthz is the GET /healthz liveness probe.

@@ -91,7 +91,7 @@ func TestRefusedJSONRowQueuesNoJobs(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 500), Jobs: jobs}, http.StatusConflict)
 	checkArrived(t, ts.URL, 0, 0)
 
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	negative := flatDemand(ns, 500)
 	negative[3] = -1
 	for _, rates := range [][]float64{flatDemand(ns-1, 500), flatDemand(ns+1, 500), negative} {
@@ -146,7 +146,7 @@ func TestRefusedBatchRowQueuesNoJobs(t *testing.T) {
 	}
 	checkArrived(t, ts.URL, 0, 0)
 
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	bads := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
 	for i, v := range bads {
 		bad := flatDemand(ns, 500)
@@ -190,10 +190,10 @@ func TestJSONBodyBound(t *testing.T) {
 	ts, sys := leaseServer(t)
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	before := readIngestState(t, ts.URL)
 
-	prices := pricePost{At: start.Add(time.Hour), Prices: hubPrices(sys, 40)}
+	prices := PricePost{At: start.Add(time.Hour), Prices: hubPrices(sys, 40)}
 	closed := false
 	demand := DemandPost{At: start, Rates: flatDemand(ns, 500), Gate: &closed}
 	for _, c := range []struct {
@@ -252,7 +252,7 @@ func TestPriceInstantRange(t *testing.T) {
 	var out struct {
 		FeedEntries int `json:"feed_entries"`
 	}
-	if err := json.Unmarshal(postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: prices}, http.StatusOK), &out); err != nil {
+	if err := json.Unmarshal(postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: prices}, http.StatusOK), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.FeedEntries != 1 {
@@ -263,7 +263,7 @@ func TestPriceInstantRange(t *testing.T) {
 		time.Date(1677, 9, 21, 0, 0, 0, 0, time.UTC),
 		time.Date(2262, 4, 12, 0, 0, 0, 0, time.UTC),
 	} {
-		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: prices}, http.StatusBadRequest)
+		postJSON(t, ts.URL+"/v1/prices", PricePost{At: at, Prices: prices}, http.StatusBadRequest)
 	}
 	if got := feedEntries(srv); got != 1 {
 		t.Fatalf("refused out-of-range posts left %d feed entries, want 1", got)
@@ -325,7 +325,7 @@ func TestBatchStagingFollowsRows(t *testing.T) {
 	}
 
 	start := srv.eng.Start()
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	ns := len(sys.Fleet.States)
 	h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: maxBatchRows, Cols: ns, Jobs: true}
 	var b bytes.Buffer
@@ -479,6 +479,77 @@ func TestBatchHeaderLineBound(t *testing.T) {
 	}
 }
 
+// TestOverflowingInputsRefused: a value past ±sim.MaxMagnitude is refused
+// with 400 wherever the daemon admits one, and moves nothing: a rate of
+// 1e308 hits/s in every state (JSON and binary batch), two jobs of 1e308
+// kWh (JSON and a jobs=1 batch row), and a price of 1e308 $/MWh (JSON and
+// binary batch). Admitted, any of them would drive a ledger to +Inf,
+// which no status can encode. Values at the bound route.
+func TestOverflowingInputsRefused(t *testing.T) {
+	ts, sys := batchServer(t)
+	start := sys.Market.Start
+	ns := len(sys.Fleet.States)
+	hub := sys.Fleet.Clusters[0].HubID
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+
+	huge := flatDemand(ns, 1e308)
+	job := JobPost{Cluster: sys.Fleet.Clusters[0].Code, DeadlineSteps: 6, EnergyKWh: 1e308}
+	wire := WireJob{Cluster: 0, DeadlineSteps: 6, EnergyKWh: 1e308}
+	var jobsRow bytes.Buffer
+	h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: 1, Cols: ns, Jobs: true}
+	if err := h.Write(&jobsRow); err != nil {
+		t.Fatal(err)
+	}
+	jobsRow.Write(AppendJobs(nil, []WireJob{wire, wire}))
+	jobsRow.Write(AppendRow(nil, flatDemand(ns, 500)))
+	var priceRow bytes.Buffer
+	if err := WriteBatchHeader(&priceRow, "prices", start.Add(time.Hour), time.Hour, 1, 1, []string{hub}); err != nil {
+		t.Fatal(err)
+	}
+	priceRow.Write(AppendRow(nil, []float64{1e308}))
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	before := readIngestState(t, ts.URL)
+	for _, c := range []struct {
+		name, path, contentType string
+		body                    []byte
+	}{
+		{"JSON demand", "/v1/demand", "application/json", mustJSON(DemandPost{Rates: huge})},
+		{"batch demand", "/v1/demand", ContentTypeDemandBatch, demandBatch(start, time.Hour, [][]float64{huge}).Bytes()},
+		{"JSON jobs", "/v1/demand", "application/json", mustJSON(DemandPost{Rates: flatDemand(ns, 500), Jobs: []JobPost{job, job}})},
+		{"batch jobs", "/v1/demand", ContentTypeDemandBatch, jobsRow.Bytes()},
+		{"JSON price", "/v1/prices", "application/json", mustJSON(PricePost{At: start.Add(time.Hour), Prices: map[string]float64{hub: 1e308}})},
+		{"batch price", "/v1/prices", ContentTypePricesBatch, priceRow.Bytes()},
+	} {
+		resp, err := http.Post(ts.URL+c.path, c.contentType, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "bound") {
+			t.Errorf("%s: got %d %s, want 400 naming the bound", c.name, resp.StatusCode, out)
+		}
+	}
+	if after := readIngestState(t, ts.URL); after != before {
+		t.Fatalf("refused posts moved the daemon from %+v to %+v", before, after)
+	}
+
+	atBound := flatDemand(ns, 500)
+	atBound[0] = sim.MaxMagnitude
+	job.EnergyKWh = sim.MaxMagnitude
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: atBound, Jobs: []JobPost{job}}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start.Add(time.Hour), Prices: map[string]float64{hub: -sim.MaxMagnitude}}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: atBound}, http.StatusOK)
+	checkArrived(t, ts.URL, 2, sim.MaxMagnitude)
+}
+
 // serveState reads a daemon's ingest state in process.
 func serveState(t *testing.T, h http.Handler) ingestState {
 	t.Helper()
@@ -497,12 +568,13 @@ func serveState(t *testing.T, h http.Handler) ingestState {
 // 5xx or a panic, and a body that is not exactly one JSON value is 400.
 // A 4xx leaves the engine cursor, the price feed and the job ledger as
 // they were; a 200 advances the engine exactly one step and takes in
-// exactly the posted jobs' energy, served, shed or queued.
+// exactly the posted jobs' energy, served, shed or queued, and needs
+// every rate and job energy within sim.MaxMagnitude.
 func FuzzJSONDemandPost(f *testing.F) {
 	leaseTS, sys := leaseServer(f)
 	batchTS, _ := batchServer(f)
 	daemons := []http.Handler{leaseTS.Config.Handler, batchTS.Config.Handler}
-	prices, err := json.Marshal(pricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)})
+	prices, err := json.Marshal(PricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -517,6 +589,7 @@ func FuzzJSONDemandPost(f *testing.F) {
 	ns := len(sys.Fleet.States)
 	open, closed := true, false
 	job := JobPost{Cluster: sys.Fleet.Clusters[0].Code, DeadlineSteps: 6, EnergyKWh: 40, MinFraction: 0.5}
+	huge := JobPost{Cluster: job.Cluster, DeadlineSteps: 6, EnergyKWh: 1e308}
 	negative := flatDemand(ns, 500)
 	negative[3] = -1
 	for _, post := range []DemandPost{
@@ -528,6 +601,8 @@ func FuzzJSONDemandPost(f *testing.F) {
 		{Rates: flatDemand(ns-1, 500), Gate: &closed},
 		{Rates: negative, Jobs: []JobPost{job}},
 		{Rates: flatDemand(ns, 500), Jobs: []JobPost{{Cluster: "nowhere", DeadlineSteps: 1, EnergyKWh: 1}}},
+		{Rates: flatDemand(ns, 1e308), Gate: &closed},
+		{Rates: flatDemand(ns, 500), Jobs: []JobPost{huge, huge}},
 	} {
 		b, err := json.Marshal(post)
 		if err != nil {
@@ -535,7 +610,7 @@ func FuzzJSONDemandPost(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, s := range []string{`{"gate":2}`, `{"jobs":[{"energy_kwh":1e308}]}`, `null`, `{}`, `[`, ``} {
+	for _, s := range []string{`{"gate":2}`, `{"jobs":[{"energy_kwh":1e308}]}`, `{"rates":[1e308]}`, `null`, `{}`, `[`, ``} {
 		f.Add([]byte(s))
 	}
 	rates, err := json.Marshal(DemandPost{Rates: flatDemand(ns, 500), Gate: &closed})
@@ -551,8 +626,10 @@ func FuzzJSONDemandPost(f *testing.F) {
 		var post DemandPost
 		valid := json.Unmarshal(body, &post) == nil
 		var kwh float64
+		bounded := !slices.ContainsFunc(post.Rates, func(r float64) bool { return r > sim.MaxMagnitude })
 		for _, j := range post.Jobs {
 			kwh += j.EnergyKWh
+			bounded = bounded && j.EnergyKWh <= sim.MaxMagnitude
 		}
 		for d, h := range daemons {
 			before := serveState(t, h)
@@ -562,6 +639,8 @@ func FuzzJSONDemandPost(f *testing.F) {
 			switch {
 			case !valid && rec.Code != http.StatusBadRequest:
 				t.Fatalf("daemon %d: answered %d to a body that is not one JSON value: %s", d, rec.Code, rec.Body)
+			case rec.Code == http.StatusOK && !bounded:
+				t.Fatalf("daemon %d: 200 for a rate or job energy past %v: %s", d, sim.MaxMagnitude, rec.Body)
 			case rec.Code == http.StatusOK:
 				arrived := (after.ServedKWh + after.ShedKWh + after.QueuedKWh) - (before.ServedKWh + before.ShedKWh + before.QueuedKWh)
 				if after.Steps != before.Steps+1 || math.Abs(arrived-kwh) > 1e-9*max(1, math.Abs(kwh), after.ServedKWh+after.ShedKWh+after.QueuedKWh) {
@@ -595,8 +674,8 @@ func readFeed(srv *Server) feedCopy {
 // process, to a daemon. Every answer is 200 or 4xx, never 5xx or a
 // panic. A 4xx leaves the feed's instants and rows as they were, so its
 // entry count and every lookup are unchanged. A 200 needs an instant at
-// or past the newest entry, and on an empty feed a price for every
-// cluster; it appends one entry at the posted instant, or corrects the
+// or past the newest entry, every price within ±sim.MaxMagnitude, and on
+// an empty feed a price for every cluster; it appends one entry at the posted instant, or corrects the
 // newest entry when the post re-prices that instant. Either way the
 // posted hubs' clusters take the posted prices, every other cluster
 // carries the previous newest vector, and the reply counts the posted
@@ -611,17 +690,19 @@ func FuzzJSONPricePost(f *testing.F) {
 	}
 	start := sys.Market.Start
 	hub := sys.Fleet.Clusters[0].HubID
-	valid, err := json.Marshal(pricePost{At: start, Prices: hubPrices(sys, 30)})
+	valid, err := json.Marshal(PricePost{At: start, Prices: hubPrices(sys, 30)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, post := range []pricePost{
+	for _, post := range []PricePost{
 		{At: start, Prices: hubPrices(sys, 30)},
 		{At: start, Prices: map[string]float64{hub: 31}},
 		{At: start.Add(time.Hour), Prices: map[string]float64{hub: 40, "NOWHERE": 1}},
 		{At: start.Add(2 * time.Hour), Prices: map[string]float64{}},
 		{At: start.Add(-time.Hour), Prices: hubPrices(sys, 20)},
 		{At: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), Prices: hubPrices(sys, 30)},
+		{At: start.Add(4 * time.Hour), Prices: map[string]float64{hub: 1e308}},
+		{At: start.Add(4 * time.Hour), Prices: map[string]float64{hub: -sim.MaxMagnitude}},
 	} {
 		b, err := json.Marshal(post)
 		if err != nil {
@@ -653,9 +734,14 @@ func FuzzJSONPricePost(f *testing.F) {
 				t.Fatalf("%d changed the feed: %+v, was %+v: %s", rec.Code, after, before, rec.Body)
 			}
 		case rec.Code == http.StatusOK:
-			var post pricePost
+			var post PricePost
 			if err := json.Unmarshal(body, &post); err != nil {
 				t.Fatalf("200 for a body that is no price post: %v: %q", err, body)
+			}
+			for hub, price := range post.Prices {
+				if math.Abs(price) > sim.MaxMagnitude {
+					t.Fatalf("200 for hub %s priced at %v, past ±%v", hub, price, sim.MaxMagnitude)
+				}
 			}
 			n, at := len(before.at), post.At.UnixNano()
 			if n > 0 && at < before.at[n-1] {
@@ -752,7 +838,7 @@ func FuzzDemandBatchPost(f *testing.F) {
 	batchTS, _ := batchServer(f)
 	daemons := []http.Handler{leaseTS.Config.Handler, batchTS.Config.Handler}
 	start := sys.Market.Start
-	prices, err := json.Marshal(pricePost{At: start, Prices: hubPrices(sys, 30)})
+	prices, err := json.Marshal(PricePost{At: start, Prices: hubPrices(sys, 30)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -766,6 +852,7 @@ func FuzzDemandBatchPost(f *testing.F) {
 
 	ns := len(sys.Fleet.States)
 	job := WireJob{Cluster: 0, DeadlineSteps: 6, EnergyKWh: 40, MinFraction: 0.5}
+	huge := WireJob{Cluster: 0, DeadlineSteps: 6, EnergyKWh: 1e308}
 	batch := func(rows int, gates, jobs bool, edit func(b []byte) []byte) []byte {
 		h := BatchHeader{Kind: "demand", Start: start, Step: time.Hour, Rows: rows, Cols: ns, Jobs: jobs, Gates: gates}
 		var b bytes.Buffer
@@ -800,6 +887,12 @@ func FuzzDemandBatchPost(f *testing.F) {
 		batch(2, false, false, func(b []byte) []byte { return AppendRow(b[:len(b)-8], []float64{math.NaN()}) }),
 		// A header claiming more rows than the body holds.
 		batch(5, false, false, same),
+		// Row 1 overflowing the ledgers: 1e308 hits/s in every state, or
+		// two jobs of 1e308 kWh.
+		batch(2, false, false, func(b []byte) []byte { return AppendRow(b[:len(b)-rowBytes], flatDemand(ns, 1e308)) }),
+		batch(2, false, true, func(b []byte) []byte {
+			return AppendRow(AppendJobs(b[:len(b)-rowBytes-4-wireJobBytes], []WireJob{huge, huge}), flatDemand(ns, 600))
+		}),
 	} {
 		f.Add(seed)
 	}

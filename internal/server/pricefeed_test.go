@@ -22,7 +22,7 @@ func oneHubFeed() *priceFeed {
 
 func mustIngest(t *testing.T, f *priceFeed, at time.Time, price float64) {
 	t.Helper()
-	if _, _, _, err := f.commit(pricePost{At: at, Prices: map[string]float64{"H": price}}.batch()); err != nil {
+	if _, _, _, err := f.commit(PricePost{At: at, Prices: map[string]float64{"H": price}}.batch()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,7 +60,7 @@ func TestPriceFeedChronology(t *testing.T) {
 	f := oneHubFeed()
 	t0 := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 	mustIngest(t, f, t0.Add(time.Hour), 10)
-	_, _, code, err := f.commit(pricePost{At: t0, Prices: map[string]float64{"H": 5}}.batch())
+	_, _, code, err := f.commit(PricePost{At: t0, Prices: map[string]float64{"H": 5}}.batch())
 	if err == nil || !strings.Contains(err.Error(), "precedes newest feed entry") {
 		t.Fatalf("stale post: got %v", err)
 	}
@@ -126,7 +126,7 @@ func sameVec(a, b []float64) bool {
 // (with gaps between them, and some starting at the newest instant),
 // prunes, resets, and lookups before the feed, at entries, between
 // entries and past the feed. JSON posts commit as the daemon commits
-// them, as one-row batches (pricePost.batch). Every lookup must match the
+// them, as one-row batches (PricePost.batch). Every lookup must match the
 // model bit for bit, and every accept or refuse decision, its status
 // code, the ignored-hub count and the entry count must match.
 func FuzzPriceFeed(f *testing.F) {
@@ -226,7 +226,7 @@ func FuzzPriceFeed(f *testing.F) {
 				case at.Before(newest()) && len(model) > 0:
 					wantCode = http.StatusConflict
 				}
-				ignored, entries, code, err := feed.commit(pricePost{At: at, Prices: prices}.batch())
+				ignored, entries, code, err := feed.commit(PricePost{At: at, Prices: prices}.batch())
 				if code != wantCode || (err != nil) != (wantCode != 0) {
 					t.Fatalf("op %d: JSON post at %v: code %d err %v, want code %d", op, at, code, err, wantCode)
 				}

@@ -45,7 +45,7 @@ func concurrentPricesDemandStatus(t *testing.T, url string, sys *core.System, ga
 	const steps = 40
 
 	// Seed a covering vector so routing can start immediately.
-	postJSON(t, url+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, url+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -65,7 +65,7 @@ func concurrentPricesDemandStatus(t *testing.T, url string, sys *core.System, ga
 		defer wg.Done()
 		for i := 1; !stopped(); i++ {
 			at := start.Add(time.Duration(i) * time.Minute)
-			body, err := json.Marshal(pricePost{At: at, Prices: hubPrices(sys, 30+float64(i%17))})
+			body, err := json.Marshal(PricePost{At: at, Prices: hubPrices(sys, 30+float64(i%17))})
 			if err != nil {
 				t.Error(err)
 				return
@@ -246,7 +246,7 @@ func stalledDemandBody(t *testing.T, daemon http.Handler, sys *core.System, gate
 		daemon.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	prices := pricePost{At: start, Prices: hubPrices(sys, 30)}
+	prices := PricePost{At: start, Prices: hubPrices(sys, 30)}
 	postJSON(t, ts.URL+"/v1/prices", prices, http.StatusOK)
 
 	// The body is a pipe: its header and row 0 go out, then it stalls

@@ -39,8 +39,9 @@
 // gates=1 batch or as a JSON post's "gate", and latches it just before
 // the row routes; any other daemon refuses gate bits. The shard
 // coordinator (internal/coord) reads batch rows through the same
-// RowReader and serves through the same error, JSON, request-count and
-// health helpers (httpserver.go).
+// RowReader, admits JSON price posts through the same DecodePricePost,
+// and serves through the same error, JSON, request-count and health
+// helpers (httpserver.go).
 package server
 
 import (
@@ -48,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
@@ -159,18 +161,46 @@ func (s *Server) batchError(w http.ResponseWriter, code, routed int, format stri
 
 // --- price ingestion -------------------------------------------------------
 
-// pricePost is the JSON body of POST /v1/prices: the hub prices taking
+// PricePost is the JSON body of POST /v1/prices: the hub prices taking
 // effect at an instant. Hubs that host no cluster are ignored; every
 // cluster must be covered once the overlay on the previous vector is
 // applied.
-type pricePost struct {
+type PricePost struct {
 	At     time.Time          `json:"at"`
 	Prices map[string]float64 `json:"prices"`
 }
 
+// DecodePricePost reads a JSON price post and runs every check that
+// needs no feed: one JSON value within MaxJSONBody, an "at" the feed can
+// key, at least one price, and every price within ±sim.MaxMagnitude. On
+// failure it returns the status to answer with the error. Both daemons
+// admit a JSON price post through it, so the coordinator refuses what
+// its shards would before it posts to any of them.
+func DecodePricePost(w http.ResponseWriter, r *http.Request) (PricePost, int, error) {
+	var post PricePost
+	if code, err := DecodeJSONBody(w, r, &post); err != nil {
+		return post, code, fmt.Errorf("decoding price post: %w", err)
+	}
+	switch {
+	case post.At.IsZero():
+		return post, http.StatusBadRequest, errors.New(`price post missing "at"`)
+	case post.At.Before(minFeedInstant) || post.At.After(maxFeedInstant):
+		return post, http.StatusBadRequest, fmt.Errorf(`price post "at" %v is outside %v to %v`,
+			post.At.UTC(), minFeedInstant, maxFeedInstant)
+	case len(post.Prices) == 0:
+		return post, http.StatusBadRequest, errors.New(`price post missing "prices"`)
+	}
+	for _, hub := range slices.Sorted(maps.Keys(post.Prices)) {
+		if p := post.Prices[hub]; !(math.Abs(p) <= sim.MaxMagnitude) {
+			return post, http.StatusBadRequest, fmt.Errorf("price post prices hub %s at %v $/MWh, past the ±%v bound", hub, p, sim.MaxMagnitude)
+		}
+	}
+	return post, 0, nil
+}
+
 // batch returns the post as the one-row prices batch it commits as, its
 // hubs in sorted order. One row needs no step.
-func (p pricePost) batch() (*BatchHeader, []float64) {
+func (p PricePost) batch() (*BatchHeader, []float64) {
 	hubs := slices.Sorted(maps.Keys(p.Prices))
 	flat := make([]float64, len(hubs))
 	for j, hub := range hubs {
@@ -186,22 +216,9 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		s.handlePricesBatch(w, r)
 		return
 	}
-	var post pricePost
-	if code, err := DecodeJSONBody(w, r, &post); err != nil {
-		WriteError(w, code, "decoding price post: %v", err)
-		return
-	}
-	if post.At.IsZero() {
-		WriteError(w, http.StatusBadRequest, "price post missing \"at\"")
-		return
-	}
-	if post.At.Before(minFeedInstant) || post.At.After(maxFeedInstant) {
-		WriteError(w, http.StatusBadRequest, "price post \"at\" %v is outside %v to %v",
-			post.At.UTC(), minFeedInstant, maxFeedInstant)
-		return
-	}
-	if len(post.Prices) == 0 {
-		WriteError(w, http.StatusBadRequest, "price post missing \"prices\"")
+	post, code, err := DecodePricePost(w, r)
+	if err != nil {
+		WriteError(w, code, "%v", err)
 		return
 	}
 	h, flat := post.batch()

@@ -174,8 +174,8 @@ func TestGoldenResponses(t *testing.T) {
 	_, ts, sys := testServer(t)
 	start := sys.Market.Start
 
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start.Add(time.Hour), Prices: hubPrices(sys, 60)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start.Add(time.Hour), Prices: hubPrices(sys, 60)}, http.StatusOK)
 
 	demand := flatDemand(len(sys.Fleet.States), 2000)
 	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: demand}, http.StatusOK)
@@ -226,7 +226,7 @@ func TestStoragePolicyReported(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	_, ts, sys := testServer(t)
 	start := sys.Market.Start
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 40)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 40)}, http.StatusOK)
 	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(len(sys.Fleet.States), 1000)}, http.StatusOK)
 
 	body := string(get(t, ts.URL+"/metrics", http.StatusOK))
@@ -254,15 +254,15 @@ func TestIngestErrors(t *testing.T) {
 	// Demand with an empty feed.
 	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 1)}, http.StatusConflict)
 	// Price post without a timestamp, without prices, and partial coverage.
-	postJSON(t, ts.URL+"/v1/prices", pricePost{Prices: hubPrices(sys, 30)}, http.StatusBadRequest)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start}, http.StatusBadRequest)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: map[string]float64{"NYC": 40}}, http.StatusBadRequest)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{Prices: hubPrices(sys, 30)}, http.StatusBadRequest)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start}, http.StatusBadRequest)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: map[string]float64{"NYC": 40}}, http.StatusBadRequest)
 
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	// Partial update is fine once a full vector exists.
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start.Add(time.Hour), Prices: map[string]float64{"NYC": 99}}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start.Add(time.Hour), Prices: map[string]float64{"NYC": 99}}, http.StatusOK)
 	// Price time regression.
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start.Add(-time.Hour), Prices: hubPrices(sys, 30)}, http.StatusConflict)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start.Add(-time.Hour), Prices: hubPrices(sys, 30)}, http.StatusConflict)
 
 	// Mis-sized demand vector.
 	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns-1, 1)}, http.StatusBadRequest)
@@ -443,7 +443,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	demand := flatDemand(ns, 1500)
 	for i := 0; i < steps; i++ {
 		at := start.Add(time.Duration(i) * time.Hour)
-		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: hubPrices(sys, 30+float64(i))}, http.StatusOK)
+		postJSON(t, ts.URL+"/v1/prices", PricePost{At: at, Prices: hubPrices(sys, 30+float64(i))}, http.StatusOK)
 		postJSON(t, ts.URL+"/v1/demand", DemandPost{At: at, Rates: demand}, http.StatusOK)
 	}
 	close(stop)
@@ -467,7 +467,7 @@ func TestFinalizeStopsIngest(t *testing.T) {
 	srv, ts, sys := testServer(t)
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 35)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 35)}, http.StatusOK)
 	postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 800)}, http.StatusOK)
 
 	res, err := srv.Finalize()
@@ -497,7 +497,7 @@ func TestDemandPruningKeepsRouting(t *testing.T) {
 	const steps = 30
 	for i := 0; i < steps; i++ {
 		at := start.Add(time.Duration(i) * time.Hour)
-		postJSON(t, ts.URL+"/v1/prices", pricePost{At: at, Prices: hubPrices(sys, 30+float64(i))}, http.StatusOK)
+		postJSON(t, ts.URL+"/v1/prices", PricePost{At: at, Prices: hubPrices(sys, 30+float64(i))}, http.StatusOK)
 		postJSON(t, ts.URL+"/v1/demand", DemandPost{At: at, Rates: flatDemand(ns, 1200)}, http.StatusOK)
 	}
 	held := feedEntries(srv)
@@ -613,7 +613,7 @@ func TestLeaseBrokeredDaemon(t *testing.T) {
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
 	row := flatDemand(ns, 900)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 
 	body := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: row}, http.StatusBadRequest)
 	if !strings.Contains(string(body), "needs each demand row's burst gate bit") {
@@ -670,7 +670,7 @@ func TestGateBitsRejectedWithoutBroker(t *testing.T) {
 	_, ts, sys := testServer(t)
 	start := sys.Market.Start
 	row := flatDemand(len(sys.Fleet.States), 500)
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
 	open := true
 	body := postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: row, Gate: &open}, http.StatusBadRequest)
 	if !strings.Contains(string(body), "takes no burst gate bits") {
@@ -747,7 +747,7 @@ func TestMidBatchErrorReportsResume(t *testing.T) {
 			ts, sys := batchServer(t)
 			start := sys.Market.Start
 			ns := len(sys.Fleet.States)
-			postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
+			postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
 
 			rows := [][]float64{flatDemand(ns, 400), flatDemand(ns, 500), flatDemand(ns, 600)}
 			batch := func(at time.Time, rows [][]float64) *bytes.Buffer {
@@ -798,7 +798,7 @@ func TestBatchFormsRouteAlike(t *testing.T) {
 	for _, url := range []string{plain.URL, jobs.URL} {
 		for i := 0; i < hours; i++ {
 			at := start.Add(time.Duration(i) * time.Hour)
-			postJSON(t, url+"/v1/prices", pricePost{At: at, Prices: hubPrices(sys, float64(20+7*(i%5)))}, http.StatusOK)
+			postJSON(t, url+"/v1/prices", PricePost{At: at, Prices: hubPrices(sys, float64(20+7*(i%5)))}, http.StatusOK)
 		}
 	}
 
@@ -844,7 +844,7 @@ func TestNegativeDemandRejected(t *testing.T) {
 		}
 		return status.Steps
 	}
-	postJSON(t, ts.URL+"/v1/prices", pricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
+	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
 
 	bad := flatDemand(ns, 500)
 	bad[3] = -1000

@@ -137,6 +137,21 @@ type Engine struct {
 	worldHash string
 }
 
+// clusterPrices resolves every cluster's real-time price series from the
+// market, in fleet order. NewEngine and Scenario.WorldHash both resolve
+// them through it.
+func (sc *Scenario) clusterPrices() ([]*timeseries.Series, error) {
+	prices := make([]*timeseries.Series, len(sc.Fleet.Clusters))
+	for c, cl := range sc.Fleet.Clusters {
+		s, err := sc.Market.RT(cl.HubID)
+		if err != nil {
+			return nil, fmt.Errorf("sim: cluster %s: %w", cl.Code, err)
+		}
+		prices[c] = s
+	}
+	return prices, nil
+}
+
 // NewEngine validates the scenario and builds the per-run state. The
 // scenario's Demand source and horizon (Start/Steps) describe the batch
 // run the engine was sized for — constraint burst budgets derive from
@@ -157,14 +172,11 @@ func NewEngine(sc Scenario) (*Engine, error) {
 	}
 
 	// Resolve per-cluster hourly price series once.
-	e.prices = make([]*timeseries.Series, nc)
-	for c, cl := range sc.Fleet.Clusters {
-		s, err := sc.Market.RT(cl.HubID)
-		if err != nil {
-			return nil, fmt.Errorf("sim: cluster %s: %w", cl.Code, err)
-		}
-		e.prices[c] = s
+	prices, err := sc.clusterPrices()
+	if err != nil {
+		return nil, err
 	}
+	e.prices = prices
 
 	// 95/5 constraint state.
 	if sc.SoftCaps != nil {
@@ -606,14 +618,36 @@ func (e *Engine) QueueJobs(jobs []sched.Job) error {
 	return nil
 }
 
+// MaxMagnitude bounds every value admitted from outside the world: a
+// demand rate (hits/s, CheckDemand), a job's energy (kWh, CheckJob) and a
+// posted price ($/MWh, either sign, at the daemons' price admission).
+// Finite values alone do not keep the ledgers finite: one row of 1e308
+// hits/s in every state, or one hourly step billed at 1e308 $/MWh, sums
+// past math.MaxFloat64 to +Inf, which no JSON status can carry. Bounded
+// values do, over any horizon an int64-nanosecond clock can key: such a
+// clock keys at most 2^63 ≈ 9.2e18 instants, so a run steps at most that
+// often, and every per-cluster ledger grows per step by a product of
+// admitted values, counts (steps, jobs) and the world's own constants
+// (server counts, power curves, the step length). With each admitted value
+// at most 1e15 and each count at most 2^63, a product of four such factors
+// stays below 1e76 times the world's constants, over 230 orders of
+// magnitude below math.MaxFloat64. 1e15 is also far past any real rate,
+// energy or price.
+const MaxMagnitude = 1e15
+
 // CheckDemand is the admission rule for one interval's per-state demand
-// vector (hits/s): every rate finite and ≥ 0. Step applies it before
-// touching any state. The shard coordinator applies it to every full row
-// before fan-out, so a row one shard would refuse reaches none.
+// vector (hits/s): every rate finite, ≥ 0 and at most MaxMagnitude. Step
+// applies it before touching any state. The shard coordinator applies it
+// to every full row before fan-out, so a row one shard would refuse
+// reaches none.
 func CheckDemand(rates []float64) error {
 	for s, r := range rates {
-		// One test per bound: NaN fails both, −x the first, +Inf the second.
-		if !(r >= 0 && r <= math.MaxFloat64) {
+		// One test per bound: NaN fails both, −x the first, +Inf and
+		// anything past MaxMagnitude the second.
+		if !(r >= 0 && r <= MaxMagnitude) {
+			if r > MaxMagnitude && !math.IsInf(r, 1) {
+				return fmt.Errorf("sim: state %d demand %v hits/s, past the %v bound", s, r, MaxMagnitude)
+			}
 			return fmt.Errorf("sim: state %d demand %v hits/s, want finite and ≥ 0", s, r)
 		}
 	}
@@ -623,7 +657,8 @@ func CheckDemand(rates []float64) error {
 // CheckJob is the admission rule for one externally arriving batch job
 // in a fleet of nc clusters whose next step is cursor: a home cluster in
 // range, a deadline beyond the cursor (at least one interval to run in),
-// a finite positive energy, and a partial-execution floor in [0, 1].
+// a finite positive energy of at most MaxMagnitude, and a
+// partial-execution floor in [0, 1].
 // QueueJobs applies it to every job before enqueuing any. The shard
 // coordinator applies it before fan-out, so a job no shard would accept
 // is refused before any shard commits its row. The error reads as a
@@ -636,6 +671,8 @@ func CheckJob(j sched.Job, nc, cursor int) error {
 		return fmt.Errorf("has deadline %d at or behind step cursor %d", j.Deadline, cursor)
 	case math.IsNaN(j.EnergyKWh) || math.IsInf(j.EnergyKWh, 0) || j.EnergyKWh <= 0:
 		return fmt.Errorf("has energy %v kWh", j.EnergyKWh)
+	case j.EnergyKWh > MaxMagnitude:
+		return fmt.Errorf("has energy %v kWh, past the %v bound", j.EnergyKWh, MaxMagnitude)
 	case math.IsNaN(j.MinFraction) || j.MinFraction < 0 || j.MinFraction > 1:
 		return fmt.Errorf("has min fraction %v", j.MinFraction)
 	}

@@ -467,6 +467,36 @@ func TestStepRejectsBadDemand(t *testing.T) {
 	}
 }
 
+// TestAdmissionBound: CheckDemand and CheckJob admit values up to
+// MaxMagnitude and refuse the next float past it, naming the bound, while
+// NaN and ±Inf keep their own wording.
+func TestAdmissionBound(t *testing.T) {
+	past := math.Nextafter(MaxMagnitude, math.Inf(1))
+	if err := CheckDemand([]float64{0, MaxMagnitude}); err != nil {
+		t.Fatalf("demand at the bound: %v", err)
+	}
+	if err := CheckDemand([]float64{0, past}); err == nil || !strings.Contains(err.Error(), "state 1") || !strings.Contains(err.Error(), "bound") {
+		t.Fatalf("demand past the bound: got %v, want an error naming state 1 and the bound", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		if err := CheckDemand([]float64{v}); err == nil || !strings.Contains(err.Error(), "want finite") {
+			t.Errorf("demand %v: got %v, want the finite-and-non-negative wording", v, err)
+		}
+	}
+	job := sched.Job{Cluster: 0, Deadline: 1, EnergyKWh: MaxMagnitude}
+	if err := CheckJob(job, 1, 0); err != nil {
+		t.Fatalf("job energy at the bound: %v", err)
+	}
+	job.EnergyKWh = past
+	if err := CheckJob(job, 1, 0); err == nil || !strings.Contains(err.Error(), "bound") {
+		t.Fatalf("job energy past the bound: got %v, want an error naming the bound", err)
+	}
+	job.EnergyKWh = math.Inf(1)
+	if err := CheckJob(job, 1, 0); err == nil || strings.Contains(err.Error(), "bound") {
+		t.Fatalf("infinite job energy: got %v, want the plain energy wording", err)
+	}
+}
+
 // TestValidateStepAlignment: steps that do not tile the market hour are
 // rejected instead of silently drifting across hourly price boundaries.
 func TestValidateStepAlignment(t *testing.T) {

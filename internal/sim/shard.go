@@ -106,13 +106,9 @@ func (sc Scenario) WorldHash() (string, error) {
 	if err := sc.validate(); err != nil {
 		return "", err
 	}
-	prices := make([]*timeseries.Series, len(sc.Fleet.Clusters))
-	for c, cl := range sc.Fleet.Clusters {
-		s, err := sc.Market.RT(cl.HubID)
-		if err != nil {
-			return "", fmt.Errorf("sim: cluster %s: %w", cl.Code, err)
-		}
-		prices[c] = s
+	prices, err := sc.clusterPrices()
+	if err != nil {
+		return "", err
 	}
 	return worldHash(&sc, prices), nil
 }
