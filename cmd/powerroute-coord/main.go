@@ -61,7 +61,6 @@ import (
 	"powerroute/internal/coord"
 	"powerroute/internal/core"
 	"powerroute/internal/server"
-	"powerroute/internal/sim"
 )
 
 func main() {
@@ -98,13 +97,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		return 1
-	}
-	if world.BurstHubs != "" {
-		// SelfGate on the joint scenario does double duty: it marks the
-		// world as burst-coordinated (arming the coordinator's lease
-		// broker) and lets merged lease-bearing shard checkpoints restore
-		// into the joint engine for /v1/status.
-		sc.BurstGate = sim.SelfGate{}
 	}
 
 	co, err := coord.New(ctx, coord.Config{Scenario: sc, ShardURLs: urls})

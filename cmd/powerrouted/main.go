@@ -151,18 +151,15 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			*shardIndex, *shardCount, codes, len(sc.Fleet.States))
 	}
 
-	// Burst gate wiring: a whole-world engine (fresh or restored) resolves
+	// Burst gate wiring: the burst world's scenario arrives with
+	// sim.SelfGate, so a whole-world engine (fresh or restored) resolves
 	// the fleet-wide gate itself; a shard daemon cannot see the fleet's
 	// demand, so it latches the gate bit the coordinator sends with each
 	// demand row.
 	var leases *sim.LeaseStore
-	if world.BurstHubs != "" {
-		if *shardCount > 1 {
-			leases = &sim.LeaseStore{}
-			sc.BurstGate = leases
-		} else {
-			sc.BurstGate = sim.SelfGate{}
-		}
+	if sc.BurstGate != nil && *shardCount > 1 {
+		leases = &sim.LeaseStore{}
+		sc.BurstGate = leases
 	}
 
 	var ckptPath string

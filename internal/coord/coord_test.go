@@ -226,9 +226,12 @@ func TestCoordinatorMatchesSingleInstance(t *testing.T) {
 		t.Fatalf("coordinator status differs from single instance:\ncoord  %s\nsingle %s", gotJSON, wantJSON)
 	}
 
-	// The merged checkpoint restores into the joint world at the same
-	// cursor.
+	// The merged checkpoint is the unsplit daemon's, byte for byte, and
+	// restores into the joint world at the same cursor.
 	raw := get(t, coordTS.URL+"/v1/checkpoint", http.StatusOK)
+	if !bytes.Equal(raw, get(t, single.URL+"/v1/checkpoint", http.StatusOK)) {
+		t.Fatal("merged checkpoint differs from the single instance's")
+	}
 	cp, err := sim.DecodeCheckpoint(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +265,9 @@ func TestCoordinatorMatchesSingleInstance(t *testing.T) {
 }
 
 // burstWorld assembles the burst-exact clique world (2 regions at
-// 1000 km) and its joint scenario, the configuration under which sharded
-// replays stay byte-identical even while soft-cap bursts fire.
+// 1000 km) and its joint scenario, burst gate armed as sim.SelfGate: the
+// configuration under which sharded replays stay byte-identical even
+// while soft-cap bursts fire.
 func burstWorld(t testing.TB) (*core.System, *core.BurstWorld, sim.Scenario) {
 	t.Helper()
 	sys, err := core.NewSystem(core.Options{Seed: 42, MarketMonths: 1, TraceDays: 7})
@@ -327,7 +331,6 @@ func TestCoordinatorBurstLeaseBroker(t *testing.T) {
 	sys, _, jointSc := burstWorld(t)
 	hours := jointSc.Steps - 1
 
-	jointSc.BurstGate = sim.SelfGate{}
 	singleEng, err := sim.NewEngine(jointSc)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +349,6 @@ func TestCoordinatorBurstLeaseBroker(t *testing.T) {
 		t.Fatalf("expected 2 shards, got %d", len(urls))
 	}
 	_, _, coordSc := burstWorld(t)
-	coordSc.BurstGate = sim.SelfGate{}
 	_, coordTS := newCoordinator(t, coordSc, urls)
 	feedWorld(t, sys, coordSc, coordTS.URL, hours)
 
@@ -372,6 +374,9 @@ func TestCoordinatorBurstLeaseBroker(t *testing.T) {
 	gotJSON, _ := normalize(get(t, coordTS.URL+"/v1/status?refresh=1", http.StatusOK))
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("brokered coordinator status differs from the unsplit daemon:\ncoord  %s\nsingle %s", gotJSON, wantJSON)
+	}
+	if !bytes.Equal(get(t, coordTS.URL+"/v1/checkpoint", http.StatusOK), get(t, single.URL+"/v1/checkpoint", http.StatusOK)) {
+		t.Fatal("brokered coordinator's merged checkpoint differs from the unsplit daemon's")
 	}
 	leases, ok := want["burst_leases"].(map[string]any)
 	if !ok {
@@ -673,6 +678,9 @@ func TestCoordinatorForwardsJobs(t *testing.T) {
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("coordinator status with jobs differs from the unsplit daemon:\ncoord  %s\nsingle %s", gotJSON, wantJSON)
 	}
+	if !bytes.Equal(get(t, coordTS.URL+"/v1/checkpoint", http.StatusOK), get(t, single.URL+"/v1/checkpoint", http.StatusOK)) {
+		t.Fatal("coordinator's merged checkpoint with jobs differs from the unsplit daemon's")
+	}
 	for _, key := range []string{"batch_queued_kwh", "batch_served_kwh"} {
 		if v, _ := want[key].(float64); !(v > 0) {
 			t.Fatalf("%s = %v: the job load left no trace, so the diff tested nothing", key, want[key])
@@ -844,7 +852,6 @@ func TestCoordinatorRejectsBadDemand(t *testing.T) {
 	sys, _, shardSc := burstWorld(t)
 	urls := newBurstShards(t, shardSc)
 	_, _, sc := burstWorld(t)
-	sc.BurstGate = sim.SelfGate{}
 	tr := newCountingTransport()
 	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
 	if err != nil {
@@ -926,7 +933,6 @@ func TestCoordinatorSendsGateBitsWithRows(t *testing.T) {
 	sys, _, shardSc := burstWorld(t)
 	urls := newBurstShards(t, shardSc)
 	_, _, sc := burstWorld(t)
-	sc.BurstGate = sim.SelfGate{}
 	tr := newCountingTransport()
 	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
 	if err != nil {
@@ -1360,7 +1366,6 @@ func TestJSONBodiesHoldOneValue(t *testing.T) {
 	sys, _, shardSc := burstWorld(t)
 	urls := newBurstShards(t, shardSc)
 	_, _, sc := burstWorld(t)
-	sc.BurstGate = sim.SelfGate{}
 	tr := newCountingTransport()
 	co, err := New(context.Background(), Config{Scenario: sc, ShardURLs: urls, Client: &http.Client{Transport: tr}})
 	if err != nil {

@@ -230,9 +230,10 @@ func (s *System) BurstWorld(pairs [][2]string, thresholdKm, priceThreshold float
 
 // BurstScenario assembles the joint hourly scenario over a burst world —
 // the exact configuration powerrouted, powerroute-coord, and tracegen
-// must share. The burst gate is left for the caller: sim.SelfGate for a
-// joint or in-process-parallel engine, a sim.LeaseStore for a shard
-// daemon fed by a lease broker.
+// must share — with its burst gate armed as sim.SelfGate, which a joint
+// engine resolves itself and which arms the coordinator's lease broker.
+// A shard daemon fed by that broker swaps in its sim.LeaseStore after
+// Scenario.Shard.
 func (s *System) BurstScenario(bw *BurstWorld, thresholdKm, priceThreshold float64, delay time.Duration) (sim.Scenario, error) {
 	opt, err := routing.NewPriceOptimizer(bw.Fleet, thresholdKm, priceThreshold)
 	if err != nil {
@@ -246,5 +247,6 @@ func (s *System) BurstScenario(bw *BurstWorld, thresholdKm, priceThreshold float
 	sc.Policy = opt
 	sc.Demand = bw.Demand
 	sc.SoftCaps = append([]float64(nil), bw.SoftCaps...)
+	sc.BurstGate = sim.SelfGate{}
 	return sc, nil
 }

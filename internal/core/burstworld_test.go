@@ -109,7 +109,6 @@ func TestBurstWorldShardExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			jointSc.BurstGate = sim.SelfGate{}
 			want, err := sim.Run(jointSc)
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +177,6 @@ func TestBurstWorldShardExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restoreSc.BurstGate = sim.SelfGate{}
 			joint, err := sim.Restore(restoreSc, merged)
 			if err != nil {
 				t.Fatal(err)

@@ -66,8 +66,8 @@ func (e usageError) Unwrap() []error { return []error{e.error, ErrUsage} }
 // under the price optimizer over the chosen horizon, or, with BurstHubs,
 // the burst world's hourly scenario (BurstScenario); either way with the
 // batch class when BatchSpec is set, against the joint world before any
-// shard split. The burst gate is left unset: a whole-world engine uses
-// sim.SelfGate, a lease-fed shard a sim.LeaseStore.
+// shard split. The burst world's scenario comes with its gate armed as
+// sim.SelfGate; a lease-fed shard swaps in a sim.LeaseStore.
 func (w *WorldFlags) Scenario() (sim.Scenario, error) {
 	var pairs [][2]string
 	if w.BurstHubs != "" {

@@ -110,59 +110,41 @@ func runConfigs(sys *core.System, cfgs []core.RunConfig) ([]*core.Outcome, error
 	return outs, nil
 }
 
-// RunStream executes defs on a bounded worker pool and delivers each result
-// to emit in defs order — as soon as it and every predecessor have
-// finished, so output streams while later experiments are still running.
-// The rendered results are identical to a serial run; only wall time
-// changes. parallel <= 0 uses the package default; 1 degenerates to a
-// serial loop. On failure the lowest-index error is returned and workers
-// stop picking up new experiments.
+// RunStream executes defs on forEach's bounded worker pool and delivers
+// each result to emit in defs order — as soon as it and every predecessor
+// have finished, so output streams while later experiments are still
+// running. The rendered results are identical to a serial run; only wall
+// time changes. parallel <= 0 uses the package default; 1 runs the
+// experiments one after another. On failure the lowest-index error is
+// returned and workers stop running new experiments.
 func RunStream(env *Env, defs []Definition, parallel int, emit func(res *Result, took time.Duration) error) error {
 	type item struct {
 		res  *Result
 		took time.Duration
 		err  error
 	}
-	n := len(defs)
-	if n == 0 {
-		return nil
-	}
-	if parallel <= 0 {
-		parallel = Parallelism()
-	}
-	if parallel > n {
-		parallel = n
-	}
-	slots := make([]chan item, n)
+	slots := make([]chan item, len(defs))
 	for i := range slots {
 		slots[i] = make(chan item, 1)
 	}
-	var next atomic.Int64
 	var stopped atomic.Bool
-	for w := 0; w < parallel; w++ {
-		go func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if stopped.Load() {
-					// The consumer already returned; push a placeholder so
-					// the slot is filled without doing the work.
-					slots[i] <- item{}
-					continue
-				}
-				start := time.Now()
-				res, err := defs[i].Run(env)
-				if err != nil {
-					err = fmt.Errorf("%s: %w", defs[i].ID, err)
-				}
-				slots[i] <- item{res: res, took: time.Since(start), err: err}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		it := <-slots[i]
+	go forEach(parallel, len(defs), func(i int) error {
+		if stopped.Load() {
+			// The consumer already returned; fill the slot without doing
+			// the work.
+			slots[i] <- item{}
+			return nil
+		}
+		start := time.Now()
+		res, err := defs[i].Run(env)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", defs[i].ID, err)
+		}
+		slots[i] <- item{res: res, took: time.Since(start), err: err}
+		return nil
+	})
+	for _, slot := range slots {
+		it := <-slot
 		if it.err != nil {
 			stopped.Store(true)
 			return it.err

@@ -114,12 +114,14 @@ type Totals struct {
 
 // Checkpoint is a complete, self-contained snapshot of an Engine mid-run.
 // Build one with Engine.Checkpoint, persist it with Encode/WriteFile, and
-// turn it back into a live engine with Restore.
+// turn it back into a live engine with Restore. Its JSON tags are the
+// envelope's fields (checkpointEnvelope adds only the payload framing);
+// the fields tagged "-" travel in the binary payload.
 //
-// ckpt:state Encode,DecodeCheckpoint,MergeCheckpoints
+// ckpt:state MergeCheckpoints
 type Checkpoint struct {
-	Version   int    // format version; Restore accepts only CheckpointVersion
-	WorldHash string // sha256 over the world definition; ties the state to its exact world
+	Version   int    `json:"version"`    // format version; Restore accepts only CheckpointVersion
+	WorldHash string `json:"world_hash"` // sha256 over the world definition; ties the state to its exact world
 
 	// ShardOf carries the parent world's hash when this checkpoint was
 	// taken by a shard engine (a scenario built by Scenario.Shard), and is
@@ -127,29 +129,29 @@ type Checkpoint struct {
 	// part to name the same parent — that is the shard-compatibility
 	// guard — and stamps the merged checkpoint's WorldHash with it, so
 	// the merge restores only into the exact joint world.
-	ShardOf string
+	ShardOf string `json:"shard_of,omitempty"`
 
 	// Configuration echoes: Restore refuses a checkpoint whose geometry
 	// disagrees with the target scenario even before the world hash check,
 	// so error messages name the exact mismatch.
-	Policy        string        // routing policy name
-	Start         time.Time     // scenario start
-	Step          time.Duration // interval length
-	ScenarioSteps int           // horizon length in intervals
-	Clusters      int           // fleet cluster count
-	States        int           // fleet client-state count
+	Policy        string        `json:"policy"`         // routing policy name
+	Start         time.Time     `json:"start"`          // scenario start
+	Step          time.Duration `json:"step_ns"`        // interval length
+	ScenarioSteps int           `json:"scenario_steps"` // horizon length in intervals
+	Clusters      int           `json:"clusters"`       // fleet cluster count
+	States        int           `json:"states"`         // fleet client-state count
 
 	// ClusterCodes and StateCodes name the engine's fleet slots in order;
 	// ClusterIndex and StateIndex give each slot's position in the parent
 	// fleet when sharded (nil otherwise). Codes make restore mismatches
 	// nameable; indices are what MergeCheckpoints scatters by.
-	ClusterCodes []string
-	StateCodes   []string
-	ClusterIndex []int
-	StateIndex   []int
+	ClusterCodes []string `json:"cluster_codes"`
+	StateCodes   []string `json:"state_codes"`
+	ClusterIndex []int    `json:"cluster_index,omitempty"`
+	StateIndex   []int    `json:"state_index,omitempty"`
 
-	StepsRun int       // step cursor: intervals already advanced
-	LastAt   time.Time // instant of the last advanced interval
+	StepsRun int       `json:"steps_run"` // step cursor: intervals already advanced
+	LastAt   time.Time `json:"last_at"`   // instant of the last advanced interval
 
 	// Totals carries the per-cluster running sums; the optional sections
 	// below are present exactly when the scenario configures the matching
@@ -157,20 +159,20 @@ type Checkpoint struct {
 	// rejects a checkpoint whose optional sections disagree with the
 	// target scenario's configuration. checkpointSections declares every
 	// per-cluster section, here and in Totals.
-	Totals       Totals
-	Constraints  []billing.ConstraintState
-	Batteries    []storage.Snapshot
-	DemandMeters []billing.DemandMeterState
+	Totals       Totals                     `json:"totals"`
+	Constraints  []billing.ConstraintState  `json:"constraints,omitempty"`
+	Batteries    []storage.Snapshot         `json:"batteries,omitempty"`
+	DemandMeters []billing.DemandMeterState `json:"demand_meters,omitempty"`
 	// BatchQueues holds each cluster's live deferrable-job queue, present
 	// exactly when the scenario configures the batch class (jobs stay in
 	// their home cluster's queue even when served elsewhere, so the
 	// section scatters disjointly across a shard merge).
-	BatchQueues []sched.QueueState
+	BatchQueues []sched.QueueState `json:"batch_queues,omitempty"`
 	// BurstLeases books each cluster's coordinated burst-token traffic
 	// (granted/used/expired), present exactly when the scenario configures
 	// a BurstGate. Tokens are booked at the cluster they were leased to,
 	// so the section scatters disjointly across a shard merge.
-	BurstLeases []billing.LeaseLedgerState
+	BurstLeases []billing.LeaseLedgerState `json:"burst_leases,omitempty"`
 
 	// MeterSamples holds each cluster's full per-interval rate record (the
 	// 95/5 bill needs every sample); DistHists the per-cluster hit-weighted
@@ -178,10 +180,10 @@ type Checkpoint struct {
 	// interval's rates and full state×cluster assignment matrix
 	// (status/assignments endpoints). These travel as raw little-endian
 	// float64 bits in the binary payload, so they round-trip bit-exactly.
-	MeterSamples [][]float64
-	DistHists    []*stats.WeightedHistogram
-	Loads        []float64
-	Assign       [][]float64
+	MeterSamples [][]float64                `json:"-"`
+	DistHists    []*stats.WeightedHistogram `json:"-"`
+	Loads        []float64                  `json:"-"`
+	Assign       [][]float64                `json:"-"`
 }
 
 // Checkpoint captures the engine's complete per-run state. The engine is
@@ -282,27 +284,10 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 	if !slices.Equal(cp.ClusterIndex, e.sc.shardClusters) || !slices.Equal(cp.StateIndex, e.sc.shardStates) {
 		return errors.New("checkpoint shard positions differ from the scenario's partition")
 	}
-	if cp.StepsRun < 0 {
-		return fmt.Errorf("negative step cursor %d", cp.StepsRun)
-	}
-	if len(cp.ClusterCodes) != e.nc || len(cp.StateCodes) != e.ns {
-		return fmt.Errorf("checkpoint names %d clusters and %d states, scenario has %d and %d",
-			len(cp.ClusterCodes), len(cp.StateCodes), e.nc, e.ns)
-	}
-	for c, cl := range e.sc.Fleet.Clusters {
-		if cp.ClusterCodes[c] != cl.Code {
-			return fmt.Errorf("checkpoint cluster %d is %q, scenario's is %q", c, cp.ClusterCodes[c], cl.Code)
-		}
-	}
-	for s, st := range e.sc.Fleet.States {
-		if cp.StateCodes[s] != st.Code {
-			return fmt.Errorf("checkpoint state %d is %q, scenario's is %q", s, cp.StateCodes[s], st.Code)
-		}
-	}
 
 	// Every section is checked before any loads, in table order, so a
 	// checkpoint with several bad sections always reports the same one:
-	// first presence against the engine, then length against the fleet.
+	// first presence against the engine, then the checkpoint's own shape.
 	sections := checkpointSections()
 	for _, sec := range sections {
 		if sec.kept == nil {
@@ -315,17 +300,17 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 			return fmt.Errorf("checkpoint carries %s the scenario does not keep", sec.name)
 		}
 	}
-	for _, sec := range sections {
-		if n := sec.size(cp); sec.keptBy(e) && n != e.nc {
-			return fmt.Errorf("checkpoint has %d %s for %d clusters", n, sec.name, e.nc)
+	if err := cp.checkShape(sections); err != nil {
+		return fmt.Errorf("checkpoint has %w", err)
+	}
+	for c, cl := range e.sc.Fleet.Clusters {
+		if cp.ClusterCodes[c] != cl.Code {
+			return fmt.Errorf("checkpoint cluster %d is %q, scenario's is %q", c, cp.ClusterCodes[c], cl.Code)
 		}
 	}
-	if len(cp.Assign) != e.ns {
-		return fmt.Errorf("assignment matrix has %d state rows, want %d", len(cp.Assign), e.ns)
-	}
-	for s, row := range cp.Assign {
-		if len(row) != e.nc {
-			return fmt.Errorf("assignment row %d has %d clusters, want %d", s, len(row), e.nc)
+	for s, st := range e.sc.Fleet.States {
+		if cp.StateCodes[s] != st.Code {
+			return fmt.Errorf("checkpoint state %d is %q, scenario's is %q", s, cp.StateCodes[s], st.Code)
 		}
 	}
 
@@ -341,6 +326,50 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 	}
 	e.stepsRun = cp.StepsRun
 	e.lastAt = cp.LastAt
+	return nil
+}
+
+// checkShape checks what a checkpoint must meet against its own geometry,
+// whatever world it later restores into or merges with: a step cursor
+// ≥ 0, one code per cluster and per state, a shard identity whole or
+// absent, one value per cluster in every section (or, for an optional
+// one, none), steps_run samples in every meter list, and a states ×
+// clusters assignment matrix. DecodeCheckpoint, loadCheckpoint and
+// MergeCheckpoints all call it, with the table they walk; its errors read
+// after "checkpoint has", and sections are checked in table order.
+func (cp *Checkpoint) checkShape(sections []checkpointSection) error {
+	nc, ns := cp.Clusters, cp.States
+	if cp.StepsRun < 0 {
+		return fmt.Errorf("a negative step cursor %d", cp.StepsRun)
+	}
+	if len(cp.ClusterCodes) != nc || len(cp.StateCodes) != ns {
+		return fmt.Errorf("%d cluster codes and %d state codes for %d clusters × %d states",
+			len(cp.ClusterCodes), len(cp.StateCodes), nc, ns)
+	}
+	whole := cp.ShardOf != "" && len(cp.ClusterIndex) == nc && len(cp.StateIndex) == ns
+	absent := cp.ShardOf == "" && len(cp.ClusterIndex) == 0 && len(cp.StateIndex) == 0
+	if !whole && !absent {
+		return fmt.Errorf("a partial shard identity: shard_of %q with %d cluster and %d state positions for %d clusters × %d states",
+			cp.ShardOf, len(cp.ClusterIndex), len(cp.StateIndex), nc, ns)
+	}
+	for _, sec := range sections {
+		if n := sec.size(cp); n != nc && (sec.kept == nil || n != 0) {
+			return fmt.Errorf("%d %s for %d clusters", n, sec.name, nc)
+		}
+	}
+	for c, samples := range cp.MeterSamples {
+		if len(samples) != cp.StepsRun {
+			return fmt.Errorf("%d meter samples in cluster %d for %d steps", len(samples), c, cp.StepsRun)
+		}
+	}
+	if len(cp.Assign) != ns {
+		return fmt.Errorf("%d assignment rows for %d states", len(cp.Assign), ns)
+	}
+	for s, row := range cp.Assign {
+		if len(row) != nc {
+			return fmt.Errorf("%d values in assignment row %d for %d clusters", len(row), s, nc)
+		}
+	}
 	return nil
 }
 
@@ -462,11 +491,8 @@ func checkpointSections() []checkpointSection {
 				}
 				return out
 			},
-			func(e *Engine, cp *Checkpoint, v [][]float64) error {
+			func(e *Engine, _ *Checkpoint, v [][]float64) error {
 				for c, samples := range v {
-					if len(samples) != cp.StepsRun {
-						return fmt.Errorf("cluster %d meter has %d samples for %d steps", c, len(samples), cp.StepsRun)
-					}
 					e.meters[c].RestoreSamples(samples)
 					// RestoreSamples copies at exact capacity; re-reserve the
 					// horizon so the remaining steps record without reallocating.
@@ -640,34 +666,11 @@ func worldHash(sc *Scenario, prices []*timeseries.Series) string {
 
 // --- wire format -----------------------------------------------------------
 
-// checkpointEnvelope is the JSON line after the magic: every small field
-// plus the payload's section lengths and digest. Numeric bulk lives in the
-// binary payload that follows.
-//
-// ckpt:state Encode,DecodeCheckpoint
+// checkpointEnvelope is the JSON line after the magic: the checkpoint's
+// own JSON fields plus the payload's section lengths and digest. Numeric
+// bulk lives in the binary payload that follows.
 type checkpointEnvelope struct {
-	Version       int       `json:"version"`
-	WorldHash     string    `json:"world_hash"`
-	ShardOf       string    `json:"shard_of,omitempty"`
-	Policy        string    `json:"policy"`
-	Start         time.Time `json:"start"`
-	StepNS        int64     `json:"step_ns"`
-	ScenarioSteps int       `json:"scenario_steps"`
-	Clusters      int       `json:"clusters"`
-	States        int       `json:"states"`
-	ClusterCodes  []string  `json:"cluster_codes"`
-	StateCodes    []string  `json:"state_codes"`
-	ClusterIndex  []int     `json:"cluster_index,omitempty"`
-	StateIndex    []int     `json:"state_index,omitempty"`
-	StepsRun      int       `json:"steps_run"`
-	LastAt        time.Time `json:"last_at"`
-
-	Totals       Totals                     `json:"totals"`
-	Constraints  []billing.ConstraintState  `json:"constraints,omitempty"`
-	Batteries    []storage.Snapshot         `json:"batteries,omitempty"`
-	DemandMeters []billing.DemandMeterState `json:"demand_meters,omitempty"`
-	BatchQueues  []sched.QueueState         `json:"batch_queues,omitempty"`
-	BurstLeases  []billing.LeaseLedgerState `json:"burst_leases,omitempty"`
+	Checkpoint
 
 	// Payload layout: HistBytes[c] bytes of histogram blob per cluster in
 	// fleet order, then MeterSamples[c] float64s per cluster, then
@@ -682,8 +685,12 @@ type checkpointEnvelope struct {
 // Encode writes the checkpoint: the magic line, the JSON envelope line,
 // then the binary payload.
 func (cp *Checkpoint) Encode(w io.Writer) error {
+	env := checkpointEnvelope{
+		Checkpoint:   *cp,
+		HistBytes:    make([]int, len(cp.DistHists)),
+		MeterSamples: make([]int, len(cp.MeterSamples)),
+	}
 	histBlobs := make([][]byte, len(cp.DistHists))
-	histBytes := make([]int, len(cp.DistHists))
 	var histTotal int
 	for c, h := range cp.DistHists {
 		blob, err := h.MarshalBinary()
@@ -691,13 +698,12 @@ func (cp *Checkpoint) Encode(w io.Writer) error {
 			return fmt.Errorf("sim: encoding cluster %d distance histogram: %w", c, err)
 		}
 		histBlobs[c] = blob
-		histBytes[c] = len(blob)
+		env.HistBytes[c] = len(blob)
 		histTotal += len(blob)
 	}
 	var sampleTotal int
-	counts := make([]int, len(cp.MeterSamples))
 	for c, samples := range cp.MeterSamples {
-		counts[c] = len(samples)
+		env.MeterSamples[c] = len(samples)
 		sampleTotal += len(samples)
 	}
 	payload := make([]byte, 0, histTotal+8*(sampleTotal+len(cp.Loads)+cp.States*cp.Clusters))
@@ -712,34 +718,8 @@ func (cp *Checkpoint) Encode(w io.Writer) error {
 		payload = appendFloats(payload, row)
 	}
 	digest := sha256.Sum256(payload)
-
-	env := checkpointEnvelope{
-		Version:       cp.Version,
-		WorldHash:     cp.WorldHash,
-		ShardOf:       cp.ShardOf,
-		Policy:        cp.Policy,
-		Start:         cp.Start,
-		StepNS:        int64(cp.Step),
-		ScenarioSteps: cp.ScenarioSteps,
-		Clusters:      cp.Clusters,
-		States:        cp.States,
-		ClusterCodes:  cp.ClusterCodes,
-		StateCodes:    cp.StateCodes,
-		ClusterIndex:  cp.ClusterIndex,
-		StateIndex:    cp.StateIndex,
-		StepsRun:      cp.StepsRun,
-		LastAt:        cp.LastAt,
-		Totals:        cp.Totals,
-		Constraints:   cp.Constraints,
-		Batteries:     cp.Batteries,
-		DemandMeters:  cp.DemandMeters,
-		BatchQueues:   cp.BatchQueues,
-		BurstLeases:   cp.BurstLeases,
-		HistBytes:     histBytes,
-		MeterSamples:  counts,
-		PayloadBytes:  int64(len(payload)),
-		PayloadSHA256: hex.EncodeToString(digest[:]),
-	}
+	env.PayloadBytes = int64(len(payload))
+	env.PayloadSHA256 = hex.EncodeToString(digest[:])
 	envJSON, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("sim: encoding checkpoint envelope: %w", err)
@@ -764,8 +744,8 @@ func appendFloats(b []byte, vals []float64) []byte {
 // DecodeCheckpoint parses one encoded checkpoint. Every failure mode is
 // loud and specific: wrong magic, unsupported version, malformed envelope,
 // declared/actual payload length mismatch (truncated file), digest
-// mismatch (corruption), trailing bytes, or internally inconsistent
-// section lengths.
+// mismatch (corruption), trailing bytes, or a checkpoint whose sections
+// disagree with its own geometry (checkShape).
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.ReadString('\n')
@@ -787,31 +767,18 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := json.Unmarshal([]byte(envLine), &env); err != nil {
 		return nil, fmt.Errorf("sim: decoding checkpoint envelope: %w", err)
 	}
-	if env.Version != CheckpointVersion {
-		return nil, fmt.Errorf("sim: checkpoint version %d, this build reads v%d", env.Version, CheckpointVersion)
+	cp := &env.Checkpoint
+	if cp.Version != CheckpointVersion {
+		return nil, fmt.Errorf("sim: checkpoint version %d, this build reads v%d", cp.Version, CheckpointVersion)
 	}
-	if env.Clusters <= 0 || env.Clusters > 1<<20 || env.States <= 0 || env.States > 1<<20 {
-		return nil, fmt.Errorf("sim: checkpoint geometry %d clusters × %d states out of range", env.Clusters, env.States)
+	if cp.Clusters <= 0 || cp.Clusters > 1<<20 || cp.States <= 0 || cp.States > 1<<20 {
+		return nil, fmt.Errorf("sim: checkpoint geometry %d clusters × %d states out of range", cp.Clusters, cp.States)
 	}
-	if env.StepsRun < 0 {
-		return nil, fmt.Errorf("sim: negative step cursor %d", env.StepsRun)
+	if len(env.MeterSamples) != cp.Clusters {
+		return nil, fmt.Errorf("sim: %d meter sample counts for %d clusters", len(env.MeterSamples), cp.Clusters)
 	}
-	if len(env.ClusterCodes) != env.Clusters || len(env.StateCodes) != env.States {
-		return nil, fmt.Errorf("sim: checkpoint names %d clusters and %d states for geometry %d × %d",
-			len(env.ClusterCodes), len(env.StateCodes), env.Clusters, env.States)
-	}
-	if (len(env.ClusterIndex) > 0) != (len(env.StateIndex) > 0) || (env.ShardOf == "") != (len(env.ClusterIndex) == 0) {
-		return nil, errors.New("sim: checkpoint shard identity is incomplete (needs shard_of, cluster_index, and state_index together)")
-	}
-	if len(env.ClusterIndex) > 0 && (len(env.ClusterIndex) != env.Clusters || len(env.StateIndex) != env.States) {
-		return nil, fmt.Errorf("sim: checkpoint shard positions cover %d clusters and %d states for geometry %d × %d",
-			len(env.ClusterIndex), len(env.StateIndex), env.Clusters, env.States)
-	}
-	if len(env.MeterSamples) != env.Clusters {
-		return nil, fmt.Errorf("sim: %d meter sample counts for %d clusters", len(env.MeterSamples), env.Clusters)
-	}
-	if len(env.HistBytes) != env.Clusters {
-		return nil, fmt.Errorf("sim: %d histogram lengths for %d clusters", len(env.HistBytes), env.Clusters)
+	if len(env.HistBytes) != cp.Clusters {
+		return nil, fmt.Errorf("sim: %d histogram lengths for %d clusters", len(env.HistBytes), cp.Clusters)
 	}
 	var histTotal int64
 	for c, n := range env.HistBytes {
@@ -839,7 +806,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if sampleTotal > maxCheckpointPayload/8 {
 		return nil, fmt.Errorf("sim: %d total meter samples exceed the payload cap", sampleTotal)
 	}
-	want := histTotal + 8*(sampleTotal+int64(env.Clusters)+int64(env.States)*int64(env.Clusters))
+	want := histTotal + 8*(sampleTotal+int64(cp.Clusters)+int64(cp.States)*int64(cp.Clusters))
 	if env.PayloadBytes != want {
 		return nil, fmt.Errorf("sim: declared payload %d bytes, sections sum to %d", env.PayloadBytes, want)
 	}
@@ -869,38 +836,16 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	// The envelope's optional fields use omitempty, so an empty slice in a
 	// hand-crafted file would not survive a re-encode; normalize to nil
 	// (absent) so decode(encode(decode(x))) is a fixed point.
-	if len(env.ClusterIndex) == 0 {
-		env.ClusterIndex = nil
+	if len(cp.ClusterIndex) == 0 {
+		cp.ClusterIndex = nil
 	}
-	if len(env.StateIndex) == 0 {
-		env.StateIndex = nil
-	}
-	cp := &Checkpoint{
-		Version:       env.Version,
-		WorldHash:     env.WorldHash,
-		ShardOf:       env.ShardOf,
-		Policy:        env.Policy,
-		Start:         env.Start,
-		Step:          time.Duration(env.StepNS),
-		ScenarioSteps: env.ScenarioSteps,
-		Clusters:      env.Clusters,
-		States:        env.States,
-		ClusterCodes:  env.ClusterCodes,
-		StateCodes:    env.StateCodes,
-		ClusterIndex:  env.ClusterIndex,
-		StateIndex:    env.StateIndex,
-		StepsRun:      env.StepsRun,
-		LastAt:        env.LastAt,
-		Totals:        env.Totals,
-		Constraints:   env.Constraints,
-		Batteries:     env.Batteries,
-		DemandMeters:  env.DemandMeters,
-		BatchQueues:   env.BatchQueues,
-		BurstLeases:   env.BurstLeases,
+	if len(cp.StateIndex) == 0 {
+		cp.StateIndex = nil
 	}
 	// Optional sections likewise: absent when empty, and every value in
 	// the form its section's clone gives it.
-	for _, sec := range checkpointSections() {
+	sections := checkpointSections()
+	for _, sec := range sections {
 		if sec.kept != nil {
 			sec.canonical(cp)
 		}
@@ -911,21 +856,24 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		off += n
 		return b
 	}
-	cp.DistHists = make([]*stats.WeightedHistogram, env.Clusters)
+	cp.DistHists = make([]*stats.WeightedHistogram, cp.Clusters)
 	for c := range cp.DistHists {
 		cp.DistHists[c] = new(stats.WeightedHistogram)
 		if err := cp.DistHists[c].UnmarshalBinary(take(env.HistBytes[c])); err != nil {
 			return nil, fmt.Errorf("sim: decoding cluster %d distance histogram: %w", c, err)
 		}
 	}
-	cp.MeterSamples = make([][]float64, env.Clusters)
+	cp.MeterSamples = make([][]float64, cp.Clusters)
 	for c, cnt := range env.MeterSamples {
 		cp.MeterSamples[c] = readFloats(take(8*cnt), cnt)
 	}
-	cp.Loads = readFloats(take(8*env.Clusters), env.Clusters)
-	cp.Assign = make([][]float64, env.States)
+	cp.Loads = readFloats(take(8*cp.Clusters), cp.Clusters)
+	cp.Assign = make([][]float64, cp.States)
 	for s := range cp.Assign {
-		cp.Assign[s] = readFloats(take(8*env.Clusters), env.Clusters)
+		cp.Assign[s] = readFloats(take(8*cp.Clusters), cp.Clusters)
+	}
+	if err := cp.checkShape(sections); err != nil {
+		return nil, fmt.Errorf("sim: checkpoint has %w", err)
 	}
 	return cp, nil
 }

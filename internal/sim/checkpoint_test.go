@@ -201,12 +201,14 @@ func TestDecodeRejectsOverflowingSampleCounts(t *testing.T) {
 	payload := append(append([]byte(nil), blob...), make([]byte, 32)...)
 	digest := sha256.Sum256(payload)
 	env := checkpointEnvelope{
-		Version:       CheckpointVersion,
-		Clusters:      2,
-		States:        1,
-		ClusterCodes:  []string{"A", "B"},
-		StateCodes:    []string{"XX"},
-		StepsRun:      1,
+		Checkpoint: Checkpoint{
+			Version:      CheckpointVersion,
+			Clusters:     2,
+			States:       1,
+			ClusterCodes: []string{"A", "B"},
+			StateCodes:   []string{"XX"},
+			StepsRun:     1,
+		},
 		MeterSamples:  []int{1 << 62, 1 << 62},
 		HistBytes:     []int{len(blob), 0},
 		PayloadBytes:  int64(len(payload)),
@@ -223,6 +225,96 @@ func TestDecodeRejectsOverflowingSampleCounts(t *testing.T) {
 		t.Fatal("overflowing sample counts accepted")
 	} else if !strings.Contains(err.Error(), "meter samples") {
 		t.Fatalf("rejected for the wrong reason: %v", err)
+	}
+}
+
+// TestDecodeChecksShape: the decoder refuses a checkpoint whose envelope
+// disagrees with its own geometry, without waiting for restore or merge.
+// Each case edits one rule's worth of a good encoding's envelope and
+// keeps its payload, so the framing and the digest still hold.
+func TestDecodeChecksShape(t *testing.T) {
+	sc := engineScenarios(t)["storage"]
+	_, cp := checkpointAt(t, clonePolicy(t, sc), 20)
+	var buf bytes.Buffer
+	if err := cp.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The magic line, the envelope line, then the payload.
+	parts := bytes.SplitN(buf.Bytes(), []byte("\n"), 3)
+	for _, tc := range []struct {
+		rule, want string
+		edit       func(env *checkpointEnvelope)
+	}{
+		{"no edit", "", func(*checkpointEnvelope) {}},
+		{"a totals vector one too long", "cluster costs", func(env *checkpointEnvelope) {
+			env.Totals.ClusterCost = append(env.Totals.ClusterCost, 0)
+		}},
+		{"an optional section one short", "battery snapshots", func(env *checkpointEnvelope) {
+			env.Batteries = env.Batteries[1:]
+		}},
+		{"steps_run disagreeing with meter_samples", "meter samples", func(env *checkpointEnvelope) {
+			env.StepsRun++
+		}},
+	} {
+		var env checkpointEnvelope
+		if err := json.Unmarshal(parts[1], &env); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&env)
+		envJSON, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.want == "" && !bytes.Equal(envJSON, parts[1]) {
+			t.Fatalf("the envelope does not re-encode to itself:\n%s\n%s", envJSON, parts[1])
+		}
+		data := bytes.Join([][]byte{parts[0], envJSON, parts[2]}, []byte("\n"))
+		_, err = DecodeCheckpoint(bytes.NewReader(data))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.rule, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v does not name %q", tc.rule, err, tc.want)
+		}
+	}
+}
+
+// TestCheckpointCarriesEveryField: the JSON codec, not a hand-written
+// copy, carries each of Checkpoint's small fields, so a field tagged "-"
+// by mistake would silently drop out of every encoding. A shard
+// checkpoint of the every-section world under SelfGate sets every field
+// of Checkpoint and Totals, and each must survive Encode and
+// DecodeCheckpoint.
+func TestCheckpointCarriesEveryField(t *testing.T) {
+	sc := everySectionScenario(t, 600, 3*24)
+	sc.BurstGate = SelfGate{}
+	engines, _ := shardEngines(t, clonePolicy(t, sc), 30)
+	cp, err := engines[1].Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cp.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range [][2]reflect.Value{
+		{reflect.ValueOf(*cp), reflect.ValueOf(*decoded)},
+		{reflect.ValueOf(cp.Totals), reflect.ValueOf(decoded.Totals)},
+	} {
+		typ := v[0].Type()
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Name() + "." + typ.Field(i).Name
+			if v[0].Field(i).IsZero() {
+				t.Errorf("%s is zero, so this checkpoint does not show it survives", name)
+			}
+			if !reflect.DeepEqual(v[0].Field(i).Interface(), v[1].Field(i).Interface()) {
+				t.Errorf("%s does not survive Encode and DecodeCheckpoint", name)
+			}
+		}
 	}
 }
 

@@ -354,10 +354,11 @@ var ErrShardCursorMismatch = errors.New("shards must pause at the same cursor")
 // last-interval rates, distance histograms) scatters into its fleet
 // position — disjoint across shards, so no arithmetic happens at all —
 // and the assignment matrix scatters by state row and cluster column.
-// Value checks are Restore's: each section checks its own as it loads. Distance histograms
-// being per-cluster (routing closure sends a cluster the same hits in
-// the same order either way) is what makes the merged histograms, and
-// the fleet mean/p99 folded from them, bit-exact rather than merely
+// Every part passes checkShape before anything scatters; value checks are
+// Restore's, where each section checks its own as it loads. Distance
+// histograms being per-cluster (routing closure sends a cluster the same
+// hits in the same order either way) is what makes the merged histograms,
+// and the fleet mean/p99 folded from them, bit-exact rather than merely
 // close. The merged checkpoint carries the parent
 // world hash and restores only into the joint world, where Snapshot and
 // Finalize re-derive every fleet-wide figure in fleet order — bit for bit
@@ -396,17 +397,12 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: checkpoint %d at step %d (%v), checkpoint 0 at %d (%v): %w",
 				i, cp.StepsRun, cp.LastAt, first.StepsRun, first.LastAt, ErrShardCursorMismatch)
 		}
-		if len(cp.ClusterIndex) != cp.Clusters || len(cp.StateIndex) != cp.States ||
-			len(cp.ClusterCodes) != cp.Clusters || len(cp.StateCodes) != cp.States {
-			return nil, fmt.Errorf("sim: checkpoint %d shard identity covers %d/%d clusters and %d/%d states",
-				i, len(cp.ClusterIndex), cp.Clusters, len(cp.StateIndex), cp.States)
-		}
 		for _, sec := range sections {
 			if sec.kept != nil && (sec.size(cp) > 0) != (sec.size(first) > 0) {
 				return nil, fmt.Errorf("sim: checkpoint %d carries %s but checkpoint 0 does not (or vice versa)", i, sec.name)
 			}
 		}
-		if err := checkShardVectors(cp, sections); err != nil {
+		if err := cp.checkShape(sections); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint %d: %w", i, err)
 		}
 		nc += cp.Clusters
@@ -463,26 +459,4 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 		}
 	}
 	return m, nil
-}
-
-// checkShardVectors verifies a shard checkpoint's per-cluster sections
-// and assignment matrix match its declared geometry before the merge
-// indexes into them: sections every engine keeps hold one value per
-// cluster, optional ones either that or none.
-func checkShardVectors(cp *Checkpoint, sections []checkpointSection) error {
-	nc, ns := cp.Clusters, cp.States
-	for _, sec := range sections {
-		if n := sec.size(cp); n != nc && (sec.kept == nil || n != 0) {
-			return fmt.Errorf("%d %s for %d clusters", n, sec.name, nc)
-		}
-	}
-	if len(cp.Assign) != ns {
-		return fmt.Errorf("assignment matrix has %d rows for %d states", len(cp.Assign), ns)
-	}
-	for s, row := range cp.Assign {
-		if len(row) != nc {
-			return fmt.Errorf("assignment row %d has %d clusters, want %d", s, len(row), nc)
-		}
-	}
-	return nil
 }
