@@ -60,8 +60,8 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.eng = eng
-	s.snap = nil
 	s.feed.reset()
+	s.publish()
 	WriteJSON(w, map[string]any{
 		"restored_steps": cp.StepsRun,
 		"next":           eng.Next(),

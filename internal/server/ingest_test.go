@@ -23,28 +23,25 @@ import (
 	"powerroute/internal/sim"
 )
 
-// batchServer builds a daemon over the test world with the deferrable
-// batch class configured, so demand rows may carry jobs.
-func batchServer(t testing.TB) (*httptest.Server, *core.System) {
+// batchScenario is the test scenario with the deferrable batch class
+// configured, so demand rows may carry jobs.
+func batchScenario(t testing.TB, sys *core.System) sim.Scenario {
 	t.Helper()
-	sys := testWorld(t)
 	batch, err := batchspec.Parse("w=20,pct=0.3", sys.Fleet, sys.Market)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := testScenario(t, sys)
 	sc.Batch = batch
-	eng, err := sim.NewEngine(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, sys
+	return sc
+}
+
+// batchServer builds a daemon over the test world's batchScenario.
+func batchServer(t testing.TB) (*Server, *httptest.Server, *core.System) {
+	t.Helper()
+	sys := testWorld(t)
+	srv, ts := serve(t, batchScenario(t, sys), nil)
+	return srv, ts, sys
 }
 
 // ingestState is what a refused request must leave unchanged: the
@@ -83,7 +80,7 @@ func checkArrived(t *testing.T, url string, steps int, kwh float64) {
 // leaves its jobs unqueued, so resending the corrected row queues them
 // exactly once.
 func TestRefusedJSONRowQueuesNoJobs(t *testing.T) {
-	ts, sys := batchServer(t)
+	_, ts, sys := batchServer(t)
 	ns := len(sys.Fleet.States)
 	const kwh = 40
 	jobs := []JobPost{{Cluster: sys.Fleet.Clusters[0].Code, DeadlineSteps: 6, EnergyKWh: kwh}}
@@ -134,7 +131,7 @@ func postBatch(t *testing.T, url string, body io.Reader) int {
 // neither its rates nor its jobs, rows before it stay committed with
 // theirs, and the corrected row queues its job exactly once.
 func TestRefusedBatchRowQueuesNoJobs(t *testing.T) {
-	ts, sys := batchServer(t)
+	_, ts, sys := batchServer(t)
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
 	const kwh = 40
@@ -187,7 +184,7 @@ func padJSON(t *testing.T, v any, n int) []byte {
 // bytes is accepted. The daemon is a lease-fed shard, so the demand post
 // carries its gate bit.
 func TestJSONBodyBound(t *testing.T) {
-	ts, sys := leaseServer(t)
+	_, ts, sys := leaseServer(t)
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
 	postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
@@ -486,7 +483,7 @@ func TestBatchHeaderLineBound(t *testing.T) {
 // binary batch). Admitted, any of them would drive a ledger to +Inf,
 // which no status can encode. Values at the bound route.
 func TestOverflowingInputsRefused(t *testing.T) {
-	ts, sys := batchServer(t)
+	_, ts, sys := batchServer(t)
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
 	hub := sys.Fleet.Clusters[0].HubID
@@ -571,8 +568,8 @@ func serveState(t *testing.T, h http.Handler) ingestState {
 // exactly the posted jobs' energy, served, shed or queued, and needs
 // every rate and job energy within sim.MaxMagnitude.
 func FuzzJSONDemandPost(f *testing.F) {
-	leaseTS, sys := leaseServer(f)
-	batchTS, _ := batchServer(f)
+	_, leaseTS, sys := leaseServer(f)
+	_, batchTS, _ := batchServer(f)
 	daemons := []http.Handler{leaseTS.Config.Handler, batchTS.Config.Handler}
 	prices, err := json.Marshal(PricePost{At: sys.Market.Start, Prices: hubPrices(sys, 30)})
 	if err != nil {
@@ -834,8 +831,8 @@ func modelRows(h *BatchHeader, rows []byte) []float64 {
 // engine's next interval, so the seeds keep routing as the engine
 // advances; any other start is posted as it is.
 func FuzzDemandBatchPost(f *testing.F) {
-	leaseTS, sys := leaseServer(f)
-	batchTS, _ := batchServer(f)
+	_, leaseTS, sys := leaseServer(f)
+	_, batchTS, _ := batchServer(f)
 	daemons := []http.Handler{leaseTS.Config.Handler, batchTS.Config.Handler}
 	start := sys.Market.Start
 	prices, err := json.Marshal(PricePost{At: start, Prices: hubPrices(sys, 30)})

@@ -11,21 +11,14 @@ import (
 )
 
 // handleMetrics renders the daemon's state in the Prometheus text
-// exposition format (version 0.0.4). Everything is derived from one engine
-// snapshot, so a scrape never tears across a routing step.
+// exposition format (version 0.0.4). Everything is derived from the last
+// published view, without the lock, so a scrape never tears across a
+// routing step and never waits for one.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	text := s.metricsText(s.requests.Counts())
+	v := s.view.Load()
+	text := MetricsText(s.fleet, v.snap, v.entries, s.requests.Counts())
 	w.Header().Set("Content-Type", MetricsContentType)
 	_, _ = w.Write([]byte(text))
-}
-
-// metricsText renders the metrics body under the engine lock — the text
-// is fully built before the lock is released, so the snapshot scratch is
-// never read outside it.
-func (s *Server) metricsText(requests map[string]uint64) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return MetricsText(s.fleet, s.snapshot(), s.feed.entries(), requests)
 }
 
 // MetricsContentType is the Prometheus text exposition media type.

@@ -33,7 +33,7 @@ func TestConcurrentPricesDemandStatus(t *testing.T) {
 		concurrentPricesDemandStatus(t, ts.URL, sys, false)
 	})
 	t.Run("lease-fed", func(t *testing.T) {
-		ts, sys := leaseServer(t)
+		_, ts, sys := leaseServer(t)
 		concurrentPricesDemandStatus(t, ts.URL, sys, true)
 	})
 }
@@ -197,9 +197,57 @@ func TestConcurrentStalledDemandBody(t *testing.T) {
 		stalledDemandBody(t, ts.Config.Handler, sys, false)
 	})
 	t.Run("lease-fed", func(t *testing.T) {
-		ts, sys := leaseServer(t)
+		_, ts, sys := leaseServer(t)
 		stalledDemandBody(t, ts.Config.Handler, sys, true)
 	})
+}
+
+// TestConcurrentReadsWhileLocked: GET /v1/status, GET /metrics and
+// GET /v1/world take no lock. While the test holds Server.mu, as a
+// routing batch would, each answers 200 within a 2 s client timeout, with
+// the state the last commit published. On a plain daemon and on a
+// lease-fed shard, whose demand is a gates=1 batch.
+func TestConcurrentReadsWhileLocked(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		srv, ts, sys := testServer(t)
+		readsWhileLocked(t, srv, ts.URL, sys, false)
+	})
+	t.Run("lease-fed", func(t *testing.T) {
+		srv, ts, sys := leaseServer(t)
+		readsWhileLocked(t, srv, ts.URL, sys, true)
+	})
+}
+
+func readsWhileLocked(t *testing.T, srv *Server, url string, sys *core.System, gated bool) {
+	start := sys.Market.Start
+	ns := len(sys.Fleet.States)
+	postJSON(t, url+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+	rows := [][]float64{flatDemand(ns, 900), flatDemand(ns, 1400)}
+	body := demandBatch(start, time.Hour, rows).Bytes()
+	if gated {
+		body = gatedBatch(start, rows, []byte{1, 0})
+	}
+	if code := postBatch(t, url, bytes.NewReader(body)); code != http.StatusOK {
+		t.Fatalf("demand batch: got %d", code)
+	}
+	world := get(t, url+"/v1/world", http.StatusOK)
+
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	wantStatus, wantMetrics := renderReads(srv.fleet, srv.eng.Snapshot(), srv.feed.entries())
+	client := &http.Client{Timeout: 2 * time.Second}
+	if status, metrics := servedReads(t, client, url); status != wantStatus || metrics != wantMetrics {
+		t.Errorf("reads under the held lock answered\n%s\n%s\nwant the published state\n%s\n%s", status, metrics, wantStatus, wantMetrics)
+	}
+	resp, err := client.Get(url + "/v1/world")
+	if err != nil {
+		t.Fatalf("GET /v1/world under the held lock: %v", err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, world) {
+		t.Errorf("GET /v1/world under the held lock: %d %v:\n%s\nwant\n%s", resp.StatusCode, err, got, world)
+	}
 }
 
 // waitingBody is a request body that closes waiting when its reader

@@ -21,11 +21,17 @@
 // either kind is read, decoded and checked off the lock, then takes it
 // only to commit: a price post to commit its rows to the feed, a demand
 // post while its rows route, each looking up its bill and decision prices
-// and stepping the engine. A status or metrics read holds it while it
-// renders. The clients in this repository (tracegen's replay, the shard
-// coordinator, the benchmark) wait for a price post's answer before they
-// send the demand that reads those prices, so price commits and routing
-// have little to overlap. A step-aligned feed's covering row is found by
+// and stepping the engine. Every commit publishes, before it answers and
+// while it still holds the lock, an immutable view: a fresh engine
+// snapshot and the feed's entry count (publish). A status or metrics read
+// renders the last published view and takes no lock, so it never waits
+// for a batch to route; one that arrives mid-batch answers with the state
+// before the batch, a serial order of the same requests. GET /v1/world
+// renders facts New fixed, since a restore must match the same world. The
+// clients in this repository (tracegen's replay, the shard coordinator,
+// the benchmark) wait for a price post's answer before they send the
+// demand that reads those prices, so price commits and routing have
+// little to overlap. A step-aligned feed's covering row is found by
 // arithmetic checked against the stored instants. The binary batch
 // bodies (see feed.go) are the high-throughput path: a batch takes the
 // lock once and commits or routes thousands of intervals per request.
@@ -53,6 +59,7 @@ import (
 	"net/http"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerroute/internal/cluster"
@@ -82,15 +89,24 @@ type Config struct {
 // annotations are enforced by powerroute-vet's lockcheck analyzer.
 type Server struct {
 	mu    sync.Mutex
-	eng   *sim.Engine   // guarded_by: mu
-	snap  *sim.Snapshot // guarded_by: mu — reusable snapshot scratch; handlers extract what they render before unlocking
+	eng   *sim.Engine // guarded_by: mu
 	fleet *cluster.Fleet
 	step  time.Duration
 	delay time.Duration
+	world map[string]any // the GET /v1/world body, rendered by New
 
-	feed     *priceFeed      // guarded_by: mu
-	leases   *sim.LeaseStore // nil unless this daemon is a lease-fed shard; latched under mu, read by eng.Step
-	requests Requests        // locks itself
+	feed     *priceFeed           // guarded_by: mu
+	leases   *sim.LeaseStore      // nil unless this daemon is a lease-fed shard; latched under mu, read by eng.Step
+	view     atomic.Pointer[view] // stored under mu by every commit (publish), loaded without it
+	requests Requests             // locks itself
+}
+
+// view is what GET /v1/status, GET /metrics and a demand post's reply
+// render: the engine snapshot and the feed's entry count one commit left.
+// Nothing modifies a view once it is published.
+type view struct {
+	snap    *sim.Snapshot
+	entries int
 }
 
 // New builds a Server around an engine.
@@ -99,14 +115,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: config missing engine")
 	}
 	fleet := cfg.Engine.Fleet()
-	return &Server{
+	s := &Server{
 		eng:    cfg.Engine,
 		leases: cfg.Leases,
 		fleet:  fleet,
 		step:   cfg.Engine.StepSize(),
 		delay:  cfg.Engine.ReactionDelay(),
 		feed:   newPriceFeed(fleet),
-	}, nil
+	}
+	s.world = worldPayload(cfg.Engine, s.publish().snap, s.leases != nil)
+	return s, nil
 }
 
 // Handler returns the daemon's HTTP routes.
@@ -131,16 +149,21 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Finalize() (*sim.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Finalize()
+	res, err := s.eng.Finalize()
+	s.publish()
+	return res, err
 }
 
-// snapshot refreshes s.snap, the one snapshot the handlers reuse, and
-// returns it; the caller copies out what it renders before unlocking.
+// publish stores, and returns, a view of the state as it stands: a fresh
+// engine snapshot and the feed's entry count. Every commit calls it once,
+// under the lock and before it answers, so a client that reads after its
+// post was answered sees the post.
 //
-//lint:held mu callers read the snapshot under s.mu
-func (s *Server) snapshot() *sim.Snapshot {
-	s.snap = s.eng.SnapshotInto(s.snap)
-	return s.snap
+//lint:held mu callers publish what they committed under s.mu
+func (s *Server) publish() *view {
+	v := &view{snap: s.eng.Snapshot(), entries: s.feed.entries()}
+	s.view.Store(v)
+	return v
 }
 
 // batchError reports a mid-batch demand failure. Rows before the failing
@@ -150,6 +173,7 @@ func (s *Server) snapshot() *sim.Snapshot {
 //
 //lint:held mu callers lock s.mu for the whole batch
 func (s *Server) batchError(w http.ResponseWriter, code, routed int, format string, args ...any) {
+	s.publish()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]any{
@@ -221,10 +245,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, code, "%v", err)
 		return
 	}
-	h, flat := post.batch()
-	s.mu.Lock()
-	ignored, entries, code, err := s.feed.commit(h, flat)
-	s.mu.Unlock()
+	ignored, entries, code, err := s.commitPrices(post.batch())
 	if err != nil {
 		WriteError(w, code, "%v", err)
 		return
@@ -249,9 +270,7 @@ func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
 		WriteBodyError(w, fmt.Sprintf("price row %d", len(d.ends)), d.err)
 		return
 	}
-	s.mu.Lock()
-	_, entries, code, err := s.feed.commit(h, d.rates)
-	s.mu.Unlock()
+	_, entries, code, err := s.commitPrices(h, d.rates)
 	if code == http.StatusConflict {
 		// Only a batch's first row can precede the feed.
 		err = fmt.Errorf("price row 0: %w", err)
@@ -264,6 +283,17 @@ func (s *Server) handlePricesBatch(w http.ResponseWriter, r *http.Request) {
 		"ingested":     h.Rows,
 		"feed_entries": entries,
 	})
+}
+
+// commitPrices commits a staged prices batch to the feed under the lock
+// and publishes the feed's new entry count (priceFeed.commit).
+func (s *Server) commitPrices(h *BatchHeader, flat []float64) (ignored, entries, code int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ignored, entries, code, err = s.feed.commit(h, flat); err == nil {
+		s.publish()
+	}
+	return ignored, entries, code, err
 }
 
 // --- demand ingestion / routing --------------------------------------------
@@ -494,13 +524,13 @@ func (s *Server) routeOne(at time.Time, rates []float64, jobs []sched.Job, gate 
 
 // reply answers a demand post whose every row routed: it prunes the feed
 // of the entries no future lookup can reach (older than the one covering
-// the next interval's decision instant), adds the engine's step count and
-// running bill to resp, and writes it.
+// the next interval's decision instant), publishes, adds the published
+// step count and running bill to resp, and writes it.
 //
 //lint:held mu callers lock s.mu for the routed post
 func (s *Server) reply(w http.ResponseWriter, resp map[string]any) {
 	s.feed.prune(s.eng.Next().Add(-s.delay))
-	snap := s.snapshot()
+	snap := s.publish().snap
 	resp["steps"] = snap.Steps
 	resp["total_cost_usd"] = float64(snap.TotalCost)
 	WriteJSON(w, resp)
@@ -522,18 +552,10 @@ type clusterStatus struct {
 	BurstTokensExpired int `json:"burst_tokens_expired,omitempty"`
 }
 
+// handleStatus renders the last published view, without the lock.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	payload := s.statusPayload()
-	WriteJSON(w, payload)
-}
-
-// statusPayload renders the status body under the engine lock; the
-// payload copies everything out of the snapshot scratch, so the caller
-// can serialize it after the lock is released.
-func (s *Server) statusPayload() map[string]any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StatusPayload(s.fleet, s.snapshot(), s.feed.entries())
+	v := s.view.Load()
+	WriteJSON(w, StatusPayload(s.fleet, v.snap, v.entries))
 }
 
 // StatusPayload renders the /v1/status response body for an engine
@@ -620,11 +642,12 @@ func (s *Server) handleAssignments(w http.ResponseWriter, r *http.Request) {
 }
 
 // assignmentsPayload builds the assignments body under the engine lock,
-// copying everything it renders out of the snapshot scratch.
+// so the published view it renders is the state the matrix is copied
+// from.
 func (s *Server) assignmentsPayload(wantMatrix bool) map[string]any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.snapshot()
+	snap := s.view.Load().snap
 	var matrix [][]float64
 	if wantMatrix {
 		matrix = s.eng.Assignments(nil)
@@ -666,48 +689,44 @@ func (s *Server) assignmentsPayload(wantMatrix bool) map[string]any {
 	return resp
 }
 
-func (s *Server) handleWorld(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWorld(w http.ResponseWriter, r *http.Request) { WriteJSON(w, s.world) }
+
+// worldPayload renders the GET /v1/world body from the engine New is
+// given and its first snapshot. A restore must match the same world
+// (Restore checks the world hash), so the body never changes.
+func worldPayload(eng *sim.Engine, snap *sim.Snapshot, leaseFed bool) map[string]any {
+	fleet := eng.Fleet()
 	type clusterInfo struct {
 		Code     string  `json:"code"`
 		Hub      string  `json:"hub"`
 		Servers  int     `json:"servers"`
 		Capacity float64 `json:"capacity_hits_per_s"`
 	}
-	clusters := make([]clusterInfo, len(s.fleet.Clusters))
-	for c, cl := range s.fleet.Clusters {
+	clusters := make([]clusterInfo, len(fleet.Clusters))
+	for c, cl := range fleet.Clusters {
 		clusters[c] = clusterInfo{Code: cl.Code, Hub: cl.HubID, Servers: cl.Servers, Capacity: float64(cl.Capacity)}
 	}
-	states := make([]string, len(s.fleet.States))
-	for i, st := range s.fleet.States {
+	states := make([]string, len(fleet.States))
+	for i, st := range fleet.States {
 		states[i] = st.Code
 	}
-	policy, storagePolicy, start, worldHash, bursts := s.worldInfo()
 	resp := map[string]any{
-		"policy":                 policy,
-		"start":                  start,
-		"step_seconds":           s.step.Seconds(),
-		"reaction_delay_seconds": s.delay.Seconds(),
-		"world_hash":             worldHash,
+		"policy":                 snap.Policy,
+		"start":                  eng.Start(),
+		"step_seconds":           eng.StepSize().Seconds(),
+		"reaction_delay_seconds": eng.ReactionDelay().Seconds(),
+		"world_hash":             eng.WorldHash(),
 		"clusters":               clusters,
 		"states":                 states,
 	}
-	if storagePolicy != "" {
-		resp["storage_policy"] = storagePolicy
+	if snap.StoragePolicy != "" {
+		resp["storage_policy"] = snap.StoragePolicy
 	}
-	if bursts {
+	if snap.BurstLeases != nil {
 		// The engine meters coordinated softcap bursts; a lease-fed shard
 		// also takes each demand row's gate bit with the row.
 		resp["fleet_bursts"] = true
-		resp["lease_broker"] = s.leases != nil
+		resp["lease_broker"] = leaseFed
 	}
-	WriteJSON(w, resp)
-}
-
-// worldInfo reads the routing and storage policy names, start instant,
-// world hash, and burst-coordination flag under the engine lock.
-func (s *Server) worldInfo() (policy, storagePolicy string, start time.Time, worldHash string, bursts bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := s.snapshot()
-	return snap.Policy, snap.StoragePolicy, s.eng.Start(), s.eng.WorldHash(), snap.BurstLeases != nil
+	return resp
 }

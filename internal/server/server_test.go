@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"powerroute/internal/cluster"
 	"powerroute/internal/core"
 	"powerroute/internal/energy"
 	"powerroute/internal/routing"
@@ -67,13 +70,25 @@ func testEngine(t testing.TB, sys *core.System) *sim.Engine {
 func testServer(t testing.TB) (*Server, *httptest.Server, *core.System) {
 	t.Helper()
 	sys := testWorld(t)
-	srv, err := New(Config{Engine: testEngine(t, sys)})
+	srv, ts := serve(t, testScenario(t, sys), nil)
+	return srv, ts, sys
+}
+
+// serve starts a daemon over a new engine for sc; a non-nil leases makes
+// it a lease-fed shard, latching each row's gate bit into leases.
+func serve(t testing.TB, sc sim.Scenario, leases *sim.LeaseStore) (*Server, *httptest.Server) {
+	t.Helper()
+	eng, err := sim.NewEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Engine: eng, Leases: leases})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts, sys
+	return srv, ts
 }
 
 // postJSON posts v and returns the response body, failing unless the
@@ -541,7 +556,7 @@ func TestBatchHeaderRequiresStart(t *testing.T) {
 // soft caps at 90% of each cluster's capacity, its engine's gate read
 // from the same LeaseStore the server latches each demand row's gate bit
 // into.
-func leaseServer(t testing.TB) (*httptest.Server, *core.System) {
+func leaseServer(t testing.TB) (*Server, *httptest.Server, *core.System) {
 	t.Helper()
 	sys := testWorld(t)
 	caps := make([]float64, len(sys.Fleet.Clusters))
@@ -552,17 +567,8 @@ func leaseServer(t testing.TB) (*httptest.Server, *core.System) {
 	sc := testScenario(t, sys)
 	sc.SoftCaps = caps
 	sc.BurstGate = store
-	eng, err := sim.NewEngine(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Engine: eng, Leases: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, sys
+	srv, ts := serve(t, sc, store)
+	return srv, ts, sys
 }
 
 // gatedBatch builds a gates=1 binary demand batch of hourly rows, each
@@ -609,7 +615,7 @@ func readLeaseStatus(t *testing.T, url string) leaseStatus {
 // refused at its row with the resume point; and the lease state shows up
 // in /v1/status, /v1/world and /metrics.
 func TestLeaseBrokeredDaemon(t *testing.T) {
-	ts, sys := leaseServer(t)
+	_, ts, sys := leaseServer(t)
 	start := sys.Market.Start
 	ns := len(sys.Fleet.States)
 	row := flatDemand(ns, 900)
@@ -744,7 +750,7 @@ func TestMidBatchErrorReportsResume(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts, sys := batchServer(t)
+			_, ts, sys := batchServer(t)
 			start := sys.Market.Start
 			ns := len(sys.Fleet.States)
 			postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 33)}, http.StatusOK)
@@ -878,5 +884,146 @@ func TestNegativeDemandRejected(t *testing.T) {
 	}
 	if got := steps(); got != k {
 		t.Fatalf("engine at step %d after the failed batch, want %d", got, k)
+	}
+}
+
+// requestsFamily starts the metrics text's request counts, the last
+// family MetricsText writes; every read moves them.
+const requestsFamily = "# HELP powerrouted_http_requests_total"
+
+// renderReads renders the status body, and the metrics text up to its
+// request counts, from a snapshot and a feed entry count.
+func renderReads(fleet *cluster.Fleet, snap *sim.Snapshot, entries int) (status, metrics string) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, StatusPayload(fleet, snap, entries))
+	metrics, _, _ = strings.Cut(MetricsText(fleet, snap, entries, nil), requestsFamily)
+	return rec.Body.String(), metrics
+}
+
+// lockedReads renders, under the lock, what reads must answer once a
+// commit has answered: the engine's own snapshot and the feed's count.
+func lockedReads(srv *Server) (status, metrics string) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return renderReads(srv.fleet, srv.eng.Snapshot(), srv.feed.entries())
+}
+
+// servedReads gets GET /v1/status, and GET /metrics up to its request
+// counts, through client.
+func servedReads(t *testing.T, client *http.Client, url string) (status, metrics string) {
+	t.Helper()
+	var bodies [2]string
+	for i, path := range []string{"/v1/status", "/metrics"} {
+		resp, err := client.Get(url + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v: %s", path, resp.StatusCode, err, body)
+		}
+		bodies[i] = string(body)
+	}
+	metrics, _, _ = strings.Cut(bodies[1], requestsFamily)
+	return bodies[0], metrics
+}
+
+// TestReadsSeeEveryCommit: every request that commits publishes its view
+// before it answers, so the status and metrics read after it equal those
+// rendered under the lock from the engine and the feed. The session runs
+// each kind of commit on the batch-class world with a demand charge, so
+// jobs queue and Finalize folds each cluster's demand charge into its
+// cost: price posts of both forms, demand posts of every form, a batch
+// refused at row 2 after rows 0–1 routed, a 409 demand post, a
+// checkpoint restore and Finalize. Each commit but the 409 must change
+// what a read renders. A new daemon's reads are checked first.
+func TestReadsSeeEveryCommit(t *testing.T) {
+	sys := testWorld(t)
+	sc := batchScenario(t, sys)
+	sc.DemandChargePerKW = 13.7
+	srv, ts := serve(t, sc, nil)
+	start := sys.Market.Start
+	ns := len(sys.Fleet.States)
+	at := func(h int) time.Time { return start.Add(time.Duration(h) * time.Hour) }
+	okBatch := func(path, contentType string, body io.Reader) {
+		resp, err := http.Post(ts.URL+path, contentType, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: got %d: %s", path, resp.StatusCode, out)
+		}
+	}
+	refused := flatDemand(ns, 700)
+	refused[1] = -1
+
+	prevStatus, prevMetrics := lockedReads(srv)
+	if status, metrics := servedReads(t, http.DefaultClient, ts.URL); status != prevStatus || metrics != prevMetrics {
+		t.Errorf("a new daemon answered\n%s\n%s\nwant, as rendered under the lock,\n%s\n%s", status, metrics, prevStatus, prevMetrics)
+	}
+	for _, commit := range []struct {
+		name string
+		do   func()
+	}{
+		{"JSON price post", func() {
+			postJSON(t, ts.URL+"/v1/prices", PricePost{At: start, Prices: hubPrices(sys, 30)}, http.StatusOK)
+		}},
+		{"price batch", func() {
+			hubs := slices.Sorted(maps.Keys(hubPrices(sys, 0)))
+			var b bytes.Buffer
+			if err := WriteBatchHeader(&b, "prices", at(1), time.Hour, 12, len(hubs), hubs); err != nil {
+				t.Fatal(err)
+			}
+			for i := range 12 {
+				b.Write(AppendRow(nil, flatDemand(len(hubs), 41+float64(i%5))))
+			}
+			okBatch("/v1/prices", ContentTypePricesBatch, &b)
+		}},
+		{"JSON demand post", func() {
+			postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 900)}, http.StatusOK)
+		}},
+		{"demand batch", func() {
+			okBatch("/v1/demand", ContentTypeDemandBatch, demandBatch(at(1), time.Hour, [][]float64{flatDemand(ns, 800), flatDemand(ns, 1300)}))
+		}},
+		{"jobs=1 batch", func() {
+			jobs := [][]WireJob{{{Cluster: 1, DeadlineSteps: 4, EnergyKWh: 30}}, nil}
+			okBatch("/v1/demand", ContentTypeDemandBatch, jobsBatch(at(3), [][]float64{flatDemand(ns, 600), flatDemand(ns, 1000)}, jobs))
+		}},
+		{"batch refused at row 2", func() {
+			f := postFailingBatch(t, ts.URL, demandBatch(at(5), time.Hour, [][]float64{flatDemand(ns, 700), flatDemand(ns, 1100), refused}).Bytes())
+			if f.Routed != 2 {
+				t.Fatalf("refused batch routed %d rows, want 2", f.Routed)
+			}
+		}},
+		{"409 demand post", func() {
+			postJSON(t, ts.URL+"/v1/demand", DemandPost{At: start, Rates: flatDemand(ns, 900)}, http.StatusConflict)
+		}},
+		{"checkpoint restore", func() {
+			ckpt := getCheckpoint(t, ts, http.StatusOK)
+			postJSON(t, ts.URL+"/v1/demand", DemandPost{Rates: flatDemand(ns, 500)}, http.StatusOK)
+			putCheckpoint(t, ts, ckpt, http.StatusOK)
+		}},
+		{"Finalize", func() {
+			if _, err := srv.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		commit.do()
+		wantStatus, wantMetrics := lockedReads(srv)
+		status, metrics := servedReads(t, http.DefaultClient, ts.URL)
+		if status != wantStatus {
+			t.Errorf("after the %s, /v1/status answered\n%s\nwant, as rendered under the lock,\n%s", commit.name, status, wantStatus)
+		}
+		if metrics != wantMetrics {
+			t.Errorf("after the %s, /metrics answered\n%s\nwant, as rendered under the lock,\n%s", commit.name, metrics, wantMetrics)
+		}
+		if changed := wantStatus != prevStatus && wantMetrics != prevMetrics; changed == (commit.name == "409 demand post") {
+			t.Errorf("after the %s, the status and metrics changed: %v", commit.name, changed)
+		}
+		prevStatus, prevMetrics = wantStatus, wantMetrics
 	}
 }

@@ -20,7 +20,6 @@ func TestBatchEnergyConservation(t *testing.T) {
 	jobs := sc.Batch.Jobs
 	arrived := 0.0
 	cursor := 0
-	var snap *Snapshot
 	for step := 1; step <= sc.Steps; step++ {
 		driveSteps(t, eng, sc, 1)
 		// Jobs with Arrival <= step-1 were enqueued during the steps run
@@ -29,7 +28,7 @@ func TestBatchEnergyConservation(t *testing.T) {
 			arrived += jobs[cursor].EnergyKWh
 			cursor++
 		}
-		snap = eng.SnapshotInto(snap)
+		snap := eng.Snapshot()
 		queued := 0.0
 		for _, kwh := range snap.BatchQueuedKWh {
 			queued += kwh
@@ -99,8 +98,7 @@ func TestQueueJobsValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	var snap *Snapshot
-	snap = eng.SnapshotInto(snap)
+	snap := eng.Snapshot()
 	for c, kwh := range snap.BatchQueuedKWh {
 		if kwh != 0 {
 			t.Fatalf("cluster %d has %v kWh queued after rejected posts (atomicity broken)", c, kwh)
@@ -110,7 +108,7 @@ func TestQueueJobsValidation(t *testing.T) {
 	if err := eng.QueueJobs([]sched.Job{good, {Cluster: 1, Arrival: 3, Deadline: 8, EnergyKWh: 2, MinFraction: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	snap = eng.SnapshotInto(snap)
+	snap = eng.Snapshot()
 	if snap.BatchQueuedKWh[0] != 5 || snap.BatchQueuedKWh[1] != 2 {
 		t.Fatalf("queued = %v, want 5 and 2 at clusters 0 and 1", snap.BatchQueuedKWh[:2])
 	}

@@ -648,10 +648,15 @@ func worldHash(sc *Scenario, prices []*timeseries.Series) string {
 				math.Float64bits(j.EnergyKWh), math.Float64bits(j.MinFraction))
 		}
 	}
+	// Each series streams through one small buffer, as the little-endian
+	// bytes binary.Write would give, without copying it whole.
+	buf := make([]byte, 0, 4096)
 	hashSeries := func(label string, series []*timeseries.Series) {
 		for i, s := range series {
 			fmt.Fprintf(h, "%s %d start=%d step=%d n=%d\n", label, i, s.Start.UnixNano(), int64(s.Step), len(s.Values))
-			_ = binary.Write(h, binary.LittleEndian, s.Values)
+			for v := range slices.Chunk(s.Values, cap(buf)/8) {
+				h.Write(appendFloats(buf[:0], v))
+			}
 		}
 	}
 	hashSeries("rt", prices)
@@ -744,8 +749,9 @@ func appendFloats(b []byte, vals []float64) []byte {
 // DecodeCheckpoint parses one encoded checkpoint. Every failure mode is
 // loud and specific: wrong magic, unsupported version, malformed envelope,
 // declared/actual payload length mismatch (truncated file), digest
-// mismatch (corruption), trailing bytes, or a checkpoint whose sections
-// disagree with its own geometry (checkShape).
+// mismatch (corruption), trailing bytes, a NaN or ±Inf meter sample,
+// last-interval load or assignment cell (no engine produces one), or a
+// checkpoint whose sections disagree with its own geometry (checkShape).
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.ReadString('\n')
@@ -865,12 +871,18 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	cp.MeterSamples = make([][]float64, cp.Clusters)
 	for c, cnt := range env.MeterSamples {
-		cp.MeterSamples[c] = readFloats(take(8*cnt), cnt)
+		if cp.MeterSamples[c], err = readFloats(take(8*cnt), cnt); err != nil {
+			return nil, fmt.Errorf("sim: cluster %d meter sample %w", c, err)
+		}
 	}
-	cp.Loads = readFloats(take(8*cp.Clusters), cp.Clusters)
+	if cp.Loads, err = readFloats(take(8*cp.Clusters), cp.Clusters); err != nil {
+		return nil, fmt.Errorf("sim: last-interval load of cluster %w", err)
+	}
 	cp.Assign = make([][]float64, cp.States)
 	for s := range cp.Assign {
-		cp.Assign[s] = readFloats(take(8*cp.Clusters), cp.Clusters)
+		if cp.Assign[s], err = readFloats(take(8*cp.Clusters), cp.Clusters); err != nil {
+			return nil, fmt.Errorf("sim: assignment of state %d to cluster %w", s, err)
+		}
 	}
 	if err := cp.checkShape(sections); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint has %w", err)
@@ -878,16 +890,21 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return cp, nil
 }
 
-func readFloats(b []byte, n int) []float64 {
+// readFloats decodes n little-endian float64s, refusing the first NaN or
+// ±Inf with an error that reads "<index> is <value>".
+func readFloats(b []byte, n int) ([]float64, error) {
 	if n == 0 {
 		// A zero-step meter serializes as nil; keep decode(encode(x)) == x.
-		return nil
+		return nil, nil
 	}
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		if math.IsNaN(out[i]) || math.IsInf(out[i], 0) {
+			return nil, fmt.Errorf("%d is %v", i, out[i])
+		}
 	}
-	return out
+	return out, nil
 }
 
 // WriteCheckpointFile encodes cp to path atomically: the bytes land in a

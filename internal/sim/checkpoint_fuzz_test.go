@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"reflect"
@@ -48,7 +49,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 // fuzzed payload before decoding. When the payload's length no longer
 // matches the sections the envelope declares, the last cluster's
 // histogram length takes up the difference, so an inserted or deleted
-// byte shifts the framing instead of failing the length check.
+// byte shifts the framing instead of failing the length check. Each seed
+// also comes with a NaN in its last assignment cell, which the decoder
+// must refuse.
 func FuzzDecodeCheckpointPayload(f *testing.F) {
 	for _, name := range []string{"storage", "batch"} {
 		sc := engineScenarios(f)[name]
@@ -61,6 +64,9 @@ func FuzzDecodeCheckpointPayload(f *testing.F) {
 			// The magic line, the envelope line, then the payload.
 			parts := bytes.SplitN(buf.Bytes(), []byte("\n"), 3)
 			f.Add(parts[1], parts[2])
+			nan := bytes.Clone(parts[2])
+			binary.LittleEndian.PutUint64(nan[len(nan)-8:], 0xffff000000000000)
+			f.Add(parts[1], nan)
 		}
 	}
 
@@ -79,17 +85,26 @@ func FuzzDecodeCheckpointPayload(f *testing.F) {
 		if last := &env.HistBytes[len(env.HistBytes)-1]; *last+len(payload)-sections >= 0 {
 			*last += len(payload) - sections
 		}
-		digest := sha256.Sum256(payload)
-		env.PayloadBytes = int64(len(payload))
-		env.PayloadSHA256 = hex.EncodeToString(digest[:])
-		stamped, err := json.Marshal(env)
-		if err != nil {
-			return
+		if data, err := stampCheckpoint(env, payload); err == nil {
+			checkDecodeFixedPoint(t, data)
 		}
-		data := append([]byte(checkpointMagic+"\n"), stamped...)
-		data = append(append(data, '\n'), payload...)
-		checkDecodeFixedPoint(t, data)
 	})
+}
+
+// stampCheckpoint encodes a checkpoint file from env and payload, with
+// payload_bytes and payload_sha256 set to the payload's, so the payload
+// passes the length and digest checks whatever it holds. It fails only
+// when env does not encode, as a decoded time with a +24:00 zone does not.
+func stampCheckpoint(env checkpointEnvelope, payload []byte) ([]byte, error) {
+	digest := sha256.Sum256(payload)
+	env.PayloadBytes = int64(len(payload))
+	env.PayloadSHA256 = hex.EncodeToString(digest[:])
+	stamped, err := json.Marshal(env)
+	if err != nil {
+		return nil, err
+	}
+	data := append([]byte(checkpointMagic+"\n"), stamped...)
+	return append(append(data, '\n'), payload...), nil
 }
 
 // checkDecodeFixedPoint decodes data and, if the decoder accepts it,

@@ -3,9 +3,11 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -228,6 +230,65 @@ func TestDecodeRejectsOverflowingSampleCounts(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonFinite: the decoder refuses a NaN or ±Inf meter
+// sample, last-interval load or assignment cell, naming the section and
+// the cluster or state. Each case writes one value into a good encoding
+// of the batch world at step 7 and re-stamps the digest, so only the
+// value can fail.
+func TestDecodeRejectsNonFinite(t *testing.T) {
+	_, cp := checkpointAt(t, clonePolicy(t, engineScenarios(t)["batch"]), 7)
+	var buf bytes.Buffer
+	if err := cp.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The magic line, the envelope line, then the payload.
+	parts := bytes.SplitN(buf.Bytes(), []byte("\n"), 3)
+	var env checkpointEnvelope
+	if err := json.Unmarshal(parts[1], &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.MeterSamples[0] == 0 {
+		t.Fatal("cluster 0 has no meter sample to corrupt")
+	}
+	payload := parts[2]
+	decode := func(p []byte) error {
+		data, err := stampCheckpoint(env, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeCheckpoint(bytes.NewReader(data))
+		return err
+	}
+	if err := decode(payload); err != nil {
+		t.Fatalf("re-stamped pristine checkpoint rejected: %v", err)
+	}
+	samples := 0 // offset of cluster 0's first meter sample
+	for _, n := range env.HistBytes {
+		samples += n
+	}
+	loads := samples
+	for _, n := range env.MeterSamples {
+		loads += 8 * n
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		bits uint64
+		want string
+	}{
+		{"+Inf meter sample", samples, math.Float64bits(math.Inf(1)), "cluster 0 meter sample 0 is +Inf"},
+		{"-Inf load", loads + 8*2, math.Float64bits(math.Inf(-1)), "last-interval load of cluster 2 is -Inf"},
+		{"NaN assignment cell", len(payload) - 8, 0xffff000000000000,
+			fmt.Sprintf("assignment of state %d to cluster %d is NaN", env.States-1, env.Clusters-1)},
+	} {
+		p := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(p[tc.off:], tc.bits)
+		if err := decode(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v does not say %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestDecodeChecksShape: the decoder refuses a checkpoint whose envelope
 // disagrees with its own geometry, without waiting for restore or merge.
 // Each case edits one rule's worth of a good encoding's envelope and
@@ -391,16 +452,15 @@ func TestWriteCheckpointFileAtomic(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpoint39Month measures the encode+decode cycle of a
-// full-horizon engine state (the acceptance budget is < 100 ms for the
-// 39-month world).
-func BenchmarkCheckpoint39Month(b *testing.B) {
+// hourly39Month is the shared 39-month hourly world under the 1500 km
+// optimizer.
+func hourly39Month(b *testing.B) Scenario {
 	fx := fixtures()
 	opt, err := routing.NewPriceOptimizer(fx.Fleet, 1500, routing.DefaultPriceThreshold)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := Scenario{
+	return Scenario{
 		Fleet:         fx.Fleet,
 		Policy:        opt,
 		Energy:        energy.OptimisticFuture,
@@ -411,6 +471,28 @@ func BenchmarkCheckpoint39Month(b *testing.B) {
 		Step:          time.Hour,
 		ReactionDelay: DefaultReactionDelay,
 	}
+}
+
+// BenchmarkWorldHash measures hashing the 39-month world, which every
+// Restore does once: a coordinator restores the joint world on every
+// status or metrics read.
+func BenchmarkWorldHash(b *testing.B) {
+	sc := hourly39Month(b)
+	prices, err := sc.clusterPrices()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		worldHash(&sc, prices)
+	}
+}
+
+// BenchmarkCheckpoint39Month measures the encode+decode cycle of a
+// full-horizon engine state (the acceptance budget is < 100 ms for the
+// 39-month world).
+func BenchmarkCheckpoint39Month(b *testing.B) {
+	sc := hourly39Month(b)
 	eng, err := NewEngine(sc)
 	if err != nil {
 		b.Fatal(err)

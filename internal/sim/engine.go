@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"powerroute/internal/billing"
@@ -826,90 +827,60 @@ type Snapshot struct {
 	BurstLeases []billing.LeaseLedgerState
 }
 
-// Snapshot captures the running state into a fresh Snapshot. It never
-// mutates the engine and is valid before, during, and after Finalize.
-// Callers polling on a hot path should hold a Snapshot and pass it to
-// SnapshotInto instead.
-func (e *Engine) Snapshot() *Snapshot { return e.SnapshotInto(nil) }
-
-// SnapshotInto captures the running state, reusing dst's slices when their
-// capacity allows (a nil dst allocates a fresh Snapshot). Every field of
-// dst is overwritten, so a recycled Snapshot never leaks stale state. This
-// keeps /v1/status and /metrics polling from pressuring the GC: after the
-// first call a reused Snapshot makes the capture allocation-free.
-func (e *Engine) SnapshotInto(dst *Snapshot) *Snapshot {
-	if dst == nil {
-		dst = new(Snapshot)
+// Snapshot captures the running state into a fresh Snapshot, which
+// shares nothing with the engine. It never mutates the engine and is
+// valid before, during, and after Finalize.
+func (e *Engine) Snapshot() *Snapshot {
+	snap := &Snapshot{
+		Policy:        e.res.Policy,
+		StoragePolicy: e.dispatchName,
+		Steps:         e.stepsRun,
+		At:            e.lastAt,
+		Next:          e.Next(),
+		ClusterCost:   slices.Clone(e.res.ClusterCost),
+		ClusterRate:   slices.Clone(e.loads),
+		PeakRate:      slices.Clone(e.res.PeakRate),
 	}
-	dst.Policy = e.res.Policy
-	dst.StoragePolicy = e.dispatchName
-	dst.Steps = e.stepsRun
-	dst.At = e.lastAt
-	dst.Next = e.Next()
-	dst.ClusterCost = append(dst.ClusterCost[:0], e.res.ClusterCost...)
-	dst.ClusterRate = append(dst.ClusterRate[:0], e.loads...)
-	dst.PeakRate = append(dst.PeakRate[:0], e.res.PeakRate...)
-	dst.DemandCharge = 0
 	if e.finalized {
 		// Result already folded the demand charge into the totals.
-		dst.TotalCost = e.res.TotalCost
-		dst.TotalEnergy = e.res.TotalEnergy
-		dst.EnergyCost = e.res.EnergyCost
-		dst.DemandCharge = e.res.DemandCharge
-		dst.OverloadHitSeconds = e.res.OverloadHitSeconds
-		dst.StorageBoughtKWh = e.res.StorageBoughtKWh
-		dst.StorageServedKWh = e.res.StorageServedKWh
-		dst.TotalCarbonKg = e.res.TotalCarbonKg
+		snap.TotalCost = e.res.TotalCost
+		snap.TotalEnergy = e.res.TotalEnergy
+		snap.EnergyCost = e.res.EnergyCost
+		snap.DemandCharge = e.res.DemandCharge
+		snap.OverloadHitSeconds = e.res.OverloadHitSeconds
+		snap.StorageBoughtKWh = e.res.StorageBoughtKWh
+		snap.StorageServedKWh = e.res.StorageServedKWh
+		snap.TotalCarbonKg = e.res.TotalCarbonKg
 	} else {
 		cost, energy, overload, bought, served, carbon := e.totals()
-		dst.TotalCost, dst.EnergyCost = cost, cost
-		dst.TotalEnergy = energy
-		dst.OverloadHitSeconds = overload
-		dst.StorageBoughtKWh = bought
-		dst.StorageServedKWh = served
-		dst.TotalCarbonKg = carbon
-		if e.demandMeters != nil {
-			for _, m := range e.demandMeters {
-				dst.DemandCharge += m.Charge(e.sc.DemandChargePerKW)
-			}
-			dst.TotalCost += dst.DemandCharge
+		snap.TotalCost, snap.EnergyCost = cost, cost
+		snap.TotalEnergy = energy
+		snap.OverloadHitSeconds = overload
+		snap.StorageBoughtKWh = bought
+		snap.StorageServedKWh = served
+		snap.TotalCarbonKg = carbon
+		for _, m := range e.demandMeters {
+			snap.DemandCharge += m.Charge(e.sc.DemandChargePerKW)
 		}
+		snap.TotalCost += snap.DemandCharge
 	}
 	if e.demandMeters != nil {
-		dst.PeakGridKW = dst.PeakGridKW[:0]
-		for _, m := range e.demandMeters {
-			dst.PeakGridKW = append(dst.PeakGridKW, m.PeakKW())
-		}
-	} else {
-		dst.PeakGridKW = nil
+		snap.PeakGridKW = each(e.demandMeters, (*billing.DemandMeter).PeakKW)
 	}
 	if e.batteries != nil {
-		dst.SoCKWh = dst.SoCKWh[:0]
-		for _, b := range e.batteries {
-			dst.SoCKWh = append(dst.SoCKWh, b.SoCKWh())
-		}
-	} else {
-		dst.SoCKWh = nil
+		snap.SoCKWh = each(e.batteries, (*storage.State).SoCKWh)
 	}
 	if e.sched != nil {
-		dst.BatchQueuedKWh = dst.BatchQueuedKWh[:0]
-		for c := 0; c < e.nc; c++ {
-			dst.BatchQueuedKWh = append(dst.BatchQueuedKWh, e.sched.QueuedKWh(c))
+		snap.BatchQueuedKWh = make([]float64, e.nc)
+		for c := range snap.BatchQueuedKWh {
+			snap.BatchQueuedKWh[c] = e.sched.QueuedKWh(c)
 		}
-		dst.BatchServedKWh, dst.BatchShedKWh, dst.BatchDeferredKWhSteps = e.batchTotals()
-	} else {
-		dst.BatchQueuedKWh = nil
-		dst.BatchServedKWh, dst.BatchShedKWh, dst.BatchDeferredKWhSteps = 0, 0, 0
+		snap.BatchServedKWh, snap.BatchShedKWh, snap.BatchDeferredKWhSteps = e.batchTotals()
 	}
 	if e.leases != nil {
-		dst.BurstLeases = dst.BurstLeases[:0]
-		for _, l := range e.leases {
-			dst.BurstLeases = append(dst.BurstLeases, l.State())
-		}
-	} else {
-		dst.BurstLeases = nil
+		snap.BurstLeases = each(e.leases, (*billing.LeaseLedger).State)
 	}
-	return dst
+	return snap
 }
 
 // Assignments copies the last interval's full state×cluster assignment

@@ -50,7 +50,6 @@ func TestMeteringMatchesDenseScan(t *testing.T) {
 			}
 			col := make([]float64, nc)
 			var assign [][]float64
-			var snap *Snapshot
 			cells := 0
 			for step := 0; step < sc.Steps; step++ {
 				driveSteps(t, eng, sc, 1)
@@ -66,7 +65,7 @@ func TestMeteringMatchesDenseScan(t *testing.T) {
 						cells++
 					}
 				}
-				snap = eng.SnapshotInto(snap)
+				snap := eng.Snapshot()
 				for c := range col {
 					if math.Float64bits(snap.ClusterRate[c]) != math.Float64bits(col[c]) {
 						t.Fatalf("step %d cluster %d: metered rate %v, dense column sum %v", step, c, snap.ClusterRate[c], col[c])

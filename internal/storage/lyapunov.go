@@ -180,8 +180,8 @@ func (l *lyapunovCluster) indifference(socKWh float64) float64 {
 // spot price and state of charge only. The returned rate moves SoC exactly
 // to the level whose threshold meets this price (capped by the spec's rate
 // limits), never past it. Deterministic and allocation-free — the step hot
-// path calls this once per cluster per interval, and TestStepZeroAllocs
-// pins the whole path at zero heap allocations.
+// path calls this once per cluster per interval, and
+// TestStepDoesNotAllocate pins the whole path at zero heap allocations.
 func (l *Lyapunov) Action(c int, price, _ float64, s *State) float64 {
 	lc := &l.perCluster[c]
 	t := lc.indifference(s.socKWh)
