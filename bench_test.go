@@ -15,12 +15,16 @@ import (
 	"testing"
 	"time"
 
+	"powerroute/internal/batchspec"
 	"powerroute/internal/core"
 	"powerroute/internal/energy"
 	"powerroute/internal/experiments"
 	"powerroute/internal/market"
 	"powerroute/internal/routing"
+	"powerroute/internal/sched"
 	"powerroute/internal/sim"
+	"powerroute/internal/storage"
+	"powerroute/internal/timeseries"
 	"powerroute/internal/traffic"
 )
 
@@ -205,25 +209,15 @@ func BenchmarkSimulation24Day(b *testing.B) {
 // BenchmarkSimulation39Month measures one hourly-step 39-month run.
 func BenchmarkSimulation39Month(b *testing.B) {
 	env := benchEnv(b)
-	sys := env.System
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt, err := routing.NewPriceOptimizer(sys.Fleet, 1500, routing.DefaultPriceThreshold)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run(sim.Scenario{
-			Fleet: sys.Fleet, Policy: opt, Energy: energy.OptimisticFuture,
-			Market: sys.Market, Demand: sys.LongRun,
-			Start: sys.Market.Start, Steps: sys.Market.Hours, Step: time.Hour,
-			ReactionDelay: sim.DefaultReactionDelay,
-		})
+		res, err := sim.Run(hourlyScenario(b, env, 1500))
 		if err != nil {
 			b.Fatal(err)
 		}
 		_ = res
 	}
-	steps := float64(sys.Market.Hours)
+	steps := float64(env.System.Market.Hours)
 	b.ReportMetric(steps*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
 }
 
@@ -293,14 +287,14 @@ func TestBenchHarness(t *testing.T) {
 // frontier.
 func BenchmarkExtJointOptimization(b *testing.B) { runFigure(b, "ext-joint") }
 
-// regionalScenario is the 39-month world under a 600 km optimizer — the
-// tightest reach, splitting the fleet into 3 routing-closed market
-// regions — with a fresh policy per call (engines must not share an
-// optimizer's order cache).
-func regionalScenario(b *testing.B, env *experiments.Env) sim.Scenario {
+// hourlyScenario is the 39-month hourly world under a price optimizer
+// of the given reach, with a fresh policy per call (engines must not
+// share an optimizer's order cache). At 600 km, the tightest reach, the
+// fleet splits into 3 routing-closed market regions.
+func hourlyScenario(b *testing.B, env *experiments.Env, thresholdKm float64) sim.Scenario {
 	b.Helper()
 	sys := env.System
-	opt, err := routing.NewPriceOptimizer(sys.Fleet, 600, routing.DefaultPriceThreshold)
+	opt, err := routing.NewPriceOptimizer(sys.Fleet, thresholdKm, routing.DefaultPriceThreshold)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -313,17 +307,16 @@ func regionalScenario(b *testing.B, env *experiments.Env) sim.Scenario {
 }
 
 // stepInputs holds every interval's inputs precomputed — instants,
-// delayed decision prices, billing prices, demand — so the regional
-// drive benchmark times engine stepping alone, not series lookups.
+// delayed decision prices, billing prices, demand — so the drive
+// benchmarks time engine stepping alone, not series lookups.
 type stepInputs struct {
 	at             []time.Time
 	decision, bill [][]float64
 	demand         [][]float64
 }
 
-func regionalInputs(b *testing.B, env *experiments.Env) *stepInputs {
+func inputsFor(b *testing.B, sc sim.Scenario) *stepInputs {
 	b.Helper()
-	sc := regionalScenario(b, env)
 	eng, err := sim.NewEngine(sc)
 	if err != nil {
 		b.Fatal(err)
@@ -380,14 +373,132 @@ func driveInputs(b *testing.B, eng *sim.Engine, in *stepInputs) {
 // across three powerrouted processes behind powerroute-coord.
 func BenchmarkRegional39MonthJoint(b *testing.B) {
 	env := benchEnv(b)
-	in := regionalInputs(b, env)
+	in := inputsFor(b, hourlyScenario(b, env, 600))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := sim.NewEngine(regionalScenario(b, env))
+		eng, err := sim.NewEngine(hourlyScenario(b, env, 600))
 		if err != nil {
 			b.Fatal(err)
 		}
 		driveInputs(b, eng, in)
 	}
 	b.ReportMetric(float64(len(in.at))*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+}
+
+// BenchmarkEngineStep39Month drives BenchmarkSimulation39Month's world
+// through Engine.Step the way the daemons drive their engines: each
+// interval routed and then billed on one goroutine. sim.Run bills on a
+// helper goroutine while later steps route, so a bill-half regression
+// can hide behind the route half in BenchmarkSimulation39Month; here the
+// two halves add up.
+func BenchmarkEngineStep39Month(b *testing.B) {
+	env := benchEnv(b)
+	in := inputsFor(b, hourlyScenario(b, env, 1500))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := sim.NewEngine(hourlyScenario(b, env, 1500))
+		if err != nil {
+			b.Fatal(err)
+		}
+		driveInputs(b, eng, in)
+	}
+	b.ReportMetric(float64(len(in.at))*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+}
+
+// The full 5-minute world's extras: per-server Lyapunov batteries, a
+// demand charge, and a batch class with one job per cluster every hour.
+const (
+	fullBatteryKWhPerServer = 1.0
+	fullBatteryWPerServer   = 150.0
+	fullBatteryRoundTrip    = 0.85
+	fullDemandChargePerKW   = 12.0
+	fullBatchSpec           = "w=20,pct=0.3"
+	fullJobEvery            = 12
+	fullJobSlack            = 72
+	fullJobFloor            = 0.5
+	fullJobShareOfMaxKW     = 0.3
+)
+
+// fullScenario builds the 24-day 5-minute world with every subsystem the
+// bill half runs: 95/5 soft caps derived from a baseline run, Lyapunov
+// batteries, a demand charge and a batch class. It returns a function
+// that builds the scenario with a fresh policy for each engine.
+func fullScenario(b *testing.B, env *experiments.Env) func() sim.Scenario {
+	b.Helper()
+	sys := env.System
+	demand, err := sim.FromTrace(sys.Trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := sim.Scenario{
+		Fleet: sys.Fleet, Energy: energy.OptimisticFuture, Market: sys.Market, Demand: demand,
+		Start: sys.Trace.Start, Steps: sys.Trace.Samples, Step: 5 * time.Minute,
+		ReactionDelay: sim.DefaultReactionDelay,
+	}
+	caps, _, err := sim.DeriveCaps(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nc := len(sys.Fleet.Clusters)
+	prices := make([]*timeseries.Series, nc)
+	batteries := make([]storage.Battery, nc)
+	for c, cl := range sys.Fleet.Clusters {
+		if prices[c], err = sys.Market.RT(cl.HubID); err != nil {
+			b.Fatal(err)
+		}
+		n := float64(cl.Servers)
+		batteries[c] = storage.Battery{
+			CapacityKWh:         fullBatteryKWhPerServer * n,
+			MaxChargeKW:         fullBatteryWPerServer * n / 1000,
+			MaxDischargeKW:      fullBatteryWPerServer * n / 1000,
+			RoundTripEfficiency: fullBatteryRoundTrip,
+		}
+	}
+	lyapunov, err := storage.NewLyapunov(prices, batteries, base.Step.Hours(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch, err := batchspec.Parse(fullBatchSpec, sys.Fleet, sys.Market)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for arrival := 0; arrival+fullJobSlack <= base.Steps; arrival += fullJobEvery {
+		for c, kw := range batch.MaxBatchKW {
+			batch.Jobs = append(batch.Jobs, sched.Job{
+				Cluster: c, Arrival: arrival, Deadline: arrival + fullJobSlack,
+				EnergyKWh: fullJobShareOfMaxKW * kw, MinFraction: fullJobFloor,
+			})
+		}
+	}
+	return func() sim.Scenario {
+		opt, err := routing.NewPriceOptimizer(sys.Fleet, 1500, routing.DefaultPriceThreshold)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := base
+		sc.Policy = opt
+		sc.SoftCaps = append([]float64(nil), caps...)
+		sc.Storage = &storage.Config{Batteries: batteries, Policy: lyapunov}
+		sc.DemandChargePerKW = fullDemandChargePerKW
+		sc.Batch = batch
+		return sc
+	}
+}
+
+// BenchmarkSimulation24DayFull measures one full 24-day 5-minute sim.Run
+// with soft caps, Lyapunov batteries, a demand charge and a batch class:
+// the run whose bill half (power curve, battery dispatch, scheduler,
+// demand meters) weighs most next to its routing.
+func BenchmarkSimulation24DayFull(b *testing.B) {
+	scenario := fullScenario(b, benchEnv(b))
+	steps := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(scenario())
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += res.Steps
+	}
+	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 }

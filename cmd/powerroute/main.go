@@ -13,8 +13,10 @@
 // last two add site batteries and demand-charge tariffs on top of the
 // routing results). Experiment dispatch and each experiment's internal
 // parameter sweep independently bound their worker count by -parallel
-// (default: the number of CPUs); output is rendered in registry order and
-// is byte-identical to a serial run.
+// (default: the number of CPUs): the flag bounds how many simulation runs
+// go at once, and each run also bills on one helper goroutine beside its
+// routing. Output is rendered in registry order and is byte-identical to
+// a serial run.
 package main
 
 import (
@@ -42,7 +44,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var world core.Options
 	world.Register(fs)
 	timing := fs.Bool("time", false, "print per-experiment wall time")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiments and sweeps (1 = serial)")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs for experiments and sweeps (1 = serial); each run bills on one helper goroutine")
 	fs.Usage = func() { usage(stderr) }
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -105,7 +107,8 @@ usage:
   powerroute [-seed N] all                     run everything
   powerroute ext-storage ext-peakshave         battery & demand-charge extensions
   powerroute [-seed N] -time <id>              report wall time too
-  powerroute -parallel N <id>                  bound the worker pool (1 = serial)
+  powerroute -parallel N <id>                  bound concurrent runs (1 = serial;
+                                               each run bills on a helper goroutine)
   powerroute -months M -days D <id>            shrink the world (fast iteration)
 `)
 }

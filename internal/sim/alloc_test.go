@@ -63,3 +63,30 @@ func TestStepDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAllocatesPerRun: Run allocates its hand-off buffers once, not
+// per step or per chunk. Its own allocations, a Run's less those of a
+// hand-driven Step loop over the same horizon (which cancels whatever the
+// engine allocates as the horizon grows, such as a demand meter's monthly
+// peaks), grow by fewer than sixteen objects over sixteen more chunks;
+// the runtime's own count moves by a few objects from run to run.
+func TestRunAllocatesPerRun(t *testing.T) {
+	const extra = 16
+	short, long := runChunk/2, runChunk/2+extra*runChunk
+	for name, sc := range engineScenarios(t) {
+		t.Run(name, func(t *testing.T) {
+			own := func(steps int) float64 {
+				sc.Steps = steps
+				run := testing.AllocsPerRun(2, func() {
+					if _, err := Run(clonePolicy(t, sc)); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return run - testing.AllocsPerRun(2, func() { driveEngine(t, clonePolicy(t, sc)) })
+			}
+			if a, b := own(short), own(long); b-a >= extra {
+				t.Fatalf("Run allocates %v objects of its own over %d steps and %v over %d", a, short, b, long)
+			}
+		})
+	}
+}

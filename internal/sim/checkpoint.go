@@ -333,8 +333,8 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 // whatever world it later restores into or merges with: a step cursor
 // ≥ 0, one code per cluster and per state, a shard identity whole or
 // absent, one value per cluster in every section (or, for an optional
-// one, none), steps_run samples in every meter list, and a states ×
-// clusters assignment matrix. DecodeCheckpoint, loadCheckpoint and
+// one, none), steps_run samples in every meter list, a states × clusters
+// assignment matrix, and a last_at at the step cursor's instant. DecodeCheckpoint, loadCheckpoint and
 // MergeCheckpoints all call it, with the table they walk; its errors read
 // after "checkpoint has", and sections are checked in table order.
 func (cp *Checkpoint) checkShape(sections []checkpointSection) error {
@@ -369,6 +369,16 @@ func (cp *Checkpoint) checkShape(sections []checkpointSection) error {
 		if len(row) != nc {
 			return fmt.Errorf("%d values in assignment row %d for %d clusters", len(row), s, nc)
 		}
+	}
+	// Every engine steps at its Next(), so the last interval's instant is
+	// the cursor's: zero before the first step, start + (steps_run−1)·step
+	// after it.
+	var last time.Time
+	if cp.StepsRun > 0 {
+		last = cp.Start.Add(time.Duration(cp.StepsRun-1) * cp.Step)
+	}
+	if !cp.LastAt.Equal(last) {
+		return fmt.Errorf("last_at %v where steps_run %d puts the last interval at %v", cp.LastAt, cp.StepsRun, last)
 	}
 	return nil
 }
@@ -839,6 +849,10 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: checkpoint payload digest %s does not match declared %s (corrupt file)", got, env.PayloadSHA256)
 	}
 
+	// Go's time parser accepts a +24:00 zone offset that its encoder
+	// refuses, so a decoded time keeps only its instant, in UTC: a
+	// checkpoint that decodes always re-encodes.
+	cp.Start, cp.LastAt = cp.Start.UTC(), cp.LastAt.UTC()
 	// The envelope's optional fields use omitempty, so an empty slice in a
 	// hand-crafted file would not survive a re-encode; normalize to nil
 	// (absent) so decode(encode(decode(x))) is a fixed point.

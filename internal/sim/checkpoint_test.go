@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -336,6 +337,79 @@ func TestDecodeChecksShape(t *testing.T) {
 			t.Errorf("%s: %v", tc.rule, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v does not name %q", tc.rule, err, tc.want)
+		}
+	}
+}
+
+// withEnvelopeTime rewrites one time field of an encoded checkpoint's
+// envelope to a raw RFC 3339 string, keeping the payload, so the framing
+// and the digest still hold. The time encoder refuses some zones the
+// parser accepts (+24:00), so the field is set as text.
+func withEnvelopeTime(t testing.TB, data []byte, field, value string) []byte {
+	t.Helper()
+	parts := bytes.SplitN(data, []byte("\n"), 3)
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(parts[1], &env); err != nil {
+		t.Fatal(err)
+	}
+	env[field] = json.RawMessage(`"` + value + `"`)
+	envJSON, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Join([][]byte{parts[0], envJSON, parts[2]}, []byte("\n"))
+}
+
+// at24 writes t's instant at a +24:00 zone offset, which Go's time parser
+// accepts and its encoder refuses.
+func at24(t time.Time) string {
+	return t.UTC().Add(24*time.Hour).Format("2006-01-02T15:04:05.999999999") + "+24:00"
+}
+
+// TestDecodeChecksLastAt: the decoder refuses a last_at other than the
+// step cursor's instant, and keeps start and last_at in UTC, so a
+// checkpoint whose times name the right instant in a zone the encoder
+// refuses decodes, re-encodes, restores, and checkpoints again.
+func TestDecodeChecksLastAt(t *testing.T) {
+	sc := engineScenarios(t)["batch"]
+	_, cp := checkpointAt(t, clonePolicy(t, sc), 7)
+	var buf bytes.Buffer
+	if err := cp.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+
+	other := withEnvelopeTime(t, good, "last_at", "2006-01-02T15:00:00+24:00")
+	if _, err := DecodeCheckpoint(bytes.NewReader(other)); err == nil || !strings.Contains(err.Error(), "last_at") {
+		t.Errorf("last_at at another instant: error %v does not name last_at", err)
+	}
+
+	for _, field := range []string{"start", "last_at"} {
+		at := cp.LastAt
+		if field == "start" {
+			at = cp.Start
+		}
+		data := withEnvelopeTime(t, good, field, at24(at))
+		got, err := DecodeCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s at +24:00: %v", field, err)
+		}
+		if !reflect.DeepEqual(got, cp) {
+			t.Errorf("%s at +24:00 decodes to another checkpoint", field)
+		}
+		if err := got.Encode(io.Discard); err != nil {
+			t.Errorf("%s at +24:00: decoded checkpoint fails to encode: %v", field, err)
+		}
+		eng, err := Restore(clonePolicy(t, sc), got)
+		if err != nil {
+			t.Fatalf("%s at +24:00: %v", field, err)
+		}
+		again, err := eng.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := again.Encode(io.Discard); err != nil {
+			t.Errorf("%s at +24:00: restored engine's checkpoint fails to encode: %v", field, err)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 // The incremental simulation engine: all per-run state of a Scenario —
 // billing meters, 95/5 burst budgets, battery state-of-charge, the distance
-// histogram — held explicitly and advanced one interval at a time. The
-// batch Run is a thin loop over an Engine; long-running services
-// (cmd/powerrouted) drive the same engine from live price and demand feeds
-// instead of pre-generated series, one Step per routing interval.
+// histogram — held explicitly and advanced one interval at a time. Each
+// Step is a route half and a bill half. Long-running services
+// (cmd/powerrouted) drive the engine from live price and demand feeds
+// instead of pre-generated series, one Step per routing interval; the
+// batch Run drives the same two halves, billing routed steps on a helper
+// goroutine while later steps route.
 package sim
 
 import (
@@ -384,7 +386,41 @@ func (e *Engine) Next() time.Time {
 // cluster's grid draw is metered and billed at prices.Bill, batteries
 // dispatch, and the distance histogram absorbs the assignment. Inputs are
 // copied, never retained.
+//
+// Step is the route half then the bill half of the interval, on the
+// caller's goroutine; Run overlaps the two halves across steps.
 func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
+	step := e.stepsRun
+	if err := e.route(at, prices, demand); err != nil {
+		return err
+	}
+	e.bill(&stepRecord{at: at, step: step, loads: e.loads, bill: prices.Bill, decision: prices.Decision, carbon: prices.Carbon})
+	return nil
+}
+
+// stepRecord is what the bill half of one routed step reads: the
+// interval, its step index, the per-cluster loads routing placed, and the
+// step's prices. Nothing in it is engine state, so a step can be billed
+// while later steps route.
+type stepRecord struct {
+	at    time.Time
+	step  int       // the step index, the cursor before route advanced it
+	loads []float64 // per-cluster rate routed (hits/s)
+	bill  []float64 // billing prices
+	// decision is the uncapped decision signal, read only by the batch
+	// scheduler's gate; carbon the intensities, read only when the
+	// scenario meters carbon.
+	decision []float64
+	carbon   []float64
+}
+
+// route is the half of Step that a later step's routing reads: input
+// checks and storage price caps, the room tiers and burst gate, Allocate,
+// one pass over the placed cells summing loads and feeding the distance
+// histograms, the 95/5 commits and lease booking, and the step cursor. It
+// reads no state the bill half writes, except the battery charge behind
+// storage price caps; Run steps inline when those are on.
+func (e *Engine) route(at time.Time, prices StepPrices, demand []float64) error {
 	if e.finalized {
 		return errors.New("sim: engine already finalized")
 	}
@@ -396,7 +432,6 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 	}
 	sc := &e.sc
 	ctx := e.ctx
-	res := e.res
 	ctx.At = at
 	copy(ctx.Demand, demand)
 
@@ -461,10 +496,10 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 		return err
 	}
 
-	// Meter the cells the policy placed (routing.Policy's Placed
-	// contract): each cluster's cells come in ascending state order, so
-	// every per-cluster sum gets the operands a dense scan of assign
-	// would feed it, in the same order.
+	// Sum the cells the policy placed (routing.Policy's Placed contract):
+	// each cluster's cells come in ascending state order, so every
+	// per-cluster sum gets the operands a dense scan of assign would feed
+	// it, in the same order.
 	for c := range e.loads {
 		e.loads[c] = 0
 	}
@@ -479,8 +514,40 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 			e.distHists[c].Add(sc.Fleet.DistanceKm[s][c], rate*stepHours)
 		}
 	}
+	if e.constraints != nil {
+		for c, con := range e.constraints {
+			load := e.loads[c]
+			if err := con.Commit(load); err != nil {
+				return fmt.Errorf("sim: cluster %s at %v: %w", sc.Fleet.Clusters[c].Code, at, err)
+			}
+			// Book the step's burst token: used by an over-cap interval,
+			// expired (reclaimed at the step boundary) otherwise.
+			if e.leases != nil && e.leaseGranted[c] {
+				if con.Over(load) {
+					e.leases[c].Use()
+				} else {
+					e.leases[c].Expire()
+				}
+			}
+		}
+	}
+	e.stepsRun++
+	e.lastAt = at
+	return nil
+}
+
+// bill is the half of Step no later route reads: the meter samples, peak
+// rates, overload and utilization, the power curve, battery dispatch, the
+// batch scheduler, the bill, the demand meters and the carbon ledger. It
+// reads the step from r alone, never the route half's state, and bills
+// steps in order, so billing step k while step k+1 routes gives every
+// ledger it writes the operations Step would, in the same order.
+func (e *Engine) bill(r *stepRecord) {
+	sc := &e.sc
+	res := e.res
+	stepHours := e.stepHours
 	for c := range sc.Fleet.Clusters {
-		load := e.loads[c]
+		load := r.loads[c]
 		capacity := e.capacities[c]
 		e.meters[c].Record(load)
 		if load > res.PeakRate[c] {
@@ -490,20 +557,6 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 		// arithmetic; genuine overloads are orders of magnitude larger.
 		if over := load - capacity; over > 1e-6+1e-9*capacity {
 			e.overloadSec[c] += over * sc.Step.Seconds()
-		}
-		if e.constraints != nil {
-			if err := e.constraints[c].Commit(load); err != nil {
-				return fmt.Errorf("sim: cluster %s at %v: %w", sc.Fleet.Clusters[c].Code, at, err)
-			}
-			// Book the step's burst token: used by an over-cap interval,
-			// expired (reclaimed at the step boundary) otherwise.
-			if e.leases != nil && e.leaseGranted[c] {
-				if e.constraints[c].Over(load) {
-					e.leases[c].Use()
-				} else {
-					e.leases[c].Expire()
-				}
-			}
 		}
 		// Cluster.Utilization over the cached float capacity: the same
 		// division, the same clamps.
@@ -525,7 +578,7 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 		if e.batteries != nil {
 			b := e.batteries[c]
 			itKW := en.KilowattHours() / stepHours
-			if act := e.dispatch.Action(c, prices.Bill[c], itKW, b); act > 0 {
+			if act := e.dispatch.Action(c, r.bill[c], itKW, b); act > 0 {
 				bought := b.Charge(act, stepHours)
 				grid += units.Energy(bought * 1000)
 				e.storageBought[c] += bought
@@ -546,11 +599,11 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 	// billing so batch draw is billed and demand-metered at whichever
 	// cluster serves it, on top of that cluster's interactive draw.
 	if e.sched != nil {
-		e.sched.EnqueueArrivals(e.stepsRun)
+		e.sched.EnqueueArrivals(r.step)
 		var headroom []float64
 		if e.sched.PeakGuarded() && e.demandMeters != nil {
 			for c := range e.headroomKW {
-				h := e.demandMeters[c].MonthPeak(at) - e.gridWh[c].KilowattHours()/stepHours
+				h := e.demandMeters[c].MonthPeak(r.at) - e.gridWh[c].KilowattHours()/stepHours
 				if h < 0 {
 					h = 0
 				}
@@ -560,7 +613,7 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 		}
 		// The gate reads the same lagged decision prices the router saw,
 		// before any storage price caps: batch deferral is its own lever.
-		e.sched.Dispatch(e.stepsRun, stepHours, prices.Decision, headroom, e.batchKW, e.batchShedKWh)
+		e.sched.Dispatch(r.step, stepHours, r.decision, headroom, e.batchKW, e.batchShedKWh)
 		e.sched.Compact()
 		for c := range e.batchKW {
 			if kwh := e.batchKW[c] * stepHours; kwh > 0 {
@@ -577,19 +630,16 @@ func (e *Engine) Step(at time.Time, prices StepPrices, demand []float64) error {
 	// scenarios produce bit-identical results to the single-loop form.
 	for c := range sc.Fleet.Clusters {
 		grid := e.gridWh[c]
-		cost := grid.Cost(units.Price(prices.Bill[c]))
+		cost := grid.Cost(units.Price(r.bill[c]))
 		res.ClusterEnergy[c] += grid
 		res.ClusterCost[c] += cost
 		if e.demandMeters != nil {
-			e.demandMeters[c].Record(at, grid.KilowattHours()/stepHours)
+			e.demandMeters[c].Record(r.at, grid.KilowattHours()/stepHours)
 		}
 		if sc.Carbon != nil {
-			res.ClusterCarbonKg[c] += grid.KilowattHours() * prices.Carbon[c] / 1000
+			res.ClusterCarbonKg[c] += grid.KilowattHours() * r.carbon[c] / 1000
 		}
 	}
-	e.stepsRun++
-	e.lastAt = at
-	return nil
 }
 
 // QueueJobs enqueues externally arriving batch jobs — the daemon ingest

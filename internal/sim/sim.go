@@ -317,67 +317,214 @@ func (l *seriesLookup) values(at time.Time, dst []float64) error {
 	return nil
 }
 
-// Run executes the scenario as a batch: a thin loop that looks up each
-// interval's prices, demand, and carbon intensity from the scenario's
-// series and advances an Engine one Step at a time.
+// Run executes the scenario as a batch: it looks up each interval's
+// prices, demand, and carbon intensity from the scenario's series and
+// advances an Engine through every interval. Each step's route half runs
+// on the caller's goroutine; one helper goroutine, started and joined
+// here, bills the routed steps behind it, runChunk steps per hand-off.
+// Both halves are Step's own (route and bill), and the bill half reads
+// only its step's record, so the Result is bit for bit that of a Step
+// loop over the same inputs. With routing-aware storage price caps the
+// next route reads the battery charge the bill half writes, and Run
+// steps inline instead.
 func Run(sc Scenario) (*Result, error) {
 	eng, err := NewEngine(sc)
 	if err != nil {
 		return nil, err
 	}
-	nc := len(sc.Fleet.Clusters)
-	prices := eng.PriceSeries()
+	in := newRunInputs(&sc, eng.PriceSeries())
+	if eng.priceCapper != nil {
+		err = runInline(eng, &in)
+	} else {
+		err = runOverlapped(eng, &in)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return eng.Finalize()
+}
 
+// runInputs looks up Run's per-interval inputs from the scenario's
+// series.
+type runInputs struct {
+	sc                     *Scenario
+	marketStart            time.Time
+	bill, decision, carbon seriesLookup
+	demand                 []float64
+}
+
+func newRunInputs(sc *Scenario, prices []*timeseries.Series) runInputs {
 	signal := prices
 	if sc.DecisionSeries != nil {
 		signal = sc.DecisionSeries
 	}
-	billLookup := newSeriesLookup(prices)
-	decisionLookup := newSeriesLookup(signal)
-	var carbonLookup seriesLookup
-	var carbonIntensity []float64
-	if sc.Carbon != nil {
-		carbonLookup = newSeriesLookup(sc.Carbon)
-		carbonIntensity = make([]float64, nc)
+	in := runInputs{
+		sc:          sc,
+		marketStart: prices[0].Start,
+		bill:        newSeriesLookup(prices),
+		decision:    newSeriesLookup(signal),
 	}
+	if sc.Carbon != nil {
+		in.carbon = newSeriesLookup(sc.Carbon)
+	}
+	return in
+}
 
-	var demand []float64
-	decisionPrices := make([]float64, nc)
-	billPrices := make([]float64, nc)
+// lookup fills p with interval step's decision and billing prices (and
+// carbon intensities when the scenario meters carbon), and returns the
+// interval's instant and demand. The demand slice is reused by the next
+// call.
+func (in *runInputs) lookup(step int, p StepPrices) (time.Time, []float64, error) {
+	sc := in.sc
+	at := sc.Start.Add(time.Duration(step) * sc.Step)
+	in.demand = sc.Demand.Rates(at, in.demand)
 
-	marketStart := prices[0].Start
-	for step := 0; step < sc.Steps; step++ {
-		at := sc.Start.Add(time.Duration(step) * sc.Step)
-
-		// Demand.
-		demand = sc.Demand.Rates(at, demand)
-
-		// Decision signal: delayed, clamped to the start of market data.
-		decisionAt := at.Add(-sc.ReactionDelay)
-		if decisionAt.Before(marketStart) {
-			decisionAt = marketStart
+	// Decision signal: delayed, clamped to the start of market data.
+	decisionAt := at.Add(-sc.ReactionDelay)
+	if decisionAt.Before(in.marketStart) {
+		decisionAt = in.marketStart
+	}
+	if err := in.decision.values(decisionAt, p.Decision); err != nil {
+		return at, nil, fmt.Errorf("sim: decision signal at %v: %w", decisionAt, err)
+	}
+	// Billing prices for this instant (always real-time dollars).
+	if err := in.bill.values(at, p.Bill); err != nil {
+		return at, nil, fmt.Errorf("sim: billing price at %v: %w", at, err)
+	}
+	if sc.Carbon != nil {
+		if err := in.carbon.values(at, p.Carbon); err != nil {
+			return at, nil, fmt.Errorf("sim: carbon intensity at %v: %w", at, err)
 		}
-		if err := decisionLookup.values(decisionAt, decisionPrices); err != nil {
-			return nil, fmt.Errorf("sim: decision signal at %v: %w", decisionAt, err)
+	}
+	return at, in.demand, nil
+}
+
+// runInline advances eng one whole Step at a time.
+func runInline(eng *Engine, in *runInputs) error {
+	p := StepPrices{Decision: make([]float64, eng.nc), Bill: make([]float64, eng.nc)}
+	if in.sc.Carbon != nil {
+		p.Carbon = make([]float64, eng.nc)
+	}
+	for step := 0; step < in.sc.Steps; step++ {
+		at, demand, err := in.lookup(step, p)
+		if err != nil {
+			return err
 		}
-		// Billing prices for this instant (always real-time dollars).
-		if err := billLookup.values(at, billPrices); err != nil {
-			return nil, fmt.Errorf("sim: billing price at %v: %w", at, err)
+		if err := eng.Step(at, p, demand); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runChunk is how many routed steps Run hands the billing goroutine at
+// once, and runChunks how many chunks circulate between the two: one
+// routing, one billing, one spare. A hand-off is one channel send and
+// receive per chunk, so its cost stays near 1% of a step even when both
+// goroutines share one CPU.
+const (
+	runChunk  = 128
+	runChunks = 3
+)
+
+// billChunk is one hand-off: up to runChunk routed steps' records.
+type billChunk struct {
+	recs []stepRecord // runChunk records, their vectors cut from one buffer
+	n    int          // records routed and not yet billed
+}
+
+// newBillChunks allocates Run's hand-off buffers once: runChunks chunks
+// of records carrying nc loads and billing prices each, plus the
+// decision prices when the scenario has a batch class (its scheduler
+// reads them) and the carbon intensities when it meters carbon.
+func newBillChunks(nc int, sc *Scenario) []billChunk {
+	width := 2
+	if sc.Batch != nil {
+		width++
+	}
+	if sc.Carbon != nil {
+		width++
+	}
+	buf := make([]float64, runChunks*runChunk*width*nc)
+	next := func() []float64 {
+		v := buf[:nc:nc]
+		buf = buf[nc:]
+		return v
+	}
+	recs := make([]stepRecord, runChunks*runChunk)
+	for i := range recs {
+		r := &recs[i]
+		r.loads, r.bill = next(), next()
+		if sc.Batch != nil {
+			r.decision = next()
 		}
 		if sc.Carbon != nil {
-			if err := carbonLookup.values(at, carbonIntensity); err != nil {
-				return nil, fmt.Errorf("sim: carbon intensity at %v: %w", at, err)
-			}
-		}
-		if err := eng.Step(at, StepPrices{
-			Decision: decisionPrices,
-			Bill:     billPrices,
-			Carbon:   carbonIntensity,
-		}, demand); err != nil {
-			return nil, err
+			r.carbon = next()
 		}
 	}
-	return eng.Finalize()
+	chunks := make([]billChunk, runChunks)
+	for i := range chunks {
+		chunks[i].recs = recs[i*runChunk : (i+1)*runChunk]
+	}
+	return chunks
+}
+
+// runOverlapped routes every step on the calling goroutine and bills the
+// routed steps on one helper goroutine, a chunk at a time. However the
+// routing ends, an error included, it hands over the steps already routed
+// and joins the helper before it returns.
+func runOverlapped(eng *Engine, in *runInputs) error {
+	chunks := newBillChunks(eng.nc, in.sc)
+	// Each channel can hold every chunk, so no send ever blocks: the
+	// router waits only for a free chunk, the biller only for a full one.
+	free := make(chan *billChunk, runChunks)
+	full := make(chan *billChunk, runChunks)
+	for i := range chunks {
+		free <- &chunks[i]
+	}
+	billed := make(chan struct{})
+	go func() {
+		defer close(billed)
+		for ch := range full {
+			for i := range ch.recs[:ch.n] {
+				eng.bill(&ch.recs[i])
+			}
+			ch.n = 0
+			free <- ch
+		}
+	}()
+
+	ch := <-free
+	defer func() {
+		if ch.n > 0 {
+			full <- ch
+		}
+		close(full)
+		<-billed
+	}()
+	// Records without decision prices route from one reused vector.
+	decision := make([]float64, eng.nc)
+	for step := 0; step < in.sc.Steps; step++ {
+		r := &ch.recs[ch.n]
+		p := StepPrices{Decision: r.decision, Bill: r.bill, Carbon: r.carbon}
+		if p.Decision == nil {
+			p.Decision = decision
+		}
+		at, demand, err := in.lookup(step, p)
+		if err != nil {
+			return err
+		}
+		r.at, r.step = at, eng.stepsRun
+		if err := eng.route(at, p, demand); err != nil {
+			return err
+		}
+		copy(r.loads, eng.loads)
+		if ch.n++; ch.n == len(ch.recs) {
+			full <- ch
+			ch = <-free
+		}
+	}
+	return nil
 }
 
 // DeriveCaps runs the scenario under the Akamai-like baseline policy with
