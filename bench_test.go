@@ -24,7 +24,6 @@ import (
 	"powerroute/internal/sched"
 	"powerroute/internal/sim"
 	"powerroute/internal/storage"
-	"powerroute/internal/timeseries"
 	"powerroute/internal/traffic"
 )
 
@@ -439,13 +438,12 @@ func fullScenario(b *testing.B, env *experiments.Env) func() sim.Scenario {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nc := len(sys.Fleet.Clusters)
-	prices := make([]*timeseries.Series, nc)
-	batteries := make([]storage.Battery, nc)
+	prices, err := sim.ClusterPrices(sys.Fleet, sys.Market)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batteries := make([]storage.Battery, len(sys.Fleet.Clusters))
 	for c, cl := range sys.Fleet.Clusters {
-		if prices[c], err = sys.Market.RT(cl.HubID); err != nil {
-			b.Fatal(err)
-		}
 		n := float64(cl.Servers)
 		batteries[c] = storage.Battery{
 			CapacityKWh:         fullBatteryKWhPerServer * n,

@@ -8,7 +8,7 @@
 // are its routing partition, so each shard's clusters and states follow
 // from the world: -shards lists the shard URLs in -shard-index order, and
 // the coordinator refuses to start unless each shard's /v1/world serves
-// its region. It then:
+// its region and reports that region's world hash. It then:
 //
 //   - splits a POST /v1/prices binary batch by hub, posting each shard
 //     only the columns of the hubs its clusters sit on, and checks a JSON

@@ -2,32 +2,22 @@
 // maprange, wallclock, ckptfield, and lockcheck — the checks that keep
 // the simulation bit-for-bit reproducible and the checkpoint complete.
 //
-// Two modes:
+// Usage:
 //
 //	powerroute-vet ./...
-//		standalone: loads the named packages (go list syntax) from the
-//		current directory and reports findings; exit status 1 if any.
 //
-//	go vet -vettool=$(which powerroute-vet) ./...
-//		vet-tool: speaks the cmd/go vet protocol (a single *.cfg JSON
-//		argument per package), so findings integrate with go vet's
-//		per-package caching and output.
+// It loads the named packages (go list syntax) from the current
+// directory through internal/lint/load, the loader the analyzers' own
+// tests use, runs every analyzer over each package's non-test files,
+// and prints the findings sorted by position; the exit status is 1 if
+// there are any.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"powerroute/internal/lint"
 	"powerroute/internal/lint/analysis"
@@ -35,200 +25,70 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	// cmd/go probes the tool's identity for its action cache, and its
-	// flag set (a JSON table; this suite takes no analyzer flags).
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		printVersion()
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetTool(args[0]))
-	}
-	if len(args) == 0 {
+	if len(os.Args) < 2 {
 		fmt.Fprintln(os.Stderr, "usage: powerroute-vet <packages>   (e.g. powerroute-vet ./...)")
 		os.Exit(2)
 	}
-	os.Exit(standalone(args))
+	pkgs, err := load.Load(".", os.Args[1:]...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "powerroute-vet: %v\n", err)
+		os.Exit(1)
+	}
+	total := 0
+	for _, p := range pkgs {
+		found, err := runAnalyzers(p)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "powerroute-vet: %v\n", err)
+			os.Exit(1)
+		}
+		total += report(found)
+	}
+	if total > 0 {
+		os.Exit(1)
+	}
 }
 
-// printVersion emits the `-V=full` line cmd/go's action cache parses:
-// "<name> version devel ... buildID=<content hash>", hashing the binary
-// itself so a rebuilt tool invalidates cached vet results.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
+// finding is one diagnostic, tagged with the analyzer that reported it.
+type finding struct {
+	pos  token.Position
+	text string
+}
+
+// runAnalyzers runs the whole suite over one package.
+func runAnalyzers(p *load.Package) ([]finding, error) {
+	var found []finding
+	for _, a := range lint.Analyzers() {
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      p.Fset,
+			Files:     p.Files,
+			Pkg:       p.Types,
+			TypesInfo: p.Info,
+		}
+		pass.Report = func(d analysis.Diagnostic) {
+			found = append(found, finding{p.Fset.Position(d.Pos), fmt.Sprintf("[%s] %s", a.Name, d.Message)})
+		}
+		if _, err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %v", a.Name, p.ImportPath, err)
 		}
 	}
-	fmt.Printf("powerroute-vet version devel comments-go-here buildID=%02x\n", h.Sum(nil))
+	return found, nil
 }
 
-// report prints diagnostics sorted by position and returns the count.
-func report(fset *token.FileSet, diags []analysis.Diagnostic, names []string) int {
-	type line struct {
-		pos  token.Position
-		text string
-	}
-	lines := make([]line, len(diags))
-	for i, d := range diags {
-		lines[i] = line{fset.Position(d.Pos), fmt.Sprintf("[%s] %s", names[i], d.Message)}
-	}
-	sort.Slice(lines, func(i, j int) bool {
-		a, b := lines[i].pos, lines[j].pos
+// report prints findings sorted by position and returns the count.
+func report(found []finding) int {
+	sort.Slice(found, func(i, j int) bool {
+		a, b := found[i].pos, found[j].pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		return lines[i].text < lines[j].text
+		return found[i].text < found[j].text
 	})
-	for _, l := range lines {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", l.pos, l.text)
+	for _, f := range found {
+		fmt.Fprintf(os.Stderr, "%s: %s\n", f.pos, f.text)
 	}
-	return len(lines)
-}
-
-func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]analysis.Diagnostic, []string) {
-	var diags []analysis.Diagnostic
-	var names []string
-	for _, a := range lint.Analyzers() {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-		}
-		name := a.Name
-		pass.Report = func(d analysis.Diagnostic) {
-			diags = append(diags, d)
-			names = append(names, name)
-		}
-		if _, err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "powerroute-vet: %s: %s: %v\n", name, pkg.Path(), err)
-			os.Exit(1)
-		}
-	}
-	return diags, names
-}
-
-func standalone(patterns []string) int {
-	pkgs, err := load.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "powerroute-vet: %v\n", err)
-		return 1
-	}
-	total := 0
-	for _, p := range pkgs {
-		diags, names := runAnalyzers(p.Fset, p.Files, p.Types, p.Info)
-		total += report(p.Fset, diags, names)
-	}
-	if total > 0 {
-		return 1
-	}
-	return 0
-}
-
-// vetConfig is the JSON cmd/go hands a vet tool for each package (the
-// x/tools unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func vetTool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "powerroute-vet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "powerroute-vet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The suite passes no facts between packages, but cmd/go requires the
-	// facts file to exist before it will cache the package's result.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "powerroute-vet: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// The suite checks shipped code only; go vet also feeds the tool
-		// test-variant packages (the standalone mode never sees tests,
-		// because plain `go list` GoFiles excludes them).
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "powerroute-vet: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tconf := types.Config{Importer: importer.ForCompiler(fset, compiler, lookup), GoVersion: cfg.GoVersion}
-	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "powerroute-vet: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	diags, names := runAnalyzers(fset, files, pkg, info)
-	if report(fset, diags, names) > 0 {
-		return 2
-	}
-	return 0
+	return len(found)
 }

@@ -4,14 +4,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"powerroute/internal/lint"
-	"powerroute/internal/lint/analysis"
 	"powerroute/internal/lint/load"
 )
 
-// TestRepoIsClean self-applies the analyzer suite to the whole module:
-// the invariants powerroute-vet enforces must hold in the code that
-// ships it. A failure here means a determinism or checkpoint-coverage
+// TestRepoIsClean runs the command's driver over the whole module: the
+// invariants powerroute-vet enforces must hold in the code that ships
+// it. A failure here means a determinism or checkpoint-coverage
 // regression landed (or needs an annotation with a justification).
 func TestRepoIsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -26,20 +24,12 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatal("loaded no packages")
 	}
 	for _, p := range pkgs {
-		for _, a := range lint.Analyzers() {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      p.Fset,
-				Files:     p.Files,
-				Pkg:       p.Types,
-				TypesInfo: p.Info,
-			}
-			pass.Report = func(d analysis.Diagnostic) {
-				t.Errorf("%s: [%s] %s", p.Fset.Position(d.Pos), a.Name, d.Message)
-			}
-			if _, err := a.Run(pass); err != nil {
-				t.Fatalf("%s: %s: %v", a.Name, p.ImportPath, err)
-			}
+		found, err := runAnalyzers(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range found {
+			t.Errorf("%s: %s", f.pos, f.text)
 		}
 	}
 }

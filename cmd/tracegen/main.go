@@ -1,8 +1,8 @@
 // Command tracegen exports the synthetic world as CSV traces: hourly
 // real-time and day-ahead prices per hub, the daily Northwest series, and
-// the 5-minute per-state CDN demand trace. The files use the tracefile
-// formats, so they round-trip back into the simulator and can be swapped
-// for real archives.
+// the 5-minute per-state CDN demand trace, in the tracefile formats, for
+// plotting and analysis outside the simulator. No simulator input reads
+// them back: every binary regenerates the world from its seed.
 //
 // It is also the load generator for the powerrouted daemon: -replay
 // regenerates the same world (match the daemon's -seed/-months/-days) and

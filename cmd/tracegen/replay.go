@@ -177,9 +177,7 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	total := horizon * opt.Loops
 
 	client := &http.Client{Timeout: 5 * time.Minute}
-	// Both daemons ignore refresh=1: a coordinator pulls and merges its
-	// shards on every status read, and a daemon reads its own engine.
-	statusURL := baseURL + "/v1/status?refresh=1"
+	statusURL := baseURL + "/v1/status"
 
 	// Jobs ride demand rows addressed by the target's cluster index, so
 	// the job load is generated against its cluster count.

@@ -15,6 +15,7 @@ import (
 	"powerroute/internal/demand"
 	"powerroute/internal/energy"
 	"powerroute/internal/report"
+	"powerroute/internal/sim"
 	"powerroute/internal/units"
 )
 
@@ -44,13 +45,13 @@ func main() {
 		"Cluster", "Shed capacity", "Events", "Event hours", "Settlement")
 	var pool demand.Aggregator
 	var total units.Money
+	prices, err := sim.ClusterPrices(sys.Fleet, sys.Market)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, cl := range sys.Fleet.Clusters {
 		shedMW := energy.OptimisticFuture.VariablePower(base.MeanUtilization[i], cl.Servers).Megawatts()
-		rt, err := sys.Market.RT(cl.HubID)
-		if err != nil {
-			log.Fatal(err)
-		}
-		events, err := program.Events(rt)
+		events, err := program.Events(prices[i])
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,7 +17,6 @@ import (
 	"powerroute/internal/routing"
 	"powerroute/internal/sim"
 	"powerroute/internal/storage"
-	"powerroute/internal/timeseries"
 )
 
 func main() {
@@ -31,7 +30,6 @@ func main() {
 	// One battery per cluster, sized per server: 1 kWh of capacity and
 	// 150 W each way, 85% round trip.
 	batteries := make([]storage.Battery, len(sys.Fleet.Clusters))
-	prices := make([]*timeseries.Series, len(sys.Fleet.Clusters))
 	for c, cl := range sys.Fleet.Clusters {
 		n := float64(cl.Servers)
 		batteries[c] = storage.Battery{
@@ -40,9 +38,10 @@ func main() {
 			MaxDischargeKW:      0.150 * n,
 			RoundTripEfficiency: 0.85,
 		}
-		if prices[c], err = sys.Market.RT(cl.HubID); err != nil {
-			log.Fatal(err)
-		}
+	}
+	prices, err := sim.ClusterPrices(sys.Fleet, sys.Market)
+	if err != nil {
+		log.Fatal(err)
 	}
 	dispatch, err := storage.NewPercentile(prices, 0.20, 0.80)
 	if err != nil {

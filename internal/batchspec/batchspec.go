@@ -16,6 +16,7 @@ import (
 	"powerroute/internal/cluster"
 	"powerroute/internal/market"
 	"powerroute/internal/sched"
+	"powerroute/internal/sim"
 	"powerroute/internal/stats"
 )
 
@@ -36,9 +37,9 @@ import (
 // routing-reachable siblings. Jobs themselves arrive over the ingest API,
 // so the returned config has an empty Jobs list.
 func Parse(spec string, fleet *cluster.Fleet, mkt *market.Dataset) (*sched.Config, error) {
-	cfg := &sched.Config{PeakGuard: true, Migrate: true}
 	var watts, pct float64
 	var haveW, havePct bool
+	guard, migrate := true, true
 	for _, field := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(field, "=")
 		if !ok {
@@ -63,9 +64,9 @@ func Parse(spec string, fleet *cluster.Fleet, mkt *market.Dataset) (*sched.Confi
 				return nil, err
 			}
 			if key == "guard" {
-				cfg.PeakGuard = on
+				guard = on
 			} else {
-				cfg.Migrate = on
+				migrate = on
 			}
 		default:
 			return nil, fmt.Errorf("unknown -batch-spec field %q (want w, pct, guard, migrate)", key)
@@ -80,21 +81,31 @@ func Parse(spec string, fleet *cluster.Fleet, mkt *market.Dataset) (*sched.Confi
 	if !(pct > 0 && pct < 1) {
 		return nil, fmt.Errorf("-batch-spec pct=%g out of range (want a quantile in (0, 1))", pct)
 	}
+	cfg, err := Derive(fleet, mkt, watts, pct)
+	if err != nil {
+		return nil, fmt.Errorf("-batch-spec: %w", err)
+	}
+	cfg.PeakGuard, cfg.Migrate = guard, migrate
+	return cfg, nil
+}
 
+// Derive builds a scheduler configuration's two per-cluster vectors:
+// watts of batch headroom per server, and a price gate at the pct-th
+// quantile of each cluster's billing price history. The caller sets the
+// levers and the jobs. Parse derives the -batch-spec world through it,
+// and the batch experiments derive theirs.
+func Derive(fleet *cluster.Fleet, mkt *market.Dataset, watts, pct float64) (*sched.Config, error) {
+	prices, err := sim.ClusterPrices(fleet, mkt)
+	if err != nil {
+		return nil, err
+	}
 	nc := len(fleet.Clusters)
-	cfg.MaxBatchKW = make([]float64, nc)
-	cfg.Thresholds = make([]float64, nc)
+	cfg := &sched.Config{MaxBatchKW: make([]float64, nc), Thresholds: make([]float64, nc)}
 	for c, cl := range fleet.Clusters {
 		cfg.MaxBatchKW[c] = watts * float64(cl.Servers) / 1000
-		rt, err := mkt.RT(cl.HubID)
-		if err != nil {
-			return nil, fmt.Errorf("-batch-spec: cluster %s: %v", cl.Code, err)
+		if cfg.Thresholds[c], err = stats.Quantile(prices[c].Values, pct); err != nil {
+			return nil, fmt.Errorf("cluster %s price gate: %v", cl.Code, err)
 		}
-		q, err := stats.Quantile(rt.Values, pct)
-		if err != nil {
-			return nil, fmt.Errorf("-batch-spec: cluster %s price gate: %v", cl.Code, err)
-		}
-		cfg.Thresholds[c] = q
 	}
 	return cfg, nil
 }

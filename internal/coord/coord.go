@@ -3,7 +3,8 @@
 // The regions are the joint world's routing partition
 // (sim.PartitionByRouting), a pure function of the world, so the
 // coordinator derives every shard's clusters, states and hubs from it
-// and only checks, at New, that shard i's /v1/world serves region i.
+// and only checks, at New, that shard i's /v1/world serves region i: its
+// clusters, its states and its world hash.
 //
 // Ingest fans out. A binary price batch is split by hub, each shard
 // receiving only the columns of the hubs its clusters sit on, and a JSON
@@ -138,8 +139,8 @@ type Coordinator struct {
 // regions of the world's routing partition (sim.PartitionByRouting), so
 // the policy must be shardable and ShardURLs[i] must serve region i:
 // New checks that each shard's /v1/world lists exactly that region's
-// clusters and states in fleet order, and runs the joint world's policy
-// and step.
+// clusters and states in fleet order and reports the world hash of the
+// region's sub-scenario (Scenario.Shard).
 func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if len(cfg.ShardURLs) == 0 {
 		return nil, errors.New("coord: no shard URLs")
@@ -194,8 +195,12 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		co.broker = true
 		co.room = room
 	}
-	for i := range co.shards {
-		if err := co.checkShard(ctx, i, p.Clusters[i], p.States[i]); err != nil {
+	regions, err := cfg.Scenario.Shard(p)
+	if err != nil {
+		return nil, fmt.Errorf("coord: joint world: %w", err)
+	}
+	for i, region := range regions {
+		if err := co.checkShard(ctx, i, region); err != nil {
 			return nil, err
 		}
 	}
@@ -204,19 +209,21 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 
 // shardWorld is the slice of a shard's /v1/world the coordinator checks.
 type shardWorld struct {
-	Policy      string  `json:"policy"`
-	StepSeconds float64 `json:"step_seconds"`
-	LeaseBroker bool    `json:"lease_broker"`
+	WorldHash   string `json:"world_hash"`
+	LeaseBroker bool   `json:"lease_broker"`
 	Clusters    []struct {
 		Code string `json:"code"`
 	} `json:"clusters"`
 	States []string `json:"states"`
 }
 
-// checkShard refuses shard i unless its /v1/world runs the joint world's
-// policy and step, takes gate bits when the joint world brokers them, and
-// serves exactly region i: its clusters and states, in fleet order.
-func (co *Coordinator) checkShard(ctx context.Context, i int, clusters, states []int) error {
+// checkShard refuses shard i unless its /v1/world serves exactly region
+// i of the joint world: the region's clusters and states in fleet order,
+// and the region's world hash, which covers the market's prices, the
+// horizon, the policy, the step and reaction delay, and every per-cluster
+// configuration. The hash leaves out the burst gate, so a shard must
+// also take gate bits when the joint world brokers them.
+func (co *Coordinator) checkShard(ctx context.Context, i int, region sim.Scenario) error {
 	url := co.shards[i].url
 	var world shardWorld
 	if err := co.call(ctx, http.MethodGet, url, "/v1/world", "", nil, func(r io.Reader) error {
@@ -224,28 +231,30 @@ func (co *Coordinator) checkShard(ctx context.Context, i int, clusters, states [
 	}); err != nil {
 		return fmt.Errorf("coord: shard check: %w", err)
 	}
-	if world.Policy != co.sc.Policy.Name() {
-		return fmt.Errorf("coord: shard %s runs policy %q, joint world runs %q", url, world.Policy, co.sc.Policy.Name())
-	}
-	if got := time.Duration(world.StepSeconds * float64(time.Second)); got != co.sc.Step {
-		return fmt.Errorf("coord: shard %s steps %v, joint world steps %v", url, got, co.sc.Step)
-	}
-	if co.broker && !world.LeaseBroker {
-		return fmt.Errorf("coord: the joint world runs a coordinated burst gate but shard %s takes no burst gate bits (start it with matching -burst-hubs and -shard-count flags)", url)
-	}
 	var got, want, wantStates []string
 	for _, cl := range world.Clusters {
 		got = append(got, cl.Code)
 	}
-	for _, c := range clusters {
-		want = append(want, co.fleet.Clusters[c].Code)
+	for _, cl := range region.Fleet.Clusters {
+		want = append(want, cl.Code)
 	}
-	for _, s := range states {
-		wantStates = append(wantStates, co.fleet.States[s].Code)
+	for _, st := range region.Fleet.States {
+		wantStates = append(wantStates, st.Code)
 	}
 	if !slices.Equal(got, want) || !slices.Equal(world.States, wantStates) {
 		return fmt.Errorf("coord: shard %s serves clusters %v and %d states, not region %d of the joint world (clusters %v and %d states): list -shards in -shard-index order",
-			url, got, len(world.States), i, want, len(states))
+			url, got, len(world.States), i, want, len(wantStates))
+	}
+	hash, err := region.WorldHash()
+	if err != nil {
+		return fmt.Errorf("coord: region %d: %w", i, err)
+	}
+	if world.WorldHash != hash {
+		return fmt.Errorf("coord: shard %s runs world %s, region %d of the joint world is %s (start every daemon with the same world flags)",
+			url, world.WorldHash, i, hash)
+	}
+	if co.broker && !world.LeaseBroker {
+		return fmt.Errorf("coord: the joint world runs a coordinated burst gate but shard %s takes no burst gate bits (start it with matching -burst-hubs and -shard-count flags)", url)
 	}
 	return nil
 }

@@ -35,7 +35,13 @@ import (
 // two market regions (California vs everything east).
 func testWorld(t testing.TB) (*core.System, sim.Scenario) {
 	t.Helper()
-	sys, err := core.NewSystem(core.Options{Seed: 42, MarketMonths: 1, TraceDays: 7})
+	return seededWorld(t, 42)
+}
+
+// seededWorld is testWorld's world generated from another seed.
+func seededWorld(t testing.TB, seed int64) (*core.System, sim.Scenario) {
+	t.Helper()
+	sys, err := core.NewSystem(core.Options{Seed: seed, MarketMonths: 1, TraceDays: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,6 +757,23 @@ func TestCoordinatorDiscoveryRejectsBadTopologies(t *testing.T) {
 	urls600 := newShards(t, sc600)
 	if _, err := New(ctx, Config{Scenario: sc, ShardURLs: urls600}); err == nil {
 		t.Error("shards with a different policy accepted")
+	}
+}
+
+// TestCoordinatorRefusesForeignShards: shards that serve the right
+// regions of another world (another market seed, another reaction delay)
+// must fail New on the region's world hash, before any post reaches
+// them, instead of passing it and answering every status read 502.
+func TestCoordinatorRefusesForeignShards(t *testing.T) {
+	_, sc := testWorld(t)
+	_, seed7 := seededWorld(t, 7)
+	delayed := sc
+	delayed.ReactionDelay = 2 * time.Hour
+	for name, foreign := range map[string]sim.Scenario{"seed 7": seed7, "2h delay": delayed} {
+		_, err := New(context.Background(), Config{Scenario: sc, ShardURLs: newShards(t, foreign)})
+		if err == nil || !strings.Contains(err.Error(), "runs world") || !strings.Contains(err.Error(), "region 0") {
+			t.Errorf("%s: got %v, want a world hash error naming region 0", name, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"powerroute/internal/batchspec"
 	"powerroute/internal/cluster"
 	"powerroute/internal/core"
 	"powerroute/internal/energy"
@@ -11,7 +12,6 @@ import (
 	"powerroute/internal/routing"
 	"powerroute/internal/sched"
 	"powerroute/internal/sim"
-	"powerroute/internal/stats"
 )
 
 func init() {
@@ -43,29 +43,6 @@ func fleetBatchJobs(f *cluster.Fleet, every, slack, horizon int, kwhPerServer, f
 	return jobs
 }
 
-// batchVectors derives the per-cluster scheduler vectors: wattsPerServer
-// of batch serving capacity, and a price gate at the pctl-th quantile of
-// each cluster's own hub real-time history.
-func batchVectors(env *Env, wattsPerServer, pctl float64) (maxKW, thresholds []float64, err error) {
-	fleet := env.System.Fleet
-	prices, err := clusterPrices(env)
-	if err != nil {
-		return nil, nil, err
-	}
-	nc := len(fleet.Clusters)
-	maxKW = make([]float64, nc)
-	thresholds = make([]float64, nc)
-	for c, cl := range fleet.Clusters {
-		maxKW[c] = wattsPerServer * float64(cl.Servers) / 1000
-		q, err := stats.Quantile(prices[c].Values, pctl)
-		if err != nil {
-			return nil, nil, err
-		}
-		thresholds[c] = q
-	}
-	return maxKW, thresholds, nil
-}
-
 // batchWorkloadKWh sums a job list's total energy.
 func batchWorkloadKWh(jobs []sched.Job) float64 {
 	var sum float64
@@ -75,9 +52,15 @@ func batchWorkloadKWh(jobs []sched.Job) float64 {
 	return sum
 }
 
-// openGate is a price threshold no generated price reaches: the
-// serve-on-arrival baseline's gate, always open.
-const openGate = 1e9
+// openGates returns n price thresholds no generated price reaches: the
+// serve-on-arrival baseline's gates, always open.
+func openGates(n int) []float64 {
+	th := make([]float64, n)
+	for c := range th {
+		th[c] = 1e9
+	}
+	return th
+}
 
 // ExtDeferrableBatch layers a daily deferrable workload (0.6 kWh/server,
 // 48 h of slack, 50% execution floor) on the 39-month price-routed world
@@ -97,7 +80,7 @@ func ExtDeferrableBatch(env *Env) (*Result, error) {
 		floor          = 0.5
 		gatePctl       = 0.30
 	)
-	maxKW, thresholds, err := batchVectors(env, wattsPerServer, gatePctl)
+	gated, err := batchspec.Derive(sys.Fleet, sys.Market, wattsPerServer, gatePctl)
 	if err != nil {
 		return nil, err
 	}
@@ -129,20 +112,14 @@ func ExtDeferrableBatch(env *Env) (*Result, error) {
 			if err != nil {
 				return err
 			}
+			batch := *gated
+			if !cfg.gate {
+				batch.Thresholds = openGates(len(batch.Thresholds))
+			}
+			batch.PeakGuard, batch.Migrate, batch.Jobs = cfg.guard, cfg.migrate, jobs
 			sc := base
 			sc.Policy = opt
-			th := thresholds
-			if !cfg.gate {
-				th = make([]float64, len(thresholds))
-				for c := range th {
-					th[c] = openGate
-				}
-			}
-			sc.Batch = &sched.Config{
-				MaxBatchKW: maxKW, Thresholds: th,
-				PeakGuard: cfg.guard, Migrate: cfg.migrate,
-				Jobs: jobs,
-			}
+			sc.Batch = &batch
 			results[i], err = sim.Run(sc)
 			return err
 		}
@@ -193,7 +170,7 @@ func ExtBatchPareto(env *Env) (*Result, error) {
 		everySteps     = 24
 		gatePctl       = 0.30
 	)
-	maxKW, thresholds, err := batchVectors(env, wattsPerServer, gatePctl)
+	gated, err := batchspec.Derive(sys.Fleet, sys.Market, wattsPerServer, gatePctl)
 	if err != nil {
 		return nil, err
 	}
@@ -232,22 +209,14 @@ func ExtBatchPareto(env *Env) (*Result, error) {
 			}
 			jobs := fleetBatchJobs(sys.Fleet, everySteps, p.slack, sys.Market.Hours, kwhPerServer, p.floor)
 			p.workload = batchWorkloadKWh(jobs)
-			th := thresholds
-			guard, migrate := true, true
+			batch := *gated
+			batch.PeakGuard, batch.Migrate, batch.Jobs = !p.reference, !p.reference, jobs
 			if p.reference {
-				th = make([]float64, len(thresholds))
-				for c := range th {
-					th[c] = openGate
-				}
-				guard, migrate = false, false
+				batch.Thresholds = openGates(len(batch.Thresholds))
 			}
 			sc := base
 			sc.Policy = opt
-			sc.Batch = &sched.Config{
-				MaxBatchKW: maxKW, Thresholds: th,
-				PeakGuard: guard, Migrate: migrate,
-				Jobs: jobs,
-			}
+			sc.Batch = &batch
 			p.res, err = sim.Run(sc)
 			return err
 		}

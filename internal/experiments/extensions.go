@@ -202,16 +202,16 @@ func ExtDemandResponse(env *Env) (*Result, error) {
 		settle demand.Settlement
 		nega   demand.NegawattResult
 	}
+	prices, err := sim.ClusterPrices(sys.Fleet, sys.Market)
+	if err != nil {
+		return nil, err
+	}
 	yields := make([]clusterYield, len(sys.Fleet.Clusters))
 	err = forEach(0, len(sys.Fleet.Clusters), func(ci int) error {
 		cl := sys.Fleet.Clusters[ci]
 		u := baseRes.MeanUtilization[ci]
 		shedMW := em.VariablePower(u, cl.Servers).Megawatts()
-		rt, err := sys.Market.RT(cl.HubID)
-		if err != nil {
-			return err
-		}
-		events, err := program.Events(rt)
+		events, err := program.Events(prices[ci])
 		if err != nil {
 			return err
 		}

@@ -67,7 +67,7 @@ func ExtOptimalDispatch(env *Env) (*Result, error) {
 	var b strings.Builder
 	sys := env.System
 	nc := len(sys.Fleet.Clusters)
-	prices, err := clusterPrices(env)
+	prices, err := sim.ClusterPrices(sys.Fleet, sys.Market)
 	if err != nil {
 		return nil, err
 	}

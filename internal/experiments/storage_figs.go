@@ -11,7 +11,6 @@ import (
 	"powerroute/internal/routing"
 	"powerroute/internal/sim"
 	"powerroute/internal/storage"
-	"powerroute/internal/timeseries"
 )
 
 func init() {
@@ -40,22 +39,6 @@ func fleetBatteries(f *cluster.Fleet, kwhPerServer, chargeWPerServer, dischargeW
 	return out
 }
 
-// clusterPrices resolves each cluster's hourly real-time series (fleet
-// order), the history the percentile dispatch policy derives its
-// thresholds from.
-func clusterPrices(env *Env) ([]*timeseries.Series, error) {
-	sys := env.System
-	prices := make([]*timeseries.Series, len(sys.Fleet.Clusters))
-	for c, cl := range sys.Fleet.Clusters {
-		s, err := sys.Market.RT(cl.HubID)
-		if err != nil {
-			return nil, err
-		}
-		prices[c] = s
-	}
-	return prices, nil
-}
-
 // ExtStorageArbitrage compares {no battery, battery} × {Akamai-like
 // baseline, price-aware routing} on the 39-month market: the storage lever
 // of Urgaonkar et al. composed with the paper's geographic lever. Each
@@ -67,7 +50,7 @@ func clusterPrices(env *Env) ([]*timeseries.Series, error) {
 func ExtStorageArbitrage(env *Env) (*Result, error) {
 	var b strings.Builder
 	sys := env.System
-	prices, err := clusterPrices(env)
+	prices, err := sim.ClusterPrices(sys.Fleet, sys.Market)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +134,7 @@ func ExtStorageArbitrage(env *Env) (*Result, error) {
 func ExtPeakShaving(env *Env) (*Result, error) {
 	var b strings.Builder
 	sys := env.System
-	prices, err := clusterPrices(env)
+	prices, err := sim.ClusterPrices(sys.Fleet, sys.Market)
 	if err != nil {
 		return nil, err
 	}

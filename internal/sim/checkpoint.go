@@ -96,7 +96,9 @@ type Totals struct {
 	OverloadSec []float64 `json:"overload_sec"`
 
 	// StorageBoughtKWh and StorageServedKWh are per-cluster storage
-	// totals, present exactly when the scenario configures storage.
+	// totals, present exactly when the scenario configures storage. They
+	// repeat each battery snapshot's BoughtKWh and ServedKWh, and restore
+	// refuses a total that differs from its snapshot.
 	StorageBoughtKWh []float64 `json:"storage_bought_kwh,omitempty"`
 	StorageServedKWh []float64 `json:"storage_served_kwh,omitempty"`
 
@@ -450,6 +452,26 @@ func vectorSection[T any](name string, kept func(*Engine) bool, at func(*Checkpo
 		}, nil)
 }
 
+// storageLedgerSection declares a storage total: one field of every
+// battery snapshot, repeated in Totals. The batteries are the only
+// ledger, so load changes nothing and refuses a total that differs from
+// the checkpoint's own battery snapshot.
+func storageLedgerSection(name string, at func(*Checkpoint) *[]float64, field func(storage.Snapshot) float64) checkpointSection {
+	return newSection(name, func(e *Engine) bool { return e.batteries != nil }, at,
+		func(e *Engine) []float64 {
+			return each(e.batteries, func(b *storage.State) float64 { return field(b.Snapshot()) })
+		},
+		func(e *Engine, cp *Checkpoint, v []float64) error {
+			for c, x := range v {
+				if want := field(cp.Batteries[c]); x != want {
+					return fmt.Errorf("%s: cluster %s has %v kWh where its battery snapshot has %v",
+						name, e.sc.Fleet.Clusters[c].Code, x, want)
+				}
+			}
+			return nil
+		}, nil)
+}
+
 // each returns f of every element of s.
 func each[S, T any](s []S, f func(S) T) []T {
 	out := make([]T, len(s))
@@ -574,12 +596,12 @@ func checkpointSections() []checkpointSection {
 		vectorSection("carbon ledgers", func(e *Engine) bool { return e.res.ClusterCarbonKg != nil },
 			func(cp *Checkpoint) *[]float64 { return &cp.Totals.ClusterCarbonKg },
 			func(e *Engine) []float64 { return e.res.ClusterCarbonKg }),
-		vectorSection("storage total ledgers", func(e *Engine) bool { return e.storageBought != nil },
+		storageLedgerSection("storage total ledgers",
 			func(cp *Checkpoint) *[]float64 { return &cp.Totals.StorageBoughtKWh },
-			func(e *Engine) []float64 { return e.storageBought }),
-		vectorSection("storage served ledgers", func(e *Engine) bool { return e.storageServed != nil },
+			func(s storage.Snapshot) float64 { return s.BoughtKWh }),
+		storageLedgerSection("storage served ledgers",
 			func(cp *Checkpoint) *[]float64 { return &cp.Totals.StorageServedKWh },
-			func(e *Engine) []float64 { return e.storageServed }),
+			func(s storage.Snapshot) float64 { return s.ServedKWh }),
 		newSection("batch queues", func(e *Engine) bool { return e.sched != nil },
 			func(cp *Checkpoint) *[]sched.QueueState { return &cp.BatchQueues },
 			func(e *Engine) []sched.QueueState { return e.sched.State() },

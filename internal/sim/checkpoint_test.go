@@ -46,15 +46,16 @@ func checkpointAt(t testing.TB, sc Scenario, k int) (*Engine, *Checkpoint) {
 }
 
 // TestRestoreMatchesUninterrupted is the headline durability invariant:
-// for every registry scenario (optimizer, soft caps, carbon-aware,
-// storage + demand charge), replaying N steps, checkpointing through the
-// wire format, restoring into a fresh engine, and replaying the rest must
-// reproduce the uninterrupted batch Run's Result bit for bit. The
-// interrupted engine itself must also finish identically — Checkpoint is
-// a pure read.
+// for every harness scenario (optimizer, soft caps, carbon-aware,
+// storage + demand charge, batch, and every section under a price
+// optimizer that reads routing-aware batteries), replaying N steps,
+// checkpointing through the wire format, restoring into a fresh engine,
+// and replaying the rest must reproduce the uninterrupted batch Run's
+// Result bit for bit. The interrupted engine itself must also finish
+// identically — Checkpoint is a pure read.
 func TestRestoreMatchesUninterrupted(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for name, sc := range engineScenarios(t) {
+	for name, sc := range harnessScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			batch, err := Run(clonePolicy(t, sc))
 			if err != nil {
@@ -499,6 +500,35 @@ func TestRestoreRefusesForeignWorlds(t *testing.T) {
 	}
 }
 
+// TestRestoreChecksStorageTotals: the totals' storage vectors repeat
+// what each battery snapshot books, and the batteries are the only
+// ledger, so a checkpoint whose bought or served total differs from its
+// battery snapshot is refused, naming the section and the cluster.
+func TestRestoreChecksStorageTotals(t *testing.T) {
+	sc := engineScenarios(t)["storage"]
+	_, cp := checkpointAt(t, clonePolicy(t, sc), 40)
+	if _, err := Restore(clonePolicy(t, sc), cp); err != nil {
+		t.Fatalf("pristine checkpoint refused: %v", err)
+	}
+	c := cp.Clusters - 1
+	for _, tc := range []struct {
+		section string
+		at      func(*Checkpoint) *[]float64
+	}{
+		{"storage total ledgers", func(cp *Checkpoint) *[]float64 { return &cp.Totals.StorageBoughtKWh }},
+		{"storage served ledgers", func(cp *Checkpoint) *[]float64 { return &cp.Totals.StorageServedKWh }},
+	} {
+		bad := *cp
+		v := append([]float64(nil), *tc.at(&bad)...)
+		v[c]++
+		*tc.at(&bad) = v
+		_, err := Restore(clonePolicy(t, sc), &bad)
+		if err == nil || !strings.Contains(err.Error(), tc.section) || !strings.Contains(err.Error(), "cluster "+cp.ClusterCodes[c]+" ") {
+			t.Errorf("%s one kWh off at cluster %s: got %v, want an error naming both", tc.section, cp.ClusterCodes[c], err)
+		}
+	}
+}
+
 // TestWriteCheckpointFileAtomic: the published file decodes, and the
 // directory never holds a partial file under the real name (temp files
 // are cleaned up on success).
@@ -552,7 +582,7 @@ func hourly39Month(b *testing.B) Scenario {
 // status or metrics read.
 func BenchmarkWorldHash(b *testing.B) {
 	sc := hourly39Month(b)
-	prices, err := sc.clusterPrices()
+	prices, err := ClusterPrices(sc.Fleet, sc.Market)
 	if err != nil {
 		b.Fatal(err)
 	}

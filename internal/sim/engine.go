@@ -18,6 +18,7 @@ import (
 	"powerroute/internal/billing"
 	"powerroute/internal/cluster"
 	"powerroute/internal/energy"
+	"powerroute/internal/market"
 	"powerroute/internal/routing"
 	"powerroute/internal/sched"
 	"powerroute/internal/stats"
@@ -108,14 +109,13 @@ type Engine struct {
 
 	// Fleet-wide scalars (total cost/energy, overload seconds, storage
 	// totals, carbon) are never accumulated across clusters during Step:
-	// each cluster owns its running sum and the fleet figures are derived
-	// in fleet order at Snapshot/Finalize time. That makes every number a
-	// shard merge produces bit-identical to the joint run's — a shard
-	// scatters its per-cluster sums into fleet positions and the same
-	// fleet-order summation runs over them.
-	overloadSec   []float64
-	storageBought []float64 // nil unless storage is configured
-	storageServed []float64 // nil unless storage is configured
+	// each cluster owns its running sum (a battery its own bought and
+	// served energy) and the fleet figures are derived in fleet order at
+	// Snapshot/Finalize time. That makes every number a shard merge
+	// produces bit-identical to the joint run's — a shard scatters its
+	// per-cluster sums into fleet positions and the same fleet-order
+	// summation runs over them.
+	overloadSec []float64
 
 	// Deferrable (batch) class state; all nil unless sc.Batch is set.
 	sched         *sched.Scheduler
@@ -140,13 +140,14 @@ type Engine struct {
 	worldHash string
 }
 
-// clusterPrices resolves every cluster's real-time price series from the
-// market, in fleet order. NewEngine and Scenario.WorldHash both resolve
-// them through it.
-func (sc *Scenario) clusterPrices() ([]*timeseries.Series, error) {
-	prices := make([]*timeseries.Series, len(sc.Fleet.Clusters))
-	for c, cl := range sc.Fleet.Clusters {
-		s, err := sc.Market.RT(cl.HubID)
+// ClusterPrices resolves every cluster's billing price series, its hub's
+// real-time history, from the market, in fleet order. NewEngine and
+// Scenario.WorldHash resolve them through it, and so does every caller
+// that derives per-cluster figures from the prices a run bills at.
+func ClusterPrices(fleet *cluster.Fleet, mkt *market.Dataset) ([]*timeseries.Series, error) {
+	prices := make([]*timeseries.Series, len(fleet.Clusters))
+	for c, cl := range fleet.Clusters {
+		s, err := mkt.RT(cl.HubID)
 		if err != nil {
 			return nil, fmt.Errorf("sim: cluster %s: %w", cl.Code, err)
 		}
@@ -175,7 +176,7 @@ func NewEngine(sc Scenario) (*Engine, error) {
 	}
 
 	// Resolve per-cluster hourly price series once.
-	prices, err := sc.clusterPrices()
+	prices, err := ClusterPrices(sc.Fleet, sc.Market)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +219,6 @@ func NewEngine(sc Scenario) (*Engine, error) {
 		for c := range e.batteries {
 			e.batteries[c] = storage.NewState(sc.Storage.Batteries[c])
 		}
-		e.storageBought = make([]float64, nc)
-		e.storageServed = make([]float64, nc)
 		e.dispatch = sc.Storage.Policy
 		e.dispatchName = sc.Storage.Policy.Name()
 		if sc.Storage.RoutingAware {
@@ -579,17 +578,13 @@ func (e *Engine) bill(r *stepRecord) {
 			b := e.batteries[c]
 			itKW := en.KilowattHours() / stepHours
 			if act := e.dispatch.Action(c, r.bill[c], itKW, b); act > 0 {
-				bought := b.Charge(act, stepHours)
-				grid += units.Energy(bought * 1000)
-				e.storageBought[c] += bought
+				grid += units.Energy(b.Charge(act, stepHours) * 1000)
 			} else if act < 0 {
 				want := -act
 				if want > itKW {
 					want = itKW // no grid export
 				}
-				served := b.Discharge(want, stepHours)
-				grid -= units.Energy(served * 1000)
-				e.storageServed[c] += served
+				grid -= units.Energy(b.Discharge(want, stepHours) * 1000)
 			}
 		}
 		e.gridWh[c] = grid
@@ -753,9 +748,9 @@ func (e *Engine) totals() (cost units.Money, energy units.Energy, overload, boug
 		energy += res.ClusterEnergy[c]
 		overload += e.overloadSec[c]
 	}
-	for c := range e.storageBought {
-		bought += e.storageBought[c]
-		served += e.storageServed[c]
+	for _, b := range e.batteries {
+		bought += b.BoughtKWh()
+		served += b.ServedKWh()
 	}
 	for _, kg := range res.ClusterCarbonKg {
 		carbon += kg

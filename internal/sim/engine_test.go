@@ -200,6 +200,19 @@ func engineScenarios(t testing.TB) map[string]Scenario {
 	}
 }
 
+// harnessScenarios is engineScenarios plus the every-section world at
+// 600 km for ten days. The storage and lyapunov entries turn routing
+// awareness on but route with the baseline, which never reads a decision
+// price; the every-section world's price optimizer does read its
+// batteries' price caps. It stays out of engineScenarios so that the
+// pinned checkpoint encodings do not move.
+func harnessScenarios(t testing.TB) map[string]Scenario {
+	t.Helper()
+	scs := engineScenarios(t)
+	scs["every-section"] = everySectionScenario(t, 600, 10*24)
+	return scs
+}
+
 // batchTestConfig builds a deferrable-batch config sized to a short
 // scenario: per-cluster price gates at the hub's p40 real-time quantile,
 // a modest serving capacity, and a job stream with staggered arrivals,
@@ -257,7 +270,7 @@ func uniformBatteries(n int) []storage.Battery {
 // the batch Run bit for bit — same costs, same float residue, same
 // everything — across every subsystem combination.
 func TestEngineMatchesRunExactly(t *testing.T) {
-	for name, sc := range engineScenarios(t) {
+	for name, sc := range harnessScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			// Policies carry per-run caches, so each side gets its own.
 			batch, err := Run(clonePolicy(t, sc))

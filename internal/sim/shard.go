@@ -106,7 +106,7 @@ func (sc Scenario) WorldHash() (string, error) {
 	if err := sc.validate(); err != nil {
 		return "", err
 	}
-	prices, err := sc.clusterPrices()
+	prices, err := ClusterPrices(sc.Fleet, sc.Market)
 	if err != nil {
 		return "", err
 	}

@@ -1,7 +1,7 @@
 // Package tracefile reads and writes the simulator's time series as CSV,
-// so synthetic traces can be exported for external plotting and — more
-// importantly — real price archives (RTO published data) or CDN logs can
-// replace the synthetic world without code changes.
+// so synthetic traces can be exported for external plotting. ReadSeries
+// and ReadDemand parse the formats back, but no simulator input calls
+// them: the world is always generated from its seed.
 //
 // Price CSV format (hourly or daily):
 //
