@@ -131,7 +131,7 @@ func benchRegistry(b *testing.B, parallel int) {
 	defer experiments.SetParallelism(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunAll(env, defs, parallel)
+		results, err := experiments.RunAll(env, defs)
 		if err != nil {
 			b.Fatal(err)
 		}

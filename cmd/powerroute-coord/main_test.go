@@ -168,6 +168,7 @@ func TestCoordBadInvocations(t *testing.T) {
 		{[]string{"-shards", shard, "-burst-hubs", "NP15+SP15,NYC+DOM", "-horizon", "trace", "-months", "1", "-days", "2"}, 2, "long-run horizon only"},
 		{[]string{"-shards", shard, "-burst-hubs", "NP15+SP15", "-months", "1", "-days", "2"}, 2, "one region"},
 		{[]string{"-shards", shard, "-burst-hubs", "NP15+SP15,NYC", "-months", "1", "-days", "2"}, 2, "exactly two hub IDs"},
+		{[]string{"-shards", shard, "-burst-hubs", "NP15+XX,NYC+DOM", "-months", "1", "-days", "2"}, 2, `unknown hub "XX"`},
 		{[]string{"-shards", shard, "-batch-spec", "w=20", "-months", "1", "-days", "2"}, 2, "-batch-spec"},
 		// flag parses NaN; the optimizer refuses it before any shard is
 		// contacted.

@@ -83,7 +83,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "powerroute:", err)
 		return 1
 	}
-	err = experiments.RunStream(env, defs, *parallel, func(res *experiments.Result, took time.Duration) error {
+	err = experiments.RunStream(env, defs, func(res *experiments.Result, took time.Duration) error {
 		fmt.Fprintf(stdout, "=== %s: %s ===\n", res.ID, res.Title)
 		fmt.Fprintln(stdout, res.Text)
 		if *timing {

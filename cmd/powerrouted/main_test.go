@@ -270,6 +270,7 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-burst-hubs", "NP15+SP15,NYC+DOM", "-horizon", "trace", "-months", "1", "-days", "2"}, 2},
 		{[]string{"-burst-hubs", "NP15+SP15", "-months", "1", "-days", "2"}, 2},
 		{[]string{"-burst-hubs", "NP15+SP15,NYC", "-months", "1", "-days", "2"}, 2},
+		{[]string{"-burst-hubs", "NP15+XX,NYC+DOM", "-months", "1", "-days", "2"}, 2},
 		{[]string{"-batch-spec", "w=20", "-months", "1", "-days", "2"}, 2},
 	}
 	for _, tc := range cases {

@@ -18,11 +18,12 @@
 //	tracegen [-seed N] [-months M] [-days D] -replay URL
 //	         [-speedup X] [-batch N] [-loop N] [-kill-after N] [-resume]
 //	         [-batch-spec every=N,kwh=E,slack=S,floor=F]
-//	         [-burst-hubs SPEC -threshold-km KM]
+//	         [-burst-hubs SPEC]
 //
-// -burst-hubs switches the replay to the burst-exact clique world (see
-// core.BurstWorld) — start the daemons with the same -burst-hubs and
-// -threshold-km.
+// -burst-hubs switches the replay to the burst-exact clique world's
+// demand (see core.BurstDemand) — start the daemons with the same
+// -burst-hubs. That demand depends on neither the hub pairs nor the
+// daemons' -threshold-km, so the replay only checks the spec.
 //
 // -batch-spec folds a deterministic deferrable-job load into the demand
 // replay (against a daemon started with its own -batch-spec): every N
@@ -68,18 +69,16 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from the daemon's next expected step (after powerrouted -restore)")
 	batchSpec := flag.String("batch-spec", "", "deferrable-job load riding the demand replay: every=<steps>,kwh=<energy>,slack=<deadline steps>,floor=<min fraction> (empty = no jobs)")
 	burstHubs := flag.String("burst-hubs", "", "replay the burst-exact clique world instead of the derived one (match the daemons' -burst-hubs)")
-	burstThreshold := flag.Float64("threshold-km", 1500, "routing distance threshold the daemons run with (burst-hubs mode only; the burst world's soft caps depend on it)")
 	flag.Parse()
 	if *replayURL != "" {
 		opt := replayOptions{
-			World:       world,
-			Batch:       *batch,
-			Loops:       *loops,
-			Speedup:     *speedup,
-			KillAfter:   *killAfter,
-			Resume:      *resume,
-			BurstHubs:   *burstHubs,
-			ThresholdKm: *burstThreshold,
+			World:     world,
+			Batch:     *batch,
+			Loops:     *loops,
+			Speedup:   *speedup,
+			KillAfter: *killAfter,
+			Resume:    *resume,
+			BurstHubs: *burstHubs,
 		}
 		if *batchSpec != "" {
 			spec, err := parseJobSpec(*batchSpec)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"powerroute/internal/core"
-	"powerroute/internal/routing"
 	"powerroute/internal/server"
 	"powerroute/internal/sim"
 	"powerroute/internal/timeseries"
@@ -37,14 +36,13 @@ type replayOptions struct {
 	Resume bool
 
 	// BurstHubs switches the replay from the paper's derived world to the
-	// burst-exact clique world (core.BurstWorld) the daemons were started
-	// with via the matching -burst-hubs flag: comonotone demand rows
-	// instead of the long-run trace. A sharded fleet's gate bits are the
-	// coordinator's business; the replay only posts demand.
+	// burst-exact clique world the daemons were started with via the
+	// matching -burst-hubs flag: comonotone demand rows
+	// (core.BurstDemand) instead of the long-run trace. The rows depend
+	// on neither the pairs nor the routing threshold, so the spec is only
+	// checked. A sharded fleet's gate bits are the coordinator's
+	// business; the replay only posts demand.
 	BurstHubs string
-	// ThresholdKm is the routing proximity threshold the daemons run with;
-	// the burst world's geometry (and so its soft caps) depends on it.
-	ThresholdKm float64
 
 	// Jobs, when set, folds a deterministic deferrable-job load into the
 	// demand replay (the -batch-spec flag): at every absolute step that is
@@ -133,15 +131,14 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	if opt.KillAfter < 0 {
 		return fmt.Errorf("replay: negative kill-after %d", opt.KillAfter)
 	}
-	// Burst mode replays the burst-exact world the daemons serve (same
-	// seed, same flags → bit-identical fleet, caps, and demand).
-	var pairs [][2]string
+	// Burst mode replays the burst-exact world's demand (same seed →
+	// bit-identical rows to the daemons'). The spec is still parsed, so a
+	// malformed one fails the replay as it fails the daemons.
 	if opt.BurstHubs != "" {
 		if opt.Jobs != nil {
 			return fmt.Errorf("replay: -burst-hubs and -batch-spec are not supported together")
 		}
-		var err error
-		if pairs, err = core.ParseBurstHubs(opt.BurstHubs); err != nil {
+		if _, err := core.ParseBurstHubs(opt.BurstHubs); err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
 	}
@@ -151,12 +148,8 @@ func replay(stdout io.Writer, baseURL string, opt replayOptions) error {
 	}
 	mkt := sys.Market
 	var demand sim.DemandSource = sys.LongRun
-	if pairs != nil {
-		bw, err := sys.BurstWorld(pairs, opt.ThresholdKm, routing.DefaultPriceThreshold)
-		if err != nil {
-			return fmt.Errorf("replay: %w", err)
-		}
-		demand = bw.Demand
+	if opt.BurstHubs != "" {
+		demand = sys.BurstDemand()
 	}
 
 	hubs := mkt.Hubs()

@@ -33,6 +33,13 @@ func replayWorld(t *testing.T, seed int64, months, days int) (*server.Server, *h
 		t.Fatal(err)
 	}
 	sc.Policy = opt
+	srv, ts := serve(t, sc)
+	return srv, ts, sc
+}
+
+// serve wraps sc in an engine and HTTP server.
+func serve(t *testing.T, sc sim.Scenario) (*server.Server, *httptest.Server) {
+	t.Helper()
 	eng, err := sim.NewEngine(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -43,49 +50,79 @@ func replayWorld(t *testing.T, seed int64, months, days int) (*server.Server, *h
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts, sc
+	return srv, ts
 }
 
 // TestReplayMatchesBatchRun is the online/batch equivalence check at full
 // system scope: replaying the world through powerrouted's HTTP ingest
 // (binary batches, price feed with reaction delay) must leave the daemon's
 // engine with the exact Result — bit for bit — that the batch sim.Run
-// produces for the same scenario.
+// produces for the same scenario. The daemon is built from the world
+// flags powerrouted takes; the replay gets only the world options and
+// -burst-hubs, so on the burst world it must regenerate the demand rows
+// without the daemon's -threshold-km.
 func TestReplayMatchesBatchRun(t *testing.T) {
-	const (
-		seed   = int64(42)
-		months = 1
-		days   = 7
-	)
-	srv, ts, sc := replayWorld(t, seed, months, days)
+	world := core.Options{Seed: 42, MarketMonths: 1, TraceDays: 7}
+	for _, tc := range []struct {
+		name        string
+		thresholdKm float64
+		burstHubs   string
+	}{
+		{"derived", 1500, ""},
+		{"burst", 1000, "NP15+SP15,NYC+DOM"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flags := core.WorldFlags{
+				Options:        world,
+				Horizon:        "longrun",
+				ThresholdKm:    tc.thresholdKm,
+				PriceThreshold: routing.DefaultPriceThreshold,
+				ReactionDelay:  sim.DefaultReactionDelay,
+				BurstHubs:      tc.burstHubs,
+			}
+			sc, err := flags.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, ts := serve(t, sc)
 
-	var out strings.Builder
-	// Batch size deliberately misaligned with the horizon so chunk
-	// boundaries land mid-feed.
-	if err := replay(&out, ts.URL, replayOptions{World: core.Options{Seed: seed, MarketMonths: months, TraceDays: days}, Batch: 100, Loops: 1}); err != nil {
-		t.Fatal(err)
-	}
-	online, err := srv.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
+			var out strings.Builder
+			// Batch size deliberately misaligned with the horizon so chunk
+			// boundaries land mid-feed.
+			if err := replay(&out, ts.URL, replayOptions{World: world, Batch: 100, Loops: 1, BurstHubs: tc.burstHubs}); err != nil {
+				t.Fatal(err)
+			}
+			online, err := srv.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Fresh policy: the served engine's optimizer carries its order cache.
-	opt, err := routing.NewPriceOptimizer(sc.Fleet, 1500, routing.DefaultPriceThreshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Policy = opt
-	batch, err := sim.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Fresh scenario: the served engine's optimizer carries its
+			// order cache.
+			if sc, err = flags.Scenario(); err != nil {
+				t.Fatal(err)
+			}
+			batch, err := sim.Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if !reflect.DeepEqual(online, batch) {
-		t.Fatalf("online replay diverged from batch Run:\nonline: %+v\nbatch:  %+v", online, batch)
-	}
-	if !strings.Contains(out.String(), "routed") {
-		t.Errorf("replay summary missing, got %q", out.String())
+			if !reflect.DeepEqual(online, batch) {
+				t.Fatalf("online replay diverged from batch Run:\nonline: %+v\nbatch:  %+v", online, batch)
+			}
+			if !strings.Contains(out.String(), "routed") {
+				t.Errorf("replay summary missing, got %q", out.String())
+			}
+			if tc.burstHubs != "" {
+				used := 0
+				for _, n := range online.BurstsUsed {
+					used += n
+				}
+				if used == 0 {
+					t.Fatal("the burst world spent no burst interval; the case checks nothing the derived one does not")
+				}
+			}
+		})
 	}
 }
 
@@ -109,17 +146,25 @@ func TestReplayLoops(t *testing.T) {
 	}
 }
 
-// TestReplayArgumentValidation: bad knobs fail before any traffic.
+// TestReplayArgumentValidation: bad knobs fail before any traffic, each
+// with its own reason (the unreachable URL would fail every case too).
 func TestReplayArgumentValidation(t *testing.T) {
-	var out strings.Builder
-	if err := replay(&out, "http://127.0.0.1:1", replayOptions{World: core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}, Batch: 0, Loops: 1}); err == nil {
-		t.Error("batch 0 accepted")
-	}
-	if err := replay(&out, "http://127.0.0.1:1", replayOptions{World: core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}, Batch: 16, Loops: 0}); err == nil {
-		t.Error("loop 0 accepted")
-	}
-	if err := replay(&out, "http://127.0.0.1:1", replayOptions{World: core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}, Batch: 16, Loops: 1, KillAfter: -1}); err == nil {
-		t.Error("negative kill-after accepted")
+	world := core.Options{Seed: 1, MarketMonths: 1, TraceDays: 1}
+	for _, tc := range []struct {
+		opt  replayOptions
+		want string
+	}{
+		{replayOptions{Batch: 0, Loops: 1}, "non-positive batch size"},
+		{replayOptions{Batch: 16, Loops: 0}, "non-positive loop count"},
+		{replayOptions{Batch: 16, Loops: 1, KillAfter: -1}, "negative kill-after"},
+		{replayOptions{Batch: 16, Loops: 1, BurstHubs: "NP15+SP15"}, "one region"},
+		{replayOptions{Batch: 16, Loops: 1, BurstHubs: "NP15+XX,NYC+DOM"}, `unknown hub "XX"`},
+	} {
+		tc.opt.World = world
+		var out strings.Builder
+		if err := replay(&out, "http://127.0.0.1:1", tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want %q", tc.opt, err, tc.want)
+		}
 	}
 }
 

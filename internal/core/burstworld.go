@@ -40,12 +40,13 @@ import (
 //   - capacities are sized per region at 1.3x the regional demand peak,
 //     so open-gate overflow always absorbs in-region.
 //
-// Every process serving this world (powerrouted shards, the coordinator,
-// tracegen's feed) derives it from the same seed and flags, so fleet,
-// soft caps, and demand agree bit for bit across the fleet.
+// Every process serving this world (powerrouted shards, the coordinator)
+// derives it from the same seed and flags, so fleet, soft caps, and
+// demand agree bit for bit across the fleet; tracegen's feed regenerates
+// only the demand (BurstDemand) from the same seed.
 
 // ParseBurstHubs parses a burst-world topology spec: comma-separated
-// regions, each a pair of market hub IDs joined by '+', e.g.
+// regions, each a pair of known market hub IDs joined by '+', e.g.
 // "NP15+SP15,NYC+DOM". Each pair becomes one clique region co-located at
 // the first hub's spot.
 func ParseBurstHubs(spec string) ([][2]string, error) {
@@ -70,11 +71,22 @@ func ParseBurstHubs(spec string) ([][2]string, error) {
 			if seen[id] {
 				return nil, fmt.Errorf("core: burst-hubs hub %q appears twice", id)
 			}
+			if _, err := market.HubByID(id); err != nil {
+				return nil, fmt.Errorf("core: burst-hubs region %q: %w", region, err)
+			}
 			seen[id] = true
 			pairs[i][j] = id
 		}
 	}
 	return pairs, nil
+}
+
+// BurstDemand is the burst world's demand over this system's market and
+// workload. It depends on neither the hub pairs nor the routing
+// threshold, so a feeder regenerates it without building the world.
+func (s *System) BurstDemand() *ComonotoneDemand {
+	start := s.Market.Start
+	return &ComonotoneDemand{Start: start, Base: s.LongRun.Rates(start, nil)}
 }
 
 // ComonotoneDemand is the burst world's demand source: per-state rates
@@ -111,16 +123,16 @@ type BurstWorld struct {
 }
 
 // BurstWorld builds the burst-exact world for this system's market and
-// workload. thresholdKm must keep the regions disjoint (the pairs are
-// placed at their anchor hubs' spots — e.g. 1000 km separates NP15+SP15
-// from NYC+DOM).
+// workload from ParseBurstHubs's pairs. thresholdKm must keep the regions
+// disjoint (the pairs are placed at their anchor hubs' spots — e.g.
+// 1000 km separates NP15+SP15 from NYC+DOM).
 func (s *System) BurstWorld(pairs [][2]string, thresholdKm, priceThreshold float64) (*BurstWorld, error) {
 	if len(pairs) < 2 {
 		return nil, fmt.Errorf("core: burst world needs at least two regions, got %d", len(pairs))
 	}
 	steps := s.Market.Hours
 	start := s.Market.Start
-	demand := &ComonotoneDemand{Start: start, Base: s.LongRun.Rates(start, nil)}
+	demand := s.BurstDemand()
 
 	build := func(caps []float64) (*cluster.Fleet, error) {
 		clusters := make([]cluster.Cluster, 0, 2*len(pairs))
@@ -130,9 +142,6 @@ func (s *System) BurstWorld(pairs [][2]string, thresholdKm, priceThreshold float
 				return nil, fmt.Errorf("core: burst-hubs region %d: %w", i, err)
 			}
 			for j, id := range pair {
-				if _, err := market.HubByID(id); err != nil {
-					return nil, fmt.Errorf("core: burst-hubs region %d: %w", i, err)
-				}
 				servers := int(caps[2*i+j]/cluster.HitsPerServer) + 1
 				clusters = append(clusters, cluster.Cluster{
 					Code:     id,

@@ -27,6 +27,7 @@ func TestParseBurstHubs(t *testing.T) {
 		"NP15+SP15+ERN,NYC+X": "two hub IDs",
 		"NP15+SP15,NP15+DOM":  "twice",
 		"NP15+SP15,+DOM":      "empty hub ID",
+		"NP15+XX,NYC+DOM":     `unknown hub "XX"`,
 	} {
 		if _, err := ParseBurstHubs(spec); err == nil || !strings.Contains(err.Error(), wantErr) {
 			t.Errorf("spec %q: error %v, want %q", spec, err, wantErr)

@@ -207,7 +207,7 @@ func ExtDemandResponse(env *Env) (*Result, error) {
 		return nil, err
 	}
 	yields := make([]clusterYield, len(sys.Fleet.Clusters))
-	err = forEach(0, len(sys.Fleet.Clusters), func(ci int) error {
+	err = forEach(len(sys.Fleet.Clusters), func(ci int) error {
 		cl := sys.Fleet.Clusters[ci]
 		u := baseRes.MeanUtilization[ci]
 		shedMW := em.VariablePower(u, cl.Servers).Megawatts()

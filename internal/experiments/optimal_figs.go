@@ -96,7 +96,7 @@ func ExtOptimalDispatch(env *Env) (*Result, error) {
 	// a few MB per cluster.
 	const socLevels = 100
 	oracle := make([]storage.OptimalResult, nc)
-	if err := forEach(0, nc, func(c int) error {
+	if err := forEach(nc, func(c int) error {
 		var err error
 		oracle[c], err = storage.OptimalDispatch(batteries[c], rec.prices[c], rec.itKW[c], stepHours, socLevels)
 		return err

@@ -10,46 +10,40 @@ import (
 	"powerroute/internal/core"
 )
 
-// parallelism is the worker budget each pool reads: experiment dispatch
+// budget is the worker budget each pool reads: experiment dispatch
 // (RunStream/RunAll) and every in-figure parameter sweep bound their own
 // concurrency by it independently, so nested levels can briefly run up to
-// parallel² goroutines. That oversubscription is deliberate — the work is
+// budget² goroutines. That oversubscription is deliberate — the work is
 // CPU-bound and the scheduler time-slices it; per-run buffers are small —
 // and keeps the pools deadlock-free (a shared semaphore held across
-// nesting levels could starve inner sweeps). Zero means
-// DefaultParallelism.
-var parallelism atomic.Int32
-
-// DefaultParallelism is the worker count used when none is configured.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
+// nesting levels could starve inner sweeps). Zero means GOMAXPROCS.
+var budget atomic.Int32
 
 // SetParallelism sets the package-wide worker budget (n <= 0 restores the
-// default). The CLI's -parallel flag lands here.
+// default, GOMAXPROCS). The CLI's -parallel flag lands here.
 func SetParallelism(n int) {
 	if n < 0 {
 		n = 0
 	}
-	parallelism.Store(int32(n))
+	budget.Store(int32(n))
 }
 
-// Parallelism returns the configured worker budget.
-func Parallelism() int {
-	if n := int(parallelism.Load()); n > 0 {
+// parallelism returns the configured worker budget.
+func parallelism() int {
+	if n := int(budget.Load()); n > 0 {
 		return n
 	}
-	return DefaultParallelism()
+	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(0..n-1) on up to parallel goroutines. All n calls run to
-// completion; the returned error is the lowest-index failure, so the error
-// a caller observes does not depend on goroutine scheduling.
-func forEach(parallel, n int, fn func(i int) error) error {
+// forEach runs fn(0..n-1) on up to parallelism() goroutines. All n calls
+// run to completion; the returned error is the lowest-index failure, so
+// the error a caller observes does not depend on goroutine scheduling.
+func forEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if parallel <= 0 {
-		parallel = Parallelism()
-	}
+	parallel := parallelism()
 	if parallel > n {
 		parallel = n
 	}
@@ -90,7 +84,7 @@ func forEach(parallel, n int, fn func(i int) error) error {
 // runTasks executes heterogeneous closures concurrently under the package
 // worker budget, failing with the lowest-index error.
 func runTasks(tasks ...func() error) error {
-	return forEach(0, len(tasks), func(i int) error { return tasks[i]() })
+	return forEach(len(tasks), func(i int) error { return tasks[i]() })
 }
 
 // runConfigs executes a sweep of optimizer configurations concurrently and
@@ -99,7 +93,7 @@ func runTasks(tasks ...func() error) error {
 // single-flight cache.
 func runConfigs(sys *core.System, cfgs []core.RunConfig) ([]*core.Outcome, error) {
 	outs := make([]*core.Outcome, len(cfgs))
-	err := forEach(0, len(cfgs), func(i int) error {
+	err := forEach(len(cfgs), func(i int) error {
 		var err error
 		outs[i], err = sys.Run(cfgs[i])
 		return err
@@ -114,10 +108,10 @@ func runConfigs(sys *core.System, cfgs []core.RunConfig) ([]*core.Outcome, error
 // each result to emit in defs order — as soon as it and every predecessor
 // have finished, so output streams while later experiments are still
 // running. The rendered results are identical to a serial run; only wall
-// time changes. parallel <= 0 uses the package default; 1 runs the
-// experiments one after another. On failure the lowest-index error is
-// returned and workers stop running new experiments.
-func RunStream(env *Env, defs []Definition, parallel int, emit func(res *Result, took time.Duration) error) error {
+// time changes. A budget of 1 (SetParallelism) runs the experiments one
+// after another. On failure the lowest-index error is returned and
+// workers stop running new experiments.
+func RunStream(env *Env, defs []Definition, emit func(res *Result, took time.Duration) error) error {
 	type item struct {
 		res  *Result
 		took time.Duration
@@ -128,7 +122,7 @@ func RunStream(env *Env, defs []Definition, parallel int, emit func(res *Result,
 		slots[i] = make(chan item, 1)
 	}
 	var stopped atomic.Bool
-	go forEach(parallel, len(defs), func(i int) error {
+	go forEach(len(defs), func(i int) error {
 		if stopped.Load() {
 			// The consumer already returned; fill the slot without doing
 			// the work.
@@ -158,9 +152,9 @@ func RunStream(env *Env, defs []Definition, parallel int, emit func(res *Result,
 }
 
 // RunAll executes defs concurrently and returns the results in defs order.
-func RunAll(env *Env, defs []Definition, parallel int) ([]*Result, error) {
+func RunAll(env *Env, defs []Definition) ([]*Result, error) {
 	out := make([]*Result, 0, len(defs))
-	err := RunStream(env, defs, parallel, func(res *Result, _ time.Duration) error {
+	err := RunStream(env, defs, func(res *Result, _ time.Duration) error {
 		out = append(out, res)
 		return nil
 	})

@@ -18,9 +18,11 @@ import (
 )
 
 func TestForEach(t *testing.T) {
+	defer SetParallelism(0)
 	// Results land at their own index regardless of worker interleaving.
+	SetParallelism(8)
 	out := make([]int, 100)
-	if err := forEach(8, len(out), func(i int) error {
+	if err := forEach(len(out), func(i int) error {
 		out[i] = i * i
 		return nil
 	}); err != nil {
@@ -34,7 +36,8 @@ func TestForEach(t *testing.T) {
 	// The reported error is the lowest-index failure, independent of
 	// scheduling.
 	errA, errB := errors.New("a"), errors.New("b")
-	err := forEach(4, 50, func(i int) error {
+	SetParallelism(4)
+	err := forEach(50, func(i int) error {
 		switch i {
 		case 7:
 			return errA
@@ -47,11 +50,12 @@ func TestForEach(t *testing.T) {
 		t.Fatalf("got %v, want lowest-index error %v", err, errA)
 	}
 	// Degenerate sizes.
-	if err := forEach(4, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := forEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
+	SetParallelism(1)
 	calls := 0
-	if err := forEach(1, 3, func(int) error { calls++; return nil }); err != nil || calls != 3 {
+	if err := forEach(3, func(int) error { calls++; return nil }); err != nil || calls != 3 {
 		t.Fatalf("serial path: calls=%d err=%v", calls, err)
 	}
 }
@@ -59,12 +63,12 @@ func TestForEach(t *testing.T) {
 func TestSetParallelism(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", got)
+	if got := parallelism(); got != 3 {
+		t.Fatalf("parallelism() = %d, want 3", got)
 	}
 	SetParallelism(0)
-	if got := Parallelism(); got != DefaultParallelism() {
-		t.Fatalf("Parallelism() = %d, want default %d", got, DefaultParallelism())
+	if got, want := parallelism(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("parallelism() = %d, want default %d", got, want)
 	}
 }
 
@@ -90,8 +94,10 @@ func TestRunStreamOrder(t *testing.T) {
 		fakeDef("mid", 10*time.Millisecond, &ran, nil),
 		fakeDef("fast", 0, &ran, nil),
 	}
+	defer SetParallelism(0)
+	SetParallelism(3)
 	var got []string
-	err := RunStream(nil, defs, 3, func(res *Result, _ time.Duration) error {
+	err := RunStream(nil, defs, func(res *Result, _ time.Duration) error {
 		got = append(got, res.ID)
 		return nil
 	})
@@ -116,7 +122,9 @@ func TestRunStreamError(t *testing.T) {
 		fakeDef("bad", 0, &ran, boom),
 		fakeDef("late-bad", 20*time.Millisecond, &ran, errors.New("other")),
 	}
-	err := RunStream(nil, defs, 3, func(*Result, time.Duration) error { return nil })
+	defer SetParallelism(0)
+	SetParallelism(3)
+	err := RunStream(nil, defs, func(*Result, time.Duration) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want wrapped %v", err, boom)
 	}
@@ -160,7 +168,7 @@ func renderAll(t *testing.T, defs []Definition, parallel int) string {
 	}
 	SetParallelism(parallel)
 	defer SetParallelism(0)
-	results, err := RunAll(env, defs, parallel)
+	results, err := RunAll(env, defs)
 	if err != nil {
 		t.Fatal(err)
 	}

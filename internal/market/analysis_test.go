@@ -100,7 +100,7 @@ func TestFig11MonthlyEvolution(t *testing.T) {
 	}
 	var medians []float64
 	for _, k := range keys {
-		med, err := stats.Median(groups[k])
+		med, err := stats.Quantile(groups[k], 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestFig12HourOfDayPattern(t *testing.T) {
 	}
 	byHour := diff.GroupByHourOfDay(-5) // group by Eastern local hour
 	med := func(h int) float64 {
-		m, err := stats.Median(byHour[h])
+		m, err := stats.Quantile(byHour[h], 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

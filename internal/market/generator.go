@@ -651,7 +651,3 @@ func (d *Dataset) FiveMinute(hubID string, from time.Time, samples int) (*timese
 	}
 	return out, nil
 }
-
-// Scale returns the stochastic scale s_h the generator used for a hub
-// (diagnostic, exposed for tests).
-func (d *Dataset) Scale(hubID string) float64 { return d.scales[hubID] }

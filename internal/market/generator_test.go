@@ -417,10 +417,12 @@ func TestFiveMinuteSeries(t *testing.T) {
 	}
 }
 
+// TestScaleExposed: the dataset keeps the stochastic scale s_h it drew for
+// each hub, and the scale is positive.
 func TestScaleExposed(t *testing.T) {
 	d := testData()
-	if d.Scale("NYC") <= 0 {
-		t.Error("Scale(NYC) should be positive")
+	if d.scales["NYC"] <= 0 {
+		t.Error("the NYC hub's stochastic scale should be positive")
 	}
 }
 

@@ -275,9 +275,6 @@ func Quantiles(xs []float64, qs ...float64) ([]float64, error) {
 	return out, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
 // IQR describes a distribution by its median and inter-quartile range, the
 // representation used by the paper's monthly and hour-of-day differential
 // plots (Fig 11, 12).

@@ -216,9 +216,3 @@ func (l *Lyapunov) PriceCap(c int, s *State) float64 {
 	lc := &l.perCluster[c]
 	return lc.indifference(s.socKWh) / lc.eta
 }
-
-// Indifference exposes cluster c's current threshold price for a given
-// state of charge (diagnostics and tests).
-func (l *Lyapunov) Indifference(c int, socKWh float64) float64 {
-	return l.perCluster[c].indifference(socKWh)
-}

@@ -75,7 +75,7 @@ func TestLyapunovBangBang(t *testing.T) {
 		t.Error("a full battery must not charge at any price above its indifference point scaled by η")
 	}
 
-	if lo, hi := l.Indifference(0, b.CapacityKWh), l.Indifference(0, 0); lo >= hi {
+	if lo, hi := l.perCluster[0].indifference(b.CapacityKWh), l.perCluster[0].indifference(0); lo >= hi {
 		t.Errorf("indifference price must fall with SoC: full %v >= empty %v", lo, hi)
 	}
 }
@@ -94,7 +94,7 @@ func TestLyapunovVClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, soc := range []float64{0, 25, 50, 100} {
-		if got, want := huge.Indifference(0, soc), auto.Indifference(0, soc); got != want {
+		if got, want := huge.perCluster[0].indifference(soc), auto.perCluster[0].indifference(soc); got != want {
 			t.Errorf("SoC %v: clamped V threshold %v, auto %v", soc, got, want)
 		}
 	}
@@ -122,7 +122,7 @@ func TestLyapunovPriceCap(t *testing.T) {
 		t.Error("charged battery advertises no price cap")
 	}
 	eta := math.Sqrt(b.RoundTripEfficiency)
-	if want := l.Indifference(0, 40) / eta; cap != want {
+	if want := l.perCluster[0].indifference(40) / eta; cap != want {
 		t.Errorf("cap %v, want indifference/η = %v", cap, want)
 	}
 	s.socKWh = 80
