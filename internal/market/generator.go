@@ -22,17 +22,12 @@ type Config struct {
 	// Seed drives every random stream; identical configs generate identical
 	// datasets. Zero is a valid seed.
 	Seed int64
-	// Start is the first hour (UTC). Defaults to DefaultStart.
-	Start time.Time
 	// Months is the trace length in calendar months. Defaults to
 	// DefaultMonths.
 	Months int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Start.IsZero() {
-		c.Start = DefaultStart
-	}
 	if c.Months == 0 {
 		c.Months = DefaultMonths
 	}
@@ -61,7 +56,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	if cfg.Months < 0 {
 		return nil, fmt.Errorf("market: negative months %d", cfg.Months)
 	}
-	start := cfg.Start.UTC().Truncate(time.Hour)
+	start := DefaultStart.UTC().Truncate(time.Hour)
 	end := start.AddDate(0, cfg.Months, 0)
 	hours := int(end.Sub(start) / time.Hour)
 	if hours <= 0 {

@@ -81,18 +81,12 @@ func MetricsText(fleet *cluster.Fleet, snap *sim.Snapshot, feedEntries int, requ
 		fmt.Fprintf(&b, "powerrouted_carbon_kg_total %g\n", snap.TotalCarbonKg)
 	}
 	if snap.BurstLeases != nil {
-		var granted, used, expired int
-		for _, l := range snap.BurstLeases {
-			granted += l.TokensGranted
-			used += l.TokensUsed
-			expired += l.TokensExpired
-		}
 		metric("powerrouted_burst_tokens_granted_total", "counter", "Burst tokens leased while the fleet gate was open.")
-		fmt.Fprintf(&b, "powerrouted_burst_tokens_granted_total %d\n", granted)
+		fmt.Fprintf(&b, "powerrouted_burst_tokens_granted_total %d\n", snap.BurstTokens.TokensGranted)
 		metric("powerrouted_burst_tokens_used_total", "counter", "Burst tokens consumed by over-cap intervals.")
-		fmt.Fprintf(&b, "powerrouted_burst_tokens_used_total %d\n", used)
+		fmt.Fprintf(&b, "powerrouted_burst_tokens_used_total %d\n", snap.BurstTokens.TokensUsed)
 		metric("powerrouted_burst_tokens_expired_total", "counter", "Burst tokens reclaimed unused at step boundaries.")
-		fmt.Fprintf(&b, "powerrouted_burst_tokens_expired_total %d\n", expired)
+		fmt.Fprintf(&b, "powerrouted_burst_tokens_expired_total %d\n", snap.BurstTokens.TokensExpired)
 	}
 	if snap.BatchQueuedKWh != nil {
 		metric("powerrouted_batch_queued_kwh", "gauge", "Deferrable batch energy waiting in each cluster's queue.")

@@ -611,26 +611,16 @@ func StatusPayload(fleet *cluster.Fleet, snap *sim.Snapshot, feedEntries int) ma
 		resp["carbon_kg"] = snap.TotalCarbonKg
 	}
 	if snap.BatchQueuedKWh != nil {
-		var queued float64
-		for _, kwh := range snap.BatchQueuedKWh {
-			queued += kwh
-		}
-		resp["batch_queued_kwh"] = queued
+		resp["batch_queued_kwh"] = snap.BatchQueuedTotalKWh
 		resp["batch_served_kwh"] = snap.BatchServedKWh
 		resp["batch_shed_kwh"] = snap.BatchShedKWh
 		resp["batch_deferred_kwh_steps"] = snap.BatchDeferredKWhSteps
 	}
 	if snap.BurstLeases != nil {
-		var granted, used, expired int
-		for _, l := range snap.BurstLeases {
-			granted += l.TokensGranted
-			used += l.TokensUsed
-			expired += l.TokensExpired
-		}
 		resp["burst_leases"] = map[string]int{
-			"tokens_granted": granted,
-			"tokens_used":    used,
-			"tokens_expired": expired,
+			"tokens_granted": snap.BurstTokens.TokensGranted,
+			"tokens_used":    snap.BurstTokens.TokensUsed,
+			"tokens_expired": snap.BurstTokens.TokensExpired,
 		}
 	}
 	return resp

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -933,11 +934,13 @@ func servedReads(t *testing.T, client *http.Client, url string) (status, metrics
 // before it answers, so the status and metrics read after it equal those
 // rendered under the lock from the engine and the feed. The session runs
 // each kind of commit on the batch-class world with a demand charge, so
-// jobs queue and Finalize folds each cluster's demand charge into its
-// cost: price posts of both forms, demand posts of every form, a batch
-// refused at row 2 after rows 0–1 routed, a 409 demand post, a
-// checkpoint restore and Finalize. Each commit but the 409 must change
-// what a read renders. A new daemon's reads are checked first.
+// jobs queue and the bill carries open-month charges: price posts of both
+// forms, demand posts of every form, a batch refused at row 2 after rows
+// 0–1 routed, a 409 demand post, a checkpoint restore and Finalize. Each
+// commit but the 409 and Finalize must change what a read renders.
+// Finalize changes no book, so the reads after it must equal those before
+// it, and the served total_cost_usd must be the Result's bit for bit. A
+// new daemon's reads are checked first.
 func TestReadsSeeEveryCommit(t *testing.T) {
 	sys := testWorld(t)
 	sc := batchScenario(t, sys)
@@ -960,6 +963,7 @@ func TestReadsSeeEveryCommit(t *testing.T) {
 	refused := flatDemand(ns, 700)
 	refused[1] = -1
 
+	var res *sim.Result
 	prevStatus, prevMetrics := lockedReads(srv)
 	if status, metrics := servedReads(t, http.DefaultClient, ts.URL); status != prevStatus || metrics != prevMetrics {
 		t.Errorf("a new daemon answered\n%s\n%s\nwant, as rendered under the lock,\n%s\n%s", status, metrics, prevStatus, prevMetrics)
@@ -1007,7 +1011,8 @@ func TestReadsSeeEveryCommit(t *testing.T) {
 			putCheckpoint(t, ts, ckpt, http.StatusOK)
 		}},
 		{"Finalize", func() {
-			if _, err := srv.Finalize(); err != nil {
+			var err error
+			if res, err = srv.Finalize(); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -1021,7 +1026,20 @@ func TestReadsSeeEveryCommit(t *testing.T) {
 		if metrics != wantMetrics {
 			t.Errorf("after the %s, /metrics answered\n%s\nwant, as rendered under the lock,\n%s", commit.name, metrics, wantMetrics)
 		}
-		if changed := wantStatus != prevStatus && wantMetrics != prevMetrics; changed == (commit.name == "409 demand post") {
+		if commit.name == "Finalize" {
+			if status != prevStatus || metrics != prevMetrics {
+				t.Errorf("Finalize changed what a read renders:\n%s\n%s\nwas\n%s\n%s", status, metrics, prevStatus, prevMetrics)
+			}
+			var served struct {
+				TotalCost float64 `json:"total_cost_usd"`
+			}
+			if err := json.Unmarshal([]byte(status), &served); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(served.TotalCost) != math.Float64bits(float64(res.TotalCost)) {
+				t.Errorf("after Finalize, /v1/status bills %v, the Result %v", served.TotalCost, res.TotalCost)
+			}
+		} else if changed := wantStatus != prevStatus && wantMetrics != prevMetrics; changed == (commit.name == "409 demand post") {
 			t.Errorf("after the %s, the status and metrics changed: %v", commit.name, changed)
 		}
 		prevStatus, prevMetrics = wantStatus, wantMetrics

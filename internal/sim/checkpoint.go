@@ -76,13 +76,16 @@ const (
 )
 
 // Totals holds the running sums that accumulate while stepping — all of
-// them per cluster. Fleet-wide figures (the Result's TotalCost,
-// TotalEnergy, overload seconds, storage totals, carbon) are derived from
-// these in fleet order at Snapshot/Finalize time, never accumulated across
-// clusters, which is what lets a shard merge scatter each cluster's sums
-// into fleet positions and reproduce the joint run's figures bit for bit.
-// Finalize-only fields (billable p95s, demand charges) are recomputed from
-// the restored meters when the run ends.
+// them per cluster. It is the engine's books, whose storage totals stay
+// nil because each battery keeps its own; a checkpoint ships the books
+// with those totals read from the batteries. Fleet-wide figures (the
+// Result's TotalCost, TotalEnergy, overload seconds, storage totals,
+// carbon, batch ledgers) are derived from these in fleet order by
+// foldBill, never accumulated across clusters, which is what lets a shard
+// merge scatter each cluster's sums into fleet positions and reproduce
+// the joint run's figures bit for bit. Finalize-only fields (billable
+// p95s, demand charges) are recomputed from the restored meters when the
+// run ends.
 //
 // ckpt:state Checkpoint,loadCheckpoint,MergeCheckpoints
 type Totals struct {
@@ -192,14 +195,14 @@ type Checkpoint struct {
 // not mutated and keeps stepping afterwards; a finalized engine cannot be
 // checkpointed (its books are closed — restore targets a live run).
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
-	if e.finalized {
+	if e.res != nil {
 		return nil, errors.New("sim: cannot checkpoint a finalized engine")
 	}
 	cp := &Checkpoint{
 		Version:       CheckpointVersion,
 		WorldHash:     e.WorldHash(),
 		ShardOf:       e.sc.shardOf,
-		Policy:        e.res.Policy,
+		Policy:        e.policyName,
 		Start:         e.sc.Start,
 		Step:          e.sc.Step,
 		ScenarioSteps: e.sc.Steps,
@@ -263,11 +266,11 @@ func (e *Engine) loadCheckpoint(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("checkpoint version %d, this build restores only v%d", cp.Version, CheckpointVersion)
 	}
-	if e.stepsRun != 0 || e.finalized {
+	if e.stepsRun != 0 || e.res != nil {
 		return errors.New("restore target engine already advanced")
 	}
-	if cp.Policy != e.res.Policy {
-		return fmt.Errorf("checkpoint from policy %q, scenario runs %q", cp.Policy, e.res.Policy)
+	if cp.Policy != e.policyName {
+		return fmt.Errorf("checkpoint from policy %q, scenario runs %q", cp.Policy, e.policyName)
 	}
 	if cp.Clusters != e.nc || cp.States != e.ns {
 		return fmt.Errorf("checkpoint geometry %d clusters × %d states, scenario has %d × %d",
@@ -442,7 +445,7 @@ func newSection[T any](name string, kept func(*Engine) bool, at func(*Checkpoint
 	}
 }
 
-// vectorSection declares a running sum the engine holds as one slice.
+// vectorSection declares per-cluster state the engine holds as one slice.
 func vectorSection[T any](name string, kept func(*Engine) bool, at func(*Checkpoint) *[]T, field func(*Engine) []T) checkpointSection {
 	return newSection(name, kept, at,
 		func(e *Engine) []T { return slices.Clone(field(e)) },
@@ -450,6 +453,18 @@ func vectorSection[T any](name string, kept func(*Engine) bool, at func(*Checkpo
 			copy(field(e), v)
 			return nil
 		}, nil)
+}
+
+// booksSection declares one running sum of the books: at locates it in a
+// Totals, the engine's books and the checkpoint's Totals alike. An
+// optional one is kept exactly when the engine's books carry it.
+func booksSection[T any](name string, optional bool, at func(*Totals) *[]T) checkpointSection {
+	var kept func(*Engine) bool
+	if optional {
+		kept = func(e *Engine) bool { return *at(&e.books) != nil }
+	}
+	return vectorSection(name, kept, func(cp *Checkpoint) *[]T { return at(&cp.Totals) },
+		func(e *Engine) []T { return *at(&e.books) })
 }
 
 // storageLedgerSection declares a storage total: one field of every
@@ -499,21 +514,11 @@ func restoreEach[O, T any](objs []O, v []T, restore func(O, T) error) error {
 // referenced by Checkpoint, loadCheckpoint and MergeCheckpoints.
 func checkpointSections() []checkpointSection {
 	return []checkpointSection{
-		vectorSection("cluster costs", nil,
-			func(cp *Checkpoint) *[]units.Money { return &cp.Totals.ClusterCost },
-			func(e *Engine) []units.Money { return e.res.ClusterCost }),
-		vectorSection("cluster energies", nil,
-			func(cp *Checkpoint) *[]units.Energy { return &cp.Totals.ClusterEnergy },
-			func(e *Engine) []units.Energy { return e.res.ClusterEnergy }),
-		vectorSection("peak rates", nil,
-			func(cp *Checkpoint) *[]float64 { return &cp.Totals.PeakRate },
-			func(e *Engine) []float64 { return e.res.PeakRate }),
-		vectorSection("utilization sums", nil,
-			func(cp *Checkpoint) *[]float64 { return &cp.Totals.MeanUtilizationSum },
-			func(e *Engine) []float64 { return e.res.MeanUtilization }),
-		vectorSection("overload ledgers", nil,
-			func(cp *Checkpoint) *[]float64 { return &cp.Totals.OverloadSec },
-			func(e *Engine) []float64 { return e.overloadSec }),
+		booksSection("cluster costs", false, func(t *Totals) *[]units.Money { return &t.ClusterCost }),
+		booksSection("cluster energies", false, func(t *Totals) *[]units.Energy { return &t.ClusterEnergy }),
+		booksSection("peak rates", false, func(t *Totals) *[]float64 { return &t.PeakRate }),
+		booksSection("utilization sums", false, func(t *Totals) *[]float64 { return &t.MeanUtilizationSum }),
+		booksSection("overload ledgers", false, func(t *Totals) *[]float64 { return &t.OverloadSec }),
 		newSection("meter sample lists", nil,
 			func(cp *Checkpoint) *[][]float64 { return &cp.MeterSamples },
 			func(e *Engine) [][]float64 {
@@ -593,9 +598,7 @@ func checkpointSections() []checkpointSection {
 					Peaks:  append([]float64(nil), s.Peaks...),
 				}
 			}),
-		vectorSection("carbon ledgers", func(e *Engine) bool { return e.res.ClusterCarbonKg != nil },
-			func(cp *Checkpoint) *[]float64 { return &cp.Totals.ClusterCarbonKg },
-			func(e *Engine) []float64 { return e.res.ClusterCarbonKg }),
+		booksSection("carbon ledgers", true, func(t *Totals) *[]float64 { return &t.ClusterCarbonKg }),
 		storageLedgerSection("storage total ledgers",
 			func(cp *Checkpoint) *[]float64 { return &cp.Totals.StorageBoughtKWh },
 			func(s storage.Snapshot) float64 { return s.BoughtKWh }),
@@ -611,15 +614,9 @@ func checkpointSections() []checkpointSection {
 			func(q sched.QueueState) sched.QueueState {
 				return sched.QueueState{Jobs: append([]sched.QueuedJob(nil), q.Jobs...)}
 			}),
-		vectorSection("batch served ledgers", func(e *Engine) bool { return e.batchServed != nil },
-			func(cp *Checkpoint) *[]float64 { return &cp.Totals.BatchServedKWh },
-			func(e *Engine) []float64 { return e.batchServed }),
-		vectorSection("batch shed ledgers", func(e *Engine) bool { return e.batchShed != nil },
-			func(cp *Checkpoint) *[]float64 { return &cp.Totals.BatchShedKWh },
-			func(e *Engine) []float64 { return e.batchShed }),
-		vectorSection("batch deferral ledgers", func(e *Engine) bool { return e.batchDeferred != nil },
-			func(cp *Checkpoint) *[]float64 { return &cp.Totals.BatchDeferredKWh },
-			func(e *Engine) []float64 { return e.batchDeferred }),
+		booksSection("batch served ledgers", true, func(t *Totals) *[]float64 { return &t.BatchServedKWh }),
+		booksSection("batch shed ledgers", true, func(t *Totals) *[]float64 { return &t.BatchShedKWh }),
+		booksSection("batch deferral ledgers", true, func(t *Totals) *[]float64 { return &t.BatchDeferredKWh }),
 	}
 }
 

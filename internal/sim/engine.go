@@ -56,6 +56,9 @@ type Engine struct {
 	sc        Scenario
 	nc, ns    int
 	stepHours float64 // ckpt:immutable derived from sc.Step at construction
+	// policyName caches sc.Policy.Name(), which checkpoints, snapshots and
+	// the Result echo.
+	policyName string // ckpt:immutable cached at construction, as dispatchName is
 
 	prices []*timeseries.Series // resolved per-cluster RT series
 
@@ -76,7 +79,17 @@ type Engine struct {
 	priceCaps    []float64           // ckpt:derived scratch recomputed from priceCapper every Step
 	demandMeters []*billing.DemandMeter
 
-	res    *Result
+	// books holds every running sum the bill half accumulates, one value
+	// per cluster; its storage totals stay nil, since each battery keeps
+	// its own. Fleet-wide figures are never accumulated across clusters
+	// while stepping: foldBill derives them in fleet order for Snapshot
+	// and Finalize. That makes every number a shard merge produces
+	// bit-identical to the joint run's: a shard scatters its per-cluster
+	// sums into fleet positions and the same fold runs over them.
+	books Totals
+	// res is set only by Finalize, from the books, which it leaves as
+	// they were; non-nil marks the engine finalized.
+	res    *Result // ckpt:derived built by Finalize, and a finalized engine cannot be checkpointed
 	meters []billing.Meter
 	// distHists holds one hit-weighted distance histogram per cluster.
 	// Routing closure means cluster c sees the same adds in the same order
@@ -107,33 +120,19 @@ type Engine struct {
 	// geometry never changes; Step feeds weights straight into the bin.
 	distBin [][]int // ckpt:immutable derived from sc.Fleet and the histogram geometry at construction
 
-	// Fleet-wide scalars (total cost/energy, overload seconds, storage
-	// totals, carbon) are never accumulated across clusters during Step:
-	// each cluster owns its running sum (a battery its own bought and
-	// served energy) and the fleet figures are derived in fleet order at
-	// Snapshot/Finalize time. That makes every number a shard merge
-	// produces bit-identical to the joint run's — a shard scatters its
-	// per-cluster sums into fleet positions and the same fleet-order
-	// summation runs over them.
-	overloadSec []float64
-
 	// Deferrable (batch) class state; all nil unless sc.Batch is set.
-	sched         *sched.Scheduler
-	batchServed   []float64 // kWh of batch energy served at each cluster
-	batchShed     []float64 // kWh abandoned at expired deadlines, at the home cluster
-	batchDeferred []float64 // kWh left queued after each dispatch, summed over steps
-	batchKW       []float64 // ckpt:derived per-step scratch filled by Dispatch
-	batchShedKWh  []float64 // ckpt:derived per-step scratch filled by Dispatch
-	headroomKW    []float64 // ckpt:derived per-step scratch for the peak guard
+	sched        *sched.Scheduler
+	batchKW      []float64 // ckpt:derived per-step scratch filled by Dispatch
+	batchShedKWh []float64 // ckpt:derived per-step scratch filled by Dispatch
+	headroomKW   []float64 // ckpt:derived per-step scratch for the peak guard
 
 	// gridWh stages each cluster's grid energy (Wh) between the metering
 	// and billing halves of Step, so batch dispatch can see every
 	// cluster's interactive draw before any of it is billed.
 	gridWh []units.Energy // ckpt:derived per-step scratch
 
-	stepsRun  int
-	lastAt    time.Time
-	finalized bool
+	stepsRun int
+	lastAt   time.Time
 
 	// worldHash is computed lazily by WorldHash (checkpoint.go) and cached;
 	// the step hot path never reads it.
@@ -169,10 +168,18 @@ func NewEngine(sc Scenario) (*Engine, error) {
 	ns := len(sc.Fleet.States)
 
 	e := &Engine{
-		sc:        sc,
-		nc:        nc,
-		ns:        ns,
-		stepHours: sc.Step.Hours(),
+		sc:         sc,
+		nc:         nc,
+		ns:         ns,
+		stepHours:  sc.Step.Hours(),
+		policyName: sc.Policy.Name(),
+		books: Totals{
+			ClusterCost:        make([]units.Money, nc),
+			ClusterEnergy:      make([]units.Energy, nc),
+			PeakRate:           make([]float64, nc),
+			MeanUtilizationSum: make([]float64, nc),
+			OverloadSec:        make([]float64, nc),
+		},
 	}
 
 	// Resolve per-cluster hourly price series once.
@@ -264,25 +271,16 @@ func NewEngine(sc Scenario) (*Engine, error) {
 			return nil, err
 		}
 		e.sched = s
-		e.batchServed = make([]float64, nc)
-		e.batchShed = make([]float64, nc)
-		e.batchDeferred = make([]float64, nc)
+		e.books.BatchServedKWh = make([]float64, nc)
+		e.books.BatchShedKWh = make([]float64, nc)
+		e.books.BatchDeferredKWh = make([]float64, nc)
 		e.batchKW = make([]float64, nc)
 		e.batchShedKWh = make([]float64, nc)
 		e.headroomKW = make([]float64, nc)
 	}
 
-	e.res = &Result{
-		Policy:          sc.Policy.Name(),
-		Steps:           sc.Steps,
-		ClusterCost:     make([]units.Money, nc),
-		ClusterEnergy:   make([]units.Energy, nc),
-		BillableP95:     make([]float64, nc),
-		PeakRate:        make([]float64, nc),
-		MeanUtilization: make([]float64, nc),
-	}
 	if sc.Carbon != nil {
-		e.res.ClusterCarbonKg = make([]float64, nc)
+		e.books.ClusterCarbonKg = make([]float64, nc)
 	}
 	e.meters = make([]billing.Meter, nc)
 	for c := range e.meters {
@@ -317,7 +315,6 @@ func NewEngine(sc Scenario) (*Engine, error) {
 	}
 	e.loads = make([]float64, nc)
 	e.gridWh = make([]units.Energy, nc)
-	e.overloadSec = make([]float64, nc)
 	e.capacities = make([]float64, nc)
 	e.powerEval = make([]energy.Evaluator, nc)
 	for c, cl := range sc.Fleet.Clusters {
@@ -420,7 +417,7 @@ type stepRecord struct {
 // reads no state the bill half writes, except the battery charge behind
 // storage price caps; Run steps inline when those are on.
 func (e *Engine) route(at time.Time, prices StepPrices, demand []float64) error {
-	if e.finalized {
+	if e.res != nil {
 		return errors.New("sim: engine already finalized")
 	}
 	if len(demand) != e.ns {
@@ -543,19 +540,19 @@ func (e *Engine) route(at time.Time, prices StepPrices, demand []float64) error 
 // ledger it writes the operations Step would, in the same order.
 func (e *Engine) bill(r *stepRecord) {
 	sc := &e.sc
-	res := e.res
+	books := &e.books
 	stepHours := e.stepHours
 	for c := range sc.Fleet.Clusters {
 		load := r.loads[c]
 		capacity := e.capacities[c]
 		e.meters[c].Record(load)
-		if load > res.PeakRate[c] {
-			res.PeakRate[c] = load
+		if load > books.PeakRate[c] {
+			books.PeakRate[c] = load
 		}
 		// Epsilon absorbs float residue from the allocator's room
 		// arithmetic; genuine overloads are orders of magnitude larger.
 		if over := load - capacity; over > 1e-6+1e-9*capacity {
-			e.overloadSec[c] += over * sc.Step.Seconds()
+			books.OverloadSec[c] += over * sc.Step.Seconds()
 		}
 		// Cluster.Utilization over the cached float capacity: the same
 		// division, the same clamps.
@@ -568,7 +565,7 @@ func (e *Engine) bill(r *stepRecord) {
 				u = 1
 			}
 		}
-		res.MeanUtilization[c] += u
+		books.MeanUtilizationSum[c] += u
 		en := e.powerEval[c].Energy(u, stepHours)
 		// Grid draw = IT draw + battery charging − battery discharging;
 		// everything downstream (bill, demand meter, carbon ledger) is
@@ -613,10 +610,10 @@ func (e *Engine) bill(r *stepRecord) {
 		for c := range e.batchKW {
 			if kwh := e.batchKW[c] * stepHours; kwh > 0 {
 				e.gridWh[c] += units.Energy(kwh * 1000)
-				e.batchServed[c] += kwh
+				books.BatchServedKWh[c] += kwh
 			}
-			e.batchShed[c] += e.batchShedKWh[c]
-			e.batchDeferred[c] += e.sched.QueuedKWh(c)
+			books.BatchShedKWh[c] += e.batchShedKWh[c]
+			books.BatchDeferredKWh[c] += e.sched.QueuedKWh(c)
 		}
 	}
 
@@ -626,13 +623,13 @@ func (e *Engine) bill(r *stepRecord) {
 	for c := range sc.Fleet.Clusters {
 		grid := e.gridWh[c]
 		cost := grid.Cost(units.Price(r.bill[c]))
-		res.ClusterEnergy[c] += grid
-		res.ClusterCost[c] += cost
+		books.ClusterEnergy[c] += grid
+		books.ClusterCost[c] += cost
 		if e.demandMeters != nil {
 			e.demandMeters[c].Record(r.at, grid.KilowattHours()/stepHours)
 		}
 		if sc.Carbon != nil {
-			res.ClusterCarbonKg[c] += grid.KilowattHours() * r.carbon[c] / 1000
+			books.ClusterCarbonKg[c] += grid.KilowattHours() * r.carbon[c] / 1000
 		}
 	}
 }
@@ -643,7 +640,7 @@ func (e *Engine) bill(r *stepRecord) {
 // All jobs are validated before any is enqueued; unlike Step, this path
 // may allocate as queues grow.
 func (e *Engine) QueueJobs(jobs []sched.Job) error {
-	if e.finalized {
+	if e.res != nil {
 		return errors.New("sim: engine already finalized")
 	}
 	if e.sched == nil {
@@ -725,51 +722,45 @@ func CheckJob(j sched.Job, nc, cursor int) error {
 	return nil
 }
 
-// batchTotals derives the fleet-wide batch ledgers from the per-cluster
-// accumulators, in fleet order (same merge-exactness argument as totals).
-func (e *Engine) batchTotals() (served, shed, deferred float64) {
-	for c := range e.batchServed {
-		served += e.batchServed[c]
-		shed += e.batchShed[c]
-		deferred += e.batchDeferred[c]
-	}
-	return served, shed, deferred
-}
-
-// totals derives the fleet-wide running sums from the per-cluster
-// accumulators, always in fleet order. Snapshot and Finalize both go
-// through here, so a merged shard checkpoint — whose per-cluster values
-// are scattered back into their fleet positions — reproduces the joint
-// run's fleet figures bit for bit.
-func (e *Engine) totals() (cost units.Money, energy units.Energy, overload, bought, served, carbon float64) {
-	res := e.res
-	for c := range res.ClusterCost {
-		cost += res.ClusterCost[c]
-		energy += res.ClusterEnergy[c]
-		overload += e.overloadSec[c]
-	}
-	for _, b := range e.batteries {
-		bought += b.BoughtKWh()
-		served += b.ServedKWh()
-	}
-	for _, kg := range res.ClusterCarbonKg {
-		carbon += kg
-	}
-	return cost, energy, overload, bought, served, carbon
-}
-
 // Finalize closes the books — billable 95th percentiles, burst-budget
 // verification, demand charges, final battery state, the distance
-// distribution — and returns the Result. It is idempotent; Step returns an
-// error after the first call.
+// distribution — and returns the Result. The fleet figures are the fold
+// Snapshot carries at the same cursor, and no book changes, so a snapshot
+// taken after Finalize equals one taken before it. Finalize is
+// idempotent; Step returns an error after the first call.
 func (e *Engine) Finalize() (*Result, error) {
-	if e.finalized {
+	if e.res != nil {
 		return e.res, nil
 	}
 	if e.stepsRun == 0 {
 		return nil, errors.New("sim: finalize before any step")
 	}
-	res := e.res
+	snap := e.Snapshot()
+	res := &Result{
+		Policy:                e.policyName,
+		Steps:                 e.stepsRun,
+		TotalCost:             snap.TotalCost,
+		TotalEnergy:           snap.TotalEnergy,
+		ClusterCost:           snap.ClusterCost,
+		ClusterEnergy:         slices.Clone(e.books.ClusterEnergy),
+		BillableP95:           make([]float64, e.nc),
+		PeakRate:              snap.PeakRate,
+		MeanUtilization:       make([]float64, e.nc),
+		OverloadHitSeconds:    snap.OverloadHitSeconds,
+		TotalCarbonKg:         snap.TotalCarbonKg,
+		ClusterCarbonKg:       slices.Clone(e.books.ClusterCarbonKg),
+		EnergyCost:            snap.EnergyCost,
+		DemandCharge:          snap.DemandCharge,
+		ClusterDemandCharge:   e.demandCharges(),
+		PeakGridKW:            snap.PeakGridKW,
+		StorageBoughtKWh:      snap.StorageBoughtKWh,
+		StorageServedKWh:      snap.StorageServedKWh,
+		FinalSoCKWh:           snap.SoCKWh,
+		BatchServedKWh:        snap.BatchServedKWh,
+		BatchShedKWh:          snap.BatchShedKWh,
+		BatchQueuedKWh:        snap.BatchQueuedTotalKWh,
+		BatchDeferredKWhSteps: snap.BatchDeferredKWhSteps,
+	}
 	var buf []float64
 	for c := range e.meters {
 		p95, grown, err := e.meters[c].Percentile95Buf(buf)
@@ -778,7 +769,7 @@ func (e *Engine) Finalize() (*Result, error) {
 		}
 		buf = grown
 		res.BillableP95[c] = p95
-		res.MeanUtilization[c] /= float64(e.stepsRun)
+		res.MeanUtilization[c] = e.books.MeanUtilizationSum[c] / float64(e.stepsRun)
 		if e.constraints != nil {
 			if res.BurstsUsed == nil {
 				res.BurstsUsed = make([]int, e.nc)
@@ -789,33 +780,8 @@ func (e *Engine) Finalize() (*Result, error) {
 			}
 		}
 	}
-	res.TotalCost, res.TotalEnergy, res.OverloadHitSeconds,
-		res.StorageBoughtKWh, res.StorageServedKWh, res.TotalCarbonKg = e.totals()
-	res.Steps = e.stepsRun
-	res.EnergyCost = res.TotalCost
-	if e.demandMeters != nil {
-		res.ClusterDemandCharge = make([]units.Money, e.nc)
-		res.PeakGridKW = make([]float64, e.nc)
-		for c, m := range e.demandMeters {
-			ch := m.Charge(e.sc.DemandChargePerKW)
-			res.ClusterDemandCharge[c] = ch
-			res.PeakGridKW[c] = m.PeakKW()
-			res.ClusterCost[c] += ch
-			res.DemandCharge += ch
-			res.TotalCost += ch
-		}
-	}
-	if e.batteries != nil {
-		res.FinalSoCKWh = make([]float64, e.nc)
-		for c, b := range e.batteries {
-			res.FinalSoCKWh[c] = b.SoCKWh()
-		}
-	}
-	if e.sched != nil {
-		res.BatchServedKWh, res.BatchShedKWh, res.BatchDeferredKWhSteps = e.batchTotals()
-		for c := 0; c < e.nc; c++ {
-			res.BatchQueuedKWh += e.sched.QueuedKWh(c)
-		}
+	for c, ch := range res.ClusterDemandCharge {
+		res.ClusterCost[c] += ch
 	}
 	dist, err := e.distTotal()
 	if err != nil {
@@ -823,13 +789,90 @@ func (e *Engine) Finalize() (*Result, error) {
 	}
 	res.MeanDistanceKm = dist.Mean()
 	res.P99DistanceKm = dist.Quantile(0.99)
-	e.finalized = true
+	e.res = res
 	return res, nil
 }
 
+// demandCharges returns each cluster's demand charge if every open month
+// ended now, in fleet order; nil without a tariff.
+func (e *Engine) demandCharges() []units.Money {
+	if e.demandMeters == nil {
+		return nil
+	}
+	return each(e.demandMeters, func(m *billing.DemandMeter) units.Money { return m.Charge(e.sc.DemandChargePerKW) })
+}
+
+// Bill is the fleet-wide bill and ledgers foldBill derives from
+// per-cluster values.
+type Bill struct {
+	TotalCost   units.Money  // the full bill: energy plus demand charges
+	TotalEnergy units.Energy // grid energy drawn
+	// EnergyCost and DemandCharge split TotalCost exactly as in Result;
+	// a snapshot's demand charge is the bill if every open month ended now.
+	EnergyCost   units.Money
+	DemandCharge units.Money
+
+	OverloadHitSeconds float64 // demand-beyond-capacity seconds
+	StorageBoughtKWh   float64 // grid energy bought into batteries
+	StorageServedKWh   float64 // load energy served from batteries
+	TotalCarbonKg      float64 // emissions (zero unless carbon is metered)
+
+	// Batch (deferrable) class ledgers, fleet-wide; zero unless the
+	// scenario configures the class.
+	BatchServedKWh        float64 // batch energy served
+	BatchShedKWh          float64 // batch energy abandoned at deadlines
+	BatchDeferredKWhSteps float64 // queue residence integral (kWh·steps)
+	BatchQueuedTotalKWh   float64 // unserved queued energy right now
+
+	// BurstTokens sums the clusters' burst-token ledgers.
+	BurstTokens billing.LeaseLedgerState
+}
+
+// foldBill derives the fleet-wide figures from per-cluster values, each
+// in fleet order: the books, storage totals included; each cluster's
+// demand charge (nil without a tariff); its queued batch energy; and its
+// burst-token ledger. It reads nothing else, so per-cluster values
+// scattered from shards into fleet positions fold to the joint run's
+// figures bit for bit. The demand charge comes last, cluster by cluster,
+// each charge added to both DemandCharge and TotalCost.
+func foldBill(books *Totals, charges []units.Money, queuedKWh []float64, leases []billing.LeaseLedgerState) Bill {
+	var b Bill
+	for c := range books.ClusterCost {
+		b.TotalCost += books.ClusterCost[c]
+		b.TotalEnergy += books.ClusterEnergy[c]
+		b.OverloadHitSeconds += books.OverloadSec[c]
+	}
+	for c := range books.StorageBoughtKWh {
+		b.StorageBoughtKWh += books.StorageBoughtKWh[c]
+		b.StorageServedKWh += books.StorageServedKWh[c]
+	}
+	for _, kg := range books.ClusterCarbonKg {
+		b.TotalCarbonKg += kg
+	}
+	for c := range books.BatchServedKWh {
+		b.BatchServedKWh += books.BatchServedKWh[c]
+		b.BatchShedKWh += books.BatchShedKWh[c]
+		b.BatchDeferredKWhSteps += books.BatchDeferredKWh[c]
+	}
+	for _, kwh := range queuedKWh {
+		b.BatchQueuedTotalKWh += kwh
+	}
+	for _, l := range leases {
+		b.BurstTokens.TokensGranted += l.TokensGranted
+		b.BurstTokens.TokensUsed += l.TokensUsed
+		b.BurstTokens.TokensExpired += l.TokensExpired
+	}
+	b.EnergyCost = b.TotalCost
+	for _, ch := range charges {
+		b.DemandCharge += ch
+		b.TotalCost += ch
+	}
+	return b
+}
+
 // Snapshot is a cheap, copy-safe view of the engine's running state for
-// status endpoints: totals so far, the last interval's per-cluster rates,
-// and battery/demand-charge state when those subsystems are active.
+// status endpoints: the bill so far, the last interval's per-cluster
+// rates, and battery/demand-charge state when those subsystems are active.
 type Snapshot struct {
 	Policy string // routing policy name
 	// StoragePolicy names the battery dispatch policy ("" when the
@@ -841,31 +884,20 @@ type Snapshot struct {
 	At   time.Time
 	Next time.Time
 
-	TotalCost   units.Money  // running bill so far (incl. open-month demand charges)
-	TotalEnergy units.Energy // running grid energy so far
-	// EnergyCost and DemandCharge split TotalCost exactly as in Result;
-	// the demand charge is the bill if every open month ended now.
-	EnergyCost   units.Money
-	DemandCharge units.Money
+	// Bill is the fleet's bill so far, folded as Finalize would fold it at
+	// this cursor.
+	Bill
 
-	ClusterCost []units.Money // running per-cluster bill, fleet order
+	ClusterCost []units.Money // running per-cluster energy bill, fleet order
 	// ClusterRate is the last interval's per-cluster assigned rate.
 	ClusterRate []float64
 	PeakRate    []float64 // per-cluster maximum assigned rate so far
 
-	PeakGridKW         []float64 // nil unless a demand-charge tariff is metered
-	SoCKWh             []float64 // nil unless storage is configured
-	StorageBoughtKWh   float64   // grid energy bought into batteries so far
-	StorageServedKWh   float64   // load energy served from batteries so far
-	TotalCarbonKg      float64   // emissions so far (zero unless carbon is metered)
-	OverloadHitSeconds float64   // demand-beyond-capacity seconds so far
-
-	// Batch (deferrable) class ledgers; BatchQueuedKWh is nil unless the
-	// scenario configures the class.
-	BatchQueuedKWh        []float64 // per-cluster unserved queued energy right now
-	BatchServedKWh        float64   // batch energy served so far, fleet-wide
-	BatchShedKWh          float64   // batch energy abandoned at deadlines so far
-	BatchDeferredKWhSteps float64   // queue residence integral (kWh·steps) so far
+	PeakGridKW []float64 // nil unless a demand-charge tariff is metered
+	SoCKWh     []float64 // nil unless storage is configured
+	// BatchQueuedKWh is each cluster's unserved queued batch energy right
+	// now; nil unless the scenario configures the batch class.
+	BatchQueuedKWh []float64
 
 	// BurstLeases books the coordinated burst-token traffic per cluster,
 	// fleet order; nil unless the scenario configures a BurstGate.
@@ -877,54 +909,35 @@ type Snapshot struct {
 // valid before, during, and after Finalize.
 func (e *Engine) Snapshot() *Snapshot {
 	snap := &Snapshot{
-		Policy:        e.res.Policy,
+		Policy:        e.policyName,
 		StoragePolicy: e.dispatchName,
 		Steps:         e.stepsRun,
 		At:            e.lastAt,
 		Next:          e.Next(),
-		ClusterCost:   slices.Clone(e.res.ClusterCost),
+		ClusterCost:   slices.Clone(e.books.ClusterCost),
 		ClusterRate:   slices.Clone(e.loads),
-		PeakRate:      slices.Clone(e.res.PeakRate),
+		PeakRate:      slices.Clone(e.books.PeakRate),
 	}
-	if e.finalized {
-		// Result already folded the demand charge into the totals.
-		snap.TotalCost = e.res.TotalCost
-		snap.TotalEnergy = e.res.TotalEnergy
-		snap.EnergyCost = e.res.EnergyCost
-		snap.DemandCharge = e.res.DemandCharge
-		snap.OverloadHitSeconds = e.res.OverloadHitSeconds
-		snap.StorageBoughtKWh = e.res.StorageBoughtKWh
-		snap.StorageServedKWh = e.res.StorageServedKWh
-		snap.TotalCarbonKg = e.res.TotalCarbonKg
-	} else {
-		cost, energy, overload, bought, served, carbon := e.totals()
-		snap.TotalCost, snap.EnergyCost = cost, cost
-		snap.TotalEnergy = energy
-		snap.OverloadHitSeconds = overload
-		snap.StorageBoughtKWh = bought
-		snap.StorageServedKWh = served
-		snap.TotalCarbonKg = carbon
-		for _, m := range e.demandMeters {
-			snap.DemandCharge += m.Charge(e.sc.DemandChargePerKW)
-		}
-		snap.TotalCost += snap.DemandCharge
-	}
+	// The fold reads the books with the storage totals each battery keeps.
+	books := e.books
 	if e.demandMeters != nil {
 		snap.PeakGridKW = each(e.demandMeters, (*billing.DemandMeter).PeakKW)
 	}
 	if e.batteries != nil {
 		snap.SoCKWh = each(e.batteries, (*storage.State).SoCKWh)
+		books.StorageBoughtKWh = each(e.batteries, (*storage.State).BoughtKWh)
+		books.StorageServedKWh = each(e.batteries, (*storage.State).ServedKWh)
 	}
 	if e.sched != nil {
 		snap.BatchQueuedKWh = make([]float64, e.nc)
 		for c := range snap.BatchQueuedKWh {
 			snap.BatchQueuedKWh[c] = e.sched.QueuedKWh(c)
 		}
-		snap.BatchServedKWh, snap.BatchShedKWh, snap.BatchDeferredKWhSteps = e.batchTotals()
 	}
 	if e.leases != nil {
 		snap.BurstLeases = each(e.leases, (*billing.LeaseLedger).State)
 	}
+	snap.Bill = foldBill(&books, e.demandCharges(), snap.BatchQueuedKWh, snap.BurstLeases)
 	return snap
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -389,6 +390,66 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 	if _, err := eng.Finalize(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotBillsAsFinalize: a live snapshot bills what Finalize does
+// at the same cursor, bit for bit, and Finalize changes no book. Each
+// tariffed harness world runs to its horizon at its own demand charge and
+// at $3, $12 and $13.7/kW-month; the snapshot before Finalize must match
+// the Result's fleet figures exactly and deep-equal the snapshot after.
+func TestSnapshotBillsAsFinalize(t *testing.T) {
+	for name, base := range harnessScenarios(t) {
+		if base.DemandChargePerKW == 0 {
+			continue
+		}
+		rates := []float64{3, 12, 13.7}
+		if !slices.Contains(rates, base.DemandChargePerKW) {
+			rates = append(rates, base.DemandChargePerKW)
+		}
+		for _, rate := range rates {
+			t.Run(fmt.Sprintf("%s/%v", name, rate), func(t *testing.T) {
+				sc := clonePolicy(t, base)
+				sc.DemandChargePerKW = rate
+				eng, err := NewEngine(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveSteps(t, eng, sc, sc.Steps)
+				live := eng.Snapshot()
+				res, err := eng.Finalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range []struct {
+					name        string
+					live, final float64
+				}{
+					{"TotalCost", float64(live.TotalCost), float64(res.TotalCost)},
+					{"EnergyCost", float64(live.EnergyCost), float64(res.EnergyCost)},
+					{"DemandCharge", float64(live.DemandCharge), float64(res.DemandCharge)},
+					{"TotalEnergy", float64(live.TotalEnergy), float64(res.TotalEnergy)},
+					{"OverloadHitSeconds", live.OverloadHitSeconds, res.OverloadHitSeconds},
+					{"StorageBoughtKWh", live.StorageBoughtKWh, res.StorageBoughtKWh},
+					{"StorageServedKWh", live.StorageServedKWh, res.StorageServedKWh},
+					{"TotalCarbonKg", live.TotalCarbonKg, res.TotalCarbonKg},
+					{"BatchServedKWh", live.BatchServedKWh, res.BatchServedKWh},
+					{"BatchShedKWh", live.BatchShedKWh, res.BatchShedKWh},
+					{"BatchDeferredKWhSteps", live.BatchDeferredKWhSteps, res.BatchDeferredKWhSteps},
+					{"BatchQueuedKWh", live.BatchQueuedTotalKWh, res.BatchQueuedKWh},
+				} {
+					if math.Float64bits(f.live) != math.Float64bits(f.final) {
+						t.Errorf("%s: live %v (%#x), Result %v (%#x)", f.name, f.live, math.Float64bits(f.live), f.final, math.Float64bits(f.final))
+					}
+				}
+				if res.DemandCharge == 0 {
+					t.Error("the tariff billed no demand charge")
+				}
+				if after := eng.Snapshot(); !reflect.DeepEqual(live, after) {
+					t.Errorf("Finalize changed the snapshot:\nbefore %+v\nafter  %+v", live, after)
+				}
+			})
+		}
 	}
 }
 

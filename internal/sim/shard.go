@@ -360,9 +360,9 @@ var ErrShardCursorMismatch = errors.New("shards must pause at the same cursor")
 // hits in the same order either way) is what makes the merged histograms,
 // and the fleet mean/p99 folded from them, bit-exact rather than merely
 // close. The merged checkpoint carries the parent
-// world hash and restores only into the joint world, where Snapshot and
-// Finalize re-derive every fleet-wide figure in fleet order — bit for bit
-// what the single-engine run reports.
+// world hash and restores only into the joint world, where foldBill
+// re-derives every fleet-wide figure in fleet order for Snapshot and
+// Finalize — bit for bit what the single-engine run reports.
 func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("sim: merging zero checkpoints")

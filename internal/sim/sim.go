@@ -184,7 +184,7 @@ type Result struct {
 	TotalCost   units.Money  // the full bill: energy plus any demand charge
 	TotalEnergy units.Energy // total grid energy drawn
 
-	ClusterCost   []units.Money  // per-cluster bill (incl. demand charge once finalized)
+	ClusterCost   []units.Money  // per-cluster bill, demand charge included
 	ClusterEnergy []units.Energy // per-cluster grid energy
 	// BillableP95 is each cluster's 95th-percentile rate over the run: its
 	// 95/5 bandwidth bill (§4).

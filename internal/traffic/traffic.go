@@ -7,8 +7,8 @@
 // local-time diurnal curve, a weekly pattern, the turn-of-year holiday dip
 // visible in the paper's trace window (2008-12-19 through 2009-01-12), and
 // an AR(1) multiplicative noise stream with occasional flash-crowd bursts.
-// The aggregate is normalized so the US series peaks at the configured
-// rate (the paper observed ~1.25M hits/s US, ~2M+ global).
+// The aggregate is normalized so the US series peaks at DefaultUSPeak
+// (the paper observed ~1.25M hits/s US, ~2M+ global).
 package traffic
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"powerroute/internal/geo"
 	"powerroute/internal/timeseries"
-	"powerroute/internal/units"
 )
 
 // Trace window defaults matching Fig 14.
@@ -33,31 +32,17 @@ const (
 	DefaultPublicShare = 0.72   // fraction of US traffic on the 9 public clusters
 )
 
-// Config parameterizes workload synthesis.
+// Config parameterizes workload synthesis. The trace starts at
+// DefaultStart and is scaled to DefaultUSPeak, DefaultGlobalPeak and
+// DefaultPublicShare.
 type Config struct {
-	Seed        int64
-	Start       time.Time     // default DefaultStart
-	Days        int           // default DefaultDays
-	USPeak      units.HitRate // default DefaultUSPeak
-	GlobalPeak  units.HitRate // default DefaultGlobalPeak
-	PublicShare float64       // default DefaultPublicShare
+	Seed int64
+	Days int // default DefaultDays
 }
 
 func (c Config) withDefaults() Config {
-	if c.Start.IsZero() {
-		c.Start = DefaultStart
-	}
 	if c.Days == 0 {
 		c.Days = DefaultDays
-	}
-	if c.USPeak == 0 {
-		c.USPeak = DefaultUSPeak
-	}
-	if c.GlobalPeak == 0 {
-		c.GlobalPeak = DefaultGlobalPeak
-	}
-	if c.PublicShare == 0 {
-		c.PublicShare = DefaultPublicShare
 	}
 	return c
 }
@@ -95,14 +80,11 @@ func Generate(cfg Config) (*Trace, error) {
 	if cfg.Days < 0 {
 		return nil, fmt.Errorf("traffic: negative days %d", cfg.Days)
 	}
-	if cfg.PublicShare <= 0 || cfg.PublicShare > 1 {
-		return nil, fmt.Errorf("traffic: public share %v outside (0,1]", cfg.PublicShare)
-	}
 	samples := cfg.Days * SamplesPerDay
 	if samples == 0 {
 		return nil, fmt.Errorf("traffic: empty trace")
 	}
-	start := cfg.Start.UTC().Truncate(timeseries.FiveMinute)
+	start := DefaultStart.UTC().Truncate(timeseries.FiveMinute)
 
 	states := geo.States()
 	total := float64(geo.TotalUSPopulation())
@@ -159,15 +141,16 @@ func Generate(cfg Config) (*Trace, error) {
 		tr.States[i] = StateDemand{State: s, Rate: rates}
 	}
 
-	// Normalize so the US total (public + private) peaks at USPeak; state
-	// series carry only the public-cluster share of that.
+	// Normalize so the US total (public + private) peaks at
+	// DefaultUSPeak; state series carry only the public-cluster share of
+	// that.
 	peak := 0.0
 	for _, v := range usSeries {
 		if v > peak {
 			peak = v
 		}
 	}
-	scale := float64(cfg.USPeak) / peak * cfg.PublicShare
+	scale := DefaultUSPeak / peak * DefaultPublicShare
 	for i := range tr.States {
 		for t := range tr.States[i].Rate {
 			tr.States[i].Rate[t] *= scale
@@ -177,15 +160,15 @@ func Generate(cfg Config) (*Trace, error) {
 	us := timeseries.New(start, timeseries.FiveMinute, samples)
 	for t := range usSeries {
 		nine.Values[t] = usSeries[t] * scale
-		us.Values[t] = nine.Values[t] / cfg.PublicShare
+		us.Values[t] = nine.Values[t] / DefaultPublicShare
 	}
 
 	// Non-US traffic: flatter profile (demand spread across world time
-	// zones), normalized so the global series peaks near GlobalPeak.
+	// zones), normalized so the global series peaks near DefaultGlobalPeak.
 	grng := rand.New(rand.NewSource(cfg.Seed ^ 0x7ea1_3003))
 	global := timeseries.New(start, timeseries.FiveMinute, samples)
 	gNoise := 0.0
-	nonUSLevel := float64(cfg.GlobalPeak) - float64(cfg.USPeak)
+	nonUSLevel := float64(DefaultGlobalPeak - DefaultUSPeak)
 	for t := 0; t < samples; t++ {
 		at := start.Add(time.Duration(t) * timeseries.FiveMinute)
 		utcHour := float64(at.Hour()) + float64(at.Minute())/60

@@ -43,12 +43,6 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(Config{Days: -1}); err == nil {
 		t.Error("negative days should fail")
 	}
-	if _, err := Generate(Config{PublicShare: 1.5}); err == nil {
-		t.Error("public share > 1 should fail")
-	}
-	if _, err := Generate(Config{PublicShare: -0.2}); err == nil {
-		t.Error("negative public share should fail")
-	}
 }
 
 func TestDeterminism(t *testing.T) {
